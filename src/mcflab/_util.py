@@ -52,10 +52,6 @@ def _check_finite(obj: Any, path: str) -> None:
             _check_finite(v, f"{path}[{i}]")
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

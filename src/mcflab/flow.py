@@ -2,10 +2,15 @@
 shortening flow.
 
 Forward Euler with a parabolic CFL restriction: dt <= cfl * h^2/(1+max|Df|^2)
-for graphs, dt <= cfl * (min edge)^2 for curves.  `run_flow` drives either
-stepper until the horizon, extinction, or a terminal event, recording
-snapshots and monitor reports every `record_stride` steps, and can persist
-the trace as a run directory (manifest, snapshots, timeseries, events).
+for graphs, dt <= cfl * (min edge)^2 for curves.  Each flow has one step
+kernel on raw arrays: `_GraphKernel` (Df once per step, shared by the CFL
+limit, the Hessian and g^{-1}) and `_CurveKernel` (edge vectors and lengths,
+the edge statistics the driver needs, and the Menger kappa*N update).  The
+single steppers `step_graph_mcf` / `step_csf` and the driver `run_flow` both
+call them.  `run_flow` advances until the horizon, extinction, or a terminal
+event, recording snapshots and monitor reports every `record_stride` steps,
+and can persist the trace as a run directory (manifest, snapshots,
+timeseries, events).
 """
 
 from __future__ import annotations
@@ -97,33 +102,106 @@ class FlowTrace:
 
 
 # ---------------------------------------------------------------------------
-# Steppers
+# Step kernels: the one implementation of each explicit update
 # ---------------------------------------------------------------------------
 
 
+def _check_cfl(dt: float, limit: float, context: str) -> None:
+    if dt > limit * (1 + 1e-12):
+        raise StepRejected(f"dt={dt:.3e} exceeds CFL limit {limit:.3e} {context}")
+
+
+class _GraphKernel:
+    """Forward-Euler step of dt f = g^{ij} D_iD_jf on raw node values.
+
+    Df is computed once, on construction; the CFL limit, the Hessian and
+    g^{-1} all read it.  Boundary nodes are frozen unless periodic.
+    """
+
+    def __init__(self, values: np.ndarray, spacing: float, periodic: bool):
+        self.values = values
+        self.spacing = spacing
+        self.periodic = periodic
+        self.df = geometry.gradient_raw(values, spacing, periodic)
+
+    def cfl_limit(self, cfl: float) -> float:
+        df = self.df
+        gmax = float(np.max(np.sum(df * df, axis=-1)))
+        return cfl * self.spacing**2 / (1.0 + gmax)
+
+    def advance(self, dt: float) -> np.ndarray:
+        values, periodic = self.values, self.periodic
+        d2f = geometry.hessian_raw(values, self.df, self.spacing, periodic)
+        ginv, _ = geometry.metric_inverse(self.df)
+        out = values + dt * np.einsum("...ij,...ij->...", ginv, d2f)
+        if not periodic:
+            for axis in range(values.ndim):
+                for end in (0, -1):
+                    face = (slice(None),) * axis + (end,)
+                    out[face] = values[face]
+        if not np.isfinite(out).all():
+            raise BlowUp(f"non-finite graph values after step of dt={dt}")
+        return out
+
+
+class _CurveKernel:
+    """Edge statistics of a polyline and its forward-Euler step
+    vertex += dt * kappa * N, with the Menger curvature; open endpoints fixed.
+
+    A closed curve is padded with its last vertex in front and its first at
+    the back, so for closed and open curves alike the stencil of the i-th
+    moving vertex is the edges d[i], d[i+1] and the chord ext[i+2] - ext[i].
+    """
+
+    def __init__(self, vertices: np.ndarray, closed: bool):
+        self.vertices = vertices
+        self.closed = closed
+        ext = np.concatenate((vertices[-1:], vertices, vertices[:1])) if closed else vertices
+        d = ext[1:] - ext[:-1]
+        lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        edges = lengths[1:] if closed else lengths
+        self.e_min = float(edges.min())
+        self.e_max = float(edges.max())
+        self.length = float(edges.sum())
+        self._ext, self._d, self._lengths = ext, d, lengths
+
+    def area(self) -> float:
+        """Unsigned shoelace area of a closed curve."""
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        nxt = self._ext[2:]
+        return abs(float(np.sum(x * nxt[:, 1] - nxt[:, 0] * y))) / 2.0
+
+    def cfl_limit(self, cfl: float) -> float:
+        return cfl * self.e_min**2
+
+    def advance(self, dt: float) -> np.ndarray:
+        if self.e_min == 0.0:
+            raise GeometryError("repeated vertex in curvature stencil")
+        ext, a, b, lengths = self._ext, self._d[:-1], self._d[1:], self._lengths
+        chord = ext[2:] - ext[:-2]
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        lc = np.sqrt(chord[:, 0] * chord[:, 0] + chord[:, 1] * chord[:, 1])
+        pos = lc > 0
+        lc_safe = np.where(pos, lc, 1.0)
+        kap = np.where(pos, 2.0 * cross / (lengths[:-1] * lengths[1:] * lc_safe), 0.0)
+        v = self.vertices
+        vel = np.empty_like(v) if self.closed else np.zeros_like(v)
+        moving = vel if self.closed else vel[1:-1]
+        moving[:, 0] = kap * -(chord[:, 1] / lc_safe)
+        moving[:, 1] = kap * (chord[:, 0] / lc_safe)
+        out = v + dt * vel
+        if not np.isfinite(out).all():
+            raise BlowUp(f"non-finite vertices after step of dt={dt}")
+        return out
+
+
 def graph_cfl_limit(values: np.ndarray, spacing: float, cfl: float, periodic: bool) -> float:
-    df = geometry.gradient_raw(values, spacing, periodic)
-    gmax = float(np.max(np.sum(df * df, axis=-1)))
-    return cfl * spacing**2 / (1.0 + gmax)
+    return _GraphKernel(values, spacing, periodic).cfl_limit(cfl)
 
 
-def _advance_graph(
-    values: np.ndarray, spacing: float, dt: float, periodic: bool
-) -> np.ndarray:
-    rhs = geometry.graph_mcf_rhs_raw(values, spacing, periodic)
-    out = values + dt * rhs
-    if not periodic:
-        n = values.ndim
-        for axis in range(n):
-            sl_lo = [slice(None)] * n
-            sl_hi = [slice(None)] * n
-            sl_lo[axis] = 0
-            sl_hi[axis] = -1
-            out[tuple(sl_lo)] = values[tuple(sl_lo)]
-            out[tuple(sl_hi)] = values[tuple(sl_hi)]
-    if not np.isfinite(out).all():
-        raise BlowUp(f"non-finite graph values after step of dt={dt}")
-    return out
+# ---------------------------------------------------------------------------
+# Single steppers
+# ---------------------------------------------------------------------------
 
 
 def step_graph_mcf(state: FlowState, dt: float, config: FlowConfig | None = None) -> FlowState:
@@ -136,30 +214,17 @@ def step_graph_mcf(state: FlowState, dt: float, config: FlowConfig | None = None
     patch = state.surface
     if not isinstance(patch, GraphPatch):
         raise ConfigError("step_graph_mcf requires a GraphPatch state")
-    periodic = cfg.boundary == "periodic"
-    limit = graph_cfl_limit(patch.values, patch.spacing, cfg.cfl, periodic)
-    if dt > limit * (1 + 1e-12):
-        raise StepRejected(
-            f"dt={dt:.3e} exceeds CFL limit {limit:.3e} "
-            f"(cfl={cfg.cfl}, h={patch.spacing:.3e})"
-        )
-    new_values = _advance_graph(patch.values, patch.spacing, dt, periodic)
+    kernel = _GraphKernel(patch.values, patch.spacing, cfg.boundary == "periodic")
+    _check_cfl(dt, kernel.cfl_limit(cfg.cfl), f"(cfl={cfg.cfl}, h={patch.spacing:.3e})")
     new_patch = GraphPatch(
         center=patch.center,
         radius=patch.radius,
         spacing=patch.spacing,
-        values=new_values,
+        values=kernel.advance(dt),
         codim=patch.codim,
         time=state.t + dt,
     )
     return FlowState(surface=new_patch, step=state.step + 1, t=state.t + dt)
-
-
-def _advance_curve(vertices: np.ndarray, dt: float, closed: bool) -> np.ndarray:
-    out = vertices + dt * geometry.csf_velocity_raw(vertices, closed)
-    if not np.isfinite(out).all():
-        raise BlowUp(f"non-finite vertices after step of dt={dt}")
-    return out
 
 
 def step_csf(state: FlowState, dt: float, config: FlowConfig | None = None) -> FlowState:
@@ -168,15 +233,11 @@ def step_csf(state: FlowState, dt: float, config: FlowConfig | None = None) -> F
     curve = state.surface
     if not isinstance(curve, ClosedCurve):
         raise ConfigError("step_csf requires a ClosedCurve state")
-    edges = geometry.edge_lengths(curve)
-    limit = cfg.cfl * float(edges.min()) ** 2
-    if dt > limit * (1 + 1e-12):
-        raise StepRejected(
-            f"dt={dt:.3e} exceeds CFL limit {limit:.3e} "
-            f"(cfl={cfg.cfl}, min edge={edges.min():.3e})"
-        )
-    new_vertices = _advance_curve(curve.vertices, dt, curve.closed)
-    new_curve = ClosedCurve(vertices=new_vertices, closed=curve.closed, time=state.t + dt)
+    kernel = _CurveKernel(curve.vertices, curve.closed)
+    _check_cfl(
+        dt, kernel.cfl_limit(cfg.cfl), f"(cfl={cfg.cfl}, min edge={kernel.e_min:.3e})"
+    )
+    new_curve = ClosedCurve(vertices=kernel.advance(dt), closed=curve.closed, time=state.t + dt)
     return FlowState(surface=new_curve, step=state.step + 1, t=state.t + dt)
 
 
@@ -244,23 +305,22 @@ def run_flow(
 
     if is_curve:
         curve0: ClosedCurve = initial.surface
-        vertices = curve0.vertices.copy()
+        raw = curve0.vertices.copy()
         closed = curve0.closed
-        edges0 = geometry.edge_lengths(curve0)
-        length0 = float(edges0.sum())
-        min_edge0 = float(edges0.min())
-        area0 = geometry.enclosed_area(curve0) if closed else None
+        kernel0 = _CurveKernel(raw, closed)
+        min_edge0 = kernel0.e_min
+        area0 = kernel0.area() if closed else None
 
         def make_state():
             return FlowState(
-                surface=ClosedCurve(vertices=vertices.copy(), closed=closed, time=t),
+                surface=ClosedCurve(vertices=raw.copy(), closed=closed, time=t),
                 step=step,
                 t=t,
             )
 
     else:
         patch0: GraphPatch = initial.surface
-        values = patch0.values.copy()
+        raw = patch0.values.copy()
 
         def make_state():
             return FlowState(
@@ -268,7 +328,7 @@ def run_flow(
                     center=patch0.center,
                     radius=patch0.radius,
                     spacing=patch0.spacing,
-                    values=values.copy(),
+                    values=raw.copy(),
                     codim=patch0.codim,
                     time=t,
                 ),
@@ -277,29 +337,14 @@ def run_flow(
             )
 
     recorded_at = step
-    idx_prev = idx_next = None
     while t < t_end:
         try:
             if is_curve:
-                if closed:
-                    # cached neighbor permutations; invalidated by remesh
-                    if idx_next is None or idx_next.shape[0] != vertices.shape[0]:
-                        base = np.arange(vertices.shape[0])
-                        idx_next = np.roll(base, -1)
-                        idx_prev = np.roll(base, 1)
-                    nxt = np.take(vertices, idx_next, axis=0)
-                    diffs = nxt - vertices
-                else:
-                    diffs = vertices[1:] - vertices[:-1]
-                edges = np.sqrt(
-                    diffs[:, 0] * diffs[:, 0] + diffs[:, 1] * diffs[:, 1]
-                )
-                e_min = float(edges.min())
-                e_max = float(edges.max())
-                length = float(edges.sum())
+                kernel = _CurveKernel(raw, closed)
+                e_min, e_max = kernel.e_min, kernel.e_max
                 if e_min < EDGE_COLLAPSE or e_max / e_min > EDGE_RATIO_LIMIT:
-                    count = _remesh_count(length, vertices.shape[0], config.remesh_spacing)
-                    vertices = geometry.resample_curve_raw(vertices, closed, count)
+                    count = _remesh_count(kernel.length, raw.shape[0], config.remesh_spacing)
+                    raw = geometry.resample_curve_raw(raw, closed, count)
                     trace.events.append(
                         {
                             "event": "remesh",
@@ -307,28 +352,12 @@ def run_flow(
                             "t": t,
                             "min_edge": e_min,
                             "edge_ratio": e_max / e_min if e_min > 0 else float("inf"),
-                            "vertex_count": int(vertices.shape[0]),
+                            "vertex_count": int(raw.shape[0]),
                         }
                     )
-                    if closed:
-                        if idx_next.shape[0] != vertices.shape[0]:
-                            base = np.arange(vertices.shape[0])
-                            idx_next = np.roll(base, -1)
-                            idx_prev = np.roll(base, 1)
-                        nxt = np.take(vertices, idx_next, axis=0)
-                        diffs = nxt - vertices
-                    else:
-                        diffs = vertices[1:] - vertices[:-1]
-                    edges = np.sqrt(
-                        diffs[:, 0] * diffs[:, 0] + diffs[:, 1] * diffs[:, 1]
-                    )
-                    e_min = float(edges.min())
-                    length = float(edges.sum())
-                area = None
-                if closed:
-                    x, y = vertices[:, 0], vertices[:, 1]
-                    area = abs(float(np.sum(x * nxt[:, 1] - nxt[:, 0] * y))) / 2.0
-                extinct = length < EXTINCTION_LENGTH_FACTOR * min_edge0 or (
+                    kernel = _CurveKernel(raw, closed)
+                area = kernel.area() if closed else None
+                extinct = kernel.length < EXTINCTION_LENGTH_FACTOR * min_edge0 or (
                     closed and area < EXTINCTION_AREA_FACTOR * area0
                 )
                 if extinct:
@@ -337,78 +366,23 @@ def run_flow(
                             "event": "extinction",
                             "step": step,
                             "t": t,
-                            "length": length,
+                            "length": kernel.length,
                             "area": area,
                         }
                     )
                     break
-                limit = config.cfl * e_min**2
-                dt = config.dt if config.dt is not None else limit
-                if dt > limit * (1 + 1e-12):
-                    raise StepRejected(
-                        f"dt={dt:.3e} exceeds CFL limit {limit:.3e} at step {step}"
-                    )
-                t_next = t_end if dt >= t_end - t else t + dt
-                if t_next == t:
-                    trace.events.append(
-                        {"event": "stall", "step": step, "t": t, "detail": "dt underflow"}
-                    )
-                    break
-                # inlined kappa*N step; operation order matches _menger
-                # exactly so trajectories agree bitwise with step_csf
-                if e_min == 0.0:
-                    raise GeometryError("repeated vertex in curvature stencil")
-                dt_step = t_next - t
-                if closed:
-                    prv = np.take(vertices, idx_prev, axis=0)
-                    a = vertices - prv
-                    la = np.take(edges, idx_prev)
-                    lb = edges
-                    chord = nxt - prv
-                    b = diffs
-                else:
-                    a = diffs[:-1]
-                    b = diffs[1:]
-                    la = edges[:-1]
-                    lb = edges[1:]
-                    chord = vertices[2:] - vertices[:-2]
-                cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-                lc = np.sqrt(
-                    chord[:, 0] * chord[:, 0] + chord[:, 1] * chord[:, 1]
-                )
-                pos = lc > 0
-                lc_safe = np.where(pos, lc, 1.0)
-                kap = np.where(pos, 2.0 * cross / (la * lb * lc_safe), 0.0)
-                vel_x = kap * -(chord[:, 1] / lc_safe)
-                vel_y = kap * (chord[:, 0] / lc_safe)
-                if closed:
-                    new = np.empty_like(vertices)
-                    new[:, 0] = x + dt_step * vel_x
-                    new[:, 1] = y + dt_step * vel_y
-                else:
-                    vel = np.zeros_like(vertices)
-                    vel[1:-1, 0] = vel_x
-                    vel[1:-1, 1] = vel_y
-                    new = vertices + dt_step * vel
-                if not np.isfinite(new).all():
-                    raise BlowUp(
-                        f"non-finite vertices after step of dt={dt_step}"
-                    )
-                vertices = new
             else:
-                limit = graph_cfl_limit(values, patch0.spacing, config.cfl, periodic)
-                dt = config.dt if config.dt is not None else limit
-                if dt > limit * (1 + 1e-12):
-                    raise StepRejected(
-                        f"dt={dt:.3e} exceeds CFL limit {limit:.3e} at step {step}"
-                    )
-                t_next = t_end if dt >= t_end - t else t + dt
-                if t_next == t:
-                    trace.events.append(
-                        {"event": "stall", "step": step, "t": t, "detail": "dt underflow"}
-                    )
-                    break
-                values = _advance_graph(values, patch0.spacing, t_next - t, periodic)
+                kernel = _GraphKernel(raw, patch0.spacing, periodic)
+            limit = kernel.cfl_limit(config.cfl)
+            dt = config.dt if config.dt is not None else limit
+            _check_cfl(dt, limit, f"at step {step}")
+            t_next = t_end if dt >= t_end - t else t + dt
+            if t_next == t:
+                trace.events.append(
+                    {"event": "stall", "step": step, "t": t, "detail": "dt underflow"}
+                )
+                break
+            raw = kernel.advance(t_next - t)
         except StepRejected as exc:
             trace.events.append(
                 {"event": "step_rejected", "step": step, "t": t, "detail": str(exc)}

@@ -285,14 +285,17 @@ def gradient_raw(values: np.ndarray, h: float, periodic: bool = False) -> np.nda
     )
 
 
-def hessian_raw(values: np.ndarray, h: float, periodic: bool = False) -> np.ndarray:
+def hessian_raw(
+    values: np.ndarray, df: np.ndarray, h: float, periodic: bool = False
+) -> np.ndarray:
+    """D^2 f from f and its gradient df = gradient_raw(values, h, periodic);
+    mixed partials difference df."""
     n = values.ndim
     out = np.empty(values.shape + (n, n))
-    grads = gradient_raw(values, h, periodic)
     for i in range(n):
         out[..., i, i] = _d2(values, h, i, periodic)
         for j in range(i + 1, n):
-            mixed = _d1(grads[..., i], h, j, periodic)
+            mixed = _d1(df[..., i], h, j, periodic)
             out[..., i, j] = mixed
             out[..., j, i] = mixed
     return out
@@ -310,7 +313,9 @@ def hessian_field(patch: GraphPatch, periodic: bool = False) -> np.ndarray:
     """D^2 f on all nodes, shape grid + (n, n); symmetric by construction."""
     key = ("hess", periodic)
     if key not in patch._cache:
-        patch._cache[key] = hessian_raw(patch.values, patch.spacing, periodic)
+        patch._cache[key] = hessian_raw(
+            patch.values, gradient_field(patch, periodic), patch.spacing, periodic
+        )
     return patch._cache[key]
 
 
@@ -361,7 +366,7 @@ def tilt(df: np.ndarray) -> np.ndarray:
     return s / (1.0 + s)
 
 
-def _metric_inverse(df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def metric_inverse(df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(g^{-1}, 1+|Df|^2) for the induced metric g = I + Df Df^T."""
     df = np.asarray(df, dtype=float)
     w = 1.0 + np.sum(df * df, axis=-1)
@@ -376,7 +381,7 @@ def second_fundamental_norm(df: np.ndarray, d2f: np.ndarray) -> np.ndarray:
     d2f = np.asarray(d2f, dtype=float)
     if not (np.isfinite(np.asarray(df)).all() and np.isfinite(d2f).all()):
         raise GeometryError("inputs must be finite")
-    ginv, w = _metric_inverse(df)
+    ginv, w = metric_inverse(df)
     b = np.einsum("...ij,...jk->...ik", ginv, d2f)
     a2 = np.einsum("...ij,...ji->...", b, b) / w
     return np.sqrt(np.maximum(a2, 0.0))
@@ -399,20 +404,8 @@ def mean_curvature_graph(df: np.ndarray, d2f: np.ndarray) -> np.ndarray:
     d2f = np.asarray(d2f, dtype=float)
     if not (np.isfinite(np.asarray(df)).all() and np.isfinite(d2f).all()):
         raise GeometryError("inputs must be finite")
-    ginv, w = _metric_inverse(df)
+    ginv, w = metric_inverse(df)
     return np.einsum("...ij,...ij->...", ginv, d2f) / np.sqrt(w)
-
-
-def graph_mcf_rhs_raw(values: np.ndarray, h: float, periodic: bool = False) -> np.ndarray:
-    df = gradient_raw(values, h, periodic)
-    d2f = hessian_raw(values, h, periodic)
-    ginv, _ = _metric_inverse(df)
-    return np.einsum("...ij,...ij->...", ginv, d2f)
-
-
-def graph_mcf_rhs(patch: GraphPatch, periodic: bool = False) -> np.ndarray:
-    """df/dt = (delta_ij - D_if D_jf/(1+|Df|^2)) D_iD_jf on all nodes."""
-    return graph_mcf_rhs_raw(patch.values, patch.spacing, periodic)
 
 
 # ---------------------------------------------------------------------------
@@ -560,18 +553,6 @@ def is_simple(curve: ClosedCurve) -> bool:
         if bool(np.any((t > 0) & (t < 1) & (u > 0) & (u < 1))):
             return False
     return True
-
-
-def csf_velocity_raw(vertices: np.ndarray, closed: bool = True) -> np.ndarray:
-    """Curve-shortening velocity kappa * N per vertex; open endpoints fixed."""
-    v = vertices
-    if closed:
-        tan, nor, kap = _menger(np.roll(v, 1, axis=0), v, np.roll(v, -1, axis=0))
-        return kap[:, None] * nor
-    out = np.zeros_like(v)
-    _, nor, kap = _menger(v[:-2], v[1:-1], v[2:])
-    out[1:-1] = kap[:, None] * nor
-    return out
 
 
 def resample_curve_raw(

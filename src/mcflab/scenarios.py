@@ -39,6 +39,7 @@ from .geometry import (
 from .graphicality import first_graphical_time, is_graphical
 from .monitors import (
     brakke_identity_monitor,
+    calibrate_constant,
     check_curvature_bound_EH,
     check_height_bound,
     gradient_bound_monitor,
@@ -725,7 +726,7 @@ def scenario_become_graphical(
             ratio_sets.append([0.0, 0.0, 0.0])
         else:
             ratio_sets.append(_fold_bound_ratios(trace, cyl, tg))
-    c_hats = [2.0 * max(rs[i] for rs in ratio_sets) for i in range(3)]
+    c_hats = [calibrate_constant(lambda rs, i=i: rs[i], ratio_sets) for i in range(3)]
 
     trace2, _ = _run_fold(L, 2 * gamma, 2 * base_spacing, t_end, monitors)
     traces["doubled"] = trace2
@@ -848,10 +849,9 @@ def calibrate_eh_curvature(
 ) -> dict:
     """Three-resolution calibration of the curvature-bound constant on the
     steep ramp family; returns per-resolution ratios and c_hat = 2 x max."""
-    if len(resolutions) < 3:
-        raise ConfigError("calibration needs at least 3 resolutions")
     ratios = {}
-    for res in resolutions:
+
+    def measure(res):
         axis = _patch_axis(2.0, res)
         h = float(axis[1] - axis[0])
         a = 2.25
@@ -868,7 +868,9 @@ def calibrate_eh_curvature(
         if report.skipped:
             raise ConfigError(f"calibration run skipped: {report.reason}")
         ratios[res] = report.value / report.bound
-    c_hat = 2.0 * max(ratios.values())
+        return ratios[res]
+
+    c_hat = calibrate_constant(measure, resolutions)
     return {"c_hat": c_hat, "ratios": ratios, "rho": rho, "t_end": t_end}
 
 
@@ -908,6 +910,9 @@ _PARAM_RANGES = {
         "t_end": (0.0, None),
     },
 }
+
+# Parameters the scenario uses as counts (e.g. range(family)).
+_INTEGER_PARAMS = {"family"}
 
 SCENARIOS = {
     "flat_plane": scenario_flat_plane,
@@ -977,6 +982,8 @@ def validate_scenario_spec(doc, path: str = "$") -> dict:
             )
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{path}.params.{key}", "must be a number")
+        if key in _INTEGER_PARAMS and not isinstance(value, int):
+            raise ValidationError(f"{path}.params.{key}", "must be an integer")
         lo, hi = ranges[key]
         if lo is not None and value <= lo:
             raise ValidationError(

@@ -77,6 +77,15 @@ def test_run_rejects_bad_spec(tmp_path, capsys):
     assert main(["run", "--spec", str(garbage)]) == 2
 
 
+def test_run_rejects_fractional_count_param(tmp_path, capsys):
+    bad = _write_spec(tmp_path / "frac.json", {
+        "schema_version": 1, "scenario": "stay_graphical",
+        "params": {"family": 2.5},
+    })
+    assert main(["run", "--spec", bad]) == 2
+    assert "$.params.family: must be an integer" in capsys.readouterr().err
+
+
 def test_run_refuses_sweep_spec(tmp_path):
     doc = {"schema_version": 1, "scenario": "sweep", "runs": []}
     spec = _write_spec(tmp_path / "sw.json", doc)

@@ -17,9 +17,13 @@ from mcflab.flow import (
 from mcflab.geometry import (
     ClosedCurve,
     GraphPatch,
+    curve_quantities_all,
     curves_intersect,
     enclosed_area,
+    gradient_field,
+    hessian_field,
     is_simple,
+    metric_inverse,
     total_length,
 )
 from mcflab.monitors import MonitorReport
@@ -86,6 +90,39 @@ def test_dirichlet_boundary_frozen():
     assert not np.array_equal(out.values[1:-1, 1:-1], patch.values[1:-1, 1:-1])
 
 
+_GRAPH_PROFILES = {
+    1: lambda p: 0.3 * np.sin(math.pi * p[..., 0]) + 0.2 * np.cos(math.pi * p[..., 0]) ** 2,
+    2: lambda p: 0.3 * np.sin(math.pi * p[..., 0]) * np.cos(math.pi * p[..., 1])
+    + 0.1 * np.sin(math.pi * p[..., 1]),
+}
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet-frozen", "periodic"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_graph_step_matches_field_oracle(n, boundary):
+    """One step equals f + dt * g^{ij} D_iD_jf assembled from the cached
+    geometry fields, with boundary nodes frozen unless periodic."""
+    periodic = boundary == "periodic"
+    patch = GraphPatch.from_function(
+        _GRAPH_PROFILES[n], center=(0.0,) * n, radius=1.0,
+        nodes_per_axis=40 if n == 1 else 24, endpoint=not periodic,
+    )
+    cfg = FlowConfig(t_end=1.0, boundary=boundary)
+    dt = 0.5 * graph_cfl_limit(patch.values, patch.spacing, cfg.cfl, periodic)
+    out = step_graph_mcf(FlowState(surface=patch), dt, cfg).surface.values
+
+    ginv, _ = metric_inverse(gradient_field(patch, periodic))
+    rhs = np.einsum("...ij,...ij->...", ginv, hessian_field(patch, periodic))
+    expected = patch.values + dt * rhs
+    if not periodic:
+        interior = (slice(1, -1),) * n
+        frozen = np.ones(patch.shape, dtype=bool)
+        frozen[interior] = False
+        expected[frozen] = patch.values[frozen]
+    assert np.array_equal(out, expected)
+    assert not np.array_equal(out, patch.values)
+
+
 def test_step_requires_matching_surface():
     with pytest.raises(ConfigError):
         step_graph_mcf(FlowState(surface=make_circle()), 1e-4)
@@ -106,6 +143,29 @@ def test_circle_step_is_exactly_radial():
     out = step_csf(state, dt)
     radii = np.linalg.norm(out.surface.vertices, axis=1)
     assert np.allclose(radii, r - dt / r, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+def test_curve_step_matches_menger_oracle(closed):
+    """One step equals v + dt * (kappa N) with kappa and N from
+    curve_quantities_all; open endpoints (kappa = 0 there) do not move.
+
+    Every other vertex of the star sits at radius 0.01, where the update is
+    far larger than the coordinate, so the comparison sees the last bits of
+    the velocity too."""
+    m = 16 if closed else 17
+    th = 2.0 * np.pi * np.arange(m) / m if closed else np.linspace(0.0, np.pi, m)
+    r = np.where(np.arange(m) % 2 == 0, 1.0, 0.01)
+    curve = ClosedCurve(np.stack([r * np.cos(th), r * np.sin(th)], axis=1),
+                        closed=closed)
+    dt = 0.05
+    out = step_csf(FlowState(surface=curve), dt).surface.vertices
+
+    _, normals, kappa = curve_quantities_all(curve)
+    assert np.array_equal(out, curve.vertices + dt * (kappa[:, None] * normals))
+    if not closed:
+        assert np.array_equal(out[[0, -1]], curve.vertices[[0, -1]])
+    assert not np.array_equal(out, curve.vertices)
 
 
 def test_circle_extinction_time():
