@@ -35,9 +35,16 @@ def float_repr(x: float) -> str:
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace, round-trip floats."""
-    _check_finite(obj, "$")
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Deterministic JSON text: sorted keys, no whitespace, round-trip floats.
+
+    NaN/Inf raise ValidationError with the path of the first offender; the
+    path walk runs only once json.dumps has refused the document.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        _check_finite(obj, "$")
+        raise
 
 
 def _check_finite(obj: Any, path: str) -> None:
@@ -50,6 +57,14 @@ def _check_finite(obj: Any, path: str) -> None:
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _check_finite(v, f"{path}[{i}]")
+
+
+def write_text_sha256(path, text: str) -> str:
+    """Write text as UTF-8 and return the SHA-256 of the bytes written."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path) -> str:
@@ -71,10 +86,12 @@ def format_csv_cell(v: Any) -> str:
     return str(v)
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    """Write CSV with deterministic bytes: '\\n' endings, canonical floats."""
+def write_csv(path, header: list[str], rows: list[list]) -> str:
+    """Write CSV with deterministic bytes: '\\n' endings, canonical floats.
+
+    Returns the SHA-256 of the bytes written.
+    """
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_csv_cell(c) for c in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return write_text_sha256(path, "\n".join(lines) + "\n")

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import geometry
-from ._util import ConfigError, GeometryError, canonical_dumps, sha256_file, write_csv
+from ._util import ConfigError, GeometryError, canonical_dumps, write_csv, write_text_sha256
 from .geometry import ClosedCurve, GraphPatch
 
 EDGE_COLLAPSE = 1e-9
@@ -436,9 +436,7 @@ def write_run_dir(trace: FlowTrace, out_dir: str | Path, manifest_extra: dict | 
     files: dict[str, str] = {}
     for i, state in enumerate(trace.snapshots):
         rel = f"snapshots/{i:04d}.json"
-        path = out / rel
-        path.write_text(geometry.dumps_surface(state.surface) + "\n")
-        files[rel] = sha256_file(path)
+        files[rel] = write_text_sha256(out / rel, geometry.dumps_surface(state.surface) + "\n")
 
     monitor_ids = sorted({r.monitor_id for r in trace.reports})
     margins: dict[tuple[int, str], float] = {}
@@ -455,12 +453,11 @@ def write_run_dir(trace: FlowTrace, out_dir: str | Path, manifest_extra: dict | 
         for mid in monitor_ids:
             row.append(margins.get((round(state.t * 1e12), mid)))
         rows.append(row)
-    write_csv(out / "timeseries.csv", header, rows)
-    files["timeseries.csv"] = sha256_file(out / "timeseries.csv")
+    files["timeseries.csv"] = write_csv(out / "timeseries.csv", header, rows)
 
-    ev_path = out / "events.ndjson"
-    ev_path.write_text("".join(canonical_dumps(e) + "\n" for e in trace.events))
-    files["events.ndjson"] = sha256_file(ev_path)
+    files["events.ndjson"] = write_text_sha256(
+        out / "events.ndjson", "".join(canonical_dumps(e) + "\n" for e in trace.events)
+    )
 
     manifest = {
         "schema_version": 1,

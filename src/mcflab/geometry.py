@@ -24,6 +24,9 @@ SCHEMA_VERSION = 1
 NORMAL_UNIT_TOL = 1e-14
 NORMAL_WEIGHT_TOL = 1e-12
 
+# Most candidate segment pairs is_simple evaluates at once (bounds memory).
+SIMPLE_PAIR_CHUNK = 500_000
+
 
 # ---------------------------------------------------------------------------
 # Types
@@ -182,8 +185,9 @@ class GraphPatch:
 class ClosedCurve:
     """Polyline in R^2; closed joins the last vertex back to the first.
 
-    Simplicity (no self-intersections) is required at construction and can be
-    re-checked on demand with is_simple(); flow steps do not re-check it.
+    Simplicity (no self-intersections) is not checked at construction;
+    is_simple() tests it, and run_flow records a non_simple event for any
+    recorded closed curve that fails it.
     """
 
     vertices: np.ndarray
@@ -500,22 +504,25 @@ def curve_quantities(curve: ClosedCurve, vertex: int):
 
 
 def is_simple(curve: ClosedCurve) -> bool:
-    """O(m^2) segment-pair intersection test; adjacent pairs excluded.
+    """Segment-pair intersection test by sort-and-sweep on x-extents.
 
-    Pairs are swept in row blocks to bound peak memory on large curves.
+    Segments are sorted by their left end x; a binary search finds, for each,
+    the run of later segments that start at or before its right end.  The
+    candidate pairs are exactly those whose x-extents overlap (Shamos-Hoey,
+    FOCS 1976), so the cost is O(m log m + k) for k such pairs, not O(m^2).
+    Candidates are evaluated in chunks of at most SIMPLE_PAIR_CHUNK pairs to
+    bound peak memory.  Adjacent pairs (shared endpoint) are excluded.
     Proper crossings only (strict interior on both segments); endpoint
     touches and collinear overlaps do not count.
     """
     v = curve.vertices
-    m = curve.m
     if curve.closed:
         starts = v
         ends = np.roll(v, -1, axis=0)
-        n_edges = m
     else:
         starts = v[:-1]
         ends = v[1:]
-        n_edges = m - 1
+    n_edges = starts.shape[0]
     if n_edges < 3:
         return True
     d = ends - starts
@@ -523,26 +530,33 @@ def is_simple(curve: ClosedCurve) -> bool:
     hix = np.maximum(starts[:, 0], ends[:, 0])
     loy = np.minimum(starts[:, 1], ends[:, 1])
     hiy = np.maximum(starts[:, 1], ends[:, 1])
-    jj = np.arange(n_edges)[None, :]
-    block = max(1, 500_000 // n_edges)
-    for i0 in range(0, n_edges - 2, block):
-        ii = np.arange(i0, min(i0 + block, n_edges - 2))
-        # inclusive bbox-overlap prefilter keeps every proper crossing
-        cand = lox[ii, None] <= hix[jj]
-        cand &= hix[ii, None] >= lox[jj]
-        cand &= loy[ii, None] <= hiy[jj]
-        cand &= hiy[ii, None] >= loy[jj]
-        # skip adjacent edges (shared endpoint); wrap adjacency for closed
-        cand &= jj >= ii[:, None] + 2
+    order = np.argsort(lox, kind="stable")
+    # sorted position k pairs with positions k+1 .. stop[k]-1
+    stop = np.searchsorted(lox[order], hix[order], side="right")
+    counts = stop - np.arange(n_edges) - 1
+    cum = np.cumsum(counts)
+    first = cum - counts
+    total = int(cum[-1])
+    for c0 in range(0, total, SIMPLE_PAIR_CHUNK):
+        c1 = min(c0 + SIMPLE_PAIR_CHUNK, total)
+        # runs that meet the flat pair range [c0, c1), clipped to it
+        k0 = int(np.searchsorted(cum, c0, side="right"))
+        k1 = int(np.searchsorted(cum, c1 - 1, side="right")) + 1
+        run = np.minimum(cum[k0:k1], c1) - np.maximum(first[k0:k1], c0)
+        a = order[np.repeat(np.arange(k0, k1), run)]
+        b = order[np.arange(c0, c1) + np.repeat(stop[k0:k1] - cum[k0:k1], run)]
+        i = np.minimum(a, b)
+        j = np.maximum(a, b)
+        # inclusive y-overlap keeps every proper crossing; skip adjacent
+        # edges (shared endpoint), and the wrap adjacency if closed
+        keep = (loy[i] <= hiy[j]) & (hiy[i] >= loy[j]) & (j >= i + 2)
         if curve.closed:
-            cand &= ~((ii[:, None] == 0) & (jj == n_edges - 1))
-        bi, bj = np.nonzero(cand)
-        if bi.size == 0:
-            continue
-        pi = ii[bi]
-        r = d[pi]
-        s = d[bj]
-        qp = starts[bj] - starts[pi]
+            keep &= ~((i == 0) & (j == n_edges - 1))
+        i = i[keep]
+        j = j[keep]
+        r = d[i]
+        s = d[j]
+        qp = starts[j] - starts[i]
         denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
         t_num = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
         u_num = qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]
@@ -706,7 +720,7 @@ def to_json_dict(surface) -> dict:
             "radius": float(surface.radius),
             "spacing": float(surface.spacing),
             "time": float(surface.time),
-            "values": [float(v) for v in surface.values.ravel(order="C")],
+            "values": surface.values.ravel(order="C").tolist(),
         }
     if isinstance(surface, ClosedCurve):
         if not np.isfinite(surface.vertices).all():
@@ -716,7 +730,7 @@ def to_json_dict(surface) -> dict:
             "schema_version": SCHEMA_VERSION,
             "closed": bool(surface.closed),
             "time": float(surface.time),
-            "vertices": [[float(x), float(y)] for x, y in surface.vertices],
+            "vertices": surface.vertices.tolist(),
         }
     raise ValidationError("$", f"cannot serialize {type(surface).__name__}")
 

@@ -616,13 +616,13 @@ def check_brakke_identity(
         t = state.t
         phi = np.asarray(test_field.value(t, pts), dtype=float)
         dphi = np.asarray(test_field.dt(t, pts), dtype=float)
-        grad = np.asarray(test_field.grad(t, pts), dtype=float)
-        hess = np.asarray(test_field.hess(t, pts), dtype=float)
         if form == "divergence":
+            hess = np.asarray(test_field.hess(t, pts), dtype=float)
             trace_h = np.einsum("...ii->...", hess)
             nhn = np.einsum("...i,...ij,...j->...", nu, hess, nu)
             middle = nhn - trace_h
         else:
+            grad = np.asarray(test_field.grad(t, pts), dtype=float)
             middle = h_scalar * np.einsum("...i,...i->...", nu, grad)
         integrand = dphi + middle - h_scalar**2 * phi
         sides.append(float(np.sum(w * integrand)))

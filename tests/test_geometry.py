@@ -1,13 +1,18 @@
 import json
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mcflab._util import ValidationError
+from mcflab import geometry
+from mcflab._util import ValidationError, canonical_dumps
 from mcflab.geometry import (
+    SCHEMA_VERSION,
+    SIMPLE_PAIR_CHUNK,
     ClosedCurve,
     Cylinder,
     GeometryError,
@@ -265,6 +270,151 @@ def test_star_shaped_curves_are_simple(m, seed):
     assert is_simple(ClosedCurve(verts))
 
 
+def _is_simple_pairwise(curve):
+    """Reference: every segment pair, swept in row blocks of the O(m^2)
+    pair matrix.  Same filters and crossing arithmetic as is_simple."""
+    v = curve.vertices
+    if curve.closed:
+        starts, ends = v, np.roll(v, -1, axis=0)
+    else:
+        starts, ends = v[:-1], v[1:]
+    n_edges = starts.shape[0]
+    if n_edges < 3:
+        return True
+    d = ends - starts
+    lox = np.minimum(starts[:, 0], ends[:, 0])
+    hix = np.maximum(starts[:, 0], ends[:, 0])
+    loy = np.minimum(starts[:, 1], ends[:, 1])
+    hiy = np.maximum(starts[:, 1], ends[:, 1])
+    jj = np.arange(n_edges)[None, :]
+    block = max(1, 500_000 // n_edges)
+    for i0 in range(0, n_edges - 2, block):
+        ii = np.arange(i0, min(i0 + block, n_edges - 2))
+        cand = lox[ii, None] <= hix[jj]
+        cand &= hix[ii, None] >= lox[jj]
+        cand &= loy[ii, None] <= hiy[jj]
+        cand &= hiy[ii, None] >= loy[jj]
+        cand &= jj >= ii[:, None] + 2
+        if curve.closed:
+            cand &= ~((ii[:, None] == 0) & (jj == n_edges - 1))
+        bi, bj = np.nonzero(cand)
+        pi = ii[bi]
+        r = d[pi]
+        s = d[bj]
+        qp = starts[bj] - starts[pi]
+        denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+        t_num = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
+        u_num = qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]
+        safe = np.where(denom != 0, denom, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(denom != 0, t_num / safe, np.inf)
+            u = np.where(denom != 0, u_num / safe, np.inf)
+        if bool(np.any((t > 0) & (t < 1) & (u > 0) & (u < 1))):
+            return False
+    return True
+
+
+def _polyline(points, closed):
+    """Curve through points with consecutive repeats dropped, or reject."""
+    pts = [p for k, p in enumerate(points) if k == 0 or p != points[k - 1]]
+    if closed and len(pts) > 1 and pts[-1] == pts[0]:
+        pts.pop()
+    assume(len(pts) >= 8)
+    try:
+        return ClosedCurve(np.asarray(pts, dtype=float), closed=closed)
+    except GeometryError:  # an edge too short for its length to be nonzero
+        assume(False)
+
+
+def _assert_matches_pairwise(curve):
+    expected = _is_simple_pairwise(curve)
+    assert is_simple(curve) == expected
+    # a tiny chunk splits the candidate runs at arbitrary points
+    with mock.patch.object(geometry, "SIMPLE_PAIR_CHUNK", 7):
+        assert is_simple(curve) == expected
+
+
+_unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+# a 5x5 grid forces tied left ends, vertical and collinear overlapping
+# segments, and crossings through vertices (endpoint touches)
+_grid = st.integers(min_value=0, max_value=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_unit, _unit), min_size=8, max_size=40), st.booleans())
+def test_is_simple_matches_pairwise_random(points, closed):
+    _assert_matches_pairwise(_polyline(points, closed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_grid, _grid), min_size=8, max_size=40), st.booleans())
+def test_is_simple_matches_pairwise_grid(points, closed):
+    _assert_matches_pairwise(_polyline(points, closed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=8, max_value=64),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+    st.sampled_from([0.0, 0.25]),
+)
+def test_is_simple_matches_pairwise_star(m, seed, closed, snap):
+    # mostly simple star-shaped polygons; snapping to a grid adds ties
+    rng = np.random.default_rng(seed)
+    radii = 1.0 + 0.9 * rng.uniform(-1.0, 1.0, size=m)
+    th = 2.0 * np.pi * np.arange(m) / m
+    verts = np.stack([radii * np.cos(th), radii * np.sin(th)], axis=1)
+    if snap:
+        verts = np.round(verts / snap) * snap
+    _assert_matches_pairwise(_polyline([tuple(p) for p in verts], closed))
+
+
+def _serpentine(rows):
+    """Open comb of horizontal teeth across [0, 1], joined alternately at
+    x = 1 and x = 0: every tooth's x-extent overlaps every other's."""
+    pts = []
+    for k in range(rows):
+        y = float(k)
+        pts += [(0.0, y), (1.0, y)] if k % 2 == 0 else [(1.0, y), (0.0, y)]
+    return pts
+
+
+def test_is_simple_chunked_comb_crossing_in_last_chunk():
+    comb = _serpentine(1001)  # ends at (1, 1000)
+    # tail right of the comb: segments (2, 1001)-(3, 1002) and
+    # (3, 1001)-(2, 1002) cross properly at (2.5, 1001.5)
+    tail = [(2.0, 1001.0), (3.0, 1002.0), (3.0, 1001.0), (2.0, 1002.0)]
+    curve = ClosedCurve(np.asarray(comb + tail), closed=False)
+    starts, ends = curve.vertices[:-1], curve.vertices[1:]
+    lox = np.minimum(starts[:, 0], ends[:, 0])
+    hix = np.maximum(starts[:, 0], ends[:, 0])
+    overlaps = (lox[:, None] <= hix[None, :]) & (hix[:, None] >= lox[None, :])
+    n_pairs = (int(overlaps.sum()) - lox.size) // 2
+    assert n_pairs > 3 * SIMPLE_PAIR_CHUNK
+    # the three tail segments have the largest left ends, so they sort last
+    # and their three mutual pairs are the sweep's last, inside its last chunk
+    assert lox[-3:].min() > lox[:-3].max()
+    assert n_pairs % SIMPLE_PAIR_CHUNK >= 3
+    assert not _is_simple_pairwise(curve)
+    assert not is_simple(curve)
+    no_cross = ClosedCurve(np.asarray(comb + tail[:3]), closed=False)
+    assert _is_simple_pairwise(no_cross)
+    assert is_simple(no_cross)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_is_simple_scales_to_16k_vertices(closed):
+    # the O(m^2) pair sweep takes about 1.7 s here; the sweep about 5 ms
+    m = 16_000
+    sweep = 2.0 * np.pi if closed else 1.8 * np.pi
+    th = sweep * np.arange(m) / m
+    curve = ClosedCurve(np.stack([np.cos(th), np.sin(th)], axis=1), closed=closed)
+    t0 = time.perf_counter()
+    assert is_simple(curve)
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_curves_intersect_predicates():
     a = make_circle(radius=1.0, m=64)
     b = make_circle(radius=0.4, m=64)
@@ -373,6 +523,83 @@ def test_surface_serialization_canonical_fixed_point():
                                              radius=1.0, nodes_per_axis=17)):
         text = dumps_surface(surface)
         assert dumps_surface(loads_surface(text)) == text
+
+
+def _dumps_surface_elementwise(surface):
+    """Reference: one float() per element, then the canonical json.dumps."""
+    if isinstance(surface, ClosedCurve):
+        doc = {
+            "kind": "closed_curve",
+            "schema_version": SCHEMA_VERSION,
+            "closed": bool(surface.closed),
+            "time": float(surface.time),
+            "vertices": [[float(x), float(y)] for x, y in surface.vertices],
+        }
+    else:
+        doc = {
+            "kind": "graph_patch",
+            "schema_version": SCHEMA_VERSION,
+            "codim": surface.codim,
+            "center": [float(c) for c in surface.center],
+            "radius": float(surface.radius),
+            "spacing": float(surface.spacing),
+            "time": float(surface.time),
+            "values": [float(v) for v in surface.values.ravel(order="C")],
+        }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 0.1, 1.5e-323]
+
+
+def test_dumps_surface_matches_elementwise_formatting():
+    verts = make_circle(m=32, time=0.375).vertices.copy()
+    verts[0] = [1.0, -0.0]
+    verts[8] = [5e-324, 1.0]
+    verts[16] = [-1.0, 1e300]
+    verts[20] = [-2.0, -0.0]
+    with np.errstate(over="ignore"):  # the edge to 1e300 has length inf
+        surfaces = [make_circle(m=32), ClosedCurve(verts, time=0.375),
+                    ClosedCurve(verts[:12], closed=False)]
+    for n, nodes in ((1, 33), (2, 17)):
+        patch = GraphPatch.from_function(lambda p: np.sin(3.0 * p.sum(axis=-1)),
+                                         center=(0.0,) * n, radius=1.0,
+                                         nodes_per_axis=nodes, time=0.5)
+        values = patch.values.copy()
+        values.reshape(-1)[: len(_EDGE_FLOATS)] = _EDGE_FLOATS
+        surfaces.append(GraphPatch(center=patch.center, radius=1.0,
+                                   spacing=patch.spacing, values=values, time=0.5))
+    texts = [dumps_surface(surface) for surface in surfaces]
+    assert texts == [_dumps_surface_elementwise(surface) for surface in surfaces]
+    for token in ("-0.0", "5e-324", "1e+300", "1.0,", "1.5e-323"):
+        assert all(token in text for text in texts[3:]), token
+    assert all(token in texts[1] for token in ("-0.0", "5e-324", "1e+300"))
+
+
+def test_dumps_surface_rejects_non_finite_with_path():
+    curve = make_circle(m=16)
+    curve.vertices[3, 1] = np.nan  # past construction-time validation
+    with pytest.raises(ValidationError) as err:
+        dumps_surface(curve)
+    assert err.value.path == "$.vertices"
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((17, 17))
+        values[0, 0] = bad  # a corner node is inactive, so the patch builds
+        patch = GraphPatch(center=np.zeros(2), radius=1.0, spacing=2.0 / 16,
+                           values=values)
+        with pytest.raises(ValidationError) as err:
+            dumps_surface(patch)
+        assert err.value.path == "$.values"
+
+
+def test_canonical_dumps_reports_non_finite_path():
+    with pytest.raises(ValidationError) as err:
+        canonical_dumps({"a": [1.0, float("inf")]})
+    assert err.value.path == "$.a[1]"
+    with pytest.raises(ValidationError) as err:
+        canonical_dumps({"b": {"c": 0.5}, "a": {"x": float("nan")}})
+    assert err.value.path == "$.a.x"
+    assert canonical_dumps({"b": [1.0, -0.0], "a": 2}) == '{"a":2,"b":[1.0,-0.0]}'
 
 
 def test_loads_surface_rejects_garbage():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -361,6 +362,23 @@ def test_brakke_forms_split_on_curved_flow():
         assert rep.value / scale <= 1e-3, form
     with pytest.raises(ConfigError):
         check_brakke_identity(a, b, field, form="sideways")
+
+
+def test_brakke_forms_evaluate_only_their_derivative():
+    """The divergence form needs only the Hessian of phi and the transport
+    form only its gradient; the other derivative is never evaluated."""
+    field = phi_rho_cubed_field(rho=2.0, t0=1.0, x0=(0.8, 0.4), n=1)
+    a, b = _circle_window(m=128, t_end=0.005)
+
+    def unused(t, pts):
+        raise AssertionError("derivative evaluated but not used")
+
+    for form, blind in (("divergence", dataclasses.replace(field, grad=unused)),
+                        ("transport", dataclasses.replace(field, hess=unused))):
+        rep = check_brakke_identity(a, b, blind, form=form)
+        ref = check_brakke_identity(a, b, field, form=form)
+        assert not ref.skipped, form
+        assert (rep.value, rep.bound) == (ref.value, ref.bound), form
 
 
 def test_brakke_window_must_advance():
