@@ -81,12 +81,14 @@ class FlowState:
 
 @dataclass
 class FlowTrace:
-    """Recorded snapshots, monitor reports, and events of one flow run."""
+    """Recorded snapshots, monitor reports, and events of one flow run;
+    report_records[i] is the snapshot index at which reports[i] was made."""
 
     config: FlowConfig
     snapshots: list = field(default_factory=list)
     reports: list = field(default_factory=list)
     events: list = field(default_factory=list)
+    report_records: list = field(default_factory=list)
 
     @property
     def final(self) -> FlowState:
@@ -284,6 +286,7 @@ def run_flow(
             new_reports.extend(rep if isinstance(rep, (list, tuple)) else [rep])
         new_reports.sort(key=lambda r: r.monitor_id)
         trace.reports.extend(new_reports)
+        trace.report_records.extend([len(trace.snapshots) - 1] * len(new_reports))
         for r in new_reports:
             if not r.passed and not r.skipped:
                 trace.events.append(
@@ -440,18 +443,18 @@ def write_run_dir(trace: FlowTrace, out_dir: str | Path, manifest_extra: dict | 
 
     monitor_ids = sorted({r.monitor_id for r in trace.reports})
     margins: dict[tuple[int, str], float] = {}
-    for r in trace.reports:
+    for r, record in zip(trace.reports, trace.report_records):
         if not r.skipped:
-            margins[(round(r.t * 1e12), r.monitor_id)] = r.margin
+            margins[(record, r.monitor_id)] = r.margin
     header = ["t", "step", "measure", "max_gradient", "max_a"] + [
         f"margin:{mid}" for mid in monitor_ids
     ]
     rows = []
-    for state in trace.snapshots:
+    for record, state in enumerate(trace.snapshots):
         measure, max_grad, max_a = _state_stats(state)
         row = [state.t, state.step, measure, max_grad, max_a]
         for mid in monitor_ids:
-            row.append(margins.get((round(state.t * 1e12), mid)))
+            row.append(margins.get((record, mid)))
         rows.append(row)
     files["timeseries.csv"] = write_csv(out / "timeseries.csv", header, rows)
 

@@ -9,10 +9,11 @@ sqrt(1 + |Df|^2) (codimension 1) on active nodes only.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,31 +135,28 @@ class GraphPatch:
         return self.values.shape
 
     @property
-    def axes(self) -> list[np.ndarray]:
+    def grid(self) -> "Grid":
+        """Base-grid arrays shared by every patch on the same grid."""
+        if "grid" not in self._cache:
+            self._cache["grid"] = patch_grid(
+                tuple(self.center.tolist()), self.radius, self.spacing, self.shape
+            )
+        return self._cache["grid"]
+
+    @property
+    def axes(self) -> tuple[np.ndarray, ...]:
         """Per-axis node coordinates."""
-        if "axes" not in self._cache:
-            m = self.shape[0]
-            self._cache["axes"] = [
-                self.center[i] - self.radius + self.spacing * np.arange(m)
-                for i in range(self.n)
-            ]
-        return self._cache["axes"]
+        return self.grid.axes
 
     @property
     def nodes(self) -> np.ndarray:
         """Base-space node coordinates, shape grid + (n,)."""
-        if "nodes" not in self._cache:
-            mesh = np.meshgrid(*self.axes, indexing="ij")
-            self._cache["nodes"] = np.stack(mesh, axis=-1)
-        return self._cache["nodes"]
+        return self.grid.nodes
 
     @property
     def active(self) -> np.ndarray:
         """Mask of nodes inside the closed ball B^n(center, radius)."""
-        if "active" not in self._cache:
-            d = np.linalg.norm(self.nodes - self.center, axis=-1)
-            self._cache["active"] = d <= self.radius * (1 + 1e-12)
-        return self._cache["active"]
+        return self.grid.active
 
     @classmethod
     def from_function(
@@ -175,10 +173,41 @@ class GraphPatch:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         m = int(nodes_per_axis)
         h = 2 * radius / (m - 1) if endpoint else 2 * radius / m
-        axes = [center[i] - radius + h * np.arange(m) for i in range(center.size)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        mesh = patch_grid(tuple(center.tolist()), radius, h, (m,) * center.size).nodes
         vals = np.asarray(fn(mesh), dtype=float)
         return cls(center=center, radius=radius, spacing=h, values=vals, time=time)
+
+
+class Grid(NamedTuple):
+    """Read-only arrays of one patch grid (see patch_grid)."""
+
+    axes: tuple
+    nodes: np.ndarray
+    active: np.ndarray
+    boundary: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def patch_grid(center: tuple, radius: float, spacing: float, shape: tuple) -> Grid:
+    """Axes, nodes and active mask of the grid node(i) = center - radius +
+    spacing * i, and `boundary`: which active nodes, in C order (the order of
+    the lifted sample), lack an active neighbour.  Once per grid; read-only."""
+    n = len(center)
+    axes = tuple(center[i] - radius + spacing * np.arange(shape[i]) for i in range(n))
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    active = np.linalg.norm(nodes - np.asarray(center), axis=-1) <= radius * (1 + 1e-12)
+    padded = np.pad(active, 1, constant_values=False)
+    interior = active.copy()
+    for axis in range(n):
+        for off in (0, 2):
+            interior &= padded[tuple(
+                slice(off, off + shape[a]) if a == axis else slice(1, -1)
+                for a in range(n)
+            )]
+    boundary = (active & ~interior)[active]
+    for arr in (*axes, nodes, active, boundary):
+        arr.flags.writeable = False
+    return Grid(axes, nodes, active, boundary)
 
 
 @dataclass(frozen=True)
@@ -503,6 +532,15 @@ def curve_quantities(curve: ClosedCurve, vertex: int):
     return tan[i].copy(), nor[i].copy(), float(kap[i])
 
 
+def curve_segments(curve: ClosedCurve) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the polyline's segments, both taken from the
+    vertices; a closed curve's last segment ends at vertex 0."""
+    v = curve.vertices
+    if curve.closed:
+        return v, np.roll(v, -1, axis=0)
+    return v[:-1], v[1:]
+
+
 def is_simple(curve: ClosedCurve) -> bool:
     """Segment-pair intersection test by sort-and-sweep on x-extents.
 
@@ -515,13 +553,7 @@ def is_simple(curve: ClosedCurve) -> bool:
     Proper crossings only (strict interior on both segments); endpoint
     touches and collinear overlaps do not count.
     """
-    v = curve.vertices
-    if curve.closed:
-        starts = v
-        ends = np.roll(v, -1, axis=0)
-    else:
-        starts = v[:-1]
-        ends = v[1:]
+    starts, ends = curve_segments(curve)
     n_edges = starts.shape[0]
     if n_edges < 3:
         return True
@@ -610,24 +642,18 @@ def _segment_pairs_intersect(
     return False
 
 
-def _curve_segments(curve: ClosedCurve) -> tuple[np.ndarray, np.ndarray]:
-    v = curve.vertices
-    if curve.closed:
-        return v, np.roll(v, -1, axis=0) - v
-    return v[:-1], v[1:] - v[:-1]
-
-
 def curves_intersect(a: ClosedCurve, b: ClosedCurve) -> bool:
     """Whether any segment of a touches any segment of b (closed test)."""
-    sa, da = _curve_segments(a)
-    sb, db = _curve_segments(b)
-    return _segment_pairs_intersect(sa, da, sb, db)
+    sa, ea = curve_segments(a)
+    sb, eb = curve_segments(b)
+    return _segment_pairs_intersect(sa, ea - sa, sb, eb - sb)
 
 
 def curve_point_distance(curve: ClosedCurve, point) -> float:
     """Min distance from an ambient point to the polyline (segment-exact)."""
     p = np.asarray(point, dtype=float)
-    starts, d = _curve_segments(curve)
+    starts, ends = curve_segments(curve)
+    d = ends - starts
     ll = np.sum(d * d, axis=1)
     t = np.clip(np.einsum("ij,ij->i", p - starts, d) / np.where(ll > 0, ll, 1.0), 0, 1)
     closest = starts + t[:, None] * d
@@ -694,7 +720,7 @@ def sample_surface(surface) -> SurfaceSample:
             w[-1] = el[-1] / 2.0
             w[1:-1] = (el[:-1] + el[1:]) / 2.0
         sample = SurfaceSample(
-            points=surface.vertices.copy(),
+            points=surface.vertices,
             normals=nor,
             a_norm=np.abs(kap),
             weights=w,

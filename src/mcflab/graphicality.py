@@ -25,6 +25,7 @@ from .geometry import (
     Cylinder,
     GraphPatch,
     SurfaceSample,
+    curve_segments,
     edge_lengths,
     gradient_field,
     hessian_field,
@@ -137,13 +138,6 @@ def _report_from_grid(
 # ---------------------------------------------------------------------------
 
 
-def _curve_segment_arrays(curve: ClosedCurve):
-    v = curve.vertices
-    if curve.closed:
-        return v[:, 0], v[:, 1], np.roll(v[:, 0], -1), np.roll(v[:, 1], -1)
-    return v[:-1, 0], v[:-1, 1], v[1:, 0], v[1:, 1]
-
-
 def _probe_index_ranges(x1, x2, lo, step, count):
     """Half-open probe index range [start, end) covered by each segment.
 
@@ -160,7 +154,8 @@ def _probe_index_ranges(x1, x2, lo, step, count):
 
 def _crossings_in_column(curve, p, a_til, height):
     """Exact in-band crossing heights of the vertical line x = p."""
-    x1, y1, x2, y2 = _curve_segment_arrays(curve)
+    p1, p2 = curve_segments(curve)
+    (x1, y1), (x2, y2) = p1.T, p2.T
     hit = ((x1 <= p) & (p < x2)) | ((x2 <= p) & (p < x1))
     dx = x2 - x1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -176,7 +171,8 @@ def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport
     step, count = _probe_step(cyl, delta)
     lo = a_hat - cyl.radius
     probes = lo + step * np.arange(count)
-    x1, y1, x2, y2 = _curve_segment_arrays(curve)
+    p1, p2 = curve_segments(curve)
+    (x1, y1), (x2, y2) = p1.T, p2.T
     starts, ends = _probe_index_ranges(x1, x2, lo, step, count)
     covering = ends > starts
 
@@ -269,7 +265,8 @@ def curve_probe_parity_violations(
         delta = native_resolution(curve) / 2
     step, count = _probe_step(cyl, delta)
     lo = float(cyl.base_center[0]) - cyl.radius
-    x1, _, x2, _ = _curve_segment_arrays(curve)
+    p1, p2 = curve_segments(curve)
+    x1, x2 = p1[:, 0], p2[:, 0]
     starts, ends = _probe_index_ranges(x1, x2, lo, step, count)
     counts = np.zeros(count + 1, dtype=np.int64)
     sel = ends > starts

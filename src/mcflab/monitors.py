@@ -15,11 +15,24 @@ int(Delta_M phi) = 0 on a closed surface or for compactly supported phi, so
 the two forms agree as integrals.  Pointwise their integrands differ by
 Delta_M phi, so their discrete residuals differ only by how well the
 quadrature integrates Delta_M phi to zero.
+
+The checks read each surface through one private context, kept in the
+surface's cache: the sample points, normals and weights, the graph Jacobian
+and h^n (so a graph integral keeps its sum(vals * jac) * h^n arithmetic),
+the signed mean curvature, and the rows on the computational boundary, whose
+mask comes from the grid.  Its memo holds the scalar results of each test
+function, keyed by (state t, test function and its parameters): the integral
+and support-exits flag of a monotonicity check, the Brakke side, part and
+mass, and the gradient bound's sup at its window start.  A monitored run therefore evaluates each test function once per
+recorded state, though every window uses the state twice; the key holds t
+because one surface may be checked as states at different times.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,9 +45,8 @@ from .geometry import (
     SurfaceSample,
     curve_quantities_all,
     gradient_field,
-    graph_normal,
+    graph_lift_and_jacobian,
     hessian_field,
-    integrate_over_graph,
     mean_curvature_graph,
     sample_surface,
     second_fundamental_norm,
@@ -205,45 +217,52 @@ def gaussian_density_ratio(
 
 
 # ---------------------------------------------------------------------------
-# Surface integration helpers shared by the checks
+# Per-state geometric context shared by the checks
 # ---------------------------------------------------------------------------
 
 
-def _integral(state, fn) -> float:
-    surf = state.surface
-    if isinstance(surf, GraphPatch):
-        return integrate_over_graph(surf, fn)
-    sample = sample_surface(surf)
-    return float(np.sum(sample.weights * np.asarray(fn(state.t, sample.points))))
+class _Context:
+    """One surface as the checks see it (module docstring); a test function's
+    quadrature is sum(vals * jac) * scale, with scale = h^n for a graph and 1
+    for a curve, whose jac holds the vertex weights."""
+
+    def __init__(self, surface):
+        # weak, so that a surface and its cached context form no cycle
+        self.surface_ref = weakref.ref(surface)
+        self.memo = {}
+        if isinstance(surface, GraphPatch):
+            self.points, self.jac = graph_lift_and_jacobian(surface)
+            self.scale = surface.spacing**surface.n
+            self.edge = surface.grid.boundary
+        else:
+            self.points = surface.vertices
+            self.jac = sample_surface(surface).weights
+            self.scale = 1.0
+            self.edge = [] if surface.closed else [0, -1]
+
+    @functools.cached_property
+    def mean_curvature(self) -> np.ndarray:
+        """Signed H per point; the curvature vector is H times the normal."""
+        surf = self.surface_ref()
+        if isinstance(surf, ClosedCurve):
+            return curve_quantities_all(surf)[2]
+        act = surf.active
+        return mean_curvature_graph(gradient_field(surf)[act], hessian_field(surf)[act])
+
+    def exits(self, vals: np.ndarray) -> bool:
+        """Whether a test function's support reaches the boundary."""
+        return bool(np.any(vals[self.edge] > 0.0))
 
 
-def _domain_boundary_points(surf) -> np.ndarray | None:
-    """Ambient points on the computational boundary; None if there is none."""
-    if isinstance(surf, ClosedCurve):
-        if surf.closed:
-            return None
-        return surf.vertices[[0, -1]]
-    act = surf.active
-    nd = act.ndim
-    padded = np.pad(act, 1, constant_values=False)
-    core = tuple(slice(1, -1) for _ in range(nd))
-    interior = act.copy()
-    for axis in range(nd):
-        for off in (-1, 1):
-            sl = list(core)
-            sl[axis] = slice(1 + off, padded.shape[axis] - 1 + off)
-            interior &= padded[tuple(sl)]
-    boundary = act & ~interior
-    return np.concatenate(
-        [surf.nodes[boundary], surf.values[boundary][:, None]], axis=1
-    )
-
-
-def _support_exits(state, fn) -> bool:
-    pts = _domain_boundary_points(state.surface)
-    if pts is None:
-        return False
-    return bool(np.any(np.asarray(fn(state.t, pts)) > 0.0))
+def _memo(state, key, compute):
+    """compute(t, context) of the state's surface, once per (state.t, key)."""
+    cache = state.surface._cache
+    ctx = cache.get("monitor_context")
+    if ctx is None:
+        ctx = cache["monitor_context"] = _Context(state.surface)
+    if (state.t, key) not in ctx.memo:
+        ctx.memo[(state.t, key)] = compute(state.t, ctx)
+    return ctx.memo[(state.t, key)]
 
 
 def _ball_measure(state, center, radius: float) -> float:
@@ -259,12 +278,19 @@ def _ball_measure(state, center, radius: float) -> float:
 
 
 def _monotonicity_report(
-    monitor_id: str, state_a, state_b, fn, tol_rel: float
+    monitor_id: str, state_a, state_b, key, fn, tol_rel: float
 ) -> MonitorReport:
-    if _support_exits(state_a, fn) or _support_exits(state_b, fn):
+    """key names fn by its parameters, so that every check of the same test
+    function shares one evaluation per state."""
+
+    def quadrature(t, ctx):
+        vals = np.asarray(fn(t, ctx.points), dtype=float)
+        return ctx.exits(vals), float(np.sum(vals * ctx.jac) * ctx.scale)
+
+    exits_a, i_a = _memo(state_a, key, quadrature)
+    exits_b, i_b = _memo(state_b, key, quadrature)
+    if exits_a or exits_b:
         return _skipped(monitor_id, state_b.t, "support leaves computational domain")
-    i_a = _integral(state_a, fn)
-    i_b = _integral(state_b, fn)
     return MonitorReport(
         monitor_id=monitor_id,
         t=state_b.t,
@@ -288,11 +314,12 @@ def check_phi_monotonicity(
     if x0 is None:
         dim = 2 if isinstance(state_a.surface, ClosedCurve) else state_a.surface.n + 1
         x0 = np.zeros(dim)
+    key = ("phi", rho, t0, tuple(np.asarray(x0, dtype=float).tolist()), n)
 
     def fn(t, pts):
         return phi_rho(rho, t0, x0, t, pts, n) ** 3
 
-    return _monotonicity_report(monitor_id, state_a, state_b, fn, tol_rel)
+    return _monotonicity_report(monitor_id, state_a, state_b, key, fn, tol_rel)
 
 
 def check_upsilon_monotonicity(
@@ -312,6 +339,8 @@ def check_upsilon_monotonicity(
 ) -> MonitorReport:
     """int Upsilon^3 dmu between two recorded states must not increase."""
     mid = monitor_id or f"upsilon_monotonicity[{form}]"
+    key = ("upsilon", form, tuple(np.asarray(y0, dtype=float).tolist()),
+           rho, t1, n, r0, lam, c1)
 
     def fn(t, pts):
         return (
@@ -319,7 +348,7 @@ def check_upsilon_monotonicity(
             ** 3
         )
 
-    return _monotonicity_report(mid, state_a, state_b, fn, tol_rel)
+    return _monotonicity_report(mid, state_a, state_b, key, fn, tol_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +451,21 @@ def check_gradient_bound_EH(
     if rho_t_sq <= 0:
         return _skipped(monitor_id, state_t.t, "shrunken ball is empty")
 
-    sample_1 = sample_surface(state_t1.surface)
-    base_1 = np.linalg.norm(sample_1.points[:, :-1] - x0[:-1], axis=1)
-    sel_1 = base_1 <= rho
-    if not np.any(sel_1):
-        return _skipped(monitor_id, state_t.t, "no initial samples over the base ball")
-    ne_1 = sample_1.normals[sel_1, -1]
-    if np.any(ne_1 <= 0):
-        return _skipped(monitor_id, state_t.t, "initial state not graphical (nu.e <= 0)")
-    bound = float(np.max(1.0 / ne_1))
+    def initial_sup(t, ctx):
+        """(sup of v over the base ball, or None with the reason)."""
+        sample = sample_surface(ctx.surface_ref())
+        sel = np.linalg.norm(sample.points[:, :-1] - x0[:-1], axis=1) <= rho
+        if not np.any(sel):
+            return None, "no initial samples over the base ball"
+        ne = sample.normals[sel, -1]
+        if np.any(ne <= 0):
+            return None, "initial state not graphical (nu.e <= 0)"
+        return float(np.max(1.0 / ne)), ""
+
+    key = ("gradient_sup", tuple(x0.tolist()), rho)
+    bound, reason = _memo(state_t1, key, initial_sup)
+    if bound is None:
+        return _skipped(monitor_id, state_t.t, reason)
 
     sample_t = sample_surface(state_t.surface)
     dist = np.linalg.norm(sample_t.points - x0, axis=1)
@@ -559,27 +594,6 @@ def phi_rho_cubed_field(rho: float, t0: float, x0, n: int) -> TestField:
     return TestField(value=value, grad=grad, dt=dt, hess=hess)
 
 
-def _identity_pointwise(state):
-    """(points, weights, normals, H scalar) for the identity integrand."""
-    surf = state.surface
-    if "identity_pointwise" in surf._cache:
-        return surf._cache["identity_pointwise"]
-    if isinstance(surf, GraphPatch):
-        act = surf.active
-        pts = np.concatenate([surf.nodes[act], surf.values[act][:, None]], axis=1)
-        df = gradient_field(surf)[act]
-        d2f = hessian_field(surf)[act]
-        jac = np.sqrt(1.0 + np.sum(df * df, axis=-1))
-        weights = jac * surf.spacing**surf.n
-        out = (pts, weights, graph_normal(df), mean_curvature_graph(df, d2f))
-    else:
-        sample = sample_surface(surf)
-        _, nor, kap = curve_quantities_all(surf)
-        out = (sample.points, sample.weights, nor, kap)
-    surf._cache["identity_pointwise"] = out
-    return out
-
-
 def check_brakke_identity(
     state_a,
     state_b,
@@ -603,18 +617,15 @@ def check_brakke_identity(
     dt_window = state_b.t - state_a.t
     if dt_window <= 0:
         return _skipped(mid, state_b.t, "window has zero duration")
-    if _support_exits(state_a, test_field.value) or _support_exits(
-        state_b, test_field.value
-    ):
-        return _skipped(mid, state_b.t, "support leaves computational domain")
 
-    sides = []
-    parts = []
-    masses = []
-    for state in (state_a, state_b):
-        pts, w, nu, h_scalar = _identity_pointwise(state)
-        t = state.t
+    def terms(t, ctx):
+        """None if phi's support exits, else the integrals (side, part, mass)."""
+        pts = ctx.points
         phi = np.asarray(test_field.value(t, pts), dtype=float)
+        if ctx.exits(phi):
+            return None
+        sample = sample_surface(ctx.surface_ref())
+        w, nu, h_scalar = sample.weights, sample.normals, ctx.mean_curvature
         dphi = np.asarray(test_field.dt(t, pts), dtype=float)
         if form == "divergence":
             hess = np.asarray(test_field.hess(t, pts), dtype=float)
@@ -625,22 +636,28 @@ def check_brakke_identity(
             grad = np.asarray(test_field.grad(t, pts), dtype=float)
             middle = h_scalar * np.einsum("...i,...i->...", nu, grad)
         integrand = dphi + middle - h_scalar**2 * phi
-        sides.append(float(np.sum(w * integrand)))
-        parts.append(
-            float(np.sum(w * (np.abs(dphi) + np.abs(middle) + np.abs(h_scalar**2 * phi))))
+        return (
+            float(np.sum(w * integrand)),
+            float(np.sum(w * (np.abs(dphi) + np.abs(middle) + np.abs(h_scalar**2 * phi)))),
+            float(np.sum(w * phi)),
         )
-        masses.append(float(np.sum(w * phi)))
-    lhs = masses[1] - masses[0]
-    rhs = dt_window * (sides[0] + sides[1]) / 2.0
+
+    key = ("brakke", test_field, form)
+    a = _memo(state_a, key, terms)
+    b = None if a is None else _memo(state_b, key, terms)
+    if b is None:
+        return _skipped(mid, state_b.t, "support leaves computational domain")
+    lhs = b[2] - a[2]
+    rhs = dt_window * (a[0] + b[0]) / 2.0
     value = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs), dt_window * (parts[0] + parts[1]) / 2.0)
+    scale = max(abs(lhs), abs(rhs), dt_window * (a[1] + b[1]) / 2.0)
     return MonitorReport(
         monitor_id=mid, t=state_b.t, value=value, bound=tol_rel * scale, tol=0.0
     )
 
 
 # ---------------------------------------------------------------------------
-# Calibration and monitor factories for run_flow
+# Calibration and the monitor helper for run_flow
 # ---------------------------------------------------------------------------
 
 
@@ -651,52 +668,14 @@ def calibrate_constant(measure: Callable[[int], float], resolutions: Sequence[in
     return 2.0 * max(float(measure(r)) for r in resolutions)
 
 
-def phi_monotonicity_monitor(rho: float, t0: float = 0.0, x0=None, n: int | None = None,
-                             tol_rel: float = MONO_TOL_REL_DEFAULT):
+def windowed_monitor(check: Callable, start: int, *args, **kwargs) -> Callable:
+    """run_flow monitor calling check(trace.snapshots[start], state, *args,
+    **kwargs) from the second record on: start -2 checks the window since the
+    previous record, start 0 the window since the first."""
+
     def monitor(trace, state):
         if len(trace.snapshots) < 2:
             return None
-        return check_phi_monotonicity(
-            trace.snapshots[-2], state, rho, t0=t0, x0=x0, n=n, tol_rel=tol_rel
-        )
-
-    return monitor
-
-
-def upsilon_monotonicity_monitor(form: str, **kwargs):
-    def monitor(trace, state):
-        if len(trace.snapshots) < 2:
-            return None
-        return check_upsilon_monotonicity(trace.snapshots[-2], state, form, **kwargs)
-
-    return monitor
-
-
-def measure_bound_monitor(y0, rho: float):
-    def monitor(trace, state):
-        if len(trace.snapshots) < 2:
-            return None
-        return check_measure_bound(trace.snapshots[0], state, y0, rho)
-
-    return monitor
-
-
-def gradient_bound_monitor(x0, rho: float):
-    def monitor(trace, state):
-        if len(trace.snapshots) < 2:
-            return None
-        return check_gradient_bound_EH(trace.snapshots[0], state, x0, rho)
-
-    return monitor
-
-
-def brakke_identity_monitor(test_field: TestField, form: str = "divergence",
-                            tol_rel: float = IDENTITY_TOL_REL_DEFAULT):
-    def monitor(trace, state):
-        if len(trace.snapshots) < 2:
-            return None
-        return check_brakke_identity(
-            trace.snapshots[-2], state, test_field, form=form, tol_rel=tol_rel
-        )
+        return check(trace.snapshots[start], state, *args, **kwargs)
 
     return monitor

@@ -13,6 +13,7 @@ verdict, never asserted against externally invented values.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -38,15 +39,16 @@ from .geometry import (
 )
 from .graphicality import first_graphical_time, is_graphical
 from .monitors import (
-    brakke_identity_monitor,
     calibrate_constant,
+    check_brakke_identity,
     check_curvature_bound_EH,
+    check_gradient_bound_EH,
     check_height_bound,
-    gradient_bound_monitor,
-    measure_bound_monitor,
-    phi_monotonicity_monitor,
+    check_measure_bound,
+    check_phi_monotonicity,
+    check_upsilon_monotonicity,
     phi_rho_cubed_field,
-    upsilon_monotonicity_monitor,
+    windowed_monitor,
 )
 
 SCHEMA_VERSION = 1
@@ -96,21 +98,17 @@ def monitor_battery(
         y0 = np.zeros(ambient_dim)
     y0 = np.asarray(y0, dtype=float)
     n = ambient_dim - 1
+    upsilon = functools.partial(
+        windowed_monitor, check_upsilon_monotonicity, -2, y0=y0, rho=rho, t1=t0
+    )
     battery = {
-        "phi": phi_monotonicity_monitor(rho, t0=t0, x0=y0),
-        "upsilon_constant": upsilon_monotonicity_monitor(
-            "constant", y0=y0, rho=rho, t1=t0
-        ),
-        "upsilon_slab": upsilon_monotonicity_monitor(
-            "slab", y0=y0, rho=rho, t1=t0, r0=0.2
-        ),
-        "upsilon_split": upsilon_monotonicity_monitor(
-            "split", y0=y0, rho=rho, t1=t0, lam=0.5, c1=1.0
-        ),
-        "gradient_eh": gradient_bound_monitor(y0, rho),
-        "brakke": brakke_identity_monitor(
-            phi_rho_cubed_field(rho, t0, y0, n), form="transport"
-        ),
+        "phi": windowed_monitor(check_phi_monotonicity, -2, rho, t0=t0, x0=y0),
+        "upsilon_constant": upsilon("constant"),
+        "upsilon_slab": upsilon("slab", r0=0.2),
+        "upsilon_split": upsilon("split", lam=0.5, c1=1.0),
+        "gradient_eh": windowed_monitor(check_gradient_bound_EH, 0, y0, rho),
+        "brakke": windowed_monitor(check_brakke_identity, -2,
+                                   phi_rho_cubed_field(rho, t0, y0, n), form="transport"),
     }
     if enabled is None:
         enabled = MONITOR_IDS
@@ -307,7 +305,7 @@ def scenario_flat_plane(
         nodes_per_axis=resolution,
     )
     battery = monitor_battery(2, rho=radius / 2, y0=(0.0, value), enabled=monitors)
-    battery.append(measure_bound_monitor((0.0, value), radius / 2))
+    battery.append(windowed_monitor(check_measure_bound, 0, (0.0, value), radius / 2))
     config = FlowConfig(t_end=t_end, record_stride=1)
     trace = run_flow(FlowState(patch), config, monitors=battery)
 
@@ -548,13 +546,9 @@ def scenario_shrinking_square(
     stride = max(1, int(3 * t_upper / dt0) // 600)
     config = FlowConfig(t_end=2.0, record_stride=stride, remesh_spacing=e0)
     battery = monitor_battery(2, rho=1.0, y0=(0.0, 1.0), enabled=monitors)
-    battery.append(
-        lambda trace, state: None
-        if len(trace.snapshots) < 2
-        else check_height_bound(
-            trace.snapshots[0], state, (0.0, 0.0), R=1.0, r0=0.05, c_hat=2.0
-        )
-    )
+    battery.append(windowed_monitor(
+        check_height_bound, 0, (0.0, 0.0), R=1.0, r0=0.05, c_hat=2.0
+    ))
     trace = run_flow(FlowState(curve), config, monitors=battery)
 
     failures = _monitor_failures(trace)

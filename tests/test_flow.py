@@ -417,3 +417,30 @@ def test_run_dir_layout_and_manifest(tmp_path):
     assert set(inv) == on_disk
     for rel, digest in inv.items():
         assert sha256_file(out / rel) == digest
+
+
+def test_margins_join_on_record_index(tmp_path):
+    # the last step is clipped to t_end 1e-13 after the third, so the two
+    # rows' times agree to 1e-12 and only the record index tells them apart
+    patch = GraphPatch.from_function(lambda p: np.zeros(p.shape[:-1]),
+                                     center=(0.0,), radius=1.0, nodes_per_axis=64)
+    margins = iter([99.0, 98.0, 97.0, 96.0, 95.0])
+
+    def monitor(trace, state):
+        return MonitorReport(monitor_id="m", t=state.t, value=0.0,
+                             bound=next(margins))
+
+    trace = run_flow(patch, FlowConfig(t_end=3e-5 + 1e-13, dt=1e-5, record_stride=1),
+                     monitors=[monitor])
+    times = [s.t for s in trace.snapshots]
+    assert [s.step for s in trace.snapshots] == [0, 1, 2, 3, 4]
+    assert round(times[3] * 1e12) == round(times[4] * 1e12)
+    assert trace.report_records == [0, 1, 2, 3, 4]
+
+    out = write_run_dir(trace, tmp_path / "run")
+    lines = (out / "timeseries.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    col = header.index("margin:m")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[header.index("step")]) for r in rows] == [0, 1, 2, 3, 4]
+    assert [float(r[col]) for r in rows] == [99.0, 98.0, 97.0, 96.0, 95.0]

@@ -20,6 +20,7 @@ from mcflab.geometry import (
     curvature_sandwich_bounds,
     curve_point_distance,
     curve_quantities,
+    curve_segments,
     curves_intersect,
     dumps_surface,
     edge_lengths,
@@ -415,6 +416,19 @@ def test_is_simple_scales_to_16k_vertices(closed):
     assert time.perf_counter() - t0 < 0.5
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_curve_segments_take_both_ends_from_vertices(closed):
+    # coordinates where v[i] + (v[i+1] - v[i]) rounds away from v[i+1]
+    v = np.array([[0.1, 0.7], [0.7, 0.1], [1.3, 0.30000000000000004], [2.9, 1.1],
+                  [2.3, 2.7], [1.1, 3.3], [0.3, 2.9], [-0.7, 1.3]])
+    assert not np.array_equal(v[:-1] + (v[1:] - v[:-1]), v[1:])
+    starts, ends = curve_segments(ClosedCurve(v, closed=closed))
+    if closed:
+        assert np.array_equal(starts, v) and np.array_equal(ends, np.roll(v, -1, axis=0))
+    else:
+        assert np.array_equal(starts, v[:-1]) and np.array_equal(ends, v[1:])
+
+
 def test_curves_intersect_predicates():
     a = make_circle(radius=1.0, m=64)
     b = make_circle(radius=0.4, m=64)
@@ -480,6 +494,7 @@ def test_sample_surface_weights():
     curve = make_circle(radius=1.0, m=128)
     samp = sample_surface(curve)
     assert samp.points.shape == (128, 2)
+    assert samp.points is curve.vertices  # no second copy of the vertices
     assert math.isclose(float(samp.weights.sum()), total_length(curve),
                         rel_tol=1e-12)
 
@@ -635,6 +650,36 @@ def test_closed_curve_validation():
         ClosedCurve(verts)
     with pytest.raises(GeometryError):
         ClosedCurve(np.full((16, 2), np.nan))
+
+
+def _boundary_oracle(active):
+    """Active nodes with an inactive or missing neighbour, node by node."""
+    out = np.zeros_like(active)
+    for idx in zip(*np.nonzero(active)):
+        for axis in range(active.ndim):
+            for off in (-1, 1):
+                nb = list(idx)
+                nb[axis] += off
+                if not 0 <= nb[axis] < active.shape[axis] or not active[tuple(nb)]:
+                    out[idx] = True
+    return out[active]
+
+
+@pytest.mark.parametrize("center,m", [((0.3,), 40), ((0.0, 0.0), 33), ((0.2, -0.1), 20)])
+def test_patches_on_one_grid_share_read_only_grid_arrays(center, m):
+    a = GraphPatch.from_function(lambda p: np.zeros(p.shape[:-1]), center=center,
+                                 radius=1.0, nodes_per_axis=m)
+    b = GraphPatch.from_function(lambda p: p[..., 0] ** 2, center=center,
+                                 radius=1.0, nodes_per_axis=m, time=0.5)
+    assert a.grid is b.grid
+    assert a.nodes is b.nodes and a.active is b.active
+    assert all(x is y for x, y in zip(a.axes, b.axes))
+    for arr in (*a.axes, a.nodes, a.active, a.grid.boundary):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        a.nodes[0] = 0.0
+    assert np.array_equal(a.grid.boundary, _boundary_oracle(a.active))
+    assert a.grid.boundary.shape == (int(a.active.sum()),)
 
 
 def test_graph_patch_validation():

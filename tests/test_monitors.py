@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mcflab._util import ConfigError
 from mcflab.flow import FlowConfig, FlowState, run_flow
 from mcflab.geometry import (
+    ClosedCurve,
     GeometryError,
     GraphPatch,
     SurfaceSample,
@@ -18,6 +19,7 @@ from mcflab.monitors import (
     DENSITY_EXCESS_DEFAULT,
     IDENTITY_TOL_REL_DEFAULT,
     KernelPoint,
+    TestField as Field,
     calibrate_constant,
     check_brakke_identity,
     check_curvature_bound_EH,
@@ -32,6 +34,7 @@ from mcflab.monitors import (
     phi_rho,
     phi_rho_cubed_field,
     upsilon,
+    windowed_monitor,
 )
 
 from conftest import make_circle
@@ -218,6 +221,24 @@ def test_monotonicity_skips_when_support_exits():
     assert not rep.passed
 
 
+def test_graph_integrals_use_the_state_time():
+    def flat(time):
+        return GraphPatch.from_function(lambda p: np.zeros(p.shape[:-1]),
+                                        center=(0.0,), radius=2.0,
+                                        nodes_per_axis=401, time=time)
+
+    # one patch recorded as two states: the state's t, not patch.time, counts
+    patch = flat(0.0)
+    rep = check_phi_monotonicity(FlowState(surface=patch, t=0.0),
+                                 FlowState(surface=patch, t=0.1), rho=1.0)
+    # int (1 - x^2 - 2t)^3 dx over its support is (32/35)(1 - 2t)^(7/2)
+    exact = -(32.0 / 35.0) * (1.0 - 0.8**3.5)
+    assert math.isclose(rep.value, exact, rel_tol=1e-3)
+    timed = check_phi_monotonicity(FlowState(surface=flat(0.0), t=0.0),
+                                   FlowState(surface=flat(0.1), t=0.1), rho=1.0)
+    assert timed == rep
+
+
 # ---------------------------------------------------------------------------
 # Measure and height bounds
 # ---------------------------------------------------------------------------
@@ -396,3 +417,109 @@ def test_brakke_window_must_advance():
 def test_calibrate_constant_doubles_worst_case():
     data = {64: 1.0, 96: 2.5, 128: 0.5}
     assert calibrate_constant(lambda r: data[r], [64, 96, 128]) == 5.0
+
+
+# ---------------------------------------------------------------------------
+# Per-state context: monitored runs against fresh checks
+# ---------------------------------------------------------------------------
+
+
+def _oracle_flows():
+    graph = GraphPatch.from_function(lambda p: 0.2 * np.exp(-4.0 * p[..., 0] ** 2),
+                                     center=(0.0,), radius=2.0, nodes_per_axis=256)
+    th = 2.0 * np.pi * np.arange(160) / 160
+    ellipse = ClosedCurve(np.stack([0.9 * np.cos(th), 0.6 * np.sin(th)], axis=1))
+    x = np.linspace(-2.0, 2.0, 200)
+    wave = ClosedCurve(np.stack([x, 0.3 * np.sin(np.pi * x / 2)], axis=1), closed=False)
+    return {
+        "graph": (graph, FlowConfig(t_end=2e-3, record_stride=7)),
+        "closed": (ellipse, FlowConfig(t_end=2e-3, record_stride=2)),
+        "open": (wave, FlowConfig(t_end=1e-3, record_stride=2)),
+    }
+
+
+def _oracle_checks():
+    y0 = (0.0, 0.0)
+    field = phi_rho_cubed_field(1.0, 0.0, y0, 1)
+    return [
+        (check_phi_monotonicity, -2, (1.0,), {"x0": y0}),
+        # support reaching the open ends and the graph's boundary: skipped
+        (check_phi_monotonicity, -2, (1.0,),
+         {"x0": (1.6, 0.0), "monitor_id": "phi_edge"}),
+        (check_upsilon_monotonicity, -2, ("constant",), {"y0": y0, "rho": 1.0}),
+        (check_upsilon_monotonicity, -2, ("slab",), {"y0": y0, "rho": 1.0, "r0": 0.2}),
+        (check_upsilon_monotonicity, -2, ("split",),
+         {"y0": y0, "rho": 1.0, "lam": 0.5, "c1": 1.0}),
+        (check_gradient_bound_EH, 0, (y0, 1.0), {}),
+        (check_brakke_identity, -2, (field,), {"form": "transport"}),
+        (check_brakke_identity, -2, (field,), {"form": "divergence"}),
+        (check_measure_bound, 0, (y0, 1.0), {}),
+        (check_height_bound, 0, (y0,), {"R": 1.0, "r0": 1.0, "c_hat": 1.0}),
+    ]
+
+
+def _fresh(state):
+    """The same state on a surface with empty caches."""
+    return FlowState(surface=dataclasses.replace(state.surface, _cache={}),
+                     step=state.step, t=state.t)
+
+
+def _bits(report):
+    return [v.hex() if isinstance(v, float) else v
+            for v in dataclasses.astuple(report)]
+
+
+@pytest.mark.parametrize("kind", ["graph", "closed", "open"])
+def test_monitored_reports_match_fresh_checks(kind):
+    surface, config = _oracle_flows()[kind]
+    checks = _oracle_checks()
+    monitors = [windowed_monitor(check, start, *args, **kwargs)
+                for check, start, args, kwargs in checks]
+    trace = run_flow(surface, config, monitors=monitors)
+    snaps = trace.snapshots
+    assert len(snaps) >= 5
+    assert len(trace.reports) == len(checks) * (len(snaps) - 1)
+    by_record = {}
+    for rep, record in zip(trace.reports, trace.report_records):
+        by_record.setdefault(record, []).append(rep)
+    evaluated = 0
+    for record, reps in sorted(by_record.items()):
+        fresh = []
+        for check, start, args, kwargs in checks:
+            window = snaps[:record + 1][start]
+            fresh.append(check(_fresh(window), _fresh(snaps[record]), *args, **kwargs))
+        fresh.sort(key=lambda r: r.monitor_id)
+        assert [_bits(r) for r in reps] == [_bits(r) for r in fresh]
+        evaluated += sum(not r.skipped for r in reps)
+    assert evaluated > 0
+    skipped_edge = {r.skipped for r in trace.reports if r.monitor_id == "phi_edge"}
+    assert skipped_edge == ({False} if kind == "closed" else {True})
+
+
+def _counting_field(base, counts):
+    def counted(name, fn):
+        def wrapper(t, pts):
+            counts[(name, t)] = counts.get((name, t), 0) + 1
+            return fn(t, pts)
+
+        return wrapper
+
+    return Field(value=counted("value", base.value), grad=counted("grad", base.grad),
+                 dt=counted("dt", base.dt), hess=counted("hess", base.hess))
+
+
+@pytest.mark.parametrize("kind", ["graph", "closed", "open"])
+def test_test_function_evaluated_once_per_recorded_state(kind):
+    surface, config = _oracle_flows()[kind]
+    counts = {}
+    field = _counting_field(phi_rho_cubed_field(1.0, 0.0, (0.0, 0.0), 1), counts)
+    trace = run_flow(surface, config, monitors=[
+        windowed_monitor(check_brakke_identity, -2, field, form="transport"),
+        windowed_monitor(check_brakke_identity, -2, field, form="transport",
+                         monitor_id="brakke_again"),
+    ])
+    assert all(not r.skipped for r in trace.reports)
+    times = [s.t for s in trace.snapshots]
+    for name in ("value", "dt", "grad"):
+        assert {t: counts.get((name, t), 0) for t in times} == {t: 1 for t in times}
+    assert not any(name == "hess" for name, _ in counts)
