@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from ._util import ConfigError, ValidationError, canonical_dumps, sha256_file, write_csv
 from .geometry import ClosedCurve, loads_surface
-from .scenarios import run_scenario, run_sweep, validate_scenario_spec
+from .scenarios import run_scenario, run_sweep, validate_scenario_spec, with_overrides
 
 OUT_ENV_VAR = "MCFLAB_OUT"
 
@@ -70,23 +70,16 @@ def _write_manifest(out: Path, spec_path: Path, resolved: dict,
 
 def cmd_run(args) -> int:
     spec_path = Path(args.spec)
-    doc = _load_spec(spec_path)
+    doc = with_overrides(
+        _load_spec(spec_path), args.seed_override, args.resolution_override
+    )
     resolved = validate_scenario_spec(doc)
     if resolved["scenario"] == "sweep":
         raise ValidationError("$.scenario", "sweep specs go through the sweep command")
     out = _resolve_out(args.out, spec_path)
     out.mkdir(parents=True, exist_ok=True)
     started = _now()
-    result = run_scenario(
-        doc,
-        out_dir=out,
-        seed_override=args.seed_override,
-        resolution_override=args.resolution_override,
-    )
-    if args.seed_override is not None:
-        resolved["seed"] = args.seed_override
-    if args.resolution_override is not None:
-        resolved["resolution"] = args.resolution_override
+    result = run_scenario(doc, out_dir=out)
     resolved["out"] = str(out)
     _write_manifest(out, spec_path, resolved, started, _now())
     status = "PASS" if result.passed else "FAIL"

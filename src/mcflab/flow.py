@@ -2,15 +2,16 @@
 shortening flow.
 
 Forward Euler with a parabolic CFL restriction: dt <= cfl * h^2/(1+max|Df|^2)
-for graphs, dt <= cfl * (min edge)^2 for curves.  Each flow has one step
-kernel on raw arrays: `_GraphKernel` (Df once per step, shared by the CFL
-limit, the Hessian and g^{-1}) and `_CurveKernel` (edge vectors and lengths,
-the edge statistics the driver needs, and the Menger kappa*N update).  The
-single steppers `step_graph_mcf` / `step_csf` and the driver `run_flow` both
-call them.  `run_flow` advances until the horizon, extinction, or a terminal
-event, recording snapshots and monitor reports every `record_stride` steps,
-and can persist the trace as a run directory (manifest, snapshots,
-timeseries, events).
+for graphs, dt <= cfl * (min edge)^2 for curves.  The graph step kernel is
+`_GraphKernel` (Df once per step, shared by the CFL limit, the Hessian and
+g^{-1}); the curve step `_advance_curve` applies vertex += dt * kappa * N with
+the Menger kappa and N of `geometry.CurveKernel`, the one polyline kernel,
+which also gives the edge statistics the driver needs.  The single steppers
+`step_graph_mcf` / `step_csf` and the driver `run_flow` both call them.
+`run_flow` advances until the horizon, extinction, or a terminal event,
+recording snapshots and monitor reports every `record_stride` steps, and can
+persist the trace as a run directory (manifest, snapshots, timeseries,
+events).
 """
 
 from __future__ import annotations
@@ -146,55 +147,20 @@ class _GraphKernel:
         return out
 
 
-class _CurveKernel:
-    """Edge statistics of a polyline and its forward-Euler step
-    vertex += dt * kappa * N, with the Menger curvature; open endpoints fixed.
+def _curve_cfl_limit(kernel: geometry.CurveKernel, cfl: float) -> float:
+    return cfl * kernel.e_min**2
 
-    A closed curve is padded with its last vertex in front and its first at
-    the back, so for closed and open curves alike the stencil of the i-th
-    moving vertex is the edges d[i], d[i+1] and the chord ext[i+2] - ext[i].
-    """
 
-    def __init__(self, vertices: np.ndarray, closed: bool):
-        self.vertices = vertices
-        self.closed = closed
-        ext = np.concatenate((vertices[-1:], vertices, vertices[:1])) if closed else vertices
-        d = ext[1:] - ext[:-1]
-        lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-        edges = lengths[1:] if closed else lengths
-        self.e_min = float(edges.min())
-        self.e_max = float(edges.max())
-        self.length = float(edges.sum())
-        self._ext, self._d, self._lengths = ext, d, lengths
-
-    def area(self) -> float:
-        """Unsigned shoelace area of a closed curve."""
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        nxt = self._ext[2:]
-        return abs(float(np.sum(x * nxt[:, 1] - nxt[:, 0] * y))) / 2.0
-
-    def cfl_limit(self, cfl: float) -> float:
-        return cfl * self.e_min**2
-
-    def advance(self, dt: float) -> np.ndarray:
-        if self.e_min == 0.0:
-            raise GeometryError("repeated vertex in curvature stencil")
-        ext, a, b, lengths = self._ext, self._d[:-1], self._d[1:], self._lengths
-        chord = ext[2:] - ext[:-2]
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        lc = np.sqrt(chord[:, 0] * chord[:, 0] + chord[:, 1] * chord[:, 1])
-        pos = lc > 0
-        lc_safe = np.where(pos, lc, 1.0)
-        kap = np.where(pos, 2.0 * cross / (lengths[:-1] * lengths[1:] * lc_safe), 0.0)
-        v = self.vertices
-        vel = np.empty_like(v) if self.closed else np.zeros_like(v)
-        moving = vel if self.closed else vel[1:-1]
-        moving[:, 0] = kap * -(chord[:, 1] / lc_safe)
-        moving[:, 1] = kap * (chord[:, 0] / lc_safe)
-        out = v + dt * vel
-        if not np.isfinite(out).all():
-            raise BlowUp(f"non-finite vertices after step of dt={dt}")
-        return out
+def _advance_curve(kernel: geometry.CurveKernel, dt: float) -> np.ndarray:
+    """Forward-Euler curve-shortening step vertex += dt * kappa * N, with the
+    kernel's Menger kappa and N; open endpoints stay fixed."""
+    kap, vel = kernel.menger()
+    vel[:, 0] *= kap  # the normal, scaled in place into kappa * N
+    vel[:, 1] *= kap
+    out = kernel.vertices + dt * vel
+    if not np.isfinite(out).all():
+        raise BlowUp(f"non-finite vertices after step of dt={dt}")
+    return out
 
 
 def graph_cfl_limit(values: np.ndarray, spacing: float, cfl: float, periodic: bool) -> float:
@@ -235,11 +201,13 @@ def step_csf(state: FlowState, dt: float, config: FlowConfig | None = None) -> F
     curve = state.surface
     if not isinstance(curve, ClosedCurve):
         raise ConfigError("step_csf requires a ClosedCurve state")
-    kernel = _CurveKernel(curve.vertices, curve.closed)
+    kernel = geometry.CurveKernel(curve.vertices, curve.closed)
     _check_cfl(
-        dt, kernel.cfl_limit(cfg.cfl), f"(cfl={cfg.cfl}, min edge={kernel.e_min:.3e})"
+        dt, _curve_cfl_limit(kernel, cfg.cfl), f"(cfl={cfg.cfl}, min edge={kernel.e_min:.3e})"
     )
-    new_curve = ClosedCurve(vertices=kernel.advance(dt), closed=curve.closed, time=state.t + dt)
+    new_curve = ClosedCurve(
+        vertices=_advance_curve(kernel, dt), closed=curve.closed, time=state.t + dt
+    )
     return FlowState(surface=new_curve, step=state.step + 1, t=state.t + dt)
 
 
@@ -310,7 +278,7 @@ def run_flow(
         curve0: ClosedCurve = initial.surface
         raw = curve0.vertices.copy()
         closed = curve0.closed
-        kernel0 = _CurveKernel(raw, closed)
+        kernel0 = geometry.CurveKernel(raw, closed)
         min_edge0 = kernel0.e_min
         area0 = kernel0.area() if closed else None
 
@@ -339,11 +307,12 @@ def run_flow(
                 t=t,
             )
 
+    advance = _advance_curve if is_curve else _GraphKernel.advance
     recorded_at = step
     while t < t_end:
         try:
             if is_curve:
-                kernel = _CurveKernel(raw, closed)
+                kernel = geometry.CurveKernel(raw, closed)
                 e_min, e_max = kernel.e_min, kernel.e_max
                 if e_min < EDGE_COLLAPSE or e_max / e_min > EDGE_RATIO_LIMIT:
                     count = _remesh_count(kernel.length, raw.shape[0], config.remesh_spacing)
@@ -358,7 +327,7 @@ def run_flow(
                             "vertex_count": int(raw.shape[0]),
                         }
                     )
-                    kernel = _CurveKernel(raw, closed)
+                    kernel = geometry.CurveKernel(raw, closed)
                 area = kernel.area() if closed else None
                 extinct = kernel.length < EXTINCTION_LENGTH_FACTOR * min_edge0 or (
                     closed and area < EXTINCTION_AREA_FACTOR * area0
@@ -374,9 +343,10 @@ def run_flow(
                         }
                     )
                     break
+                limit = _curve_cfl_limit(kernel, config.cfl)
             else:
                 kernel = _GraphKernel(raw, patch0.spacing, periodic)
-            limit = kernel.cfl_limit(config.cfl)
+                limit = kernel.cfl_limit(config.cfl)
             dt = config.dt if config.dt is not None else limit
             _check_cfl(dt, limit, f"at step {step}")
             t_next = t_end if dt >= t_end - t else t + dt
@@ -385,7 +355,7 @@ def run_flow(
                     {"event": "stall", "step": step, "t": t, "detail": "dt underflow"}
                 )
                 break
-            raw = kernel.advance(t_next - t)
+            raw = advance(kernel, t_next - t)
         except StepRejected as exc:
             trace.events.append(
                 {"event": "step_rejected", "step": step, "t": t, "detail": str(exc)}

@@ -1,10 +1,13 @@
 """Discrete graphs and curves with their differential-geometric quantities.
 
 A hypersurface given as graph(f) over a ball is sampled on a uniform tensor
-grid (GraphPatch); a closed plane curve is a polyline (ClosedCurve).  All
+grid (GraphPatch); a plane curve is a polyline (ClosedCurve).  All graph
 derivative quantities use second-order stencils: central in the interior,
 one-sided at the grid boundary.  Integrals use the graph Jacobian
-sqrt(1 + |Df|^2) (codimension 1) on active nodes only.
+sqrt(1 + |Df|^2) (codimension 1) on active nodes only.  `CurveKernel` is the
+one polyline kernel: edge lengths, length, shoelace area and the Menger
+curvature and normal; the curve-shortening step in `flow` and the cached
+curve quantities here both read it.
 """
 
 from __future__ import annotations
@@ -446,18 +449,63 @@ def mean_curvature_graph(df: np.ndarray, d2f: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class CurveKernel:
+    """The one polyline kernel: edge lengths and their statistics, the
+    shoelace area and the guarded Menger curvature of a vertex array.
+
+    A closed curve is padded with its last vertex in front and its first at
+    the back, so for closed and open curves alike the stencil of the i-th
+    curved vertex (every vertex if closed, the interior ones if open) is the
+    edges d[i], d[i+1] and the chord ext[i+2] - ext[i].  `edges` are the
+    polyline's edge lengths: m wrapping ones if closed, m - 1 if open.
+    """
+
+    def __init__(self, vertices: np.ndarray, closed: bool):
+        self.vertices = vertices
+        self.closed = closed
+        ext = np.concatenate((vertices[-1:], vertices, vertices[:1])) if closed else vertices
+        d = ext[1:] - ext[:-1]
+        lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        self.edges = lengths[1:] if closed else lengths
+        self.e_min = float(self.edges.min())
+        self.e_max = float(self.edges.max())
+        self.length = float(self.edges.sum())
+        self.ext, self.d, self._lengths = ext, d, lengths
+
+    def area(self) -> float:
+        """Unsigned shoelace area of a closed curve."""
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        nxt = self.ext[2:]
+        return abs(float(np.sum(x * nxt[:, 1] - nxt[:, 0] * y))) / 2.0
+
+    def menger(self) -> tuple[np.ndarray, np.ndarray]:
+        """(kappa, left unit normal) per vertex from the circumscribed circle
+        of each stencil; a degenerate chord (lc = 0) gives kappa = 0, and
+        open endpoints get kappa = 0 and a zero normal."""
+        if self.e_min == 0.0:
+            raise GeometryError("repeated vertex in curvature stencil")
+        ext, a, b, lengths = self.ext, self.d[:-1], self.d[1:], self._lengths
+        chord = ext[2:] - ext[:-2]
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        lc = np.sqrt(chord[:, 0] * chord[:, 0] + chord[:, 1] * chord[:, 1])
+        pos = lc > 0
+        lc_safe = np.where(pos, lc, 1.0)
+        m = self.vertices.shape[0]
+        kappa, normal = np.zeros(m), np.zeros((m, 2))
+        curved = slice(None) if self.closed else slice(1, -1)
+        np.divide(2.0 * cross, lengths[:-1] * lengths[1:] * lc_safe, out=kappa[curved], where=pos)
+        normal[curved, 0] = -(chord[:, 1] / lc_safe)
+        normal[curved, 1] = chord[:, 0] / lc_safe
+        return kappa, normal
+
+
 def edge_lengths(curve: ClosedCurve) -> np.ndarray:
     """Edge lengths; m edges if closed (wrapping), m-1 if open.
 
     Cached on the curve; treat the returned array as read-only.
     """
     if "edges" not in curve._cache:
-        v = curve.vertices
-        if curve.closed:
-            diffs = np.roll(v, -1, axis=0) - v
-        else:
-            diffs = v[1:] - v[:-1]
-        curve._cache["edges"] = np.linalg.norm(diffs, axis=1)
+        curve._cache["edges"] = CurveKernel(curve.vertices, curve.closed).edges
     return curve._cache["edges"]
 
 
@@ -469,27 +517,7 @@ def enclosed_area(curve: ClosedCurve) -> float:
     """Unsigned shoelace area (closed curves)."""
     if not curve.closed:
         raise GeometryError("area is defined for closed curves only")
-    v = curve.vertices
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return abs(float(np.sum(x * yn - xn * y))) / 2.0
-
-
-def _menger(prev_pts, pts, next_pts):
-    a = pts - prev_pts
-    b = next_pts - pts
-    chord = next_pts - prev_pts
-    la = np.linalg.norm(a, axis=-1)
-    lb = np.linalg.norm(b, axis=-1)
-    lc = np.linalg.norm(chord, axis=-1)
-    if np.any(la == 0) or np.any(lb == 0):
-        raise GeometryError("repeated vertex in curvature stencil")
-    cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(lc > 0, 2.0 * cross / (la * lb * np.where(lc > 0, lc, 1.0)), 0.0)
-    tangent = chord / np.where(lc > 0, lc, 1.0)[..., None]
-    normal = np.stack([-tangent[..., 1], tangent[..., 0]], axis=-1)
-    return tangent, normal, kappa
+    return CurveKernel(curve.vertices, True).area()
 
 
 def curve_quantities_all(curve: ClosedCurve):
@@ -504,21 +532,16 @@ def curve_quantities_all(curve: ClosedCurve):
     """
     if "quantities" in curve._cache:
         return curve._cache["quantities"]
-    v = curve.vertices
-    if curve.closed:
-        out = _menger(np.roll(v, 1, axis=0), v, np.roll(v, -1, axis=0))
-    else:
-        t, n, k = _menger(v[:-2], v[1:-1], v[2:])
-        t0 = v[1] - v[0]
-        t1 = v[-1] - v[-2]
-        t0 = t0 / np.linalg.norm(t0)
-        t1 = t1 / np.linalg.norm(t1)
-        tan = np.vstack([t0, t, t1])
-        nor = np.stack([-tan[:, 1], tan[:, 0]], axis=-1)
-        kap = np.concatenate([[0.0], k, [0.0]])
-        out = (tan, nor, kap)
-    curve._cache["quantities"] = out
-    return out
+    kernel = CurveKernel(curve.vertices, curve.closed)
+    kap, nor = kernel.menger()
+    if not curve.closed:
+        # one-sided tangents at the fixed endpoints, where menger gives N = 0
+        tan_ends = kernel.d[[0, -1]] / kernel.edges[[0, -1], None]
+        nor[[0, -1], 0] = -tan_ends[:, 1]
+        nor[[0, -1], 1] = tan_ends[:, 0]
+    tan = np.stack([nor[:, 1], -nor[:, 0]], axis=-1)
+    curve._cache["quantities"] = (tan, nor, kap)
+    return curve._cache["quantities"]
 
 
 def curve_quantities(curve: ClosedCurve, vertex: int):
@@ -605,13 +628,9 @@ def resample_curve_raw(
     vertices: np.ndarray, closed: bool, count: int
 ) -> np.ndarray:
     """Uniform-arclength linear resample; vertex 0 (and open endpoints) kept."""
-    v = np.asarray(vertices, dtype=float)
-    if closed:
-        loop = np.vstack([v, v[:1]])
-    else:
-        loop = v
-    seg = np.linalg.norm(loop[1:] - loop[:-1], axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    kernel = CurveKernel(np.asarray(vertices, dtype=float), closed)
+    loop = kernel.ext[1:] if closed else kernel.ext
+    s = np.concatenate([[0.0], np.cumsum(kernel.edges)])
     total = s[-1]
     if total <= 0:
         raise GeometryError("cannot resample a zero-length curve")

@@ -29,6 +29,7 @@ from .geometry import (
     edge_lengths,
     gradient_field,
     hessian_field,
+    patch_grid,
     to_json_dict,
 )
 
@@ -152,17 +153,25 @@ def _probe_index_ranges(x1, x2, lo, step, count):
     return np.clip(starts, 0, count), np.clip(ends, 0, count)
 
 
-def _crossings_in_column(curve, p, a_til, height):
-    """Exact in-band crossing heights of the vertical line x = p."""
+def _covered_columns(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(segment, column) for every probe column in each segment's [start, end)."""
+    reps = ends - starts
+    seg = np.repeat(np.arange(reps.size), reps)
+    cols = np.repeat(starts - (np.cumsum(reps) - reps), reps) + np.arange(seg.size)
+    return seg, cols
+
+
+def vertical_crossings(curve: ClosedCurve, x: float) -> np.ndarray:
+    """Heights at which the polyline crosses the vertical line through x, in
+    segment order.  A segment crosses iff x lies in [min(x1,x2), max(x1,x2)),
+    so the line through a shared vertex crosses exactly one of its segments
+    and a local x-extremum is crossed zero times or twice: the parity of the
+    crossings above a point tells whether a closed curve encloses it."""
     p1, p2 = curve_segments(curve)
     (x1, y1), (x2, y2) = p1.T, p2.T
-    hit = ((x1 <= p) & (p < x2)) | ((x2 <= p) & (p < x1))
-    dx = x2 - x1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(hit, (p - x1) / np.where(dx != 0, dx, 1.0), 0.0)
-    y = y1 + t * (y2 - y1)
-    sel = hit & (np.abs(y - a_til) <= height)
-    return y[sel]
+    hit = ((x1 <= x) & (x < x2)) | ((x2 <= x) & (x < x1))
+    x1, y1, x2, y2 = x1[hit], y1[hit], x2[hit], y2[hit]
+    return y1 + (x - x1) / (x2 - x1) * (y2 - y1)
 
 
 def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport:
@@ -174,53 +183,41 @@ def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport
     p1, p2 = curve_segments(curve)
     (x1, y1), (x2, y2) = p1.T, p2.T
     starts, ends = _probe_index_ranges(x1, x2, lo, step, count)
-    covering = ends > starts
 
     band_lo, band_hi = a_til - cyl.height, a_til + cyl.height
     ylo = np.minimum(y1, y2)
     yhi = np.maximum(y1, y2)
     fully_in = (ylo >= band_lo) & (yhi <= band_hi)
-    fully_out = (yhi < band_lo) | (ylo > band_hi)
-    partial = ~fully_in & ~fully_out
+    meets_band = (yhi >= band_lo) & (ylo <= band_hi)
 
-    counts = np.zeros(count + 1, dtype=np.int64)
-    sel = covering & fully_in
-    np.add.at(counts, starts[sel], 1)
-    np.add.at(counts, ends[sel], -1)
-    counts = np.cumsum(counts)[:count]
-
-    # segments straddling the band edge need the exact per-probe height test
-    slopes = np.zeros(x1.shape)
+    # each column a band-meeting segment covers, with its crossing height;
+    # a segment straddling the band edge counts only where it is in band
     dx = x2 - x1
-    nz = dx != 0
-    slopes[nz] = (y2[nz] - y1[nz]) / dx[nz]
-    for s in np.flatnonzero(covering & partial):
-        idx = np.arange(starts[s], ends[s])
-        ycross = y1[s] + (probes[idx] - x1[s]) * slopes[s]
-        inband = np.abs(ycross - a_til) <= cyl.height
-        np.add.at(counts, idx[inband], 1)
-
-    m0 = int(counts.max()) if counts.size else 0
+    slopes = np.divide(y2 - y1, dx, out=np.zeros_like(dx), where=dx != 0)
+    seg, cols = _covered_columns(starts, np.where(meets_band, ends, starts))
+    ycross = y1[seg] + (probes[cols] - x1[seg]) * slopes[seg]
+    inband = fully_in[seg] | (np.abs(ycross - a_til) <= cyl.height)
+    cols, ycross = cols[inband], ycross[inband]
+    counts = np.bincount(cols, minlength=count)
+    m0 = int(counts.max())
 
     # near-vertical segments inside the cylinder: graph extraction ill-posed
-    seg_len = np.hypot(x2 - x1, y2 - y1)
-    near_vert = np.abs(x2 - x1) / seg_len < TANGENCY_TOL
+    near_vert = np.abs(dx) / edge_lengths(curve) < TANGENCY_TOL
     in_x = (np.minimum(x1, x2) <= a_hat + cyl.radius) & (
         np.maximum(x1, x2) >= a_hat - cyl.radius
     )
-    in_y = (yhi >= band_lo) & (ylo <= band_hi)
-    tangent_segs = np.flatnonzero(near_vert & in_x & in_y)
+    tangent_segs = np.flatnonzero(near_vert & in_x & meets_band)
 
     witness = None
-    if np.any(counts > 1):
+    if m0 > 1:
         col = int(np.argmax(counts > 1))
-        heights = sorted(float(h) for h in _crossings_in_column(
-            curve, probes[col], a_til, cyl.height))
+        heights = vertical_crossings(curve, probes[col])
+        heights = heights[np.abs(heights - a_til) <= cyl.height]
         witness = {
             "kind": "multi",
             "base_point": [float(probes[col])],
             "count": int(counts[col]),
-            "heights": heights,
+            "heights": sorted(float(h) for h in heights),
         }
     elif tangent_segs.size:
         s = int(tangent_segs[0])
@@ -236,20 +233,9 @@ def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport
     graphical = witness is None
     values = None
     if graphical:
-        # single cover: write each covering segment's interpolated heights
+        # single cover: each column holds its one in-band crossing
         values = np.full(count, a_til)
-        sel = covering & fully_in
-        reps = (ends[sel] - starts[sel]).astype(np.int64)
-        seg_ids = np.repeat(np.flatnonzero(sel), reps)
-        base = np.repeat(starts[sel], reps)
-        offs = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        cols = base + offs
-        values[cols] = y1[seg_ids] + (probes[cols] - x1[seg_ids]) * slopes[seg_ids]
-        for s in np.flatnonzero(covering & partial):
-            idx = np.arange(starts[s], ends[s])
-            ycross = y1[s] + (probes[idx] - x1[s]) * slopes[s]
-            inband = np.abs(ycross - a_til) <= cyl.height
-            values[idx[inband]] = ycross[inband]
+        values[cols] = ycross
     return _report_from_grid(
         cyl, step, graphical, m0, witness, values, None, curve.time
     )
@@ -266,14 +252,8 @@ def curve_probe_parity_violations(
     step, count = _probe_step(cyl, delta)
     lo = float(cyl.base_center[0]) - cyl.radius
     p1, p2 = curve_segments(curve)
-    x1, x2 = p1[:, 0], p2[:, 0]
-    starts, ends = _probe_index_ranges(x1, x2, lo, step, count)
-    counts = np.zeros(count + 1, dtype=np.int64)
-    sel = ends > starts
-    np.add.at(counts, starts[sel], 1)
-    np.add.at(counts, ends[sel], -1)
-    counts = np.cumsum(counts)[:count]
-    return int(np.count_nonzero(counts % 2))
+    _, cols = _covered_columns(*_probe_index_ranges(p1[:, 0], p2[:, 0], lo, step, count))
+    return int(np.count_nonzero(np.bincount(cols, minlength=count) % 2))
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +297,10 @@ def _probe_graph_patch(patch: GraphPatch, cyl: Cylinder, delta: float) -> GraphR
         )
     a_til = float(cyl.height_center[0])
     step, count = _probe_step(cyl, delta)
-    axes = [
-        cyl.base_center[i] - cyl.radius + step * np.arange(count)
-        for i in range(patch.n)
-    ]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    grid_shape = mesh.shape[:-1]
-    q = mesh.reshape(-1, patch.n)
-    in_ball = np.linalg.norm(q - cyl.base_center, axis=1) <= cyl.radius * (1 + 1e-12)
+    grid = patch_grid(tuple(cyl.base_center.tolist()), cyl.radius, step, (count,) * patch.n)
+    grid_shape = grid.active.shape
+    q = grid.nodes.reshape(-1, patch.n)
+    in_ball = grid.active.reshape(-1)
     vals, covered = _interp_patch(patch, q)
     in_height = np.abs(vals - a_til) <= cyl.height
     ok = covered & in_height
@@ -405,10 +381,10 @@ def _probe_sample(sample: SurfaceSample, cyl: Cylinder, delta: float) -> GraphRe
         counts = np.zeros(ncols, dtype=int)
         col_value = np.zeros(ncols)
 
-    grid_shape = (count,) * nb
-    axes = [lo[i] + step * np.arange(count) for i in range(nb)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, nb)
-    in_ball = np.linalg.norm(mesh - cyl.base_center, axis=1) <= cyl.radius * (1 + 1e-12)
+    grid = patch_grid(tuple(cyl.base_center.tolist()), cyl.radius, step, (count,) * nb)
+    grid_shape = grid.active.shape
+    mesh = grid.nodes.reshape(-1, nb)
+    in_ball = grid.active.reshape(-1)
 
     counts = counts.reshape(-1)
     m0 = int(counts[in_ball].max()) if np.any(in_ball) else 0
@@ -494,17 +470,23 @@ def first_nongraphical_time(trace, cyl: Cylinder, delta: float | None = None) ->
     return None
 
 
+def held_graphical_index(flags, hold: int = HOLD_RECORDS_DEFAULT) -> int | None:
+    """Index of the first record from which the graphical flags stay true
+    for `hold` consecutive records (or through the end); None if none."""
+    first = None
+    run = 0
+    for i in range(len(flags) - 1, -1, -1):
+        run = run + 1 if flags[i] else 0
+        if run >= hold or run == len(flags) - i:
+            first = i
+    return first
+
+
 def first_graphical_time(
     trace, cyl: Cylinder, hold: int = HOLD_RECORDS_DEFAULT, delta: float | None = None
 ) -> float | None:
     """Earliest recorded time from which reports stay graphical for `hold`
     consecutive records (or through the end of the trace)."""
     flags = [is_graphical(s.surface, cyl, delta).graphical for s in trace.snapshots]
-    # first index whose graphical run reaches hold or persists to the end
-    run_length = [0] * (len(flags) + 1)
-    for i in range(len(flags) - 1, -1, -1):
-        run_length[i] = run_length[i + 1] + 1 if flags[i] else 0
-    for i, state in enumerate(trace.snapshots):
-        if run_length[i] >= hold or (flags[i] and run_length[i] == len(flags) - i):
-            return state.t
-    return None
+    i = held_graphical_index(flags, hold)
+    return None if i is None else trace.snapshots[i].t

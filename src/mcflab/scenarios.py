@@ -25,6 +25,7 @@ from ._util import ConfigError, ValidationError, canonical_dumps, write_csv
 from .flow import FlowConfig, FlowState, run_flow, write_run_dir
 from .geometry import (
     ClosedCurve,
+    CurveKernel,
     Cylinder,
     GraphPatch,
     curve_point_distance,
@@ -37,7 +38,12 @@ from .geometry import (
     tilt,
     total_length,
 )
-from .graphicality import first_graphical_time, is_graphical
+from .graphicality import (
+    first_graphical_time,
+    held_graphical_index,
+    is_graphical,
+    vertical_crossings,
+)
 from .monitors import (
     calibrate_constant,
     check_brakke_identity,
@@ -211,17 +217,6 @@ def _rounded_square_vertices(epsilon: float, count: int) -> np.ndarray:
     return resample_curve_raw(dense, True, count)
 
 
-def _point_in_closed_curve(vertices: np.ndarray, p) -> bool:
-    """Upward ray-cast parity with the half-open straddle convention."""
-    px, py = float(p[0]), float(p[1])
-    x1, y1 = vertices[:, 0], vertices[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    hit = ((x1 <= px) & (px < x2)) | ((x2 <= px) & (px < x1))
-    dx = np.where(x2 - x1 != 0, x2 - x1, 1.0)
-    ycross = y1 + (px - x1) / dx * (y2 - y1)
-    return bool(np.count_nonzero(hit & (ycross > py)) % 2)
-
-
 def _fold_vertices(L: float, gamma: float, spacing: float):
     """Open initial curve over [-2, 2]: slab-confined Lipschitz graph outside
     the excised strip E = [-w, w], joined by a three-sheet Z-fold whose extra
@@ -265,11 +260,11 @@ def _fold_vertices(L: float, gamma: float, spacing: float):
     )
     dense = np.concatenate(dense, axis=0)
 
-    count = max(8, int(round(_polyline_length(dense) / spacing)))
+    count = max(8, int(round(CurveKernel(dense, False).length / spacing)))
     verts = resample_curve_raw(dense, False, count)
 
     mids = 0.5 * (verts[:-1, 0] + verts[1:, 0])
-    seg_len = np.linalg.norm(np.diff(verts, axis=0), axis=1)
+    seg_len = CurveKernel(verts, False).edges
     in_strip = np.abs(mids) <= w
     extra = float(np.sum(seg_len[in_strip])) - 2 * w
     if extra > gamma * (1 + 1e-9):
@@ -277,10 +272,6 @@ def _fold_vertices(L: float, gamma: float, spacing: float):
             f"fold measure budget violated: extra length {extra:.6g} > {gamma}"
         )
     return verts, extra, w
-
-
-def _polyline_length(points: np.ndarray) -> float:
-    return float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +528,7 @@ def scenario_shrinking_square(
     curve = ClosedCurve(verts)
     inner = np.array([0.0, 1.0])
     for corner in [(-2, 0), (2, 0), (2, 2), (-2, 2)]:
-        if not _point_in_closed_curve(verts, corner):
+        if np.count_nonzero(vertical_crossings(curve, float(corner[0])) > corner[1]) % 2 == 0:
             raise ConfigError(f"initial region does not contain corner {corner}")
 
     e0 = float(np.min(edge_lengths(curve)))
@@ -649,22 +640,24 @@ def scenario_shrinking_square(
     return _finish(result, out_dir, trace, extra)
 
 
-def _fold_bound_ratios(trace, cyl, t_start):
-    """Max ratios of extracted sup stats against the slab-regularization
-    bound shapes t/rho, (t/rho^2)^(1/4), t^(-1/2) past t_start."""
-    rho = cyl.radius
+def _fold_graphicality(trace, cyl):
+    """(held-graphical time, max ratios of the extracted sup stats against the
+    slab-regularization bound shapes t/rho, (t/rho^2)^(1/4), t^(-1/2) from
+    then on), from one probe of each snapshot; (None, zeros) if never held."""
+    reports = [is_graphical(state.surface, cyl) for state in trace.snapshots]
+    first = held_graphical_index([rep.graphical for rep in reports], hold=10)
     ratios = [0.0, 0.0, 0.0]
-    for state in trace.snapshots:
+    if first is None:
+        return None, ratios
+    rho = cyl.radius
+    for state, rep in zip(trace.snapshots[first:], reports[first:]):
         t = state.t
-        if t < t_start or t <= 0:
-            continue
-        rep = is_graphical(state.surface, cyl)
-        if not rep.graphical:
+        if t <= 0 or not rep.graphical:
             continue
         ratios[0] = max(ratios[0], rep.sup_height / (t / rho))
         ratios[1] = max(ratios[1], rep.sup_grad / (t / rho**2) ** 0.25)
         ratios[2] = max(ratios[2], rep.sup_hess * math.sqrt(t))
-    return ratios
+    return trace.snapshots[first].t, ratios
 
 
 def _run_fold(L, gamma, spacing, t_end, monitors):
@@ -712,14 +705,11 @@ def scenario_become_graphical(
     ]:
         trace, extra = _run_fold(L, gamma, spacing, t_end, monitors)
         traces[tag] = trace
-        tg = first_graphical_time(trace, cyl, hold=10)
+        tg, ratios = _fold_graphicality(trace, cyl)
         if tag == "run":
             t_graph = tg
             extra_len = extra
-        if tg is None:
-            ratio_sets.append([0.0, 0.0, 0.0])
-        else:
-            ratio_sets.append(_fold_bound_ratios(trace, cyl, tg))
+        ratio_sets.append(ratios)
     c_hats = [calibrate_constant(lambda rs, i=i: rs[i], ratio_sets) for i in range(3)]
 
     trace2, _ = _run_fold(L, 2 * gamma, 2 * base_spacing, t_end, monitors)
@@ -966,27 +956,8 @@ def validate_scenario_spec(doc, path: str = "$") -> dict:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ValidationError(f"{path}.params", "must be an object")
-    ranges = _PARAM_RANGES[scenario]
     for key, value in params.items():
-        if key not in ranges:
-            raise ValidationError(
-                f"{path}.params.{key}",
-                f"unknown parameter for {scenario}; expected one of "
-                f"{sorted(ranges)}",
-            )
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{path}.params.{key}", "must be a number")
-        if key in _INTEGER_PARAMS and not isinstance(value, int):
-            raise ValidationError(f"{path}.params.{key}", "must be an integer")
-        lo, hi = ranges[key]
-        if lo is not None and value <= lo:
-            raise ValidationError(
-                f"{path}.params.{key}", f"must be > {lo}, got {value}"
-            )
-        if hi is not None and value > hi:
-            raise ValidationError(
-                f"{path}.params.{key}", f"must be <= {hi}, got {value}"
-            )
+        _check_param(scenario, key, value, f"{path}.params.{key}")
     out["params"] = dict(params)
 
     known = {"schema_version", "scenario", "seed", "resolution", "monitors",
@@ -995,6 +966,24 @@ def validate_scenario_spec(doc, path: str = "$") -> dict:
         if key not in known:
             raise ValidationError(f"{path}.{key}", "unknown field")
     return out
+
+
+def _check_param(scenario: str, key: str, value, where: str) -> None:
+    """Raise a ValidationError at `where` unless `value` is a valid `key`."""
+    ranges = _PARAM_RANGES[scenario]
+    if key not in ranges:
+        raise ValidationError(
+            where, f"unknown parameter for {scenario}; expected one of {sorted(ranges)}"
+        )
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(where, "must be a number")
+    if key in _INTEGER_PARAMS and not isinstance(value, int):
+        raise ValidationError(where, "must be an integer")
+    lo, hi = ranges[key]
+    if lo is not None and value <= lo:
+        raise ValidationError(where, f"must be > {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValidationError(where, f"must be <= {hi}, got {value}")
 
 
 def _validate_sweep_spec(doc, path: str = "$") -> dict:
@@ -1007,8 +996,8 @@ def _validate_sweep_spec(doc, path: str = "$") -> dict:
         if key not in known:
             raise ValidationError(f"{path}.{key}", "unknown field")
     if runs is not None:
-        if not isinstance(runs, list):
-            raise ValidationError(f"{path}.runs", "must be a list")
+        if not isinstance(runs, list) or not runs:
+            raise ValidationError(f"{path}.runs", "must be a non-empty list")
         out["runs"] = [
             validate_scenario_spec(r, f"{path}.runs[{i}]")
             for i, r in enumerate(runs)
@@ -1019,41 +1008,39 @@ def _validate_sweep_spec(doc, path: str = "$") -> dict:
             path, "sweep needs either 'runs' or both 'base' and 'vary'"
         )
     base_spec = validate_scenario_spec(base, f"{path}.base")
-    if not isinstance(vary, dict) or not all(
-        isinstance(v, list) for v in vary.values()
-    ):
+    if not isinstance(vary, dict):
         raise ValidationError(f"{path}.vary", "must map parameter -> list")
-    expanded = []
     keys = sorted(vary)
+    for k in keys:
+        if not isinstance(vary[k], list) or not vary[k]:
+            raise ValidationError(f"{path}.vary.{k}", "must be a non-empty list")
+        for i, v in enumerate(vary[k]):
+            _check_param(base_spec["scenario"], k, v, f"{path}.vary.{k}[{i}]")
     grids = [[]]
     for k in keys:
         grids = [g + [(k, v)] for g in grids for v in vary[k]]
-    for combo in grids:
-        spec = {
-            "schema_version": SCHEMA_VERSION,
-            "scenario": base_spec["scenario"],
-            "seed": base_spec["seed"],
-            "resolution": base_spec["resolution"],
-            "monitors": base_spec["monitors"],
-            "params": {**base_spec["params"], **dict(combo)},
-        }
-        expanded.append(
-            validate_scenario_spec(spec, f"{path}.base")
-        )
-    out["runs"] = expanded
+    out["runs"] = [
+        {**base_spec, "params": {**base_spec["params"], **dict(combo)}}
+        for combo in grids
+    ]
     return out
+
+
+def with_overrides(doc, seed=None, resolution=None):
+    """The spec document with `seed` / `resolution` in place of its own where
+    given, so that overrides go through validation like spec fields."""
+    if not isinstance(doc, dict):
+        return doc
+    given = {"seed": seed, "resolution": resolution}
+    return {**doc, **{k: v for k, v in given.items() if v is not None}}
 
 
 def run_scenario(doc, out_dir=None, seed_override=None,
                  resolution_override=None) -> ScenarioResult:
-    """Validate a spec document and execute its scenario."""
-    spec = validate_scenario_spec(doc)
+    """Validate a spec document, with any overrides, and execute its scenario."""
+    spec = validate_scenario_spec(with_overrides(doc, seed_override, resolution_override))
     if spec["scenario"] == "sweep":
         raise ConfigError("sweep specs go through run_sweep")
-    if seed_override is not None:
-        spec["seed"] = seed_override
-    if resolution_override is not None:
-        spec["resolution"] = resolution_override
     fn = SCENARIOS[spec["scenario"]]
     kwargs = dict(spec["params"])
     kwargs["seed"] = spec["seed"]

@@ -86,10 +86,42 @@ def test_run_rejects_fractional_count_param(tmp_path, capsys):
     assert "$.params.family: must be an integer" in capsys.readouterr().err
 
 
-def test_run_refuses_sweep_spec(tmp_path):
-    doc = {"schema_version": 1, "scenario": "sweep", "runs": []}
+FLAT = {"schema_version": 1, "scenario": "flat_plane",
+        "params": {"t_end": 0.004}, "resolution": 32}
+
+
+def test_run_refuses_sweep_spec(tmp_path, capsys):
+    doc = {"schema_version": 1, "scenario": "sweep", "runs": [FLAT]}
     spec = _write_spec(tmp_path / "sw.json", doc)
     assert main(["run", "--spec", spec]) == 2
+    assert "sweep command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, flag, value, loc", [
+    (FLAT, "--resolution-override", "4", "$.resolution"),
+    ({"schema_version": 1, "scenario": "shrinking_square"},
+     "--resolution-override", "3", "$.resolution"),
+    (FLAT, "--seed-override", "-1", "$.seed"),
+], ids=["flat-resolution", "square-resolution", "seed"])
+def test_run_validates_overrides(tmp_path, capsys, doc, flag, value, loc):
+    """An override is checked like the spec field it replaces: exit 2 at its
+    path, before anything runs or is written."""
+    spec = _write_spec(tmp_path / "s.json", doc)
+    out = tmp_path / "out"
+    assert main(["run", "--spec", spec, "--out", str(out), flag, value]) == 2
+    assert f"error: {loc}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, loc", [
+    ({"runs": []}, "$.runs"),
+    ({"base": FLAT, "vary": {"value": []}}, "$.vary.value"),
+], ids=["runs", "vary"])
+def test_sweep_rejects_empty_expansion(tmp_path, capsys, sweep, loc):
+    spec = _write_spec(tmp_path / "sw.json",
+                       {"schema_version": 1, "scenario": "sweep", **sweep})
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {loc}:" in capsys.readouterr().err
 
 
 def test_failing_run_exits_one(tmp_path):

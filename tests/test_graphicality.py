@@ -3,12 +3,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcflab._util import ConfigError
 from mcflab.flow import FlowState
-from mcflab.geometry import ClosedCurve, Cylinder, GraphPatch, sample_surface
+from mcflab.geometry import (
+    ClosedCurve,
+    Cylinder,
+    GraphPatch,
+    curve_point_distance,
+    sample_surface,
+)
 from mcflab.graphicality import (
     curve_probe_parity_violations,
     first_graphical_time,
@@ -16,6 +22,7 @@ from mcflab.graphicality import (
     graph_report_to_json,
     is_graphical,
     native_resolution,
+    vertical_crossings,
 )
 
 from conftest import make_circle
@@ -104,6 +111,45 @@ def test_closed_curve_parity_is_even(m, r, cx, cy, cr):
     curve = make_circle(radius=r, m=m)
     assert curve_probe_parity_violations(
         curve, Cylinder((cx, cy), cr, 1.0)) == 0
+
+
+def _winding_number(vertices, p):
+    """Signed turns of the closed polygon around p, from the angles each
+    edge subtends there."""
+    d = vertices - np.asarray(p, dtype=float)
+    ang = np.arctan2(d[:, 1], d[:, 0])
+    turn = (np.roll(ang, -1) - ang + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round(float(turn.sum()) / (2.0 * np.pi)))
+
+
+@st.composite
+def _star_and_point(draw):
+    """A star polygon (one vertex per angular sector, random radius) and a
+    probe point; half the points sit on the vertical line of a vertex, where
+    the crossing convention decides."""
+    m = draw(st.integers(min_value=8, max_value=40))
+    jitter = draw(st.lists(st.floats(min_value=0.0, max_value=0.9),
+                           min_size=m, max_size=m))
+    r = np.array(draw(st.lists(st.floats(min_value=0.2, max_value=2.0),
+                               min_size=m, max_size=m)))
+    th = 2.0 * np.pi * (np.arange(m) + np.array(jitter)) / m
+    verts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    coord = st.floats(min_value=-2.5, max_value=2.5)
+    if draw(st.booleans()):
+        px = float(verts[draw(st.integers(min_value=0, max_value=m - 1)), 0])
+    else:
+        px = draw(coord)
+    return verts, (px, draw(coord))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_star_and_point())
+def test_crossing_parity_matches_winding_number(case):
+    verts, p = case
+    curve = ClosedCurve(verts)
+    assume(curve_point_distance(curve, p) > 1e-9)
+    inside = np.count_nonzero(vertical_crossings(curve, p[0]) > p[1]) % 2 == 1
+    assert inside == (_winding_number(verts, p) != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,14 @@ def test_sweep_runs_list_and_errors():
                                 "base": _spec(), "vary": {"value": 0.5}})
 
 
+def test_sweep_vary_error_names_the_value():
+    doc = {"schema_version": 1, "scenario": "sweep", "base": _spec(),
+           "vary": {"radius": [1.0, 2.0], "value": [0.0, "high"]}}
+    with pytest.raises(ValidationError) as err:
+        validate_scenario_spec(doc)
+    assert str(err.value).startswith("$.vary.value[1]: must be a number")
+
+
 # ---------------------------------------------------------------------------
 # Scenario execution
 # ---------------------------------------------------------------------------
