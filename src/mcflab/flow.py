@@ -274,9 +274,11 @@ def run_flow(
     step = initial.step
     t_end = initial.t + config.t_end
 
+    # a state records raw itself, not a copy: no step writes into its input
+    # (both step kernels and resample_curve_raw return new arrays)
     if is_curve:
         curve0: ClosedCurve = initial.surface
-        raw = curve0.vertices.copy()
+        raw = curve0.vertices
         closed = curve0.closed
         kernel0 = geometry.CurveKernel(raw, closed)
         min_edge0 = kernel0.e_min
@@ -284,14 +286,14 @@ def run_flow(
 
         def make_state():
             return FlowState(
-                surface=ClosedCurve(vertices=raw.copy(), closed=closed, time=t),
+                surface=ClosedCurve(vertices=raw, closed=closed, time=t),
                 step=step,
                 t=t,
             )
 
     else:
         patch0: GraphPatch = initial.surface
-        raw = patch0.values.copy()
+        raw = patch0.values
 
         def make_state():
             return FlowState(
@@ -299,7 +301,7 @@ def run_flow(
                     center=patch0.center,
                     radius=patch0.radius,
                     spacing=patch0.spacing,
-                    values=raw.copy(),
+                    values=raw,
                     codim=patch0.codim,
                     time=t,
                 ),
@@ -389,7 +391,7 @@ def _state_stats(state: FlowState) -> tuple[float, float | None, float]:
     """(measure, max|Df| or None, max|A|) of a snapshot."""
     surf = state.surface
     if isinstance(surf, ClosedCurve):
-        _, _, kap = geometry.curve_quantities_all(surf)
+        _, kap = geometry.curve_quantities_all(surf)
         return geometry.total_length(surf), None, float(np.max(np.abs(kap)))
     act = surf.active
     df = geometry.gradient_field(surf)[act]

@@ -8,13 +8,18 @@ sqrt(1 + |Df|^2) (codimension 1) on active nodes only.  `CurveKernel` is the
 one polyline kernel: edge lengths, length, shoelace area and the Menger
 curvature and normal; the curve-shortening step in `flow` and the cached
 curve quantities here both read it.
+
+A surface caches only what some reader reads: a curve its edge lengths,
+its normals and kappa, and a sample (its vertices, those normals and the
+vertex weights); a graph its Df, D^2f, lift and sample.  Neither caches
+tangents or |A|: curve_quantities derives one tangent from the normal, and
+|A| is computed where it is read.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -68,16 +73,6 @@ class Cylinder:
     @property
     def base_dim(self) -> int:
         return len(self.center) - self.codim
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask: which ambient points lie in the closed cylinder."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        base = pts[:, : self.base_dim] - self.base_center
-        top = pts[:, self.base_dim :] - self.height_center
-        ok = (np.linalg.norm(base, axis=1) <= self.radius) & (
-            np.linalg.norm(top, axis=1) <= self.height
-        )
-        return ok if np.asarray(points).ndim > 1 else ok[0]
 
 
 @dataclass(frozen=True)
@@ -249,21 +244,19 @@ class ClosedCurve:
 
 @dataclass(frozen=True)
 class SurfaceSample:
-    """Quadrature view of a surface: points, unit normals, |A|, weights."""
+    """Quadrature view of a surface: points, unit normals, weights."""
 
     points: np.ndarray
     normals: np.ndarray
-    a_norm: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         nrm = np.asarray(self.normals, dtype=float)
-        a = np.asarray(self.a_norm, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        for name, arr in (("points", pts), ("normals", nrm), ("a_norm", a), ("weights", w)):
+        for name, arr in (("points", pts), ("normals", nrm), ("weights", w)):
             object.__setattr__(self, name, arr)
-        if pts.shape != nrm.shape or a.shape != w.shape or a.shape[0] != pts.shape[0]:
+        if pts.shape != nrm.shape or w.shape != pts.shape[:1]:
             raise GeometryError("sample arrays must have matching lengths")
         lengths = np.linalg.norm(nrm, axis=1)
         if np.any(np.abs(lengths - 1.0) > NORMAL_WEIGHT_TOL):
@@ -521,12 +514,14 @@ def enclosed_area(curve: ClosedCurve) -> float:
 
 
 def curve_quantities_all(curve: ClosedCurve):
-    """(unit tangents, left unit normals, signed Menger curvature) per vertex.
+    """(left unit normals, signed Menger curvature) per vertex.
 
     kappa > 0 where the curve turns left; for a positively oriented convex
     curve the left normal points inward, so the curvature vector kappa*N is
     the inward curve-shortening velocity either way.  Open-curve endpoints get
-    one-sided tangents and kappa = 0 (the flow holds them fixed).
+    the left normal of their one-sided tangent and kappa = 0 (the flow holds
+    them fixed).  The unit tangent is (N_1, -N_0); curve_quantities derives
+    it for one vertex.
 
     Cached on the curve; treat the returned arrays as read-only.
     """
@@ -539,20 +534,20 @@ def curve_quantities_all(curve: ClosedCurve):
         tan_ends = kernel.d[[0, -1]] / kernel.edges[[0, -1], None]
         nor[[0, -1], 0] = -tan_ends[:, 1]
         nor[[0, -1], 1] = tan_ends[:, 0]
-    tan = np.stack([nor[:, 1], -nor[:, 0]], axis=-1)
-    curve._cache["quantities"] = (tan, nor, kap)
+    curve._cache["quantities"] = (nor, kap)
     return curve._cache["quantities"]
 
 
 def curve_quantities(curve: ClosedCurve, vertex: int):
-    """(tangent, normal, kappa) at one vertex; circumscribed-circle formula."""
+    """(tangent, normal, kappa) at one vertex; circumscribed-circle formula.
+    The tangent (N_1, -N_0) is the stencil's unit chord."""
     i = int(vertex)
     if not 0 <= i < curve.m:
         raise GeometryError(f"vertex {i} out of range")
     if not curve.closed and i in (0, curve.m - 1):
         raise GeometryError("curvature undefined at open-curve endpoints")
-    tan, nor, kap = curve_quantities_all(curve)
-    return tan[i].copy(), nor[i].copy(), float(kap[i])
+    nor, kap = curve_quantities_all(curve)
+    return np.array([nor[i, 1], -nor[i, 0]]), nor[i].copy(), float(kap[i])
 
 
 def curve_segments(curve: ClosedCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -708,7 +703,7 @@ def integrate_over_graph(patch: GraphPatch, phi) -> float:
 
 
 def sample_surface(surface) -> SurfaceSample:
-    """Lift a patch or curve to ambient points with normals, |A|, weights.
+    """Lift a patch or curve to ambient points with unit normals and weights.
 
     Cached on the surface; treat the sample arrays as read-only.
     """
@@ -717,18 +712,13 @@ def sample_surface(surface) -> SurfaceSample:
     if "sample" in surface._cache:
         return surface._cache["sample"]
     if isinstance(surface, GraphPatch):
-        act = surface.active
         pts, jac = graph_lift_and_jacobian(surface)
-        df = gradient_field(surface)[act]
-        d2f = hessian_field(surface)[act]
         sample = SurfaceSample(
             points=pts,
-            normals=graph_normal(df),
-            a_norm=second_fundamental_norm(df, d2f),
+            normals=graph_normal(gradient_field(surface)[surface.active]),
             weights=jac * surface.spacing**surface.n,
         )
     elif isinstance(surface, ClosedCurve):
-        tan, nor, kap = curve_quantities_all(surface)
         el = edge_lengths(surface)
         m = surface.m
         if surface.closed:
@@ -740,8 +730,7 @@ def sample_surface(surface) -> SurfaceSample:
             w[1:-1] = (el[:-1] + el[1:]) / 2.0
         sample = SurfaceSample(
             points=surface.vertices,
-            normals=nor,
-            a_norm=np.abs(kap),
+            normals=curve_quantities_all(surface)[0],
             weights=w,
         )
     surface._cache["sample"] = sample

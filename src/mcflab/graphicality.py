@@ -161,6 +161,13 @@ def _covered_columns(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, 
     return seg, cols
 
 
+def _crossing_heights(x1, y1, x2, y2, x) -> np.ndarray:
+    """Height at x of each segment's line, y1 + (x - x1) * slope: the one
+    crossing formula (a vertical segment gets slope 0)."""
+    dx = x2 - x1
+    return y1 + (x - x1) * np.divide(y2 - y1, dx, out=np.zeros_like(dx), where=dx != 0)
+
+
 def vertical_crossings(curve: ClosedCurve, x: float) -> np.ndarray:
     """Heights at which the polyline crosses the vertical line through x, in
     segment order.  A segment crosses iff x lies in [min(x1,x2), max(x1,x2)),
@@ -170,8 +177,7 @@ def vertical_crossings(curve: ClosedCurve, x: float) -> np.ndarray:
     p1, p2 = curve_segments(curve)
     (x1, y1), (x2, y2) = p1.T, p2.T
     hit = ((x1 <= x) & (x < x2)) | ((x2 <= x) & (x < x1))
-    x1, y1, x2, y2 = x1[hit], y1[hit], x2[hit], y2[hit]
-    return y1 + (x - x1) / (x2 - x1) * (y2 - y1)
+    return _crossing_heights(x1[hit], y1[hit], x2[hit], y2[hit], x)
 
 
 def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport:
@@ -192,17 +198,15 @@ def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport
 
     # each column a band-meeting segment covers, with its crossing height;
     # a segment straddling the band edge counts only where it is in band
-    dx = x2 - x1
-    slopes = np.divide(y2 - y1, dx, out=np.zeros_like(dx), where=dx != 0)
     seg, cols = _covered_columns(starts, np.where(meets_band, ends, starts))
-    ycross = y1[seg] + (probes[cols] - x1[seg]) * slopes[seg]
+    ycross = _crossing_heights(x1[seg], y1[seg], x2[seg], y2[seg], probes[cols])
     inband = fully_in[seg] | (np.abs(ycross - a_til) <= cyl.height)
     cols, ycross = cols[inband], ycross[inband]
     counts = np.bincount(cols, minlength=count)
     m0 = int(counts.max())
 
     # near-vertical segments inside the cylinder: graph extraction ill-posed
-    near_vert = np.abs(dx) / edge_lengths(curve) < TANGENCY_TOL
+    near_vert = np.abs(x2 - x1) / edge_lengths(curve) < TANGENCY_TOL
     in_x = (np.minimum(x1, x2) <= a_hat + cyl.radius) & (
         np.maximum(x1, x2) >= a_hat - cyl.radius
     )
@@ -358,7 +362,6 @@ def _probe_sample(sample: SurfaceSample, cyl: Cylinder, delta: float) -> GraphRe
     hgt_s = hgt[order]
     keep = lin_s < ncols
     lin_s, hgt_s = lin_s[keep], hgt_s[keep]
-    nu_last_s = sample.normals[order][keep][:, -1]
 
     gap_limit = CLUSTER_GAP_FACTOR * step
     new_col = np.empty(lin_s.shape, dtype=bool)

@@ -245,7 +245,7 @@ class _Context:
         """Signed H per point; the curvature vector is H times the normal."""
         surf = self.surface_ref()
         if isinstance(surf, ClosedCurve):
-            return curve_quantities_all(surf)[2]
+            return curve_quantities_all(surf)[1]
         act = surf.active
         return mean_curvature_graph(gradient_field(surf)[act], hessian_field(surf)[act])
 

@@ -17,6 +17,7 @@ from mcflab.flow import (
 from mcflab.geometry import (
     ClosedCurve,
     GraphPatch,
+    curve_quantities,
     curve_quantities_all,
     curves_intersect,
     enclosed_area,
@@ -146,12 +147,13 @@ def test_circle_step_is_exactly_radial():
 
 
 def _menger_oracle(vertices, closed):
-    """Slow per-vertex circumscribed-circle (kappa, left unit normal), in the
-    operation order of the vectorised kernel; open endpoints get kappa = 0
-    and no normal (NaN)."""
+    """Slow per-vertex circumscribed-circle (kappa, left unit normal, unit
+    chord tangent), in the operation order of the vectorised kernel; open
+    endpoints get kappa = 0 and no normal or tangent (NaN)."""
     m = len(vertices)
     kappa = np.zeros(m)
     normals = np.full((m, 2), np.nan)
+    tangents = np.full((m, 2), np.nan)
     for i in range(m) if closed else range(1, m - 1):
         (px, py), (x, y), (nx, ny) = (
             vertices[i - 1], vertices[i], vertices[(i + 1) % m])
@@ -165,14 +167,16 @@ def _menger_oracle(vertices, closed):
         kappa[i] = 2.0 * cross / (la * lb * lc) if lc > 0 else 0.0
         lc = lc if lc > 0 else 1.0
         normals[i] = (-(cy / lc), cx / lc)
-    return kappa, normals
+        tangents[i] = (cx / lc, cy / lc)
+    return kappa, normals, tangents
 
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
 def test_curve_step_matches_menger_oracle(closed):
     """One step equals v + dt * (kappa N) with kappa and N from a slow
     per-vertex oracle, bit for bit; curve_quantities_all gives the same kappa
-    and N; open endpoints (kappa = 0 there) do not move.
+    and N, curve_quantities the oracle's chord / lc as the tangent at every
+    curved vertex; open endpoints (kappa = 0 there) do not move.
 
     Every other vertex of the star sits at radius 0.01, where the update is
     far larger than the coordinate, so the comparison sees the last bits of
@@ -185,11 +189,13 @@ def test_curve_step_matches_menger_oracle(closed):
     dt = 0.05
     out = step_csf(FlowState(surface=curve), dt).surface.vertices
 
-    kappa, normals = _menger_oracle(curve.vertices.tolist(), closed)
-    _, got_normals, got_kappa = curve_quantities_all(curve)
+    kappa, normals, tangents = _menger_oracle(curve.vertices.tolist(), closed)
+    got_normals, got_kappa = curve_quantities_all(curve)
     inner = slice(None) if closed else slice(1, -1)
     assert np.array_equal(got_kappa, kappa)
     assert np.array_equal(got_normals[inner], normals[inner])
+    for i in range(m)[inner]:
+        assert np.array_equal(curve_quantities(curve, i)[0], tangents[i])
     velocity = np.where(np.isnan(normals), 0.0, kappa[:, None] * normals)
     assert np.array_equal(out, curve.vertices + dt * velocity)
     if not closed:
@@ -299,6 +305,107 @@ def test_run_flow_matches_step_graph():
     for snap in trace.snapshots[1:]:
         state = step_graph_mcf(state, snap.t - state.t)
         assert np.array_equal(state.surface.values, snap.surface.values)
+
+
+# ---------------------------------------------------------------------------
+# What a recorded state holds
+# ---------------------------------------------------------------------------
+
+
+def _cached_arrays(obj):
+    """Every array reachable from a cache entry (tuples, dicts, objects)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _cached_arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _cached_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from _cached_arrays(item)
+
+
+def _owner(arr):
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _flow_initial(kind):
+    if kind == "graph":
+        return GraphPatch.from_function(
+            lambda p: 0.2 * np.cos(0.5 * math.pi * p[..., 0]),
+            center=(0.0,), radius=1.0, nodes_per_axis=41,
+        )
+    if kind == "closed":
+        return make_circle(radius=0.5, m=64)
+    x = np.linspace(-1.0, 1.0, 64)
+    return ClosedCurve(np.stack([x, 0.3 * np.cos(0.5 * math.pi * x)], axis=1),
+                       closed=False)
+
+
+@pytest.mark.parametrize("kind", ["closed", "open", "graph"])
+def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
+    """A monitored, persisted flow leaves in each state's cache only data
+    some reader reads: no tangent array, no |A| column in the sample, and
+    for a curve at most 5m + 1 floats of unique cached memory (the normals,
+    kappa, vertex weights and edge lengths)."""
+    from mcflab.scenarios import monitor_battery
+
+    trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=4),
+                     monitors=monitor_battery(2))
+    write_run_dir(trace, tmp_path / "run")
+    assert len(trace.snapshots) > 2
+    for state in trace.snapshots:
+        surf = state.surface
+        sample = surf._cache["sample"]
+        assert not hasattr(sample, "a_norm")
+        if kind == "graph":
+            continue
+        normals, _ = curve_quantities_all(surf)
+        tangents = np.stack([normals[:, 1], -normals[:, 0]], axis=-1)
+        owners = {id(_owner(a)): _owner(a) for a in _cached_arrays(surf._cache)}
+        owners.pop(id(_owner(surf.vertices)))
+        assert not any(a.shape == tangents.shape and np.array_equal(a, tangents)
+                       for a in owners.values())
+        held = sum(a.nbytes for a in owners.values())
+        assert held <= (5 * surf.m + 1) * 8
+
+
+@pytest.mark.parametrize("kind", ["closed", "open", "graph"])
+def test_snapshots_share_no_memory(kind):
+    """run_flow records each step's output array without a copy; no two
+    snapshots may share memory, and what a monitor copies at record time
+    still equals the snapshot after the run (no step writes into its
+    input).  The closed curve is remeshed on the way."""
+    config = FlowConfig(t_end=0.01, record_stride=2)
+    initial = _flow_initial(kind)
+    if kind == "closed":
+        th = 2.0 * np.pi * np.arange(64) / 64
+        s = th + 0.9 * np.sin(th)
+        initial = ClosedCurve(np.stack([np.cos(s), np.sin(s)], axis=1))
+        config = FlowConfig(t_end=5e-4, record_stride=2,
+                            remesh_spacing=2.0 * math.pi / 400.0)
+    def raw(state):
+        surf = state.surface
+        return surf.values if isinstance(surf, GraphPatch) else surf.vertices
+
+    seen = []
+
+    def copying_monitor(trace, state):
+        seen.append(raw(state).copy())
+
+    trace = run_flow(initial, config, monitors=[copying_monitor])
+    if kind == "closed":
+        assert trace.events_of("remesh")
+    arrays = [raw(s) for s in trace.snapshots]
+    assert len(arrays) > 3 and len(seen) == len(arrays)
+    for i, a in enumerate(arrays):
+        assert np.array_equal(a, seen[i])
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 # ---------------------------------------------------------------------------

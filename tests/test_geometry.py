@@ -629,12 +629,11 @@ def test_loads_surface_rejects_garbage():
 # ---------------------------------------------------------------------------
 
 
-def test_cylinder_contains_and_validation():
+def test_cylinder_validation():
     cyl = Cylinder(center=(0.0, 0.0, 1.0), radius=1.0, height=0.5)
-    pts = np.array([[0.0, 0.0, 1.0], [0.9, 0.0, 1.4], [0.0, 0.0, 1.6],
-                    [1.5, 0.0, 1.0]])
-    assert list(cyl.contains(pts)) == [True, True, False, False]
-    assert cyl.contains((0.5, 0.5, 0.8))
+    assert cyl.base_dim == 2
+    assert list(cyl.base_center) == [0.0, 0.0]
+    assert list(cyl.height_center) == [1.0]
     with pytest.raises(GeometryError):
         Cylinder(center=(0.0, 0.0), radius=-1.0, height=1.0)
     with pytest.raises(GeometryError):

@@ -118,7 +118,6 @@ def test_density_two_sheets_flagged():
     two = SurfaceSample(
         points=np.vstack([lo.points, hi.points]),
         normals=np.vstack([lo.normals, hi.normals]),
-        a_norm=np.concatenate([lo.a_norm, hi.a_norm]),
         weights=np.concatenate([lo.weights, hi.weights]),
     )
     rep = gaussian_density_ratio(two, KernelPoint(t0=1e-2, x0=(0.0, 0.0)), 0.0)

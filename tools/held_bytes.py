@@ -1,0 +1,126 @@
+"""MiB held by the recorded states of one scenario run, per trace.
+
+    python3 tools/held_bytes.py SPEC [--src SRC_DIR]
+
+Runs the scenario spec SPEC in this process, with the sources under SRC_DIR
+(default: this checkout's `src`), writing its run directory to a temporary
+directory as `mcflab run` would.  Then, for each trace the scenario keeps in
+`ScenarioResult.traces`, it prints the MiB held by the snapshot arrays
+(`vertices` or `values`) and by each cache entry of the recorded surfaces
+(`edges`, `quantities[1]`, `sample.weights`, ...).
+
+An array counts with the buffer that owns its memory, and each buffer counts
+once, under the first place it is met: the snapshot arrays first, then the
+cache entries in name order, the monitor context last.  So an array shared
+by two entries counts once, with the entry that computed it: a curve
+sample's points are its vertices, its normals the cached `quantities`
+normals, and the monitor context's arrays are the sample weights and the
+cached curvature.  Grid arrays that several patches share count once.
+The last line is the process's peak resident set size.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import resource
+import sys
+import tempfile
+import weakref
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+MIB = 2.0**20
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _arrays(obj, path: str):
+    """(path, array) for every array reachable from a cache entry."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, (weakref.ref, str, bytes, int, float, bool, type(None))):
+        return
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        for name in obj._fields:
+            yield from _arrays(getattr(obj, name), f"{path}.{name}")
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from _arrays(item, f"{path}[{i}]")
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value, f"{path}.memo")
+    elif hasattr(obj, "__dict__"):
+        for name, value in sorted(vars(obj).items()):
+            yield from _arrays(value, f"{path}.{name}")
+
+
+def _key_name(key) -> str:
+    return key[0] if isinstance(key, tuple) else str(key)
+
+
+def held_bytes(trace) -> dict:
+    """{"snapshots": bytes, "<cache entry path>": bytes, ...} of one trace,
+    each owning buffer counted once."""
+    seen: dict[int, np.ndarray] = {}
+    out = {"snapshots": 0}
+
+    def add(name, arr):
+        root = _owner(arr)
+        if id(root) not in seen:
+            seen[id(root)] = root  # keeps the id taken while we count
+            out[name] = out.get(name, 0) + root.nbytes
+
+    surfaces = [state.surface for state in trace.snapshots]
+    for surf in surfaces:
+        add("snapshots", surf.vertices if hasattr(surf, "vertices") else surf.values)
+    for surf in surfaces:
+        # the monitor context last: it only views arrays of other entries
+        entries = {_key_name(k): v for k, v in surf._cache.items()}
+        for name, value in sorted(entries.items(), key=lambda e: (e[0] == "monitor_context", e[0])):
+            for path, arr in _arrays(value, name):
+                add(path, arr)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("spec")
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from mcflab.scenarios import run_scenario
+
+    doc = json.loads(Path(args.spec).read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        result = run_scenario(doc, out_dir=tmp)
+    total = 0
+    for tag, trace in result.traces.items():
+        counts = held_bytes(trace)
+        caches = sum(v for k, v in counts.items() if k != "snapshots")
+        total += counts["snapshots"] + caches
+        sizes = sorted({s.surface.vertices.shape[0] if hasattr(s.surface, "vertices")
+                        else s.surface.values.size for s in trace.snapshots})
+        print(f"{tag}: {len(trace.snapshots)} records, "
+              f"{sizes[0]}-{sizes[-1]} vertices or nodes")
+        print(f"  {'snapshots':<32}{counts['snapshots'] / MIB:10.2f} MiB")
+        for name in sorted(k for k in counts if k != "snapshots"):
+            print(f"  {name:<32}{counts[name] / MIB:10.2f} MiB")
+        print(f"  {'caches':<32}{caches / MIB:10.2f} MiB")
+    print(f"all traces: {total / MIB:.1f} MiB")
+    print(f"ru_maxrss: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
