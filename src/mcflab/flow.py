@@ -12,6 +12,15 @@ which also gives the edge statistics the driver needs.  The single steppers
 recording snapshots and monitor reports every `record_stride` steps, and can
 persist the trace as a run directory (manifest, snapshots, timeseries,
 events).
+
+`run_flow` leaves a trace holding its snapshot arrays and the caches of two
+states.  Each state's `timeseries.csv` row is computed when it is recorded,
+after the monitors ran, and its derived-array cache is released when the
+next state is recorded: the monitor windows start at the previous record or
+at the first, whose cache stays.  A cache is a pure function of the
+snapshot's values, so a reader of a released state, such as a monitor whose
+window starts further back, recomputes bit-identical values; it pays in
+time, and the cache it rebuilds stays.
 """
 
 from __future__ import annotations
@@ -83,13 +92,17 @@ class FlowState:
 @dataclass
 class FlowTrace:
     """Recorded snapshots, monitor reports, and events of one flow run;
-    report_records[i] is the snapshot index at which reports[i] was made."""
+    report_records[i] is the snapshot index at which reports[i] was made,
+    and stats[i] the (measure, max|Df|, max|A|) of snapshots[i], taken when
+    it was recorded.  Only the first and the last snapshot keep their
+    derived-array caches (module docstring)."""
 
     config: FlowConfig
     snapshots: list = field(default_factory=list)
     reports: list = field(default_factory=list)
     events: list = field(default_factory=list)
     report_records: list = field(default_factory=list)
+    stats: list = field(default_factory=list)
 
     @property
     def final(self) -> FlowState:
@@ -268,6 +281,10 @@ def run_flow(
                         "margin": r.margin,
                     }
                 )
+        trace.stats.append(_state_stats(state))
+        if len(trace.snapshots) > 2:
+            # the previous state leaves the last window that reads it
+            trace.snapshots[-2].surface._cache.clear()
 
     record(initial)
     t = initial.t
@@ -388,7 +405,8 @@ def run_flow(
 
 
 def _state_stats(state: FlowState) -> tuple[float, float | None, float]:
-    """(measure, max|Df| or None, max|A|) of a snapshot."""
+    """(measure, max|Df| or None, max|A|) of a snapshot; at record time it
+    reads the fields the monitors cached."""
     surf = state.surface
     if isinstance(surf, ClosedCurve):
         _, kap = geometry.curve_quantities_all(surf)
@@ -423,8 +441,7 @@ def write_run_dir(trace: FlowTrace, out_dir: str | Path, manifest_extra: dict | 
     ]
     rows = []
     for record, state in enumerate(trace.snapshots):
-        measure, max_grad, max_a = _state_stats(state)
-        row = [state.t, state.step, measure, max_grad, max_a]
+        row = [state.t, state.step, *trace.stats[record]]
         for mid in monitor_ids:
             row.append(margins.get((record, mid)))
         rows.append(row)

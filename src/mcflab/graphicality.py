@@ -22,11 +22,11 @@ import numpy as np
 from ._util import ConfigError
 from .geometry import (
     ClosedCurve,
+    CurveKernel,
     Cylinder,
     GraphPatch,
     SurfaceSample,
     curve_segments,
-    edge_lengths,
     gradient_field,
     hessian_field,
     patch_grid,
@@ -77,7 +77,9 @@ def native_resolution(surface) -> float:
     if isinstance(surface, GraphPatch):
         return surface.spacing
     if isinstance(surface, ClosedCurve):
-        return float(edge_lengths(surface).max())
+        # edges from the kernel, not the curve's cache: probing a recorded
+        # state must not rebuild the cache the flow released
+        return CurveKernel(surface.vertices, surface.closed).e_max
     if isinstance(surface, SurfaceSample):
         return float(np.median(surface.weights) ** (1.0 / surface.n))
     raise ConfigError(f"cannot probe {type(surface).__name__}")
@@ -206,7 +208,8 @@ def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport
     m0 = int(counts.max())
 
     # near-vertical segments inside the cylinder: graph extraction ill-posed
-    near_vert = np.abs(x2 - x1) / edge_lengths(curve) < TANGENCY_TOL
+    edges = CurveKernel(curve.vertices, curve.closed).edges
+    near_vert = np.abs(x2 - x1) / edges < TANGENCY_TOL
     in_x = (np.minimum(x1, x2) <= a_hat + cyl.radius) & (
         np.maximum(x1, x2) >= a_hat - cyl.radius
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -644,7 +644,9 @@ def _fold_graphicality(trace, cyl):
     """(held-graphical time, max ratios of the extracted sup stats against the
     slab-regularization bound shapes t/rho, (t/rho^2)^(1/4), t^(-1/2) from
     then on), from one probe of each snapshot; (None, zeros) if never held."""
-    reports = [is_graphical(state.surface, cyl) for state in trace.snapshots]
+    # a report keeps its flag and sup stats, not the graph it extracted
+    reports = [replace(is_graphical(state.surface, cyl), graph=None)
+               for state in trace.snapshots]
     first = held_graphical_index([rep.graphical for rep in reports], hold=10)
     ratios = [0.0, 0.0, 0.0]
     if first is None:
@@ -658,6 +660,13 @@ def _fold_graphicality(trace, cyl):
         ratios[1] = max(ratios[1], rep.sup_grad / (t / rho**2) ** 0.25)
         ratios[2] = max(ratios[2], rep.sup_hess * math.sqrt(t))
     return trace.snapshots[first].t, ratios
+
+
+def _keep_final(trace) -> None:
+    """Drop every snapshot of an auxiliary trace but the final one, once its
+    probes are taken; its reports, events and report_records (which keep
+    the original record indices) stay."""
+    del trace.snapshots[:-1], trace.stats[:-1]
 
 
 def _run_fold(L, gamma, spacing, t_end, monitors):
@@ -709,12 +718,15 @@ def scenario_become_graphical(
         if tag == "run":
             t_graph = tg
             extra_len = extra
+        else:
+            _keep_final(trace)
         ratio_sets.append(ratios)
     c_hats = [calibrate_constant(lambda rs, i=i: rs[i], ratio_sets) for i in range(3)]
 
     trace2, _ = _run_fold(L, 2 * gamma, 2 * base_spacing, t_end, monitors)
     traces["doubled"] = trace2
     t_graph2 = first_graphical_time(trace2, cyl, hold=10)
+    _keep_final(trace2)
 
     failures = _monitor_failures(traces["run"])
     if t_graph is None:

@@ -393,6 +393,28 @@ def test_criterion_08_fold_becomes_graphical(fold_result):
         assert math.isfinite(m[key]) and m[key] > 0.0
 
 
+def test_criterion_08_fold_traces_hold_bounded_memory(fold_result):
+    """The auxiliary fold flows keep every report and event but only their
+    final state; the main flow's probes and persistence leave every state
+    but the first and the last without a cache."""
+    res, _ = fold_result
+    for tag in ("cal_mid", "cal_fine", "doubled"):
+        trace = res.traces[tag]
+        records = trace.report_records
+        assert len(trace.snapshots) <= 1
+        assert len(records) == len(trace.reports) > 0
+        assert set(records) == set(range(1, records[-1] + 1))
+        failing = [r for r in trace.reports if not r.passed and not r.skipped]
+        assert len(trace.events_of("monitor_failure")) == len(failing)
+        assert trace.events_of("horizon") or trace.extinction_time is not None
+    run = res.traces["run"].snapshots
+    print(f"criterion 8 (memory): {len(run)} main-flow states, "
+          f"{sum(bool(s.surface._cache) for s in run)} with a cache")
+    assert len(run) > 2
+    for state in run[1:-1]:
+        assert state.surface._cache == {}
+
+
 # ---------------------------------------------------------------------------
 # 9. Geometry oracles
 # ---------------------------------------------------------------------------

@@ -348,17 +348,20 @@ def _flow_initial(kind):
 
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
 def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
-    """A monitored, persisted flow leaves in each state's cache only data
-    some reader reads: no tangent array, no |A| column in the sample, and
-    for a curve at most 5m + 1 floats of unique cached memory (the normals,
-    kappa, vertex weights and edge lengths)."""
+    """A monitored, persisted flow releases the cache of every state that
+    has left all monitor windows, so only the first and the last state hold
+    one; those hold only data some reader reads: no tangent array, no |A|
+    column in the sample, and for a curve at most 5m + 1 floats of unique
+    cached memory (the normals, kappa, vertex weights and edge lengths)."""
     from mcflab.scenarios import monitor_battery
 
     trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=4),
                      monitors=monitor_battery(2))
     write_run_dir(trace, tmp_path / "run")
     assert len(trace.snapshots) > 2
-    for state in trace.snapshots:
+    for state in trace.snapshots[1:-1]:
+        assert state.surface._cache == {}
+    for state in (trace.snapshots[0], trace.final):
         surf = state.surface
         sample = surf._cache["sample"]
         assert not hasattr(sample, "a_norm")
@@ -406,6 +409,97 @@ def test_snapshots_share_no_memory(kind):
         assert np.array_equal(a, seen[i])
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("kind", ["closed", "open", "graph"])
+def test_cache_release_is_invisible(kind, tmp_path):
+    """Releasing a state's cache changes no result.  The oracle replays the
+    same monitors over fresh copies of the persisted snapshots, whose
+    caches are never released: the reports are equal, each timeseries row
+    equals the stats of its reloaded snapshot, and events.ndjson is
+    byte-equal.  One monitor reads three records back, a state whose cache
+    the flow had already released; its reports fail, so its values reach
+    the events."""
+    from mcflab._util import canonical_dumps, format_csv_cell
+    from mcflab.flow import FlowTrace, _state_stats
+    from mcflab.geometry import loads_surface, sample_surface
+    from mcflab.scenarios import monitor_battery
+
+    def lagging(trace, state):
+        if len(trace.snapshots) < 3:
+            return None
+        old = trace.snapshots[-3].surface
+        return MonitorReport(monitor_id="lagging", t=state.t,
+                             value=sample_surface(old).total_weight,
+                             bound=sample_surface(state.surface).total_weight)
+
+    monitors = monitor_battery(2) + [lagging]
+    trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=2),
+                     monitors=monitors)
+    out = write_run_dir(trace, tmp_path / "run")
+    assert len(trace.snapshots) > 4
+
+    lines = (out / "timeseries.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    replay = FlowTrace(config=trace.config)
+    reports, failures = [], []
+    for i, row in enumerate(rows):
+        surf = loads_surface((out / "snapshots" / f"{i:04d}.json").read_text())
+        state = FlowState(surface=surf, step=int(row[1]), t=surf.time)
+        assert row[2:5] == [format_csv_cell(v) for v in _state_stats(state)]
+        replay.snapshots.append(state)
+        new = []
+        for monitor in monitors:
+            rep = monitor(replay, state)
+            if rep is not None:
+                new.extend(rep if isinstance(rep, list) else [rep])
+        new.sort(key=lambda r: r.monitor_id)
+        reports.extend(new)
+        failures.extend(
+            {"event": "monitor_failure", "monitor_id": r.monitor_id, "step": state.step,
+             "t": state.t, "value": r.value, "bound": r.bound, "margin": r.margin}
+            for r in new if not r.passed and not r.skipped
+        )
+    assert reports == trace.reports
+    assert any(e["monitor_id"] == "lagging" for e in failures)
+
+    persisted = (out / "events.ndjson").read_bytes()
+    replayed = iter(failures)
+    expected = [next(replayed) if e["event"] == "monitor_failure" else e
+                for e in trace.events]
+    assert next(replayed, None) is None
+    assert "".join(canonical_dumps(e) + "\n" for e in expected).encode() == persisted
+
+
+def test_trace_memory_grows_with_snapshots_only():
+    """What a monitored trace holds grows with its snapshot vertices only:
+    four times the records costs at most the extra records' vertex bytes,
+    plus per-record bookkeeping (reports, states), over the shorter run's
+    peak.  Every released state's cache would add about 5m floats each."""
+    import tracemalloc
+
+    from mcflab.scenarios import monitor_battery
+
+    m = 4000
+    x = np.linspace(-1.0, 1.0, m)
+    dt = 0.1 * float(np.min(np.diff(x))) ** 2
+
+    def peak(records):
+        curve = ClosedCurve(np.stack([x, 0.3 * np.cos(0.5 * math.pi * x)], axis=1),
+                            closed=False)
+        config = FlowConfig(t_end=(records - 1.5) * dt, dt=dt, record_stride=1)
+        tracemalloc.start()
+        try:
+            trace = run_flow(curve, config, monitors=monitor_battery(2))
+            return len(trace.snapshots), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n1, peak1 = peak(10)
+    n4, peak4 = peak(40)
+    assert (n1, n4) == (10, 40)
+    vertex_bytes = m * 2 * 8
+    assert peak4 - peak1 <= (n4 - n1) * vertex_bytes * 1.25 + 256 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ Runs the scenario spec SPEC in this process, with the sources under SRC_DIR
 directory as `mcflab run` would.  Then, for each trace the scenario keeps in
 `ScenarioResult.traces`, it prints the MiB held by the snapshot arrays
 (`vertices` or `values`) and by each cache entry of the recorded surfaces
-(`edges`, `quantities[1]`, `sample.weights`, ...).
+(`edges`, `quantities[1]`, `sample.weights`, ...), and how many of its
+recorded states still hold a cache.  `run_flow` releases a state's cache
+once the next state is recorded, except the first state's, so a trace that
+nothing read after its run holds two; an auxiliary trace that keeps only
+its final state holds one.
 
 An array counts with the buffer that owns its memory, and each buffer counts
 once, under the first place it is met: the snapshot arrays first, then the
@@ -111,8 +115,9 @@ def main(argv=None) -> int:
         total += counts["snapshots"] + caches
         sizes = sorted({s.surface.vertices.shape[0] if hasattr(s.surface, "vertices")
                         else s.surface.values.size for s in trace.snapshots})
-        print(f"{tag}: {len(trace.snapshots)} records, "
-              f"{sizes[0]}-{sizes[-1]} vertices or nodes")
+        cached = sum(bool(s.surface._cache) for s in trace.snapshots)
+        print(f"{tag}: {len(trace.snapshots)} states, "
+              f"{sizes[0]}-{sizes[-1]} vertices or nodes, {cached} with a cache")
         print(f"  {'snapshots':<32}{counts['snapshots'] / MIB:10.2f} MiB")
         for name in sorted(k for k in counts if k != "snapshots"):
             print(f"  {name:<32}{counts[name] / MIB:10.2f} MiB")
