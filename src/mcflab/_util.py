@@ -1,10 +1,14 @@
-"""Shared helpers: error types, canonical serialization, checksums."""
+"""Shared helpers: error types, canonical serialization, checksums, worker pool."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from typing import Any
 
 
@@ -24,7 +28,41 @@ class ValidationError(ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.path, self.message)
+
+
+class _InlineExecutor(Executor):
+    """Runs each task in this process, when it is submitted."""
+    workers = 1
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+@contextlib.contextmanager
+def worker_pool(tasks: int, cap: int | None = None):
+    """An executor for `tasks` independent tasks, with `workers` set to its
+    worker count: a process pool of min(tasks, usable CPUs, cap) workers, or
+    an inline stand-in when that is 1 or when this process is itself a pool
+    worker, so that pools never nest.  A task's result does not depend on
+    where it ran."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(tasks, cpus, tasks if cap is None else cap)
+    if workers <= 1 or multiprocessing.parent_process() is not None:
+        yield _InlineExecutor()
+        return
+    # spawn, not fork: numpy's BLAS threads make a forked copy unsafe
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        pool.workers = workers
+        yield pool
 
 
 def float_repr(x: float) -> str:

@@ -1,7 +1,7 @@
 """Command-line driver: run scenarios, run sweeps, emit plot-ready CSVs.
 
 Exit codes: 0 pass, 1 runtime or assertion failure, 2 usage/validation error.
-A run_manifest.json (tool version, spec checksum, seed, wall times, resolved
+A run_manifest.json (version, spec sha256, seed, wall times, workers, resolved
 configuration, file inventory) is written last so its inventory is complete.
 """
 
@@ -54,7 +54,7 @@ def _file_inventory(out: Path, skip: str) -> dict:
 
 
 def _write_manifest(out: Path, spec_path: Path, resolved: dict,
-                    started: str, finished: str) -> None:
+                    started: str, finished: str, workers: int) -> None:
     manifest = {
         "tool": "mcflab",
         "version": __version__,
@@ -62,6 +62,7 @@ def _write_manifest(out: Path, spec_path: Path, resolved: dict,
         "seed": resolved.get("seed"),
         "started": started,
         "finished": finished,
+        "workers": workers,
         "resolved_config": resolved,
         "files": _file_inventory(out, "run_manifest.json"),
     }
@@ -81,7 +82,7 @@ def cmd_run(args) -> int:
     started = _now()
     result = run_scenario(doc, out_dir=out)
     resolved["out"] = str(out)
-    _write_manifest(out, spec_path, resolved, started, _now())
+    _write_manifest(out, spec_path, resolved, started, _now(), result.workers)
     status = "PASS" if result.passed else "FAIL"
     print(f"{result.scenario}: {status} ({out})")
     for line in result.failures:
@@ -99,7 +100,7 @@ def cmd_sweep(args) -> int:
     sweep = run_sweep(doc, out_dir=out, parallelism=args.parallelism)
     resolved["out"] = str(out)
     resolved["parallelism"] = args.parallelism
-    _write_manifest(out, spec_path, resolved, started, _now())
+    _write_manifest(out, spec_path, resolved, started, _now(), sweep["workers"])
     n = len(sweep["rows"])
     status = "PASS" if sweep["all_passed"] else "FAIL"
     print(f"sweep: {status} ({n} runs, {out})")

@@ -75,8 +75,19 @@ class Cylinder:
         return len(self.center) - self.codim
 
 
+class _CachedSurface:
+    """Pickles without its `_cache`: a cache is a pure function of the values,
+    so a loaded surface recomputes what a reader asks for."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_cache"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _cache={})
+
+
 @dataclass(frozen=True)
-class GraphPatch:
+class GraphPatch(_CachedSurface):
     """Scalar field f sampled on the uniform grid covering B^n(center, radius).
 
     node(i) = center - radius*1 + spacing*i componentwise.  Nodes of the
@@ -209,7 +220,7 @@ def patch_grid(center: tuple, radius: float, spacing: float, shape: tuple) -> Gr
 
 
 @dataclass(frozen=True)
-class ClosedCurve:
+class ClosedCurve(_CachedSurface):
     """Polyline in R^2; closed joins the last vertex back to the first.
 
     Simplicity (no self-intersections) is not checked at construction;

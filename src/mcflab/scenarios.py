@@ -9,19 +9,24 @@ errors so drivers can surface `$.params.L`-style diagnostics.
 Calibrated constants (c_hat values) are measured outputs: they come from a
 three-resolution sweep (2x the max observed ratio) and are recorded in the
 verdict, never asserted against externally invented values.
+
+Flows that read no other flow's result run in `_util.worker_pool`: the
+fold's calibration and doubled-gamma flows beside its main flow, and the
+stay family's members beside its first.  A task returns only what its caller reads, and the
+run directory is written once every flow is done; no byte of it depends on
+the worker count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._util import ConfigError, ValidationError, canonical_dumps, write_csv
+from ._util import ConfigError, ValidationError, canonical_dumps, worker_pool, write_csv
 from .flow import FlowConfig, FlowState, run_flow, write_run_dir
 from .geometry import (
     ClosedCurve,
@@ -39,7 +44,6 @@ from .geometry import (
     total_length,
 )
 from .graphicality import (
-    first_graphical_time,
     held_graphical_index,
     is_graphical,
     vertical_crossings,
@@ -76,6 +80,7 @@ class ScenarioResult:
     measured: dict
     failures: list = field(default_factory=list)
     traces: dict = field(default_factory=dict, repr=False, compare=False)
+    workers: int = field(default=1, compare=False)  # not in the verdict
 
     @property
     def verdict(self) -> dict:
@@ -339,6 +344,42 @@ def _graph_radius(values: np.ndarray, axis: np.ndarray, spacing: float,
     return max(0.0, float(np.min(np.abs(axis[bad]))) - spacing)
 
 
+def _stay_member(i, values, config, monitors, L):
+    """One stay_graphical family member, run and probed in C(0,1,1) (a pool
+    task but for member 0): its failures, its family.csv row and its trace if it can be the
+    representative, the member with the least (kappa candidate, index): the
+    first member, or one that leaves the cylinder before the horizon."""
+    axis = _patch_axis(2.0, values.shape[0])
+    h = float(axis[1] - axis[0])
+    cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
+    patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
+    battery = monitor_battery(2, rho=1.0, enabled=monitors)
+    trace = run_flow(FlowState(patch), config, monitors=battery)
+    mon_fail = _monitor_failures(trace)
+    failures = [f"flow {i}: {m}" for m in mon_fail]
+
+    fnt = None
+    flow_grad = 0.0
+    flow_lambda = 0.0
+    for state in trace.snapshots:
+        rep = is_graphical(state.surface, cyl)
+        if not rep.graphical:
+            fnt = state.t
+            break
+        flow_grad = max(flow_grad, rep.sup_grad)
+        if state.t > 0:
+            r_ok = _graph_radius(state.surface.values, axis, h, cyl.height)
+            if r_ok < 2.0:
+                flow_lambda = max(flow_lambda, (2.0 - r_ok) / math.sqrt(state.t))
+    if trace.events_of("blow_up") and len(trace.snapshots) <= 1:
+        fnt = 0.0
+    if flow_grad > 4.0 * L:
+        failures.append(f"flow {i}: sup|Dg| {flow_grad:.6g} exceeds 4L = {4.0 * L}")
+    row = [i, fnt, flow_lambda, flow_grad, len(mon_fail)]
+    keep = i == 0 or (fnt is not None and fnt < config.t_end)
+    return failures, row, trace if keep else None
+
+
 def scenario_stay_graphical(
     L: float = 1.0,
     resolution: int = 256,
@@ -353,69 +394,29 @@ def scenario_stay_graphical(
     kappa_hat is the min over the family of the first non-graphical record
     time (horizon-censored); Lambda_hat fits the shrinking-cylinder radius
     2 - Lambda_hat sqrt(t); sup|Dg| <= 4L is asserted at every record.
+    Every profile is drawn first; the pool runs members 1.. while this process
+    runs member 0, the usual representative, whose trace then needs no pickling.
     """
     rng = np.random.default_rng(seed)
     axis = _patch_axis(2.0, resolution)
     h = float(axis[1] - axis[0])
-    cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
     # short record windows keep the identity-check trapezoid error well
     # under tol during the fast initial decay
     dt0 = 0.2 * h * h / (1.0 + L * L)
     stride = max(1, int(t_end / dt0) // 800)
     config = FlowConfig(t_end=t_end, record_stride=stride)
 
-    failures = []
-    candidates = []
-    fnts = []
-    lambda_hat = 0.0
-    sup_grad_max = 0.0
-    rows = []
-    rep_trace = None
-    rep_key = None
-    for i in range(family):
-        values = L * _random_unit_profile(rng, axis)
-        patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
-        battery = monitor_battery(2, rho=1.0, enabled=monitors)
-        trace = run_flow(FlowState(patch), config, monitors=battery)
-        mon_fail = _monitor_failures(trace)
-        failures.extend(f"flow {i}: {m}" for m in mon_fail)
-
-        fnt = None
-        flow_grad = 0.0
-        flow_lambda = 0.0
-        for state in trace.snapshots:
-            rep = is_graphical(state.surface, cyl)
-            if not rep.graphical:
-                fnt = state.t
-                break
-            flow_grad = max(flow_grad, rep.sup_grad)
-            if state.t > 0:
-                r_ok = _graph_radius(
-                    state.surface.values, axis, h, cyl.height
-                )
-                if r_ok < 2.0:
-                    flow_lambda = max(
-                        flow_lambda, (2.0 - r_ok) / math.sqrt(state.t)
-                    )
-        if trace.events_of("blow_up") and len(trace.snapshots) <= 1:
-            fnt = 0.0
-        fnts.append(fnt)
-        candidate = t_end if fnt is None else fnt
-        candidates.append(candidate)
-        lambda_hat = max(lambda_hat, flow_lambda)
-        sup_grad_max = max(sup_grad_max, flow_grad)
-        if flow_grad > 4.0 * L:
-            failures.append(
-                f"flow {i}: sup|Dg| {flow_grad:.6g} exceeds 4L = {4.0 * L}"
-            )
-        rows.append([i, None if fnt is None else fnt, flow_lambda, flow_grad,
-                     len(mon_fail)])
-        key = (candidate, i)
-        if rep_key is None or key < rep_key:
-            rep_key = key
-            rep_trace = trace
-
+    profiles = [L * _random_unit_profile(rng, axis) for _ in range(family)]
+    member = functools.partial(_stay_member, config=config, monitors=monitors, L=L)
+    with worker_pool(family) as pool:
+        rest = pool.map(member, range(1, family), profiles[1:])
+        members = [member(0, profiles[0]), *rest]
+    failures = [f for mem_failures, _, _ in members for f in mem_failures]
+    rows = [row for _, row, _ in members]
+    fnts = [row[1] for row in rows]
+    candidates = [t_end if fnt is None else fnt for fnt in fnts]
     kappa_hat = min(candidates)
+    rep_trace = members[candidates.index(kappa_hat)][2]
     censored = all(f is None for f in fnts)
     if kappa_hat <= 0:
         failures.append(f"kappa_hat = {kappa_hat} is not positive")
@@ -426,11 +427,12 @@ def scenario_stay_graphical(
         "t_end": t_end,
         "kappa_hat": kappa_hat,
         "kappa_censored": censored,
-        "lambda_hat": lambda_hat,
-        "sup_grad_max": sup_grad_max,
+        "lambda_hat": max(row[2] for row in rows),
+        "sup_grad_max": max(row[3] for row in rows),
         "grad_bound": 4.0 * L,
     }
-    result = ScenarioResult("stay_graphical", not failures, measured, failures)
+    result = ScenarioResult("stay_graphical", not failures, measured, failures,
+                            workers=pool.workers)
     result.traces["run"] = rep_trace
     extra = {
         "family.csv": (
@@ -679,6 +681,15 @@ def _run_fold(L, gamma, spacing, t_end, monitors):
     return trace, extra
 
 
+def _fold_aux(L, gamma, spacing, t_end, monitors):
+    """An auxiliary fold flow (a pool task): its trace cut to the final state
+    and its _fold_graphicality probe."""
+    trace, _ = _run_fold(L, gamma, spacing, t_end, monitors)
+    probe = _fold_graphicality(trace, Cylinder((0.0, 0.0), 1.0, 1.0))
+    _keep_final(trace)
+    return trace, probe
+
+
 def scenario_become_graphical(
     L: float = 1.0,
     gamma: float = 0.02,
@@ -701,32 +712,23 @@ def scenario_become_graphical(
     base_spacing = r_cap / 5.0
     if resolution:
         base_spacing = min(base_spacing, 4.0 / resolution)
-    cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
-
-    traces = {}
-    ratio_sets = []
-    t_graph = None
-    extra_len = None
-    for tag, spacing in [
-        ("run", base_spacing),
-        ("cal_mid", base_spacing / 1.3),
-        ("cal_fine", base_spacing / 1.6),
-    ]:
-        trace, extra = _run_fold(L, gamma, spacing, t_end, monitors)
-        traces[tag] = trace
-        tg, ratios = _fold_graphicality(trace, cyl)
-        if tag == "run":
-            t_graph = tg
-            extra_len = extra
-        else:
-            _keep_final(trace)
-        ratio_sets.append(ratios)
+    aux = {
+        "cal_mid": (gamma, base_spacing / 1.3),
+        "cal_fine": (gamma, base_spacing / 1.6),
+        "doubled": (2 * gamma, 2 * base_spacing),
+    }
+    with worker_pool(len(aux)) as pool:
+        pending = {tag: pool.submit(_fold_aux, L, g, spacing, t_end, monitors)
+                   for tag, (g, spacing) in aux.items()}
+        trace, extra_len = _run_fold(L, gamma, base_spacing, t_end, monitors)
+        t_graph, ratios = _fold_graphicality(trace, Cylinder((0.0, 0.0), 1.0, 1.0))
+        traces = {"run": trace}
+        probes = {}
+        for tag, future in pending.items():
+            traces[tag], probes[tag] = future.result()
+    ratio_sets = [ratios, probes["cal_mid"][1], probes["cal_fine"][1]]
     c_hats = [calibrate_constant(lambda rs, i=i: rs[i], ratio_sets) for i in range(3)]
-
-    trace2, _ = _run_fold(L, 2 * gamma, 2 * base_spacing, t_end, monitors)
-    traces["doubled"] = trace2
-    t_graph2 = first_graphical_time(trace2, cyl, hold=10)
-    _keep_final(trace2)
+    t_graph2 = probes["doubled"][0]
 
     failures = _monitor_failures(traces["run"])
     if t_graph is None:
@@ -754,7 +756,8 @@ def scenario_become_graphical(
         "c_hat_grad": c_hats[1],
         "c_hat_hess": c_hats[2],
     }
-    result = ScenarioResult("become_graphical", not failures, measured, failures)
+    result = ScenarioResult("become_graphical", not failures, measured, failures,
+                            workers=pool.workers)
     result.traces.update(traces)
     return _finish(result, out_dir, traces["run"])
 
@@ -798,14 +801,14 @@ def scenario_bounded_curvature(
     tilt_max = 0.0
     a_sqrt_t = 0.0
     for state in trace.snapshots:
-        if not is_graphical(state.surface, cyl).graphical:
+        # a copy takes the caches these reads build, so that the recorded
+        # states keep the release rule of run_flow
+        surf = replace(state.surface, _cache={})
+        if not is_graphical(surf, cyl).graphical:
             sigma_end = state.t
             break
-        tilt_max = max(
-            tilt_max, float(np.max(tilt(gradient_field(state.surface))))
-        )
+        tilt_max = max(tilt_max, float(np.max(tilt(gradient_field(surf)))))
         if state.t > 0:
-            surf = state.surface
             a_now = second_fundamental_norm(
                 gradient_field(surf), hessian_field(surf)
             )
@@ -1112,11 +1115,8 @@ def run_sweep(doc, out_dir=None, parallelism: int = 1):
         (f"run_{i:04d}", run, None if out_root is None else str(out_root / "runs"))
         for i, run in enumerate(runs)
     ]
-    if parallelism <= 1 or len(items) <= 1:
-        results = [_sweep_worker(it) for it in items]
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_sweep_worker, items))
+    with worker_pool(len(items), cap=parallelism) as pool:
+        results = list(pool.map(_sweep_worker, items))
     results.sort(key=lambda r: r["run_id"])
 
     param_keys = sorted({k for r in results for k in r["params"]})
@@ -1137,4 +1137,4 @@ def run_sweep(doc, out_dir=None, parallelism: int = 1):
         write_csv(out_root / "sweep.csv", header, rows)
     all_passed = all(r["pass"] for r in results)
     return {"header": header, "rows": rows, "all_passed": all_passed,
-            "results": results}
+            "results": results, "workers": pool.workers}

@@ -1,9 +1,15 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import pickle
 
 import pytest
 
+from mcflab import scenarios
+from mcflab._util import ConfigError, GeometryError, ValidationError
 from mcflab.cli import main
+from mcflab.flow import BlowUp, StepRejected
 
 
 def _write_spec(path, doc):
@@ -185,3 +191,107 @@ def test_plotdata_missing_envelopes(flat_spec, tmp_path, capsys):
     rc = main(["plotdata", "--run", str(out), "--kind", "envelopes"])
     assert rc == 1
     assert "missing input" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Worker processes: a scenario's bytes do not depend on where its flows ran
+# ---------------------------------------------------------------------------
+
+STAY = {"schema_version": 1, "scenario": "stay_graphical",
+        "params": {"family": 3, "t_end": 0.02}, "seed": 4}
+FOLD = {"schema_version": 1, "scenario": "become_graphical",
+        "params": {"gamma": 0.04, "t_end": 2e-6}}
+
+
+def _pin_cpus(monkeypatch, n):
+    """Make the worker pool see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _tree(out):
+    """{relative path: bytes} of a run directory, without the wall-clock
+    run_manifest.json."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "run_manifest.json"}
+
+
+@pytest.mark.parametrize("doc", [STAY, FOLD], ids=["stay", "fold"])
+def test_run_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, doc):
+    """One usable CPU runs the independent flows inline, two run them in a
+    pool of two workers; the run directories are byte-identical and each
+    run_manifest.json records the worker count."""
+    spec = _write_spec(tmp_path / "spec.json", doc)
+    trees, codes = {}, {}
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        codes[cpus] = main(["run", "--spec", spec, "--out", str(out)])
+        assert json.loads((out / "run_manifest.json").read_text())["workers"] == cpus
+        trees[cpus] = _tree(out)
+    assert codes[1] == codes[2]
+    assert len(trees[1]) > 10
+    assert trees[1] == trees[2]
+
+
+def test_sweep_bytes_do_not_depend_on_parallelism(tmp_path, monkeypatch):
+    """With two usable CPUs, --parallelism 1 runs each stay scenario in this
+    process with a pool for its members; --parallelism 2 runs the scenarios
+    in sweep workers, which run their members inline.  Same bytes."""
+    _pin_cpus(monkeypatch, 2)
+    spec = _write_spec(tmp_path / "sweep.json", {
+        "schema_version": 1, "scenario": "sweep", "base": STAY,
+        "vary": {"L": [0.5, 1.0]},
+    })
+    trees = {}
+    for parallelism in (1, 2):
+        out = tmp_path / f"p{parallelism}"
+        assert main(["sweep", "--spec", spec, "--out", str(out),
+                     "--parallelism", str(parallelism)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["workers"] == parallelism
+        trees[parallelism] = _tree(out)
+    assert len(trees[1]) > 20
+    assert trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("exc", [
+    GeometryError("bad polygon"),
+    ConfigError("bad config"),
+    ValidationError("$.params.x", "bad value"),
+    StepRejected("dt too large"),
+    BlowUp("non-finite values"),
+], ids=lambda e: type(e).__name__)
+def test_errors_survive_pickling(exc):
+    loaded = pickle.loads(pickle.dumps(exc))
+    assert type(loaded) is type(exc)
+    assert str(loaded) == str(exc)
+    assert vars(loaded) == vars(exc)
+
+
+def _in_worker_only(error):
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("auxiliary flow ran outside a worker")
+    raise error
+
+
+def _config_error_task(*args):
+    _in_worker_only(ConfigError("fold budget violated"))
+
+
+def _validation_error_task(*args):
+    _in_worker_only(ValidationError("$.params.gamma", "fold budget violated"))
+
+
+@pytest.mark.parametrize("task", [_config_error_task, _validation_error_task],
+                         ids=["ConfigError", "ValidationError"])
+def test_worker_raised_error_exits_two(tmp_path, monkeypatch, capsys, task):
+    """An error raised in a pool worker reaches cli.main with its type, so a
+    configuration error still exits 2.  The task standing in for the fold's
+    auxiliary flows raises it only in a worker; anywhere else it exits 1."""
+    _pin_cpus(monkeypatch, 2)
+    monkeypatch.setattr(scenarios, "_fold_aux", task)
+    spec = _write_spec(tmp_path / "fold.json", FOLD)
+    assert main(["run", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fold budget violated" in err

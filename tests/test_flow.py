@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -375,6 +376,33 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
                        for a in owners.values())
         held = sum(a.nbytes for a in owners.values())
         assert held <= (5 * surf.m + 1) * 8
+
+
+@pytest.mark.parametrize("kind", ["closed", "open", "graph"])
+def test_monitored_trace_pickles_without_caches(kind):
+    """A trace whose states the monitors touched pickles (the monitor context
+    holds a weak reference, which cannot).  The loaded snapshots, reports,
+    events and stats equal the originals; every loaded state starts with an
+    empty cache and recomputes the stats recorded for it."""
+    from mcflab.flow import _state_stats
+    from mcflab.geometry import dumps_surface
+    from mcflab.scenarios import monitor_battery
+
+    trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=4),
+                     monitors=monitor_battery(2))
+    assert "monitor_context" in trace.final.surface._cache
+    loaded = pickle.loads(pickle.dumps(trace))
+    assert loaded.config == trace.config
+    assert loaded.reports == trace.reports and loaded.reports
+    assert loaded.report_records == trace.report_records
+    assert loaded.events == trace.events
+    assert loaded.stats == trace.stats
+    assert len(loaded.snapshots) == len(trace.snapshots) > 2
+    for got, want in zip(loaded.snapshots, trace.snapshots):
+        assert (got.step, got.t) == (want.step, want.t)
+        assert dumps_surface(got.surface) == dumps_surface(want.surface)
+        assert got.surface._cache == {}
+    assert _state_stats(loaded.final) == trace.stats[-1]
 
 
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
