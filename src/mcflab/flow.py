@@ -1,8 +1,9 @@
 """Explicit time integrators for graph mean curvature flow and curve
 shortening flow.
 
-Forward Euler with a parabolic CFL restriction: dt <= cfl * h^2/(1+max|Df|^2)
-for graphs, dt <= cfl * (min edge)^2 for curves.  The graph step kernel is
+Forward Euler with a parabolic CFL restriction: dt <= CFL * h^2/(1+max|Df|^2)
+for graphs, dt <= CFL * (min edge)^2 for curves, with the one CFL number
+`CFL = 0.2`.  Graph boundary nodes stay frozen.  The graph step kernel is
 `_GraphKernel` (Df once per step, shared by the CFL limit, the Hessian and
 g^{-1}); the curve step `_advance_curve` applies vertex += dt * kappa * N with
 the Menger kappa and N of `geometry.CurveKernel`, the one polyline kernel,
@@ -40,8 +41,7 @@ EDGE_COLLAPSE = 1e-9
 EDGE_RATIO_LIMIT = 4.0
 EXTINCTION_LENGTH_FACTOR = 10.0
 EXTINCTION_AREA_FACTOR = 1e-6
-
-BOUNDARY_MODES = ("dirichlet-frozen", "periodic")
+CFL = 0.2
 
 
 class StepRejected(RuntimeError):
@@ -58,20 +58,14 @@ class FlowConfig:
 
     t_end: float
     dt: float | None = None
-    cfl: float = 0.2
-    boundary: str = "dirichlet-frozen"
     record_stride: int = 1
     remesh_spacing: float | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.t_end) or self.t_end < 0:
             raise ConfigError("t_end must be finite and >= 0")
-        if not 0 < self.cfl <= 0.25:
-            raise ConfigError("cfl must lie in (0, 0.25]")
         if self.dt is not None and not self.dt > 0:
             raise ConfigError("fixed dt must be > 0")
-        if self.boundary not in BOUNDARY_MODES:
-            raise ConfigError(f"boundary must be one of {BOUNDARY_MODES}")
         if self.record_stride < 1:
             raise ConfigError("record_stride must be >= 1")
         if self.remesh_spacing is not None and not self.remesh_spacing > 0:
@@ -131,37 +125,35 @@ class _GraphKernel:
     """Forward-Euler step of dt f = g^{ij} D_iD_jf on raw node values.
 
     Df is computed once, on construction; the CFL limit, the Hessian and
-    g^{-1} all read it.  Boundary nodes are frozen unless periodic.
+    g^{-1} all read it.  Boundary nodes are frozen.
     """
 
-    def __init__(self, values: np.ndarray, spacing: float, periodic: bool):
+    def __init__(self, values: np.ndarray, spacing: float):
         self.values = values
         self.spacing = spacing
-        self.periodic = periodic
-        self.df = geometry.gradient_raw(values, spacing, periodic)
+        self.df = geometry.gradient_raw(values, spacing)
 
-    def cfl_limit(self, cfl: float) -> float:
+    def cfl_limit(self) -> float:
         df = self.df
         gmax = float(np.max(np.sum(df * df, axis=-1)))
-        return cfl * self.spacing**2 / (1.0 + gmax)
+        return CFL * self.spacing**2 / (1.0 + gmax)
 
     def advance(self, dt: float) -> np.ndarray:
-        values, periodic = self.values, self.periodic
-        d2f = geometry.hessian_raw(values, self.df, self.spacing, periodic)
+        values = self.values
+        d2f = geometry.hessian_raw(values, self.df, self.spacing)
         ginv, _ = geometry.metric_inverse(self.df)
         out = values + dt * np.einsum("...ij,...ij->...", ginv, d2f)
-        if not periodic:
-            for axis in range(values.ndim):
-                for end in (0, -1):
-                    face = (slice(None),) * axis + (end,)
-                    out[face] = values[face]
+        for axis in range(values.ndim):
+            for end in (0, -1):
+                face = (slice(None),) * axis + (end,)
+                out[face] = values[face]
         if not np.isfinite(out).all():
             raise BlowUp(f"non-finite graph values after step of dt={dt}")
         return out
 
 
-def _curve_cfl_limit(kernel: geometry.CurveKernel, cfl: float) -> float:
-    return cfl * kernel.e_min**2
+def _curve_cfl_limit(kernel: geometry.CurveKernel) -> float:
+    return CFL * kernel.e_min**2
 
 
 def _advance_curve(kernel: geometry.CurveKernel, dt: float) -> np.ndarray:
@@ -176,8 +168,8 @@ def _advance_curve(kernel: geometry.CurveKernel, dt: float) -> np.ndarray:
     return out
 
 
-def graph_cfl_limit(values: np.ndarray, spacing: float, cfl: float, periodic: bool) -> float:
-    return _GraphKernel(values, spacing, periodic).cfl_limit(cfl)
+def graph_cfl_limit(values: np.ndarray, spacing: float) -> float:
+    return _GraphKernel(values, spacing).cfl_limit()
 
 
 # ---------------------------------------------------------------------------
@@ -185,39 +177,34 @@ def graph_cfl_limit(values: np.ndarray, spacing: float, cfl: float, periodic: bo
 # ---------------------------------------------------------------------------
 
 
-def step_graph_mcf(state: FlowState, dt: float, config: FlowConfig | None = None) -> FlowState:
+def step_graph_mcf(state: FlowState, dt: float) -> FlowState:
     """One forward-Euler step of dt f = (delta_ij - D_if D_jf/(1+|Df|^2)) D_iD_jf.
 
-    Boundary nodes are frozen (dirichlet) or wrapped (periodic).  dt beyond
-    the CFL limit rejects the step with a diagnostic.
+    Boundary nodes are frozen.  dt beyond the CFL limit rejects the step
+    with a diagnostic.
     """
-    cfg = config or FlowConfig(t_end=dt, dt=dt)
     patch = state.surface
     if not isinstance(patch, GraphPatch):
         raise ConfigError("step_graph_mcf requires a GraphPatch state")
-    kernel = _GraphKernel(patch.values, patch.spacing, cfg.boundary == "periodic")
-    _check_cfl(dt, kernel.cfl_limit(cfg.cfl), f"(cfl={cfg.cfl}, h={patch.spacing:.3e})")
+    kernel = _GraphKernel(patch.values, patch.spacing)
+    _check_cfl(dt, kernel.cfl_limit(), f"(cfl={CFL}, h={patch.spacing:.3e})")
     new_patch = GraphPatch(
         center=patch.center,
         radius=patch.radius,
         spacing=patch.spacing,
         values=kernel.advance(dt),
-        codim=patch.codim,
         time=state.t + dt,
     )
     return FlowState(surface=new_patch, step=state.step + 1, t=state.t + dt)
 
 
-def step_csf(state: FlowState, dt: float, config: FlowConfig | None = None) -> FlowState:
+def step_csf(state: FlowState, dt: float) -> FlowState:
     """One forward-Euler step of curve shortening: vertex += dt * kappa * N."""
-    cfg = config or FlowConfig(t_end=dt, dt=dt)
     curve = state.surface
     if not isinstance(curve, ClosedCurve):
         raise ConfigError("step_csf requires a ClosedCurve state")
     kernel = geometry.CurveKernel(curve.vertices, curve.closed)
-    _check_cfl(
-        dt, _curve_cfl_limit(kernel, cfg.cfl), f"(cfl={cfg.cfl}, min edge={kernel.e_min:.3e})"
-    )
+    _check_cfl(dt, _curve_cfl_limit(kernel), f"(cfl={CFL}, min edge={kernel.e_min:.3e})")
     new_curve = ClosedCurve(
         vertices=_advance_curve(kernel, dt), closed=curve.closed, time=state.t + dt
     )
@@ -251,7 +238,6 @@ def run_flow(
         initial = FlowState(surface=initial, step=0, t=initial.time)
     trace = FlowTrace(config=config)
     is_curve = isinstance(initial.surface, ClosedCurve)
-    periodic = config.boundary == "periodic"
 
     def record(state: FlowState):
         trace.snapshots.append(state)
@@ -319,7 +305,6 @@ def run_flow(
                     radius=patch0.radius,
                     spacing=patch0.spacing,
                     values=raw,
-                    codim=patch0.codim,
                     time=t,
                 ),
                 step=step,
@@ -362,10 +347,10 @@ def run_flow(
                         }
                     )
                     break
-                limit = _curve_cfl_limit(kernel, config.cfl)
+                limit = _curve_cfl_limit(kernel)
             else:
-                kernel = _GraphKernel(raw, patch0.spacing, periodic)
-                limit = kernel.cfl_limit(config.cfl)
+                kernel = _GraphKernel(raw, patch0.spacing)
+                limit = kernel.cfl_limit()
             dt = config.dt if config.dt is not None else limit
             _check_cfl(dt, limit, f"at step {step}")
             t_next = t_end if dt >= t_end - t else t + dt

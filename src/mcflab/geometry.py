@@ -3,8 +3,9 @@
 A hypersurface given as graph(f) over a ball is sampled on a uniform tensor
 grid (GraphPatch); a plane curve is a polyline (ClosedCurve).  All graph
 derivative quantities use second-order stencils: central in the interior,
-one-sided at the grid boundary.  Integrals use the graph Jacobian
-sqrt(1 + |Df|^2) (codimension 1) on active nodes only.  `CurveKernel` is the
+one-sided at the grid boundary.  Every surface has codimension 1: a graph
+is one height over its base, a curve lies in the plane.  Integrals use the
+graph Jacobian sqrt(1 + |Df|^2) on active nodes only.  `CurveKernel` is the
 one polyline kernel: edge lengths, length, shoelace area and the Menger
 curvature and normal; the curve-shortening step in `flow` and the cached
 curve quantities here both read it.
@@ -44,35 +45,34 @@ SIMPLE_PAIR_CHUNK = 500_000
 
 @dataclass(frozen=True)
 class Cylinder:
-    """C(a, r, h) = B^n(a_hat, r) x B^k(a_tilde, h) in R^{n+k}.
+    """C(a, r, h) = B^n(a_hat, r) x B^1(a_tilde, h) in R^{n+1}.
 
-    The last `codim` coordinates of `center` are the height block.
+    The last coordinate of `center` is the height a_tilde.
     r = 0 or h = 0 gives the empty cylinder.
     """
 
     center: tuple
     radius: float
     height: float
-    codim: int = 1
 
     def __post_init__(self):
         if self.radius < 0 or self.height < 0:
             raise GeometryError("cylinder radius and height must be >= 0")
-        if not 1 <= self.codim < len(self.center):
-            raise GeometryError("codim must be in [1, ambient_dim)")
+        if len(self.center) < 2:
+            raise GeometryError("cylinder center needs a base and a height coordinate")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @property
     def base_center(self) -> np.ndarray:
-        return np.asarray(self.center[: -self.codim], dtype=float)
+        return np.asarray(self.center[:-1], dtype=float)
 
     @property
     def height_center(self) -> np.ndarray:
-        return np.asarray(self.center[-self.codim :], dtype=float)
+        return np.asarray(self.center[-1:], dtype=float)
 
     @property
     def base_dim(self) -> int:
-        return len(self.center) - self.codim
+        return len(self.center) - 1
 
 
 class _CachedSurface:
@@ -86,7 +86,7 @@ class _CachedSurface:
         self.__dict__.update(state, _cache={})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphPatch(_CachedSurface):
     """Scalar field f sampled on the uniform grid covering B^n(center, radius).
 
@@ -99,9 +99,8 @@ class GraphPatch(_CachedSurface):
     radius: float
     spacing: float
     values: np.ndarray
-    codim: int = 1
     time: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
@@ -112,8 +111,6 @@ class GraphPatch(_CachedSurface):
             raise GeometryError("spacing must be > 0")
         if self.radius <= 0:
             raise GeometryError("radius must be > 0")
-        if self.codim != 1:
-            raise GeometryError("solver supports codimension 1 only")
         n = center.size
         if values.ndim != n:
             raise GeometryError(f"values must be {n}-dimensional, got {values.ndim}")
@@ -122,7 +119,6 @@ class GraphPatch(_CachedSurface):
             raise GeometryError("grid must have the same node count per axis")
         span = (m - 1) * self.spacing
         # grid must cover the ball's bounding box to within one spacing
-        # (periodic layouts stop one node short of the far face)
         if span > 2 * self.radius * (1 + 1e-12) + 1e-15:
             raise GeometryError("grid extends beyond the bounding box")
         if 2 * self.radius - span > self.spacing * (1 + 1e-12):
@@ -175,13 +171,12 @@ class GraphPatch(_CachedSurface):
         radius: float,
         nodes_per_axis: int,
         time: float = 0.0,
-        endpoint: bool = True,
     ) -> "GraphPatch":
-        """Sample fn(points) on the grid; endpoint=False gives the periodic
-        layout where the far face is the wrap-around image of the near face."""
+        """Sample fn(points) on the grid whose end nodes lie on the faces of
+        the ball's bounding box."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
         m = int(nodes_per_axis)
-        h = 2 * radius / (m - 1) if endpoint else 2 * radius / m
+        h = 2 * radius / (m - 1)
         mesh = patch_grid(tuple(center.tolist()), radius, h, (m,) * center.size).nodes
         vals = np.asarray(fn(mesh), dtype=float)
         return cls(center=center, radius=radius, spacing=h, values=vals, time=time)
@@ -219,7 +214,7 @@ def patch_grid(center: tuple, radius: float, spacing: float, shape: tuple) -> Gr
     return Grid(axes, nodes, active, boundary)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedCurve(_CachedSurface):
     """Polyline in R^2; closed joins the last vertex back to the first.
 
@@ -231,7 +226,7 @@ class ClosedCurve(_CachedSurface):
     vertices: np.ndarray
     closed: bool = True
     time: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -290,15 +285,11 @@ class SurfaceSample:
 # ---------------------------------------------------------------------------
 
 
-def _d1(values: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    if periodic:
-        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2 * h)
+def _d1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.gradient(values, h, axis=axis, edge_order=2)
 
 
-def _d2(values: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    if periodic:
-        return (np.roll(values, -1, axis) - 2 * values + np.roll(values, 1, axis)) / h**2
+def _d2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     out = np.empty_like(values)
     fwd = [slice(None)] * values.ndim
 
@@ -319,44 +310,36 @@ def _d2(values: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
     return out
 
 
-def gradient_raw(values: np.ndarray, h: float, periodic: bool = False) -> np.ndarray:
-    return np.stack(
-        [_d1(values, h, a, periodic) for a in range(values.ndim)], axis=-1
-    )
+def gradient_raw(values: np.ndarray, h: float) -> np.ndarray:
+    return np.stack([_d1(values, h, a) for a in range(values.ndim)], axis=-1)
 
 
-def hessian_raw(
-    values: np.ndarray, df: np.ndarray, h: float, periodic: bool = False
-) -> np.ndarray:
-    """D^2 f from f and its gradient df = gradient_raw(values, h, periodic);
-    mixed partials difference df."""
+def hessian_raw(values: np.ndarray, df: np.ndarray, h: float) -> np.ndarray:
+    """D^2 f from f and its gradient df = gradient_raw(values, h); mixed
+    partials difference df."""
     n = values.ndim
     out = np.empty(values.shape + (n, n))
     for i in range(n):
-        out[..., i, i] = _d2(values, h, i, periodic)
+        out[..., i, i] = _d2(values, h, i)
         for j in range(i + 1, n):
-            mixed = _d1(df[..., i], h, j, periodic)
+            mixed = _d1(df[..., i], h, j)
             out[..., i, j] = mixed
             out[..., j, i] = mixed
     return out
 
 
-def gradient_field(patch: GraphPatch, periodic: bool = False) -> np.ndarray:
+def gradient_field(patch: GraphPatch) -> np.ndarray:
     """Df on all nodes, shape grid + (n,)."""
-    key = ("grad", periodic)
-    if key not in patch._cache:
-        patch._cache[key] = gradient_raw(patch.values, patch.spacing, periodic)
-    return patch._cache[key]
+    if "grad" not in patch._cache:
+        patch._cache["grad"] = gradient_raw(patch.values, patch.spacing)
+    return patch._cache["grad"]
 
 
-def hessian_field(patch: GraphPatch, periodic: bool = False) -> np.ndarray:
+def hessian_field(patch: GraphPatch) -> np.ndarray:
     """D^2 f on all nodes, shape grid + (n, n); symmetric by construction."""
-    key = ("hess", periodic)
-    if key not in patch._cache:
-        patch._cache[key] = hessian_raw(
-            patch.values, gradient_field(patch, periodic), patch.spacing, periodic
-        )
-    return patch._cache[key]
+    if "hess" not in patch._cache:
+        patch._cache["hess"] = hessian_raw(patch.values, gradient_field(patch), patch.spacing)
+    return patch._cache["hess"]
 
 
 def _check_node(patch: GraphPatch, node) -> tuple:
@@ -760,7 +743,7 @@ def to_json_dict(surface) -> dict:
         return {
             "kind": "graph_patch",
             "schema_version": SCHEMA_VERSION,
-            "codim": surface.codim,
+            "codim": 1,
             "center": [float(c) for c in surface.center],
             "radius": float(surface.radius),
             "spacing": float(surface.spacing),
@@ -788,6 +771,8 @@ def from_json_dict(doc: dict):
         for key in ("center", "radius", "spacing", "time", "values"):
             if key not in doc:
                 raise ValidationError(f"$.{key}", "missing field")
+        if doc.get("codim", 1) != 1:
+            raise ValidationError("$.codim", "only codimension 1 is supported")
         center = np.asarray(doc["center"], dtype=float)
         flat = np.asarray(doc["values"], dtype=float)
         if not np.isfinite(flat).all():
@@ -801,7 +786,6 @@ def from_json_dict(doc: dict):
             radius=float(doc["radius"]),
             spacing=float(doc["spacing"]),
             values=flat.reshape((m,) * n),
-            codim=int(doc.get("codim", 1)),
             time=float(doc["time"]),
         )
     if kind == "closed_curve":

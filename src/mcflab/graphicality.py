@@ -3,9 +3,8 @@ cylinder's base, count sheets, and extract the graph with sup statistics.
 
 Probing is resolution-limited.  The probe grid spacing delta defaults to
 half the surface's native resolution and must not exceed it; every report
-records the delta actually used.  Point samples are binned no finer than
-their native spacing (finer columns would be empty), and no claim is made
-about features below the probe scale.
+records the delta actually used.  No claim is made about features below the
+probe scale.
 
 A probe column fails graphicality three ways: no sheet in the height range
 (gap), more than one sheet (multi), or a near-vertical crossing where graph
@@ -25,16 +24,13 @@ from .geometry import (
     CurveKernel,
     Cylinder,
     GraphPatch,
-    SurfaceSample,
     curve_segments,
     gradient_field,
     hessian_field,
     patch_grid,
-    to_json_dict,
 )
 
 TANGENCY_TOL = 1e-6
-CLUSTER_GAP_FACTOR = 4.0
 HOLD_RECORDS_DEFAULT = 10
 
 
@@ -53,26 +49,6 @@ class GraphReport:
     witness: dict | None = None
 
 
-def graph_report_to_json(report: GraphReport) -> dict:
-    doc = {
-        "cylinder": {
-            "center": [float(c) for c in report.cylinder.center],
-            "radius": float(report.cylinder.radius),
-            "height": float(report.cylinder.height),
-        },
-        "delta": float(report.delta),
-        "graphical": bool(report.graphical),
-        "sheet_count": int(report.sheet_count),
-        "sup_height": None if report.sup_height is None else float(report.sup_height),
-        "sup_grad": None if report.sup_grad is None else float(report.sup_grad),
-        "sup_hess": None if report.sup_hess is None else float(report.sup_hess),
-        "witness": report.witness,
-    }
-    if report.graph is not None:
-        doc["graph"] = to_json_dict(report.graph)
-    return doc
-
-
 def native_resolution(surface) -> float:
     if isinstance(surface, GraphPatch):
         return surface.spacing
@@ -80,8 +56,6 @@ def native_resolution(surface) -> float:
         # edges from the kernel, not the curve's cache: probing a recorded
         # state must not rebuild the cache the flow released
         return CurveKernel(surface.vertices, surface.closed).e_max
-    if isinstance(surface, SurfaceSample):
-        return float(np.median(surface.weights) ** (1.0 / surface.n))
     raise ConfigError(f"cannot probe {type(surface).__name__}")
 
 
@@ -182,7 +156,9 @@ def vertical_crossings(curve: ClosedCurve, x: float) -> np.ndarray:
     return _crossing_heights(x1[hit], y1[hit], x2[hit], y2[hit], x)
 
 
-def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport:
+def _probe_curve(
+    curve: ClosedCurve, kernel: CurveKernel, cyl: Cylinder, delta: float
+) -> GraphReport:
     a_hat = float(cyl.base_center[0])
     a_til = float(cyl.height_center[0])
     step, count = _probe_step(cyl, delta)
@@ -208,8 +184,7 @@ def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport
     m0 = int(counts.max())
 
     # near-vertical segments inside the cylinder: graph extraction ill-posed
-    edges = CurveKernel(curve.vertices, curve.closed).edges
-    near_vert = np.abs(x2 - x1) / edges < TANGENCY_TOL
+    near_vert = np.abs(x2 - x1) / kernel.edges < TANGENCY_TOL
     in_x = (np.minimum(x1, x2) <= a_hat + cyl.radius) & (
         np.maximum(x1, x2) >= a_hat - cyl.radius
     )
@@ -218,8 +193,7 @@ def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport
     witness = None
     if m0 > 1:
         col = int(np.argmax(counts > 1))
-        heights = vertical_crossings(curve, probes[col])
-        heights = heights[np.abs(heights - a_til) <= cyl.height]
+        heights = ycross[cols == col]  # the crossings counted: one per sheet
         witness = {
             "kind": "multi",
             "base_point": [float(probes[col])],
@@ -333,110 +307,6 @@ def _probe_graph_patch(patch: GraphPatch, cyl: Cylinder, delta: float) -> GraphR
 
 
 # ---------------------------------------------------------------------------
-# Point samples: column binning and height clustering
-# ---------------------------------------------------------------------------
-
-
-def _probe_sample(sample: SurfaceSample, cyl: Cylinder, delta: float) -> GraphReport:
-    nb = cyl.base_dim
-    if nb != sample.n:
-        raise ConfigError(
-            f"cylinder base dim {nb} does not match sample dim {sample.n}"
-        )
-    if nb > 2:
-        raise ConfigError("probing supports n in {1, 2}")
-    a_til = float(cyl.height_center[0])
-    native = native_resolution(sample)
-    # columns finer than the sample spacing would be empty; bin at >= native
-    step, count = _probe_step(cyl, max(delta, native))
-    lo = cyl.base_center - cyl.radius
-    base = sample.points[:, :nb]
-    hgt = sample.points[:, -1]
-    idx = np.round((base - lo) / step).astype(int)
-    in_range = np.all((idx >= 0) & (idx < count), axis=1)
-    ncols = count**nb
-    lin = idx[:, 0] * (count if nb == 2 else 1)
-    if nb == 2:
-        lin = lin + idx[:, 1]
-    lin = np.where(in_range, lin, ncols)
-
-    order = np.lexsort((hgt, lin))
-    lin_s = lin[order]
-    hgt_s = hgt[order]
-    keep = lin_s < ncols
-    lin_s, hgt_s = lin_s[keep], hgt_s[keep]
-
-    gap_limit = CLUSTER_GAP_FACTOR * step
-    new_col = np.empty(lin_s.shape, dtype=bool)
-    new_col[:1] = True
-    new_col[1:] = lin_s[1:] != lin_s[:-1]
-    new_cluster = new_col.copy()
-    if lin_s.size > 1:
-        new_cluster[1:] |= (hgt_s[1:] - hgt_s[:-1]) > gap_limit
-    starts = np.flatnonzero(new_cluster)
-    if starts.size:
-        sums = np.add.reduceat(hgt_s, starts)
-        sizes = np.diff(np.append(starts, lin_s.size))
-        means = sums / sizes
-        cluster_col = lin_s[starts]
-        cluster_in = np.abs(means - a_til) <= cyl.height
-        counts = np.bincount(cluster_col[cluster_in], minlength=ncols)
-        col_value = np.zeros(ncols)
-        col_value[cluster_col[cluster_in]] = means[cluster_in]
-    else:
-        counts = np.zeros(ncols, dtype=int)
-        col_value = np.zeros(ncols)
-
-    grid = patch_grid(tuple(cyl.base_center.tolist()), cyl.radius, step, (count,) * nb)
-    grid_shape = grid.active.shape
-    mesh = grid.nodes.reshape(-1, nb)
-    in_ball = grid.active.reshape(-1)
-
-    counts = counts.reshape(-1)
-    m0 = int(counts[in_ball].max()) if np.any(in_ball) else 0
-
-    in_cyl_pts = (
-        (np.linalg.norm(base - cyl.base_center, axis=1) <= cyl.radius)
-        & (np.abs(hgt - a_til) <= cyl.height)
-    )
-    tangent_pts = in_cyl_pts & (np.abs(sample.normals[:, -1]) < TANGENCY_TOL)
-
-    witness = None
-    multi = in_ball & (counts > 1)
-    gaps = in_ball & (counts == 0)
-    if np.any(multi):
-        col = int(np.argmax(multi))
-        sel = (cluster_col == col) & cluster_in
-        witness = {
-            "kind": "multi",
-            "base_point": [float(c) for c in mesh[col]],
-            "count": int(counts[col]),
-            "heights": sorted(float(h) for h in means[sel]),
-        }
-    elif np.any(tangent_pts):
-        p = sample.points[int(np.argmax(tangent_pts))]
-        witness = {
-            "kind": "tangency",
-            "base_point": [float(c) for c in p[:nb]],
-            "height": float(p[-1]),
-        }
-    elif np.any(gaps):
-        col = int(np.argmax(gaps))
-        witness = {
-            "kind": "gap",
-            "base_point": [float(c) for c in mesh[col]],
-            "count": 0,
-        }
-    graphical = witness is None and m0 == 1
-    values = stat_mask = None
-    if graphical:
-        filled = counts == 1
-        values = np.where(filled, col_value, a_til).reshape(grid_shape)
-        stat_mask = filled.reshape(grid_shape)
-    return _report_from_grid(cyl, step, graphical, m0, witness, values, stat_mask, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
@@ -444,10 +314,14 @@ def _probe_sample(sample: SurfaceSample, cyl: Cylinder, delta: float) -> GraphRe
 def is_graphical(surface, cyl: Cylinder, delta: float | None = None) -> GraphReport:
     """Probe the surface over the cylinder base and report graphicality.
 
-    `surface` is a SurfaceSample, ClosedCurve, or GraphPatch; delta defaults
-    to half the native resolution and must not exceed it.
+    `surface` is a ClosedCurve or GraphPatch; delta defaults to half the
+    native resolution and must not exceed it.
     """
-    native = native_resolution(surface)
+    kernel = None
+    if isinstance(surface, ClosedCurve):
+        # one kernel per probe: the native resolution and the tangency test
+        kernel = CurveKernel(surface.vertices, surface.closed)
+    native = native_resolution(surface) if kernel is None else kernel.e_max
     if delta is None:
         delta = native / 2
     if delta <= 0:
@@ -461,11 +335,9 @@ def is_graphical(surface, cyl: Cylinder, delta: float | None = None) -> GraphRep
             cylinder=cyl, delta=delta, graphical=False, sheet_count=0,
             witness={"kind": "gap", "base_point": [], "count": 0},
         )
-    if isinstance(surface, ClosedCurve):
-        return _probe_curve(surface, cyl, delta)
-    if isinstance(surface, GraphPatch):
-        return _probe_graph_patch(surface, cyl, delta)
-    return _probe_sample(surface, cyl, delta)
+    if kernel is not None:
+        return _probe_curve(surface, kernel, cyl, delta)
+    return _probe_graph_patch(surface, cyl, delta)
 
 
 def first_nongraphical_time(trace, cyl: Cylinder, delta: float | None = None) -> float | None:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import ConfigError, ValidationError, canonical_dumps, worker_pool, write_csv
-from .flow import FlowConfig, FlowState, run_flow, write_run_dir
+from .flow import CFL, FlowConfig, FlowState, run_flow, write_run_dir
 from .geometry import (
     ClosedCurve,
     CurveKernel,
@@ -402,7 +402,7 @@ def scenario_stay_graphical(
     h = float(axis[1] - axis[0])
     # short record windows keep the identity-check trapezoid error well
     # under tol during the fast initial decay
-    dt0 = 0.2 * h * h / (1.0 + L * L)
+    dt0 = CFL * h * h / (1.0 + L * L)
     stride = max(1, int(t_end / dt0) // 800)
     config = FlowConfig(t_end=t_end, record_stride=stride)
 
@@ -460,7 +460,7 @@ def scenario_flat_stay_graphical(
     h = float(axis[1] - axis[0])
     values = l * (2.0 / np.pi) * np.sin(0.5 * np.pi * axis)
     patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
-    dt0 = 0.2 * h * h / (1.0 + l * l)
+    dt0 = CFL * h * h / (1.0 + l * l)
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 50))
     battery = monitor_battery(2, rho=rho, enabled=monitors)
     trace = run_flow(FlowState(patch), config, monitors=battery)
@@ -534,7 +534,7 @@ def scenario_shrinking_square(
             raise ConfigError(f"initial region does not contain corner {corner}")
 
     e0 = float(np.min(edge_lengths(curve)))
-    dt0 = 0.2 * e0 * e0
+    dt0 = CFL * e0 * e0
     t_upper = (3 + 3 * epsilon) / 2
     stride = max(1, int(3 * t_upper / dt0) // 600)
     config = FlowConfig(t_end=2.0, record_stride=stride, remesh_spacing=e0)
@@ -674,7 +674,7 @@ def _keep_final(trace) -> None:
 def _run_fold(L, gamma, spacing, t_end, monitors):
     verts, extra, w = _fold_vertices(L, gamma, spacing)
     curve = ClosedCurve(verts, closed=False)
-    dt0 = 0.2 * float(np.min(edge_lengths(curve))) ** 2
+    dt0 = CFL * float(np.min(edge_lengths(curve))) ** 2
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 80))
     battery = monitor_battery(2, rho=1.0, enabled=monitors)
     trace = run_flow(FlowState(curve), config, monitors=battery)
@@ -789,7 +789,7 @@ def scenario_bounded_curvature(
     if tilt0 > 1 - 2 * kappa_tilt:
         raise ConfigError(f"initial tilt {tilt0:.6g} exceeds 1 - 2 kappa_tilt")
 
-    dt0 = 0.2 * h * h / (1.0 + L * L)
+    dt0 = CFL * h * h / (1.0 + L * L)
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 50))
     battery = monitor_battery(2, rho=rho, enabled=monitors)
     trace = run_flow(FlowState(patch), config, monitors=battery)
@@ -856,7 +856,7 @@ def calibrate_eh_curvature(
         a = 2.25
         values = (L / a) * np.log(np.cosh(a * axis))
         patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
-        dt0 = 0.2 * h * h / (1.0 + L * L)
+        dt0 = CFL * h * h / (1.0 + L * L)
         config = FlowConfig(
             t_end=t_end, record_stride=max(1, int(t_end / dt0) // 25)
         )

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import time
 from unittest import mock
 
@@ -554,7 +555,7 @@ def _dumps_surface_elementwise(surface):
         doc = {
             "kind": "graph_patch",
             "schema_version": SCHEMA_VERSION,
-            "codim": surface.codim,
+            "codim": 1,
             "center": [float(c) for c in surface.center],
             "radius": float(surface.radius),
             "spacing": float(surface.spacing),
@@ -622,6 +623,32 @@ def test_loads_surface_rejects_garbage():
         loads_surface(json.dumps({"kind": "torus"}))
     with pytest.raises(ValidationError):
         loads_surface("not json")
+
+
+def test_loads_surface_rejects_other_codimensions():
+    patch = GraphPatch.from_function(_smooth_fn, center=(0.0, 0.0), radius=1.0,
+                                     nodes_per_axis=17)
+    doc = json.loads(dumps_surface(patch))
+    assert doc["codim"] == 1
+    for codim in (0, 2):
+        with pytest.raises(ValidationError) as err:
+            loads_surface(json.dumps(dict(doc, codim=codim)))
+        assert err.value.path == "$.codim"
+
+
+def test_surfaces_compare_by_identity():
+    """A surface equals itself only: comparing it with a pickled copy gives
+    False rather than raising on the ambiguous truth value of an array."""
+    from mcflab.flow import FlowState
+
+    curve = make_circle(m=32)
+    patch = GraphPatch.from_function(_smooth_fn, center=(0.0, 0.0), radius=1.0,
+                                     nodes_per_axis=17)
+    for obj in (curve, patch, FlowState(surface=curve)):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert obj == obj
+        assert (obj == copy) is False
+        assert (obj != copy) is True
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from mcflab.graphicality import (
     curve_probe_parity_violations,
     first_graphical_time,
     first_nongraphical_time,
-    graph_report_to_json,
     is_graphical,
     native_resolution,
     vertical_crossings,
@@ -56,8 +55,6 @@ def test_circle_band_miss_gives_gap_witness():
     # both arcs clear the band |y| <= 1 over the base, so every column is empty
     assert not rep.graphical and rep.sheet_count == 0
     assert rep.witness["kind"] == "gap"
-    doc = graph_report_to_json(rep)
-    assert doc["graphical"] is False and doc["witness"]["kind"] == "gap"
 
 
 def test_circle_lower_arc_sups_match_closed_forms():
@@ -75,6 +72,7 @@ def test_small_circle_double_cover_witness():
     assert not rep.graphical and rep.sheet_count == 2
     w = rep.witness
     assert w["kind"] == "multi" and w["count"] == 2
+    assert len(w["heights"]) == w["count"]
     p = w["base_point"][0]
     expect = math.sqrt(0.25 - p * p)
     assert w["heights"] == pytest.approx([-expect, expect], abs=1e-4)
@@ -153,7 +151,7 @@ def test_crossing_parity_matches_winding_number(case):
 
 
 # ---------------------------------------------------------------------------
-# Graph-patch and sample probing
+# Graph-patch probing
 # ---------------------------------------------------------------------------
 
 
@@ -184,15 +182,6 @@ def test_patch_probe_height_exit_is_gap():
     assert not rep.graphical and rep.witness["kind"] == "gap"
 
 
-def test_sample_probe_matches_curve_probe():
-    curve = make_circle(radius=2.0, m=4096)
-    samp = sample_surface(curve)
-    cyl = Cylinder((0.0, -2.0), 1.0, 1.0)
-    rep = is_graphical(samp, cyl)
-    assert rep.graphical
-    assert rep.sup_height == pytest.approx(2.0 - math.sqrt(3.0), rel=5e-2)
-
-
 def test_delta_defaults_and_validation():
     patch = _sine_patch()
     native = native_resolution(patch)
@@ -208,6 +197,11 @@ def test_delta_defaults_and_validation():
 def test_empty_cylinder_reports_nongraphical():
     rep = is_graphical(_sine_patch(), Cylinder((0.0, 0.0), 0.0, 1.0))
     assert not rep.graphical and rep.witness["kind"] == "gap"
+
+
+def test_probe_rejects_point_samples():
+    with pytest.raises(ConfigError):
+        is_graphical(sample_surface(make_circle()), Cylinder((0.0, 0.0), 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
