@@ -612,6 +612,9 @@ def test_monitor_wiring_and_failure_events():
         {"t_end": -1.0},
         {"t_end": math.nan},
         {"t_end": 1.0, "dt": 0.0},
+        {"t_end": math.inf},
+        {"t_end": 1.0, "dt": math.nan},
+        {"t_end": 1.0, "remesh_spacing": math.nan},
         {"t_end": 1.0, "record_stride": 0},
         {"t_end": 1.0, "remesh_spacing": 0.0},
     ],
