@@ -14,6 +14,17 @@ recording snapshots and monitor reports every `record_stride` steps, and can
 persist the trace as a run directory (manifest, snapshots, timeseries,
 events).
 
+A curve run `load`s each step's vertices into one `CurveKernel` per vertex
+count (a remesh builds a new one), but each step returns a fresh array.  The
+extinction test `area < EXTINCTION_AREA_FACTOR * area0` takes the shoelace
+only when a running lower bound on |A| cannot rule it out.  For P' = P + u
+with every |u_i| <= delta, A(P') - A(P) = 1/2 sum u_i x (p_{i+1} - p_{i-1})
++ 1/2 sum u_i x u_{i+1}, so |A(P') - A(P)| <= delta L + m delta^2 / 2,
+simple or not; the Menger |kappa| <= 2 / lc gives delta <= dt * 2 / lc_min.
+The shoelace runs when the bound is at most twice the threshold, after a
+remesh or a guarded-path step (some lc = 0), and for the extinction event,
+which records the area.
+
 `run_flow` leaves a trace holding its snapshot arrays and the caches of two
 states.  Each state's `timeseries.csv` row is computed when it is recorded,
 after the monitors ran, and its derived-array cache is released when the
@@ -116,9 +127,10 @@ class FlowTrace:
 # ---------------------------------------------------------------------------
 
 
-def _check_cfl(dt: float, limit: float, context: str) -> None:
+def _check_cfl(dt: float, limit: float, context: str, *args) -> None:
+    """Reject dt beyond the limit; the message ends in context.format(*args)."""
     if dt > limit * (1 + 1e-12):
-        raise StepRejected(f"dt={dt:.3e} exceeds CFL limit {limit:.3e} {context}")
+        raise StepRejected(f"dt={dt:.3e} exceeds CFL limit {limit:.3e} {context.format(*args)}")
 
 
 class _GraphKernel:
@@ -158,18 +170,17 @@ def _curve_cfl_limit(kernel: geometry.CurveKernel) -> float:
 
 def _advance_curve(kernel: geometry.CurveKernel, dt: float) -> np.ndarray:
     """Forward-Euler curve-shortening step vertex += dt * kappa * N, with the
-    kernel's Menger kappa and N; open endpoints stay fixed."""
+    kernel's Menger kappa and N, into a fresh array; open endpoints stay
+    fixed.  The kernel's normal becomes dt * kappa * N in place (the
+    products and the sum commute, so the bytes do not depend on the order)."""
     kap, vel = kernel.menger()
-    vel[:, 0] *= kap  # the normal, scaled in place into kappa * N
+    vel[:, 0] *= kap
     vel[:, 1] *= kap
-    out = kernel.vertices + dt * vel
+    vel *= dt
+    out = vel + kernel.vertices
     if not np.isfinite(out).all():
         raise BlowUp(f"non-finite vertices after step of dt={dt}")
     return out
-
-
-def graph_cfl_limit(values: np.ndarray, spacing: float) -> float:
-    return _GraphKernel(values, spacing).cfl_limit()
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +198,7 @@ def step_graph_mcf(state: FlowState, dt: float) -> FlowState:
     if not isinstance(patch, GraphPatch):
         raise ConfigError("step_graph_mcf requires a GraphPatch state")
     kernel = _GraphKernel(patch.values, patch.spacing)
-    _check_cfl(dt, kernel.cfl_limit(), f"(cfl={CFL}, h={patch.spacing:.3e})")
+    _check_cfl(dt, kernel.cfl_limit(), "(cfl={}, h={:.3e})", CFL, patch.spacing)
     new_patch = GraphPatch(
         center=patch.center,
         radius=patch.radius,
@@ -204,7 +215,7 @@ def step_csf(state: FlowState, dt: float) -> FlowState:
     if not isinstance(curve, ClosedCurve):
         raise ConfigError("step_csf requires a ClosedCurve state")
     kernel = geometry.CurveKernel(curve.vertices, curve.closed)
-    _check_cfl(dt, _curve_cfl_limit(kernel), f"(cfl={CFL}, min edge={kernel.e_min:.3e})")
+    _check_cfl(dt, _curve_cfl_limit(kernel), "(cfl={}, min edge={:.3e})", CFL, kernel.e_min)
     new_curve = ClosedCurve(
         vertices=_advance_curve(kernel, dt), closed=curve.closed, time=state.t + dt
     )
@@ -214,6 +225,30 @@ def step_csf(state: FlowState, dt: float) -> FlowState:
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _shoelace_error_coef(m: int) -> float:
+    """c with |CurveKernel.area() - |A|| <= c R^2 when every |coordinate| <= R."""
+    return 2.0 * (m + 4) ** 2 * _EPS
+
+
+def _area_bound_after_step(kernel, dt: float, area_lb: float, reach: float) -> tuple:
+    """(area_lb, reach) after _advance_curve moved the kernel's polygon by dt:
+    area_lb bounds |A| - c R^2 (c of `_shoelace_error_coef`), so the shoelace,
+    from below, and reach bounds every |coordinate| R.  delta <= dt 2 / lc_min
+    (module docstring) is widened for the rounding of kappa and of the add; a
+    guarded-path step gives no bound."""
+    if not kernel.lc_min > 0:
+        return -np.inf, reach
+    m = kernel.vertices.shape[0]
+    delta = dt * 2.0 / kernel.lc_min * (1.0 + 1e-12)
+    delta += 2.0 * _EPS * (reach + delta)
+    drop = delta * kernel.length * (1.0 + (m + 8) * _EPS) + 0.5 * m * delta * delta
+    drop += _shoelace_error_coef(m) * delta * (2.0 * reach + delta)  # R grows by delta
+    return area_lb - drop - 2.0 * _EPS * abs(area_lb), reach + delta
 
 
 def _remesh_count(length: float, current: int, spacing: float | None) -> int:
@@ -238,10 +273,11 @@ def run_flow(
         initial = FlowState(surface=initial, step=0, t=initial.time)
     trace = FlowTrace(config=config)
     is_curve = isinstance(initial.surface, ClosedCurve)
+    closed = is_curve and initial.surface.closed
 
     def record(state: FlowState):
         trace.snapshots.append(state)
-        if is_curve and state.surface.closed and not geometry.is_simple(state.surface):
+        if closed and not geometry.is_simple(state.surface):
             trace.events.append(
                 {"event": "non_simple", "step": state.step, "t": state.t}
             )
@@ -280,12 +316,11 @@ def run_flow(
     # a state records raw itself, not a copy: no step writes into its input
     # (both step kernels and resample_curve_raw return new arrays)
     if is_curve:
-        curve0: ClosedCurve = initial.surface
-        raw = curve0.vertices
-        closed = curve0.closed
-        kernel0 = geometry.CurveKernel(raw, closed)
-        min_edge0 = kernel0.e_min
-        area0 = kernel0.area() if closed else None
+        raw = initial.surface.vertices
+        kernel = geometry.CurveKernel(raw, closed)
+        min_edge0 = kernel.e_min
+        area_floor = EXTINCTION_AREA_FACTOR * kernel.area() if closed else None
+        area_lb, reach = -np.inf, 0.0  # no area bound until the first shoelace
 
         def make_state():
             return FlowState(
@@ -316,7 +351,8 @@ def run_flow(
     while t < t_end:
         try:
             if is_curve:
-                kernel = geometry.CurveKernel(raw, closed)
+                if kernel.vertices is not raw:
+                    kernel.load(raw)
                 e_min, e_max = kernel.e_min, kernel.e_max
                 if e_min < EDGE_COLLAPSE or e_max / e_min > EDGE_RATIO_LIMIT:
                     count = _remesh_count(kernel.length, raw.shape[0], config.remesh_spacing)
@@ -332,11 +368,15 @@ def run_flow(
                         }
                     )
                     kernel = geometry.CurveKernel(raw, closed)
-                area = kernel.area() if closed else None
-                extinct = kernel.length < EXTINCTION_LENGTH_FACTOR * min_edge0 or (
-                    closed and area < EXTINCTION_AREA_FACTOR * area0
-                )
-                if extinct:
+                    area_lb = -np.inf
+                short = kernel.length < EXTINCTION_LENGTH_FACTOR * min_edge0
+                area = None
+                if closed and (short or area_lb <= 2.0 * area_floor):
+                    # the event records the area, or the bound cannot rule the test out
+                    area = kernel.area()
+                    reach = float(np.abs(raw).max())
+                    area_lb = area - 2.0 * _shoelace_error_coef(raw.shape[0]) * reach * reach
+                if short or (area is not None and area < area_floor):
                     trace.events.append(
                         {
                             "event": "extinction",
@@ -352,7 +392,7 @@ def run_flow(
                 kernel = _GraphKernel(raw, patch0.spacing)
                 limit = kernel.cfl_limit()
             dt = config.dt if config.dt is not None else limit
-            _check_cfl(dt, limit, f"at step {step}")
+            _check_cfl(dt, limit, "at step {}", step)
             t_next = t_end if dt >= t_end - t else t + dt
             if t_next == t:
                 trace.events.append(
@@ -360,6 +400,8 @@ def run_flow(
                 )
                 break
             raw = advance(kernel, t_next - t)
+            if closed:
+                area_lb, reach = _area_bound_after_step(kernel, t_next - t, area_lb, reach)
         except StepRejected as exc:
             trace.events.append(
                 {"event": "step_rejected", "step": step, "t": t, "detail": str(exc)}

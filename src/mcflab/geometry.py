@@ -8,7 +8,9 @@ is one height over its base, a curve lies in the plane.  Integrals use the
 graph Jacobian sqrt(1 + |Df|^2) on active nodes only.  `CurveKernel` is the
 one polyline kernel: edge lengths, length, shoelace area and the Menger
 curvature and normal; the curve-shortening step in `flow` and the cached
-curve quantities here both read it.
+curve quantities here both read it.  `load` refills a kernel's arrays, so
+the step reuses one kernel per vertex count; a cached curve quantity always
+comes from a fresh kernel, never a reused one.
 
 A surface caches only what some reader reads: a curve its edge lengths,
 its normals and kappa, and a sample (its vertices, those normals and the
@@ -30,8 +32,7 @@ from ._util import GeometryError, ValidationError, canonical_dumps
 
 SCHEMA_VERSION = 1
 
-# Unit-normal and orthogonality round-off budgets.
-NORMAL_UNIT_TOL = 1e-14
+# Round-off budget of a sample's unit normals.
 NORMAL_WEIGHT_TOL = 1e-12
 
 # Most candidate segment pairs is_simple evaluates at once (bounds memory).
@@ -410,18 +411,6 @@ def second_fundamental_norm(df: np.ndarray, d2f: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(a2, 0.0))
 
 
-def curvature_sandwich_bounds(df: np.ndarray, d2f: np.ndarray) -> tuple:
-    """Explicit two-sided bounds |D2f|^2/(1+|Df|^2)^3 <= |A|^2 <= |D2f|^2.
-
-    Both constants are 1 for codimension 1; returned as (lower, upper) so the
-    inequality can be asserted with the constants in the open.
-    """
-    d2f = np.asarray(d2f, dtype=float)
-    w = 1.0 + np.sum(np.asarray(df, dtype=float) ** 2, axis=-1)
-    h2 = np.sum(d2f * d2f, axis=(-2, -1))
-    return h2 / w**3, h2
-
-
 def mean_curvature_graph(df: np.ndarray, d2f: np.ndarray) -> np.ndarray:
     """Scalar mean curvature of graph(f); the curvature vector is H * nu."""
     d2f = np.asarray(d2f, dtype=float)
@@ -445,19 +434,40 @@ class CurveKernel:
     curved vertex (every vertex if closed, the interior ones if open) is the
     edges d[i], d[i+1] and the chord ext[i+2] - ext[i].  `edges` are the
     polyline's edge lengths: m wrapping ones if closed, m - 1 if open.
+    `load` and `menger` overwrite the kernel's own arrays (`ext`, `d`,
+    `edges`, and the kappa and normal `menger` returns); the first `menger`
+    allocates the Menger buffers, so a reader of edges alone allocates none.
     """
 
     def __init__(self, vertices: np.ndarray, closed: bool):
-        self.vertices = vertices
         self.closed = closed
-        ext = np.concatenate((vertices[-1:], vertices, vertices[:1])) if closed else vertices
-        d = ext[1:] - ext[:-1]
-        lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-        self.edges = lengths[1:] if closed else lengths
-        self.e_min = float(self.edges.min())
-        self.e_max = float(self.edges.max())
-        self.length = float(self.edges.sum())
-        self.ext, self.d, self._lengths = ext, d, lengths
+        m = vertices.shape[0]
+        n = m + 1 if closed else m - 1
+        self.d, sq, self._lengths = np.empty((n, 2)), np.empty((n, 2)), np.empty(n)
+        self._sq = (sq, sq[:, 0], sq[:, 1])
+        self.edges = self._lengths[1:] if closed else self._lengths
+        if closed:
+            self.ext = ext = np.empty((m + 2, 2))
+            self._pad = (ext[1:-1], ext[0], ext[-1], ext[1:], ext[:-1])
+        self._menger = None
+        self.load(vertices)
+
+    def load(self, vertices: np.ndarray) -> None:
+        """Refill the edge arrays and statistics from `vertices`, which has
+        the vertex count the kernel was built for."""
+        self.vertices = vertices
+        if self.closed:
+            inner, first, last, hi, lo = self._pad
+            inner[...], first[...], last[...] = vertices, vertices[-1], vertices[0]
+        else:
+            self.ext = vertices
+            hi, lo = vertices[1:], vertices[:-1]
+        d, (sq, sq0, sq1), lengths = self.d, self._sq, self._lengths
+        np.multiply(np.subtract(hi, lo, out=d), d, out=sq)
+        np.sqrt(np.add(sq0, sq1, out=lengths), out=lengths)
+        edges = self.edges
+        self.e_min, self.e_max = float(edges.min()), float(edges.max())
+        self.length = float(edges.sum())
 
     def area(self) -> float:
         """Unsigned shoelace area of a closed curve."""
@@ -468,21 +478,40 @@ class CurveKernel:
     def menger(self) -> tuple[np.ndarray, np.ndarray]:
         """(kappa, left unit normal) per vertex from the circumscribed circle
         of each stencil; a degenerate chord (lc = 0) gives kappa = 0, and
-        open endpoints get kappa = 0 and a zero normal."""
+        open endpoints get kappa = 0 and a zero normal.  Sets `lc_min`, the
+        shortest chord, so |kappa| <= 2 / lc_min when it is > 0."""
         if self.e_min == 0.0:
             raise GeometryError("repeated vertex in curvature stencil")
-        ext, a, b, lengths = self.ext, self.d[:-1], self.d[1:], self._lengths
-        chord = ext[2:] - ext[:-2]
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        lc = np.sqrt(chord[:, 0] * chord[:, 0] + chord[:, 1] * chord[:, 1])
-        pos = lc > 0
-        lc_safe = np.where(pos, lc, 1.0)
-        m = self.vertices.shape[0]
-        kappa, normal = np.zeros(m), np.zeros((m, 2))
-        curved = slice(None) if self.closed else slice(1, -1)
-        np.divide(2.0 * cross, lengths[:-1] * lengths[1:] * lc_safe, out=kappa[curved], where=pos)
-        normal[curved, 0] = -(chord[:, 1] / lc_safe)
-        normal[curved, 1] = chord[:, 0] / lc_safe
+        if self._menger is None:  # the buffers and their views, once
+            m = self.vertices.shape[0]
+            k, curved = (m, slice(None)) if self.closed else (m - 2, slice(1, -1))
+            chord, chord_sq = np.empty((k, 2)), np.empty((k, 2))
+            kappa, normal = np.zeros(m), np.zeros((m, 2))
+            a, b, lengths = self.d[:-1], self.d[1:], self._lengths
+            self._menger = (
+                kappa, normal, kappa[curved], normal[curved, 0], normal[curved, 1],
+                chord, chord[:, 0], chord[:, 1], chord_sq, chord_sq[:, 0], chord_sq[:, 1],
+                np.empty(k), np.empty(k), np.empty(k),
+                a[:, 0], a[:, 1], b[:, 0], b[:, 1], lengths[:-1], lengths[1:],
+            )
+        (kappa, normal, kap, nor_x, nor_y, chord, chord_x, chord_y, chord_sq, sq_x, sq_y,
+         lc, cross, tmp, a_x, a_y, b_x, b_y, len_a, len_b) = self._menger
+        np.subtract(self.ext[2:], self.ext[:-2], out=chord)
+        np.subtract(np.multiply(a_x, b_y, out=cross), np.multiply(a_y, b_x, out=tmp), out=cross)
+        np.multiply(chord, chord, out=chord_sq)
+        np.sqrt(np.add(sq_x, sq_y, out=lc), out=lc)
+        self.lc_min = float(lc.min())
+        if self.lc_min > 0:  # 2 cross / ((L0 L1) lc) and (-(chord_y / lc), chord_x / lc)
+            np.multiply(np.multiply(len_a, len_b, out=tmp), lc, out=tmp)
+            np.divide(np.multiply(cross, 2.0, out=cross), tmp, out=kap)
+            np.negative(np.divide(chord_y, lc, out=nor_x), out=nor_x)
+            np.divide(chord_x, lc, out=nor_y)
+        else:
+            pos = lc > 0
+            lc_safe = np.where(pos, lc, 1.0)
+            kap[:] = 0.0
+            np.divide(2.0 * cross, len_a * len_b * lc_safe, out=kap, where=pos)
+            nor_x[:], nor_y[:] = -(chord_y / lc_safe), chord_x / lc_safe
         return kappa, normal
 
 
@@ -630,31 +659,6 @@ def resample_curve_raw(
     x = np.interp(targets, s, loop[:, 0])
     y = np.interp(targets, s, loop[:, 1])
     return np.stack([x, y], axis=-1)
-
-
-def _segment_pairs_intersect(
-    starts_a: np.ndarray, d_a: np.ndarray, starts_b: np.ndarray, d_b: np.ndarray
-) -> bool:
-    for i in range(starts_a.shape[0]):
-        r = d_a[i]
-        qp = starts_b - starts_a[i]
-        denom = r[0] * d_b[:, 1] - r[1] * d_b[:, 0]
-        t_num = qp[:, 0] * d_b[:, 1] - qp[:, 1] * d_b[:, 0]
-        u_num = qp[:, 0] * r[1] - qp[:, 1] * r[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            safe = np.where(denom != 0, denom, 1.0)
-            t = np.where(denom != 0, t_num / safe, np.inf)
-            u = np.where(denom != 0, u_num / safe, np.inf)
-        if np.any((t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)):
-            return True
-    return False
-
-
-def curves_intersect(a: ClosedCurve, b: ClosedCurve) -> bool:
-    """Whether any segment of a touches any segment of b (closed test)."""
-    sa, ea = curve_segments(a)
-    sb, eb = curve_segments(b)
-    return _segment_pairs_intersect(sa, ea - sa, sb, eb - sb)
 
 
 def curve_point_distance(curve: ClosedCurve, point) -> float:

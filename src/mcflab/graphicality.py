@@ -222,21 +222,6 @@ def _probe_curve(
     )
 
 
-def curve_probe_parity_violations(
-    curve: ClosedCurve, cyl: Cylinder, delta: float | None = None
-) -> int:
-    """Probes whose full-line crossing count is odd; 0 for any closed curve."""
-    if not curve.closed:
-        raise ConfigError("parity check needs a closed curve")
-    if delta is None:
-        delta = native_resolution(curve) / 2
-    step, count = _probe_step(cyl, delta)
-    lo = float(cyl.base_center[0]) - cyl.radius
-    p1, p2 = curve_segments(curve)
-    _, cols = _covered_columns(*_probe_index_ranges(p1[:, 0], p2[:, 0], lo, step, count))
-    return int(np.count_nonzero(np.bincount(cols, minlength=count) % 2))
-
-
 # ---------------------------------------------------------------------------
 # Graph patches: direct interpolation
 # ---------------------------------------------------------------------------

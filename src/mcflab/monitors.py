@@ -546,20 +546,6 @@ class TestField:
     hess: Callable
 
 
-def constant_field(c: float = 1.0) -> TestField:
-    def zeros_like(pts):
-        return np.zeros(np.asarray(pts).shape[0])
-
-    return TestField(
-        value=lambda t, pts: np.full(np.asarray(pts).shape[0], float(c)),
-        grad=lambda t, pts: np.zeros_like(np.asarray(pts, dtype=float)),
-        dt=lambda t, pts: zeros_like(pts),
-        hess=lambda t, pts: np.zeros(
-            (np.asarray(pts).shape[0],) + (np.asarray(pts).shape[1],) * 2
-        ),
-    )
-
-
 def phi_rho_cubed_field(rho: float, t0: float, x0, n: int) -> TestField:
     """phi_rho^3 as a C^2 test field (cubing smooths the truncation kink)."""
     if rho <= 0:

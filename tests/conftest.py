@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcflab.geometry import ClosedCurve
+from mcflab.geometry import ClosedCurve, curve_segments
 
 
 def make_circle(radius=1.0, m=256, center=(0.0, 0.0), time=0.0):
@@ -10,6 +10,26 @@ def make_circle(radius=1.0, m=256, center=(0.0, 0.0), time=0.0):
         [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)], axis=1
     )
     return ClosedCurve(vertices=verts, time=time)
+
+
+def curves_intersect(a: ClosedCurve, b: ClosedCurve) -> bool:
+    """Whether any segment of a touches any segment of b (closed test)."""
+    sa, ea = curve_segments(a)
+    sb, eb = curve_segments(b)
+    d_a, d_b = ea - sa, eb - sb
+    for i in range(sa.shape[0]):
+        r = d_a[i]
+        qp = sb - sa[i]
+        denom = r[0] * d_b[:, 1] - r[1] * d_b[:, 0]
+        t_num = qp[:, 0] * d_b[:, 1] - qp[:, 1] * d_b[:, 0]
+        u_num = qp[:, 0] * r[1] - qp[:, 1] * r[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            safe = np.where(denom != 0, denom, 1.0)
+            t = np.where(denom != 0, t_num / safe, np.inf)
+            u = np.where(denom != 0, u_num / safe, np.inf)
+        if np.any((t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)):
+            return True
+    return False
 
 
 def fitted_order(hs, errs):

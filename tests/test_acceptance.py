@@ -18,9 +18,11 @@ are easy to get backwards:
 
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,8 @@ from mcflab.scenarios import (
 from conftest import fitted_order, make_circle
 
 MONO_IDS = ("phi_monotonicity", "upsilon_monotonicity")
+ROOT = Path(__file__).resolve().parents[1]
+RUN_DIGESTS = ROOT / "tests" / "data" / "run_digests.json"
 
 
 # ---------------------------------------------------------------------------
@@ -511,3 +515,36 @@ def test_criterion_10_determinism(tmp_path):
     print(f"criterion 10: repeat-run digest match, sweep parallel 1 vs 4 "
           f"mismatches {mismatches}/4")
     assert mismatches == 0
+
+
+# ---------------------------------------------------------------------------
+# 11. Byte identity of the fixtures' run directories
+# ---------------------------------------------------------------------------
+
+
+def _digest_tool():
+    spec = importlib.util.spec_from_file_location("mcflab_digests", ROOT / "tools" / "digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_fixture_run_digests(battery, out_root):
+    """Every file the fixtures above write has the bytes recorded in
+    tests/data/run_digests.json (re-record with
+    `python3 tools/digests.py --fixtures tests/data/run_digests.json`)."""
+    recorded = json.loads(RUN_DIGESTS.read_text())
+    here = _digest_tool().fixture_document(out_root)
+    env = {k: here[k] for k in ("numpy", "platform")}
+    assert {k: recorded[k] for k in env} == env, (
+        f"digests recorded on numpy {recorded['numpy']} / {recorded['platform']}, "
+        f"this is numpy {env['numpy']} / {env['platform']}: re-record them here "
+        f"and compare with a run of the parent commit")
+    want, got = recorded["files"], here["files"]
+    moved = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
+    missing = sorted(want.keys() - got.keys())
+    extra = sorted(got.keys() - want.keys())
+    print(f"criterion 11: {len(got)} fixture files hashed, {len(moved)} moved, "
+          f"{len(missing)} missing, {len(extra)} new")
+    assert not (moved or missing or extra), (
+        f"moved {moved[:20]}, missing {missing[:20]}, new {extra[:20]}")

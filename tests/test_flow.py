@@ -1,15 +1,20 @@
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcflab import flow, geometry
 
 from mcflab._util import ConfigError
 from mcflab.flow import (
     FlowConfig,
     FlowState,
     StepRejected,
-    graph_cfl_limit,
+    _GraphKernel,
     run_flow,
     step_csf,
     step_graph_mcf,
@@ -20,7 +25,6 @@ from mcflab.geometry import (
     GraphPatch,
     curve_quantities,
     curve_quantities_all,
-    curves_intersect,
     enclosed_area,
     gradient_field,
     hessian_field,
@@ -30,7 +34,11 @@ from mcflab.geometry import (
 )
 from mcflab.monitors import MonitorReport
 
-from conftest import make_circle
+from conftest import curves_intersect, make_circle
+
+
+def graph_cfl_limit(values, spacing):
+    return _GraphKernel(values, spacing).cfl_limit()
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +81,15 @@ def test_small_amplitude_mode_decays_like_heat():
 def test_graph_step_rejects_beyond_cfl():
     state = FlowState(surface=_linear_patch())
     limit = graph_cfl_limit(state.surface.values, state.surface.spacing)
-    with pytest.raises(StepRejected):
+    with pytest.raises(StepRejected) as err:
         step_graph_mcf(state, 3.0 * limit)
+    h = state.surface.spacing
+    assert str(err.value) == (
+        f"dt={3.0 * limit:.3e} exceeds CFL limit {limit:.3e} (cfl=0.2, h={h:.3e})")
+    curve = make_circle(radius=1.0, m=64)
+    edge = 2.0 * math.sin(math.pi / 64)
+    with pytest.raises(StepRejected, match=rf"\(cfl=0\.2, min edge={edge:.3e}\)$"):
+        step_csf(FlowState(surface=curve), 0.05)
 
 
 def test_dirichlet_boundary_frozen():
@@ -198,6 +213,136 @@ def test_curve_step_matches_menger_oracle(closed):
     if not closed:
         assert np.array_equal(out[[0, -1]], curve.vertices[[0, -1]])
     assert not np.array_equal(out, curve.vertices)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+def test_hairpin_takes_the_guarded_path(closed):
+    """A hairpin, v[i-1] == v[i+1], has a zero chord: the kernel takes the
+    guarded path (kappa = 0 there) and still matches the oracle bit for bit,
+    also when the same kernel was loaded with a regular curve before and
+    after."""
+    m = 16 if closed else 17
+    th = 2.0 * np.pi * np.arange(m) / m if closed else np.linspace(0.0, np.pi, m)
+    smooth = np.stack([np.cos(th), np.sin(th)], axis=1)
+    hairpin = smooth.copy()
+    hairpin[7] = hairpin[5]
+    kernel = geometry.CurveKernel(smooth, closed)
+    for v in (smooth, hairpin, smooth, hairpin):
+        kernel.load(v)
+        kappa, normals, _ = _menger_oracle(v.tolist(), closed)
+        got_kappa, got_normals = kernel.menger()
+        assert (kernel.lc_min == 0.0) == (v is hairpin)
+        inner = slice(None) if closed else slice(1, -1)
+        assert np.array_equal(got_kappa, kappa)
+        assert np.array_equal(got_normals[inner], normals[inner])
+    assert kappa[6] == 0.0
+    dt = 1e-3
+    velocity = np.where(np.isnan(normals), 0.0, kappa[:, None] * normals)
+    assert np.array_equal(flow._advance_curve(kernel, dt), hairpin + dt * velocity)
+
+
+def _exact_abs_area(v) -> Fraction:
+    x = [Fraction(float(a)) for a in v[:, 0]]
+    y = [Fraction(float(b)) for b in v[:, 1]]
+    m = len(x)
+    return abs(sum(x[i] * y[(i + 1) % m] - x[(i + 1) % m] * y[i] for i in range(m))) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=8, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.booleans(),
+)
+def test_area_bound_after_step_holds(m, seed, size, star):
+    """One CFL step of run_flow's kernel keeps the exact |A| above the
+    running bound, and the shoelace within its error bound of the exact |A|,
+    on star polygons and on random self-intersecting ones."""
+    rng = np.random.default_rng(seed)
+    if star:
+        th = 2.0 * np.pi * np.arange(m) / m
+        r = rng.uniform(0.2, 1.0, m)
+        v = size * np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    else:
+        v = size * rng.normal(size=(m, 2))
+    kernel = geometry.CurveKernel(v, True)
+    coef = flow._shoelace_error_coef(m)
+    reach = float(np.abs(v).max())
+    area = _exact_abs_area(v)
+    assert abs(Fraction(kernel.area()) - area) <= coef * reach * reach
+    dt = flow._curve_cfl_limit(kernel)
+    out = flow._advance_curve(kernel, dt)
+    # as run_flow starts it: |A| - c R^2 >= shoelace - 2 c R^2
+    area_lb, reach_after = flow._area_bound_after_step(
+        kernel, dt, kernel.area() - 2.0 * coef * reach * reach, reach)
+    if kernel.lc_min > 0:
+        assert float(np.abs(out).max()) <= reach_after
+        assert Fraction(area_lb) <= _exact_abs_area(out) - Fraction(coef * reach_after * reach_after)
+        assert area_lb <= geometry.CurveKernel(out, True).area()
+    else:
+        assert area_lb == -math.inf
+
+
+@pytest.mark.parametrize("m", [4, 5, 8])
+def test_area_bound_after_step_on_regular_polygons(m):
+    """On a square the Menger |kappa| is 2 / lc and every vertex moves
+    across its chord, so the exact area drop is 1 / sqrt(2) of the bound:
+    a bound any tighter in delta would fail here."""
+    th = 2.0 * np.pi * np.arange(m) / m + 0.3
+    v = np.stack([np.cos(th), np.sin(th)], axis=1)
+    kernel = geometry.CurveKernel(v, True)
+    area = _exact_abs_area(v)
+    dt = 1e-4 * flow._curve_cfl_limit(kernel)  # first order dominates
+    out = flow._advance_curve(kernel, dt)
+    area_lb, _ = flow._area_bound_after_step(
+        kernel, dt, float(area) - 2.0 * flow._shoelace_error_coef(m), 1.0)
+    after = _exact_abs_area(out)
+    assert Fraction(area_lb) <= after
+    if m == 4:
+        assert float(area - after) > 0.7 * (float(area) - area_lb)
+
+
+def _curve_run(curve, monkeypatch, every_step):
+    """run_flow on curve, and how many shoelaces it took; every_step makes
+    the area bound say nothing, so the shoelace runs on every step."""
+    shoelaces = []
+    area = geometry.CurveKernel.area
+
+    def counted(kernel):
+        shoelaces.append(1)
+        return area(kernel)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry.CurveKernel, "area", counted)
+        if every_step:
+            patch.setattr(flow, "_area_bound_after_step",
+                          lambda kernel, dt, lb, reach: (-math.inf, reach))
+        trace = run_flow(curve, FlowConfig(t_end=1.0, record_stride=50))
+    snapshots = [geometry.dumps_surface(s.surface) for s in trace.snapshots]
+    return trace.events, snapshots, len(shoelaces), trace.final.step
+
+
+def test_shoelace_skip_keeps_events_and_bytes(monkeypatch):
+    """The extinction test reads the shoelace only when the area bound
+    cannot rule it out; the events (each extinction with its area) and
+    snapshot bytes equal those of a run that takes the shoelace on every
+    step.  A plain circle ends by the length test; a circle with one tiny
+    first edge (remeshed away at once, but it sets the length threshold)
+    ends by the area test."""
+    th = 2.0 * np.pi * np.arange(32) / 32
+    th[1] = th[0] + 1e-6
+    tiny_edge = ClosedCurve(np.stack([np.cos(th), np.sin(th)], axis=1))
+    for curve, ends_by_area in ((make_circle(radius=1.0, m=64), False), (tiny_edge, True)):
+        skip = _curve_run(curve, monkeypatch, every_step=False)
+        full = _curve_run(curve, monkeypatch, every_step=True)
+        assert skip[:2] == full[:2]
+        (ext,) = [e for e in skip[0] if e["event"] == "extinction"]
+        area0 = enclosed_area(curve)
+        assert (ext["area"] < flow.EXTINCTION_AREA_FACTOR * area0) == ends_by_area
+        steps = skip[3]
+        assert full[2] == steps + 2
+        assert skip[2] < steps / 4
 
 
 def test_circle_extinction_time():
@@ -570,6 +715,8 @@ def test_step_rejected_event_terminates():
                      FlowConfig(t_end=0.1, dt=0.05))
     ev = trace.events_of("step_rejected")
     assert len(ev) == 1 and "CFL" in ev[0]["detail"]
+    limit = 0.2 * (2.0 * math.sin(math.pi / 64)) ** 2
+    assert ev[0]["detail"] == f"dt={0.05:.3e} exceeds CFL limit {limit:.3e} at step 0"
     assert trace.final.t == 0.0
 
 

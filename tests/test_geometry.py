@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import time
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,18 +12,18 @@ from hypothesis import strategies as st
 
 from mcflab import geometry
 from mcflab._util import ValidationError, canonical_dumps
+from mcflab.flow import _advance_curve
 from mcflab.geometry import (
     SCHEMA_VERSION,
     SIMPLE_PAIR_CHUNK,
     ClosedCurve,
+    CurveKernel,
     Cylinder,
     GeometryError,
     GraphPatch,
-    curvature_sandwich_bounds,
     curve_point_distance,
     curve_quantities,
     curve_segments,
-    curves_intersect,
     dumps_surface,
     edge_lengths,
     enclosed_area,
@@ -42,7 +43,7 @@ from mcflab.geometry import (
     total_length,
 )
 
-from conftest import fitted_order, make_circle
+from conftest import curves_intersect, fitted_order, make_circle
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,16 @@ def test_tilt_closed_form(df_list):
     got = float(tilt(df))
     assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-15)
     assert 0.0 <= got < 1.0
+
+
+def curvature_sandwich_bounds(df: np.ndarray, d2f: np.ndarray) -> tuple:
+    """Explicit two-sided bounds |D2f|^2/(1+|Df|^2)^3 <= |A|^2 <= |D2f|^2,
+    returned as (lower, upper) so the inequality can be asserted with its
+    constants (both 1 in codimension 1) in the open."""
+    d2f = np.asarray(d2f, dtype=float)
+    w = 1.0 + np.sum(np.asarray(df, dtype=float) ** 2, axis=-1)
+    h2 = np.sum(d2f * d2f, axis=(-2, -1))
+    return h2 / w**3, h2
 
 
 @settings(max_examples=200)
@@ -214,6 +225,74 @@ def test_regular_polygon_length_and_area(m):
     assert math.isclose(total_length(curve), exact_len, rel_tol=1e-12)
     assert math.isclose(enclosed_area(curve), exact_area, rel_tol=1e-12)
     assert edge_lengths(curve).shape == (m,)
+
+
+def _kernel_bytes(kernel):
+    """Everything a kernel gives, as bytes and floats, then one step."""
+    kap, nor = kernel.menger()
+    out = [kernel.edges.tobytes(), kernel.e_min, kernel.e_max, kernel.length,
+           kap.tobytes(), nor.tobytes(), kernel.lc_min]
+    if kernel.closed:
+        out.append(kernel.area())
+    out.append(_advance_curve(kernel, 1e-3).tobytes())
+    return out
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+def test_curve_kernel_load_matches_fresh_kernel(closed):
+    """A kernel refilled by load gives, bit for bit, what a fresh kernel
+    gives, across loads and with one kernel per vertex count as run_flow
+    keeps them; a vertex array of another count does not load."""
+    rng = np.random.default_rng(11)
+    kernels = {}
+    for m in (24, 24, 40, 24, 40, 40, 24):
+        th = np.sort(rng.uniform(0.0, 2.0 * np.pi, m)) if closed else np.linspace(0.0, np.pi, m)
+        r = rng.uniform(0.5, 1.5, m)
+        v = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+        if m in kernels:
+            kernels[m].load(v)
+        else:
+            kernels[m] = CurveKernel(v, closed)
+        assert _kernel_bytes(kernels[m]) == _kernel_bytes(CurveKernel(v.copy(), closed))
+    with pytest.raises(ValueError):
+        kernels[40].load(v)  # v has 24 vertices
+
+
+def _exact_signed_area(v) -> Fraction:
+    x = [Fraction(float(a)) for a in v[:, 0]]
+    y = [Fraction(float(b)) for b in v[:, 1]]
+    m = len(x)
+    return sum(x[i] * y[(i + 1) % m] - x[(i + 1) % m] * y[i] for i in range(m)) / 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-9, max_value=2.0),
+    st.booleans(),
+)
+def test_area_change_bound(m, seed, scale, star):
+    """For P' = P + u with every |u_i| <= delta, |A(P') - A(P)| <= delta L +
+    m delta^2 / 2 (L the perimeter of P), for simple star polygons and for
+    random, mostly self-intersecting point sequences; areas are exact."""
+    rng = np.random.default_rng(seed)
+    if star:
+        th = 2.0 * np.pi * np.arange(m) / m
+        r = rng.uniform(0.2, 2.0, m)
+        p = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    else:
+        p = rng.normal(size=(m, 2))
+    u = rng.normal(size=(m, 2))
+    u *= scale * rng.uniform(0.0, 1.0, (m, 1)) / np.hypot(u[:, 0], u[:, 1])[:, None]
+    q = p + u
+    # the displacement that really happened is q - p, exactly
+    du2 = max((Fraction(float(a)) - Fraction(float(b))) ** 2 + (Fraction(float(c)) - Fraction(float(d))) ** 2
+              for (a, c), (b, d) in zip(q, p))
+    delta = math.sqrt(float(du2)) * (1 + 1e-12)
+    perimeter = sum(math.hypot(*(p[(i + 1) % m] - p[i])) for i in range(m)) * (1 + 1e-12)
+    change = abs(_exact_signed_area(q) - _exact_signed_area(p))
+    assert float(change) <= delta * perimeter + m * delta * delta / 2
 
 
 def test_circle_curvature_exact():

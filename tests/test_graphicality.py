@@ -13,10 +13,13 @@ from mcflab.geometry import (
     Cylinder,
     GraphPatch,
     curve_point_distance,
+    curve_segments,
     sample_surface,
 )
 from mcflab.graphicality import (
-    curve_probe_parity_violations,
+    _covered_columns,
+    _probe_index_ranges,
+    _probe_step,
     first_graphical_time,
     first_nongraphical_time,
     is_graphical,
@@ -25,6 +28,17 @@ from mcflab.graphicality import (
 )
 
 from conftest import make_circle
+
+
+def curve_probe_parity_violations(curve, cyl, delta=None):
+    """Probes whose full-line crossing count is odd; 0 for any closed curve."""
+    if delta is None:
+        delta = native_resolution(curve) / 2
+    step, count = _probe_step(cyl, delta)
+    lo = float(cyl.base_center[0]) - cyl.radius
+    p1, p2 = curve_segments(curve)
+    _, cols = _covered_columns(*_probe_index_ranges(p1[:, 0], p2[:, 0], lo, step, count))
+    return int(np.count_nonzero(np.bincount(cols, minlength=count) % 2))
 
 
 def _sine_patch(amp=0.3, freq=2.0, radius=2.0, m=513):

@@ -28,7 +28,6 @@ from mcflab.monitors import (
     check_measure_bound,
     check_phi_monotonicity,
     check_upsilon_monotonicity,
-    constant_field,
     gaussian_density_ratio,
     heat_kernel,
     phi_rho,
@@ -38,6 +37,18 @@ from mcflab.monitors import (
 )
 
 from conftest import make_circle
+
+
+def constant_field(c=1.0):
+    def zeros(t, pts):
+        return np.zeros(np.asarray(pts).shape[0])
+
+    return Field(
+        value=lambda t, pts: np.full(np.asarray(pts).shape[0], float(c)),
+        grad=lambda t, pts: np.zeros_like(np.asarray(pts, dtype=float)),
+        dt=zeros,
+        hess=lambda t, pts: np.zeros((np.asarray(pts).shape[0],) + (np.asarray(pts).shape[1],) * 2),
+    )
 
 
 def _flat_line_sample(height=0.0, radius=8.0, m=8001, time=0.0):
