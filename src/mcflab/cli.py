@@ -130,9 +130,10 @@ def _check_complete(base: Path) -> list:
 def _emit_snapshots(base: Path, out: Path) -> None:
     rows = []
     header = None
-    for snap in sorted((base / "snapshots").glob("*.json")):
-        surface = loads_surface(snap.read_text())
-        idx = int(snap.stem)
+    inventory = json.loads((base / "manifest.json").read_text())["files"]
+    for rel in sorted(rel for rel in inventory if rel.startswith("snapshots/")):
+        surface = loads_surface((base / rel).read_text())
+        idx = int(Path(rel).stem)
         if isinstance(surface, ClosedCurve):
             header = header or ["snapshot", "t", "i", "x", "y"]
             for i, (x, y) in enumerate(surface.vertices):

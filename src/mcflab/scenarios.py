@@ -12,9 +12,11 @@ verdict, never asserted against externally invented values.
 
 Flows that read no other flow's result run in `_util.worker_pool`: the
 fold's calibration and doubled-gamma flows beside its main flow, and the
-stay family's members beside its first.  A task returns only what its caller reads, and the
-run directory is written once every flow is done; no byte of it depends on
-the worker count.
+stay family's members beside its first.  A task returns only what its caller
+reads.  The fold writes its main trace's run directory while its auxiliary
+flows still run, with the snapshot chunks shared between the pool and this
+process; every other run directory is written once every flow is done, and
+`verdict.json` always last.  No byte depends on the worker count.
 """
 
 from __future__ import annotations
@@ -722,6 +724,8 @@ def scenario_become_graphical(
                    for tag, (g, spacing) in aux.items()}
         trace, extra_len = _run_fold(L, gamma, base_spacing, t_end, monitors)
         t_graph, ratios = _fold_graphicality(trace, Cylinder((0.0, 0.0), 1.0, 1.0))
+        if out_dir is not None:  # while the auxiliary flows run
+            write_run_dir(trace, Path(out_dir) / "run", pool=pool)
         traces = {"run": trace}
         probes = {}
         for tag, future in pending.items():
@@ -759,7 +763,7 @@ def scenario_become_graphical(
     result = ScenarioResult("become_graphical", not failures, measured, failures,
                             workers=pool.workers)
     result.traces.update(traces)
-    return _finish(result, out_dir, traces["run"])
+    return _finish(result, out_dir)
 
 
 def scenario_bounded_curvature(

@@ -176,6 +176,28 @@ def test_plotdata_snapshots_and_margins(flat_spec, tmp_path):
     assert len(margins) > 1
 
 
+def test_rerun_leaves_no_stale_snapshots(tmp_path):
+    """A short run into the directory of a longer one removes the longer
+    run's snapshots, so run/manifest.json, run_manifest.json and plotdata
+    agree on two; plotdata reads the snapshot list from run/manifest.json,
+    so a stray snapshot file is not emitted."""
+    out = tmp_path / "out"
+    for t_end in (0.05, 0.002):
+        spec = _write_spec(tmp_path / "flat.json", {**FLAT, "params": {"t_end": t_end}})
+        assert main(["run", "--spec", spec, "--out", str(out)]) == 0
+    snaps = out / "run" / "snapshots"
+    assert sorted(p.name for p in snaps.iterdir()) == ["0000.json", "0001.json"]
+    assert json.loads((out / "run" / "manifest.json").read_text())["snapshot_count"] == 2
+    inventory = json.loads((out / "run_manifest.json").read_text())["files"]
+    assert sorted(rel for rel in inventory if rel.startswith("run/snapshots/")) == [
+        "run/snapshots/0000.json", "run/snapshots/0001.json"]
+
+    (snaps / "0099.json").write_bytes((snaps / "0001.json").read_bytes())
+    assert main(["plotdata", "--run", str(out), "--kind", "snapshots"]) == 0
+    rows = (out / "plots" / "snapshots.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"0", "1"}
+
+
 def test_plotdata_flags_incomplete_run(flat_spec, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--spec", flat_spec, "--out", str(out)]) == 0
@@ -287,11 +309,14 @@ def _validation_error_task(*args):
                          ids=["ConfigError", "ValidationError"])
 def test_worker_raised_error_exits_two(tmp_path, monkeypatch, capsys, task):
     """An error raised in a pool worker reaches cli.main with its type, so a
-    configuration error still exits 2.  The task standing in for the fold's
-    auxiliary flows raises it only in a worker; anywhere else it exits 1."""
+    configuration error still exits 2 and no verdict is written.  The task
+    standing in for the fold's auxiliary flows raises it only in a worker;
+    anywhere else it exits 1."""
     _pin_cpus(monkeypatch, 2)
     monkeypatch.setattr(scenarios, "_fold_aux", task)
     spec = _write_spec(tmp_path / "fold.json", FOLD)
     assert main(["run", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "fold budget violated" in err
+    # run/ is written while the auxiliary flows run; the verdict never is
+    assert not (tmp_path / "o" / "verdict.json").exists()
