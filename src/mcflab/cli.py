@@ -2,7 +2,7 @@
 
 Exit codes: 0 pass, 1 runtime or assertion failure, 2 usage/validation error.
 A run_manifest.json (version, spec sha256, seed, wall times, workers, resolved
-configuration, file inventory) is written last so its inventory is complete.
+configuration, inventory of the files the run wrote) is written last.
 """
 
 from __future__ import annotations
@@ -45,16 +45,19 @@ def _resolve_out(explicit, spec_path: Path) -> Path:
     return Path(root) / spec_path.stem
 
 
-def _file_inventory(out: Path, skip: str) -> dict:
+def _file_inventory(out: Path, written) -> dict:
+    """{relative path: sha256} of the files and trees under out that the run wrote."""
     files = {}
-    for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name != skip:
-            files[p.relative_to(out).as_posix()] = sha256_file(p)
+    for name in written:
+        path = out / name
+        for p in sorted(path.rglob("*")) if path.is_dir() else [path]:
+            if p.is_file():
+                files[p.relative_to(out).as_posix()] = sha256_file(p)
     return files
 
 
 def _write_manifest(out: Path, spec_path: Path, resolved: dict,
-                    started: str, finished: str, workers: int) -> None:
+                    started: str, finished: str, workers: int, written) -> None:
     manifest = {
         "tool": "mcflab",
         "version": __version__,
@@ -64,7 +67,7 @@ def _write_manifest(out: Path, spec_path: Path, resolved: dict,
         "finished": finished,
         "workers": workers,
         "resolved_config": resolved,
-        "files": _file_inventory(out, "run_manifest.json"),
+        "files": _file_inventory(out, written),
     }
     (out / "run_manifest.json").write_text(canonical_dumps(manifest) + "\n")
 
@@ -82,7 +85,7 @@ def cmd_run(args) -> int:
     started = _now()
     result = run_scenario(doc, out_dir=out)
     resolved["out"] = str(out)
-    _write_manifest(out, spec_path, resolved, started, _now(), result.workers)
+    _write_manifest(out, spec_path, resolved, started, _now(), result.workers, result.outputs)
     status = "PASS" if result.passed else "FAIL"
     print(f"{result.scenario}: {status} ({out})")
     for line in result.failures:
@@ -91,6 +94,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.parallelism < 1:
+        raise ConfigError(f"--parallelism must be >= 1, got {args.parallelism}")
     spec_path = Path(args.spec)
     doc = _load_spec(spec_path)
     resolved = validate_scenario_spec(doc)
@@ -100,7 +105,9 @@ def cmd_sweep(args) -> int:
     sweep = run_sweep(doc, out_dir=out, parallelism=args.parallelism)
     resolved["out"] = str(out)
     resolved["parallelism"] = args.parallelism
-    _write_manifest(out, spec_path, resolved, started, _now(), sweep["workers"])
+    _write_manifest(out, spec_path, resolved, started, _now(), sweep["workers"],
+                    ["sweep.csv", *(f"runs/{r['run_id']}/{name}" for r in sweep["results"]
+                                    for name in r["outputs"])])
     n = len(sweep["rows"])
     status = "PASS" if sweep["all_passed"] else "FAIL"
     print(f"sweep: {status} ({n} runs, {out})")

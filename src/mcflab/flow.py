@@ -32,10 +32,10 @@ which records the area.
 states.  Each state's `timeseries.csv` row is computed when it is recorded,
 after the monitors ran, and its derived-array cache is released when the
 next state is recorded: the monitor windows start at the previous record or
-at the first, whose cache stays.  A cache is a pure function of the
-snapshot's values, so a reader of a released state, such as a monitor whose
-window starts further back, recomputes bit-identical values; it pays in
-time, and the cache it rebuilds stays.
+at the first, whose cache stays.  A monitor that returns None only
+observes, as the scenarios' probes do.  A cache is a pure function of the
+snapshot's values, so a reader of a released state recomputes bit-identical
+values; it pays in time, and the cache it rebuilds stays.
 """
 
 from __future__ import annotations

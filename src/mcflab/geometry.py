@@ -143,11 +143,7 @@ class GraphPatch(_CachedSurface):
     @property
     def grid(self) -> "Grid":
         """Base-grid arrays shared by every patch on the same grid."""
-        if "grid" not in self._cache:
-            self._cache["grid"] = patch_grid(
-                tuple(self.center.tolist()), self.radius, self.spacing, self.shape
-            )
-        return self._cache["grid"]
+        return patch_grid(tuple(self.center.tolist()), self.radius, self.spacing, self.shape)
 
     @property
     def axes(self) -> tuple[np.ndarray, ...]:

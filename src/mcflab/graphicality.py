@@ -21,10 +21,10 @@ import numpy as np
 from ._util import ConfigError
 from .geometry import (
     ClosedCurve,
-    CurveKernel,
     Cylinder,
     GraphPatch,
     curve_segments,
+    edge_lengths,
     gradient_field,
     hessian_field,
     patch_grid,
@@ -53,9 +53,7 @@ def native_resolution(surface) -> float:
     if isinstance(surface, GraphPatch):
         return surface.spacing
     if isinstance(surface, ClosedCurve):
-        # edges from the kernel, not the curve's cache: probing a recorded
-        # state must not rebuild the cache the flow released
-        return CurveKernel(surface.vertices, surface.closed).e_max
+        return float(edge_lengths(surface).max())
     raise ConfigError(f"cannot probe {type(surface).__name__}")
 
 
@@ -156,9 +154,7 @@ def vertical_crossings(curve: ClosedCurve, x: float) -> np.ndarray:
     return _crossing_heights(x1[hit], y1[hit], x2[hit], y2[hit], x)
 
 
-def _probe_curve(
-    curve: ClosedCurve, kernel: CurveKernel, cyl: Cylinder, delta: float
-) -> GraphReport:
+def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport:
     a_hat = float(cyl.base_center[0])
     a_til = float(cyl.height_center[0])
     step, count = _probe_step(cyl, delta)
@@ -184,7 +180,7 @@ def _probe_curve(
     m0 = int(counts.max())
 
     # near-vertical segments inside the cylinder: graph extraction ill-posed
-    near_vert = np.abs(x2 - x1) / kernel.edges < TANGENCY_TOL
+    near_vert = np.abs(x2 - x1) / edge_lengths(curve) < TANGENCY_TOL
     in_x = (np.minimum(x1, x2) <= a_hat + cyl.radius) & (
         np.maximum(x1, x2) >= a_hat - cyl.radius
     )
@@ -302,11 +298,7 @@ def is_graphical(surface, cyl: Cylinder, delta: float | None = None) -> GraphRep
     `surface` is a ClosedCurve or GraphPatch; delta defaults to half the
     native resolution and must not exceed it.
     """
-    kernel = None
-    if isinstance(surface, ClosedCurve):
-        # one kernel per probe: the native resolution and the tangency test
-        kernel = CurveKernel(surface.vertices, surface.closed)
-    native = native_resolution(surface) if kernel is None else kernel.e_max
+    native = native_resolution(surface)
     if delta is None:
         delta = native / 2
     if delta <= 0:
@@ -320,8 +312,8 @@ def is_graphical(surface, cyl: Cylinder, delta: float | None = None) -> GraphRep
             cylinder=cyl, delta=delta, graphical=False, sheet_count=0,
             witness={"kind": "gap", "base_point": [], "count": 0},
         )
-    if kernel is not None:
-        return _probe_curve(surface, kernel, cyl, delta)
+    if isinstance(surface, ClosedCurve):
+        return _probe_curve(surface, cyl, delta)
     return _probe_graph_patch(surface, cyl, delta)
 
 

@@ -45,6 +45,7 @@ from .geometry import (
     SurfaceSample,
     curve_quantities_all,
     gradient_field,
+    gradient_raw,
     graph_lift_and_jacobian,
     hessian_field,
     mean_curvature_graph,
@@ -512,7 +513,7 @@ def check_curvature_bound_EH(
             return _skipped(monitor_id, s, "patch does not cover B(x0, 2 rho)")
         act = surf.active
         base = np.linalg.norm(surf.nodes[act] - x0[:-1], axis=1)
-        df = gradient_field(surf)[act]
+        df = gradient_raw(surf.values, surf.spacing)[act]  # builds no cache
         sel = base <= 2 * rho
         w = 1.0 + np.sum(df[sel] ** 2, axis=-1)
         sup_df = max(sup_df, float(np.max(w**2)))

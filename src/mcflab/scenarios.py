@@ -10,6 +10,9 @@ Calibrated constants (c_hat values) are measured outputs: they come from a
 three-resolution sweep (2x the max observed ratio) and are recorded in the
 verdict, never asserted against externally invented values.
 
+Each scenario probes its states in its cylinders as run_flow records them,
+while their caches are live (`_record_probe`, one of the flow's monitors).
+
 Flows that read no other flow's result run in `_util.worker_pool`: the
 fold's calibration and doubled-gamma flows beside its main flow, and the
 stay family's members beside its first.  A task returns only what its caller
@@ -83,6 +86,7 @@ class ScenarioResult:
     failures: list = field(default_factory=list)
     traces: dict = field(default_factory=dict, repr=False, compare=False)
     workers: int = field(default=1, compare=False)  # not in the verdict
+    outputs: list = field(default_factory=list, compare=False)  # what out_dir got
 
     @property
     def verdict(self) -> dict:
@@ -138,6 +142,19 @@ def _monitor_failures(trace) -> list:
     return out
 
 
+def _record_probe(cyl: Cylinder, probes: list, until_lost: bool = False):
+    """A run_flow monitor that appends (state, its report in `cyl` without the
+    extracted graph) to `probes` as each state is recorded and returns no
+    report; with `until_lost`, none after the first non-graphical report."""
+
+    def probe(trace, state):
+        if until_lost and probes and not probes[-1][1].graphical:
+            return
+        probes.append((state, replace(is_graphical(state.surface, cyl), graph=None)))
+
+    return probe
+
+
 def _finish(result: ScenarioResult, out_dir, trace=None, extra_csv=None):
     if out_dir is not None:
         out = Path(out_dir)
@@ -147,6 +164,7 @@ def _finish(result: ScenarioResult, out_dir, trace=None, extra_csv=None):
         for name, (header, rows) in (extra_csv or {}).items():
             write_csv(out / name, header, rows)
         (out / "verdict.json").write_text(canonical_dumps(result.verdict) + "\n")
+        result.outputs = ["run", *(extra_csv or {}), "verdict.json"]
     return result
 
 
@@ -355,7 +373,9 @@ def _stay_member(i, values, config, monitors, L):
     h = float(axis[1] - axis[0])
     cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
     patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
+    probes = []
     battery = monitor_battery(2, rho=1.0, enabled=monitors)
+    battery.append(_record_probe(cyl, probes, until_lost=True))
     trace = run_flow(FlowState(patch), config, monitors=battery)
     mon_fail = _monitor_failures(trace)
     failures = [f"flow {i}: {m}" for m in mon_fail]
@@ -363,8 +383,7 @@ def _stay_member(i, values, config, monitors, L):
     fnt = None
     flow_grad = 0.0
     flow_lambda = 0.0
-    for state in trace.snapshots:
-        rep = is_graphical(state.surface, cyl)
+    for state, rep in probes:
         if not rep.graphical:
             fnt = state.t
             break
@@ -464,15 +483,15 @@ def scenario_flat_stay_graphical(
     patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
     dt0 = CFL * h * h / (1.0 + l * l)
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 50))
+    probes = []
     battery = monitor_battery(2, rho=rho, enabled=monitors)
+    battery.append(_record_probe(Cylinder((0.0, 0.0), rho, 1.0), probes))
     trace = run_flow(FlowState(patch), config, monitors=battery)
 
     failures = _monitor_failures(trace)
-    cyl = Cylinder((0.0, 0.0), rho, 1.0)
     max_h_ratio = max_g_ratio = max_d2_ratio = 0.0
     d2_sqrt_t = []
-    for state in trace.snapshots:
-        rep = is_graphical(state.surface, cyl)
+    for state, rep in probes:
         if not rep.graphical:
             failures.append(f"not graphical in C(0,{rho},1) at t={state.t}")
             continue
@@ -541,9 +560,12 @@ def scenario_shrinking_square(
     stride = max(1, int(3 * t_upper / dt0) // 600)
     config = FlowConfig(t_end=2.0, record_stride=stride, remesh_spacing=e0)
     battery = monitor_battery(2, rho=1.0, y0=(0.0, 1.0), enabled=monitors)
-    battery.append(windowed_monitor(
-        check_height_bound, 0, (0.0, 0.0), R=1.0, r0=0.05, c_hat=2.0
-    ))
+    probes22, probes11 = [], []
+    battery += [
+        windowed_monitor(check_height_bound, 0, (0.0, 0.0), R=1.0, r0=0.05, c_hat=2.0),
+        _record_probe(Cylinder((0.0, 0.0), 2.0, 2.0), probes22, until_lost=True),
+        _record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes11, until_lost=True),
+    ]
     trace = run_flow(FlowState(curve), config, monitors=battery)
 
     failures = _monitor_failures(trace)
@@ -559,11 +581,6 @@ def scenario_shrinking_square(
     literal_violation = 0.0
     containment_margin = math.inf
     avoidance_margin = math.inf
-    cyl22 = Cylinder((0.0, 0.0), 2.0, 2.0)
-    cyl11 = Cylinder((0.0, 0.0), 1.0, 1.0)
-    t_ng22 = t_ng22_prev = None
-    t_ng11 = None
-    prev_t = None
     for state in trace.snapshots:
         v = state.surface.vertices
         t = state.t
@@ -580,12 +597,10 @@ def scenario_shrinking_square(
         if r_t is not None:
             avoidance_margin = min(avoidance_margin, min_d - r_t)
         rows.append([t, r_lit, r_t, min_d, max_d])
-        if t_ng22 is None and not is_graphical(state.surface, cyl22).graphical:
-            t_ng22 = t
-            t_ng22_prev = prev_t
-        if t_ng11 is None and not is_graphical(state.surface, cyl11).graphical:
-            t_ng11 = t
-        prev_t = t
+    # a probe list ends at its first non-graphical record, if it has one
+    t_ng22 = None if probes22[-1][1].graphical else probes22[-1][0].t
+    t_ng22_prev = probes22[-2][0].t if t_ng22 is not None and len(probes22) > 1 else None
+    t_ng11 = None if probes11[-1][1].graphical else probes11[-1][0].t
 
     T = trace.extinction_time
     if T is None:
@@ -644,52 +659,47 @@ def scenario_shrinking_square(
     return _finish(result, out_dir, trace, extra)
 
 
-def _fold_graphicality(trace, cyl):
+def _fold_graphicality(probes):
     """(held-graphical time, max ratios of the extracted sup stats against the
     slab-regularization bound shapes t/rho, (t/rho^2)^(1/4), t^(-1/2) from
-    then on), from one probe of each snapshot; (None, zeros) if never held."""
-    # a report keeps its flag and sup stats, not the graph it extracted
-    reports = [replace(is_graphical(state.surface, cyl), graph=None)
-               for state in trace.snapshots]
-    first = held_graphical_index([rep.graphical for rep in reports], hold=10)
+    then on), from the record-time probes of one flow; (None, zeros) if
+    never held."""
+    first = held_graphical_index([rep.graphical for _, rep in probes], hold=10)
     ratios = [0.0, 0.0, 0.0]
     if first is None:
         return None, ratios
-    rho = cyl.radius
-    for state, rep in zip(trace.snapshots[first:], reports[first:]):
+    rho = probes[first][1].cylinder.radius
+    for state, rep in probes[first:]:
         t = state.t
         if t <= 0 or not rep.graphical:
             continue
         ratios[0] = max(ratios[0], rep.sup_height / (t / rho))
         ratios[1] = max(ratios[1], rep.sup_grad / (t / rho**2) ** 0.25)
         ratios[2] = max(ratios[2], rep.sup_hess * math.sqrt(t))
-    return trace.snapshots[first].t, ratios
-
-
-def _keep_final(trace) -> None:
-    """Drop every snapshot of an auxiliary trace but the final one, once its
-    probes are taken; its reports, events and report_records (which keep
-    the original record indices) stay."""
-    del trace.snapshots[:-1], trace.stats[:-1]
+    return probes[first][0].t, ratios
 
 
 def _run_fold(L, gamma, spacing, t_end, monitors):
+    """One fold flow, probed in C(0,1,1) as it records: (trace, extra
+    length, _fold_graphicality)."""
     verts, extra, w = _fold_vertices(L, gamma, spacing)
     curve = ClosedCurve(verts, closed=False)
     dt0 = CFL * float(np.min(edge_lengths(curve))) ** 2
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 80))
+    probes = []
     battery = monitor_battery(2, rho=1.0, enabled=monitors)
+    battery.append(_record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes))
     trace = run_flow(FlowState(curve), config, monitors=battery)
-    return trace, extra
+    return trace, extra, _fold_graphicality(probes)
 
 
 def _fold_aux(L, gamma, spacing, t_end, monitors):
-    """An auxiliary fold flow (a pool task): its trace cut to the final state
-    and its _fold_graphicality probe."""
-    trace, _ = _run_fold(L, gamma, spacing, t_end, monitors)
-    probe = _fold_graphicality(trace, Cylinder((0.0, 0.0), 1.0, 1.0))
-    _keep_final(trace)
-    return trace, probe
+    """An auxiliary fold flow (a pool task): its trace cut to the final state,
+    and its _fold_graphicality.  Its reports, events and report_records (which
+    keep the original record indices) stay."""
+    trace, _, graphicality = _run_fold(L, gamma, spacing, t_end, monitors)
+    del trace.snapshots[:-1], trace.stats[:-1]
+    return trace, graphicality
 
 
 def scenario_become_graphical(
@@ -722,8 +732,7 @@ def scenario_become_graphical(
     with worker_pool(len(aux)) as pool:
         pending = {tag: pool.submit(_fold_aux, L, g, spacing, t_end, monitors)
                    for tag, (g, spacing) in aux.items()}
-        trace, extra_len = _run_fold(L, gamma, base_spacing, t_end, monitors)
-        t_graph, ratios = _fold_graphicality(trace, Cylinder((0.0, 0.0), 1.0, 1.0))
+        trace, extra_len, (t_graph, ratios) = _run_fold(L, gamma, base_spacing, t_end, monitors)
         if out_dir is not None:  # while the auxiliary flows run
             write_run_dir(trace, Path(out_dir) / "run", pool=pool)
         traces = {"run": trace}
@@ -795,28 +804,31 @@ def scenario_bounded_curvature(
 
     dt0 = CFL * h * h / (1.0 + L * L)
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 50))
+    gamma_h = float(np.max(np.abs(values))) + 0.5
+    probes, extremes = [], []
+
+    def record_extremes(trace, state):
+        # max tilt and max|A| of each record, from its live caches
+        df = gradient_field(state.surface)
+        a_norm = second_fundamental_norm(df, hessian_field(state.surface))
+        extremes.append((float(np.max(tilt(df))), float(np.max(a_norm))))
+
     battery = monitor_battery(2, rho=rho, enabled=monitors)
+    battery += [_record_probe(Cylinder((0.0, 0.0), rho, gamma_h), probes, until_lost=True),
+                record_extremes]
     trace = run_flow(FlowState(patch), config, monitors=battery)
 
     failures = _monitor_failures(trace)
-    gamma_h = float(np.max(np.abs(values))) + 0.5
-    cyl = Cylinder((0.0, 0.0), rho, gamma_h)
     sigma_end = None
     tilt_max = 0.0
     a_sqrt_t = 0.0
-    for state in trace.snapshots:
-        # a copy takes the caches these reads build, so that the recorded
-        # states keep the release rule of run_flow
-        surf = replace(state.surface, _cache={})
-        if not is_graphical(surf, cyl).graphical:
+    for (state, rep), (tilt_now, a_now) in zip(probes, extremes):
+        if not rep.graphical:
             sigma_end = state.t
             break
-        tilt_max = max(tilt_max, float(np.max(tilt(gradient_field(surf)))))
+        tilt_max = max(tilt_max, tilt_now)
         if state.t > 0:
-            a_now = second_fundamental_norm(
-                gradient_field(surf), hessian_field(surf)
-            )
-            a_sqrt_t = max(a_sqrt_t, float(np.max(a_now)) * math.sqrt(state.t))
+            a_sqrt_t = max(a_sqrt_t, a_now * math.sqrt(state.t))
     censored = sigma_end is None
     sigma_hat = (t_end if censored else sigma_end) / rho**2
     if sigma_hat <= 0:
@@ -970,6 +982,8 @@ def validate_scenario_spec(doc, path: str = "$") -> dict:
                     f"{path}.monitors[{i}]",
                     f"unknown monitor {m!r}; expected one of {list(MONITOR_IDS)}",
                 )
+            if m in mons[:i]:
+                raise ValidationError(f"{path}.monitors[{i}]", f"duplicate monitor {m!r}")
     out["monitors"] = mons
 
     params = doc.get("params", {})
@@ -1077,27 +1091,14 @@ def run_scenario(doc, out_dir=None, seed_override=None,
 
 def _sweep_worker(item):
     run_id, doc, out_root = item
+    row = {"run_id": run_id, "params": doc.get("params", {})}
     try:
-        res = run_scenario(
-            doc, out_dir=None if out_root is None else Path(out_root) / run_id
-        )
-        return {
-            "run_id": run_id,
-            "scenario": res.scenario,
-            "pass": res.passed,
-            "error": None,
-            "params": doc.get("params", {}),
-            "measured": res.measured,
-        }
+        res = run_scenario(doc, out_dir=None if out_root is None else Path(out_root) / run_id)
     except Exception as exc:  # individual failures recorded, sweep continues
-        return {
-            "run_id": run_id,
-            "scenario": doc.get("scenario"),
-            "pass": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "params": doc.get("params", {}),
-            "measured": {},
-        }
+        return {**row, "scenario": doc.get("scenario"), "pass": False,
+                "error": f"{type(exc).__name__}: {exc}", "measured": {}, "outputs": []}
+    return {**row, "scenario": res.scenario, "pass": res.passed, "error": None,
+            "measured": res.measured, "outputs": res.outputs}
 
 
 def run_sweep(doc, out_dir=None, parallelism: int = 1):

@@ -399,8 +399,9 @@ def test_criterion_08_fold_becomes_graphical(fold_result):
 
 def test_criterion_08_fold_traces_hold_bounded_memory(fold_result):
     """The auxiliary fold flows keep every report and event but only their
-    final state; the main flow's probes and persistence leave every state
-    but the first and the last without a cache."""
+    final state; the main flow's probes, taken as each state is recorded,
+    and its persistence leave every state but the first and the last
+    without a cache."""
     res, _ = fold_result
     for tag in ("cal_mid", "cal_fine", "doubled"):
         trace = res.traces[tag]
@@ -417,6 +418,23 @@ def test_criterion_08_fold_traces_hold_bounded_memory(fold_result):
     assert len(run) > 2
     for state in run[1:-1]:
         assert state.surface._cache == {}
+
+
+def test_scenarios_keep_the_release_rule(battery):
+    """run_flow releases a recorded state's cache once the next state is
+    recorded, and no scenario reads a released state back into a cache: when
+    a scenario has returned, every trace it keeps holds at most the caches of
+    its first and its last state."""
+    held = {}
+    for name, res in battery:
+        for tag, trace in res.traces.items():
+            cached = [i for i, state in enumerate(trace.snapshots[1:-1], 1)
+                      if state.surface._cache]
+            if cached:
+                held[f"{name}/{tag}"] = f"{len(cached)} states, from record {cached[0]}"
+    print(f"release rule: {len(battery)} scenario runs, "
+          f"{len(held)} traces with a released state's cache rebuilt")
+    assert held == {}
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,18 @@ def test_sweep_rejects_empty_expansion(tmp_path, capsys, sweep, loc):
     assert f"error: {loc}:" in capsys.readouterr().err
 
 
+def test_sweep_rejects_parallelism_below_one(tmp_path, capsys):
+    """--parallelism counts worker processes: below 1 it is a usage error
+    (exit 2) before anything is written."""
+    spec = _write_spec(tmp_path / "sw.json",
+                       {"schema_version": 1, "scenario": "sweep", "runs": [FLAT]})
+    out = tmp_path / "o"
+    for value in ("0", "-3"):
+        assert main(["sweep", "--spec", spec, "--out", str(out), "--parallelism", value]) == 2
+        assert f"error: --parallelism must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failing_run_exits_one(tmp_path):
     spec = _write_spec(tmp_path / "doomed.json", {
         "schema_version": 1,
@@ -196,6 +208,23 @@ def test_rerun_leaves_no_stale_snapshots(tmp_path):
     assert main(["plotdata", "--run", str(out), "--kind", "snapshots"]) == 0
     rows = (out / "plots" / "snapshots.csv").read_text().splitlines()[1:]
     assert {row.split(",")[0] for row in rows} == {"0", "1"}
+
+
+def test_rerun_of_another_scenario_inventories_only_its_files(tmp_path):
+    """A flat_plane run into the directory of a stay_graphical run lists in
+    run_manifest.json only what it wrote; the stay run's family.csv stays on
+    disk, unlisted."""
+    out = tmp_path / "out"
+    stay = {"schema_version": 1, "scenario": "stay_graphical", "resolution": 32,
+            "params": {"L": 0.5, "family": 2, "t_end": 0.002}}
+    codes = [main(["run", "--spec", _write_spec(tmp_path / "s.json", doc), "--out", str(out)])
+             for doc in (stay, FLAT)]
+    assert codes[1] == 0 and (out / "family.csv").is_file()
+    inventory = json.loads((out / "run_manifest.json").read_text())["files"]
+    assert "family.csv" not in inventory
+    on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*")
+               if p.is_file() and p.name not in ("run_manifest.json", "family.csv")}
+    assert set(inventory) == on_disk
 
 
 def test_plotdata_flags_incomplete_run(flat_spec, tmp_path, capsys):

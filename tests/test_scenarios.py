@@ -66,6 +66,7 @@ def test_validate_normalizes_defaults():
     (_spec(params={"radius": 0.0}), "$.params.radius"),
     (_spec(params={"radius": True}), "$.params.radius"),
     (_spec(extra_field=1), "$.extra_field"),
+    (_spec(monitors=["phi", "phi"]), "$.monitors[1]"),
 ])
 def test_validate_reports_json_path(doc, loc):
     with pytest.raises(ValidationError) as err:

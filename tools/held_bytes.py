@@ -19,7 +19,9 @@ cache entries in name order, the monitor context last.  So an array shared
 by two entries counts once, with the entry that computed it: a curve
 sample's points are its vertices, its normals the cached `quantities`
 normals, and the monitor context's arrays are the sample weights and the
-cached curvature.  Grid arrays that several patches share count once.
+cached curvature.  A patch grid is no cache entry (`patch_grid` shares one
+set of arrays among the patches on a grid); a grid array that an entry
+holds, such as the monitor context's boundary rows, counts once, with it.
 The last line is the process's peak resident set size.
 """
 
