@@ -27,6 +27,7 @@ from .graphicality import (
     first_nongraphical_time,
     is_graphical,
     native_resolution,
+    record_probe,
 )
 from .monitors import KernelPoint, MonitorReport
 from .scenarios import ScenarioResult, run_scenario, run_sweep, validate_scenario_spec
@@ -55,6 +56,7 @@ __all__ = [
     "loads_surface",
     "mean_curvature_graph",
     "native_resolution",
+    "record_probe",
     "run_flow",
     "run_scenario",
     "run_sweep",

@@ -46,13 +46,20 @@ def _resolve_out(explicit, spec_path: Path) -> Path:
 
 
 def _file_inventory(out: Path, written) -> dict:
-    """{relative path: sha256} of the files and trees under out that the run wrote."""
+    """{relative path: sha256} of the files and run directories under out that
+    the run wrote.  A run directory's entries come from its manifest.json,
+    which write_run_dir filled as it wrote them; only that manifest and the
+    top-level files are hashed here."""
     files = {}
     for name in written:
         path = out / name
-        for p in sorted(path.rglob("*")) if path.is_dir() else [path]:
-            if p.is_file():
-                files[p.relative_to(out).as_posix()] = sha256_file(p)
+        if path.is_dir():
+            manifest = path / "manifest.json"
+            files[f"{name}/manifest.json"] = sha256_file(manifest)
+            for rel, digest in json.loads(manifest.read_text())["files"].items():
+                files[f"{name}/{rel}"] = digest
+        elif path.is_file():
+            files[name] = sha256_file(path)
     return files
 
 

@@ -466,8 +466,7 @@ def _write_snapshots(out: Path, start: int, surfaces: list) -> dict[str, str]:
     return files
 
 
-def write_run_dir(trace: FlowTrace, out_dir: str | Path, manifest_extra: dict | None = None,
-                  pool: Executor | None = None) -> Path:
+def write_run_dir(trace: FlowTrace, out_dir: str | Path, pool: Executor | None = None) -> Path:
     """Persist a trace: snapshots/NNNN.json, timeseries.csv, events.ndjson,
     and (last, with file checksums) manifest.json.
 
@@ -521,7 +520,5 @@ def write_run_dir(trace: FlowTrace, out_dir: str | Path, manifest_extra: dict | 
         "event_count": len(trace.events),
         "files": files,
     }
-    if manifest_extra:
-        manifest.update(manifest_extra)
     (out / "manifest.json").write_text(canonical_dumps(manifest) + "\n")
     return out

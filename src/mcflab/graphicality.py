@@ -1,5 +1,6 @@
 """Graphicality predicate: probe a surface with vertical lines over a
-cylinder's base, count sheets, and extract the graph with sup statistics.
+cylinder's 1-D base, count sheets, and report the sup statistics of the
+column heights; plus the first-crossing times over a probe list.
 
 Probing is resolution-limited.  The probe grid spacing delta defaults to
 half the surface's native resolution and must not exceed it; every report
@@ -8,7 +9,12 @@ probe scale.
 
 A probe column fails graphicality three ways: no sheet in the height range
 (gap), more than one sheet (multi), or a near-vertical crossing where graph
-extraction is ill-posed (tangency).
+extraction is ill-posed (tangency).  A report is graphical exactly when it
+carries no witness.
+
+`record_probe` builds a probe list, [(state, GraphReport)], as run_flow
+records each state; `first_nongraphical_time` and `first_graphical_time`
+read it and probe nothing again.
 """
 
 from __future__ import annotations
@@ -25,9 +31,8 @@ from .geometry import (
     GraphPatch,
     curve_segments,
     edge_lengths,
-    gradient_field,
-    hessian_field,
-    patch_grid,
+    gradient_raw,
+    hessian_raw,
 )
 
 TANGENCY_TOL = 1e-6
@@ -36,17 +41,20 @@ HOLD_RECORDS_DEFAULT = 10
 
 @dataclass(frozen=True)
 class GraphReport:
-    """Outcome of probing one surface against one cylinder."""
+    """Outcome of probing one surface against one cylinder: the sup
+    statistics of the column heights if graphical, else the witness."""
 
     cylinder: Cylinder
     delta: float
-    graphical: bool
     sheet_count: int
     sup_height: float | None = None
     sup_grad: float | None = None
     sup_hess: float | None = None
-    graph: GraphPatch | None = None
     witness: dict | None = None
+
+    @property
+    def graphical(self) -> bool:
+        return self.witness is None
 
 
 def native_resolution(surface) -> float:
@@ -64,47 +72,21 @@ def _probe_step(cyl: Cylinder, delta: float) -> tuple[float, int]:
 
 
 def _report_from_grid(
-    cyl: Cylinder,
-    step: float,
-    graphical: bool,
-    m0: int,
-    witness: dict | None,
-    values: np.ndarray | None,
-    stat_mask: np.ndarray | None,
-    time: float,
+    cyl: Cylinder, step: float, m0: int, witness: dict | None, values: np.ndarray
 ) -> GraphReport:
-    if not graphical or values is None:
-        return GraphReport(
-            cylinder=cyl,
-            delta=step,
-            graphical=False,
-            sheet_count=m0,
-            witness=witness,
-        )
-    patch = GraphPatch(
-        center=cyl.base_center,
-        radius=cyl.radius,
-        spacing=step,
-        values=values,
-        time=time,
-    )
-    mask = patch.active if stat_mask is None else (patch.active & stat_mask)
-    a_til = float(cyl.height_center[0])
-    sup_height = float(np.max(np.abs(values[mask] - a_til)))
-    df = gradient_field(patch)[mask]
-    d2f = hessian_field(patch)[mask]
-    sup_grad = float(np.max(np.linalg.norm(df, axis=-1)))
-    sup_hess = float(np.max(np.sqrt(np.sum(d2f * d2f, axis=(-2, -1)))))
+    """The report of one probe: the witness, or the sup statistics of the
+    column heights `values` (spacing `step`) about the cylinder's center."""
+    if witness is not None:
+        return GraphReport(cylinder=cyl, delta=step, sheet_count=m0, witness=witness)
+    df = gradient_raw(values, step)
+    d2f = hessian_raw(values, df, step)
     return GraphReport(
         cylinder=cyl,
         delta=step,
-        graphical=True,
         sheet_count=m0,
-        sup_height=sup_height,
-        sup_grad=sup_grad,
-        sup_hess=sup_hess,
-        graph=patch,
-        witness=None,
+        sup_height=float(np.max(np.abs(values - float(cyl.height_center[0])))),
+        sup_grad=float(np.max(np.linalg.norm(df, axis=-1))),
+        sup_hess=float(np.max(np.sqrt(np.sum(d2f * d2f, axis=(-2, -1))))),
     )
 
 
@@ -207,15 +189,10 @@ def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport
         col = int(np.argmax(counts == 0))
         witness = {"kind": "gap", "base_point": [float(probes[col])], "count": 0}
 
-    graphical = witness is None
-    values = None
-    if graphical:
-        # single cover: each column holds its one in-band crossing
-        values = np.full(count, a_til)
-        values[cols] = ycross
-    return _report_from_grid(
-        cyl, step, graphical, m0, witness, values, None, curve.time
-    )
+    # where graphical, each column holds its one in-band crossing
+    values = np.full(count, a_til)
+    values[cols] = ycross
+    return _report_from_grid(cyl, step, m0, witness, values)
 
 
 # ---------------------------------------------------------------------------
@@ -223,68 +200,30 @@ def _probe_curve(curve: ClosedCurve, cyl: Cylinder, delta: float) -> GraphReport
 # ---------------------------------------------------------------------------
 
 
-def _interp_patch(patch: GraphPatch, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear interpolation of f at base points q (P, n) with coverage mask."""
-    lo = patch.center - patch.radius
-    pos = (q - lo) / patch.spacing
-    m = patch.shape[0]
-    covered = np.all((pos >= -1e-9) & (pos <= m - 1 + 1e-9), axis=1)
-    i0 = np.clip(np.floor(pos).astype(int), 0, m - 2)
-    frac = np.clip(pos - i0, 0.0, 1.0)
-    act = patch.active
-    vals = patch.values
-    if patch.n == 1:
-        ia = i0[:, 0]
-        covered &= act[ia] & act[ia + 1]
-        out = (1 - frac[:, 0]) * vals[ia] + frac[:, 0] * vals[ia + 1]
-    elif patch.n == 2:
-        ix, iy = i0[:, 0], i0[:, 1]
-        fx, fy = frac[:, 0], frac[:, 1]
-        covered &= act[ix, iy] & act[ix + 1, iy] & act[ix, iy + 1] & act[ix + 1, iy + 1]
-        out = (
-            vals[ix, iy] * (1 - fx) * (1 - fy)
-            + vals[ix + 1, iy] * fx * (1 - fy)
-            + vals[ix, iy + 1] * (1 - fx) * fy
-            + vals[ix + 1, iy + 1] * fx * fy
-        )
-    else:
-        raise ConfigError("probing supports n in {1, 2}")
-    return out, covered
-
-
 def _probe_graph_patch(patch: GraphPatch, cyl: Cylinder, delta: float) -> GraphReport:
-    if cyl.base_dim != patch.n:
+    """Interpolate f linearly at each probe column; a column fails (gap)
+    where no two active nodes bracket it or its height leaves the band."""
+    if patch.n != 1 or cyl.base_dim != 1:
         raise ConfigError(
-            f"cylinder base dim {cyl.base_dim} does not match patch dim {patch.n}"
+            f"probing needs a 1-D patch and cylinder base, got {patch.n} and {cyl.base_dim}"
         )
     a_til = float(cyl.height_center[0])
     step, count = _probe_step(cyl, delta)
-    grid = patch_grid(tuple(cyl.base_center.tolist()), cyl.radius, step, (count,) * patch.n)
-    grid_shape = grid.active.shape
-    q = grid.nodes.reshape(-1, patch.n)
-    in_ball = grid.active.reshape(-1)
-    vals, covered = _interp_patch(patch, q)
-    in_height = np.abs(vals - a_til) <= cyl.height
-    ok = covered & in_height
-    m0 = 1 if np.any(ok & in_ball) else 0
+    probes = float(cyl.base_center[0]) - cyl.radius + step * np.arange(count)
+    pos = (probes - (patch.center[0] - patch.radius)) / patch.spacing
+    m = patch.shape[0]
+    i0 = np.clip(np.floor(pos).astype(int), 0, m - 2)
+    frac = np.clip(pos - i0, 0.0, 1.0)
+    act = patch.active
+    covered = (pos >= -1e-9) & (pos <= m - 1 + 1e-9) & act[i0] & act[i0 + 1]
+    values = (1 - frac) * patch.values[i0] + frac * patch.values[i0 + 1]
+    ok = covered & (np.abs(values - a_til) <= cyl.height)
 
     witness = None
-    bad = in_ball & ~ok
-    if np.any(bad):
-        col = int(np.argmax(bad))
-        witness = {
-            "kind": "gap",
-            "base_point": [float(c) for c in q[col]],
-            "count": 0,
-        }
-    graphical = witness is None
-    values = stat_mask = None
-    if graphical:
-        values = np.where(covered, vals, a_til).reshape(grid_shape)
-        stat_mask = (covered & ok).reshape(grid_shape)
-    return _report_from_grid(
-        cyl, step, graphical, m0, witness, values, stat_mask, patch.time
-    )
+    if not ok.all():
+        col = int(np.argmax(~ok))
+        witness = {"kind": "gap", "base_point": [float(probes[col])], "count": 0}
+    return _report_from_grid(cyl, step, int(ok.any()), witness, values)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +248,7 @@ def is_graphical(surface, cyl: Cylinder, delta: float | None = None) -> GraphRep
         )
     if cyl.radius <= 0 or cyl.height <= 0:
         return GraphReport(
-            cylinder=cyl, delta=delta, graphical=False, sheet_count=0,
+            cylinder=cyl, delta=delta, sheet_count=0,
             witness={"kind": "gap", "base_point": [], "count": 0},
         )
     if isinstance(surface, ClosedCurve):
@@ -317,31 +256,33 @@ def is_graphical(surface, cyl: Cylinder, delta: float | None = None) -> GraphRep
     return _probe_graph_patch(surface, cyl, delta)
 
 
-def first_nongraphical_time(trace, cyl: Cylinder, delta: float | None = None) -> float | None:
-    """Earliest recorded time whose report is not graphical; None if never."""
-    for state in trace.snapshots:
-        if not is_graphical(state.surface, cyl, delta).graphical:
-            return state.t
-    return None
+def record_probe(cyl: Cylinder, probes: list, until_lost: bool = False):
+    """A run_flow monitor that appends (state, its report in `cyl`) to the
+    probe list `probes` as each state is recorded and returns no report;
+    with `until_lost`, none after the first non-graphical report."""
+
+    def probe(trace, state):
+        if until_lost and probes and not probes[-1][1].graphical:
+            return
+        probes.append((state, is_graphical(state.surface, cyl)))
+
+    return probe
 
 
-def held_graphical_index(flags, hold: int = HOLD_RECORDS_DEFAULT) -> int | None:
-    """Index of the first record from which the graphical flags stay true
-    for `hold` consecutive records (or through the end); None if none."""
+def first_nongraphical_time(probes) -> float | None:
+    """Earliest time in the probe list whose report is not graphical; None
+    if never."""
+    return next((state.t for state, rep in probes if not rep.graphical), None)
+
+
+def first_graphical_time(probes, hold: int = HOLD_RECORDS_DEFAULT) -> float | None:
+    """Earliest time in the probe list from which reports stay graphical for
+    `hold` consecutive records (or through the end of the list); None if
+    never."""
     first = None
     run = 0
-    for i in range(len(flags) - 1, -1, -1):
-        run = run + 1 if flags[i] else 0
-        if run >= hold or run == len(flags) - i:
+    for i in range(len(probes) - 1, -1, -1):
+        run = run + 1 if probes[i][1].graphical else 0
+        if run >= hold or run == len(probes) - i:
             first = i
-    return first
-
-
-def first_graphical_time(
-    trace, cyl: Cylinder, hold: int = HOLD_RECORDS_DEFAULT, delta: float | None = None
-) -> float | None:
-    """Earliest recorded time from which reports stay graphical for `hold`
-    consecutive records (or through the end of the trace)."""
-    flags = [is_graphical(s.surface, cyl, delta).graphical for s in trace.snapshots]
-    i = held_graphical_index(flags, hold)
-    return None if i is None else trace.snapshots[i].t
+    return None if first is None else probes[first][0].t

@@ -278,9 +278,7 @@ def _ball_measure(state, center, radius: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _monotonicity_report(
-    monitor_id: str, state_a, state_b, key, fn, tol_rel: float
-) -> MonitorReport:
+def _monotonicity_report(monitor_id: str, state_a, state_b, key, fn) -> MonitorReport:
     """key names fn by its parameters, so that every check of the same test
     function shares one evaluation per state."""
 
@@ -297,7 +295,7 @@ def _monotonicity_report(
         t=state_b.t,
         value=i_b - i_a,
         bound=0.0,
-        tol=tol_rel * abs(i_a),
+        tol=MONO_TOL_REL_DEFAULT * abs(i_a),
     )
 
 
@@ -308,7 +306,6 @@ def check_phi_monotonicity(
     t0: float = 0.0,
     x0=None,
     n: int | None = None,
-    tol_rel: float = MONO_TOL_REL_DEFAULT,
     monitor_id: str = "phi_monotonicity",
 ) -> MonitorReport:
     """int phi_rho^3 dmu between two recorded states must not increase."""
@@ -320,7 +317,7 @@ def check_phi_monotonicity(
     def fn(t, pts):
         return phi_rho(rho, t0, x0, t, pts, n) ** 3
 
-    return _monotonicity_report(monitor_id, state_a, state_b, key, fn, tol_rel)
+    return _monotonicity_report(monitor_id, state_a, state_b, key, fn)
 
 
 def check_upsilon_monotonicity(
@@ -335,7 +332,6 @@ def check_upsilon_monotonicity(
     r0: float = 0.0,
     lam: float | None = None,
     c1: float = 1.0,
-    tol_rel: float = MONO_TOL_REL_DEFAULT,
     monitor_id: str | None = None,
 ) -> MonitorReport:
     """int Upsilon^3 dmu between two recorded states must not increase."""
@@ -349,7 +345,7 @@ def check_upsilon_monotonicity(
             ** 3
         )
 
-    return _monotonicity_report(mid, state_a, state_b, key, fn, tol_rel)
+    return _monotonicity_report(mid, state_a, state_b, key, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +359,6 @@ def check_measure_bound(
     y0,
     rho: float,
     monitor_id: str = "measure_bound",
-    tol: float = 0.0,
 ) -> MonitorReport:
     """mu_t(B(y0, rho/2)) <= 8 mu_s1(B(y0, rho)) inside the parabolic window."""
     if rho <= 0:
@@ -382,9 +377,7 @@ def check_measure_bound(
         )
     value = _ball_measure(state_t, y0, rho / 2.0)
     bound = 8.0 * _ball_measure(state_s1, y0, rho)
-    return MonitorReport(
-        monitor_id=monitor_id, t=state_t.t, value=value, bound=bound, tol=tol
-    )
+    return MonitorReport(monitor_id=monitor_id, t=state_t.t, value=value, bound=bound)
 
 
 def check_height_bound(
@@ -395,7 +388,6 @@ def check_height_bound(
     r0: float,
     c_hat: float,
     monitor_id: str = "height_bound",
-    tol: float = 0.0,
 ) -> MonitorReport:
     """Vertical excursion in C(x0, R, R) stays below r0 + c_hat (t-t1)/R.
 
@@ -420,9 +412,7 @@ def check_height_bound(
     inside = (base <= R) & (heights <= R)
     value = float(np.max(heights[inside])) if np.any(inside) else 0.0
     bound = r0 + c_hat * (state_t.t - state_t1.t) / R
-    return MonitorReport(
-        monitor_id=monitor_id, t=state_t.t, value=value, bound=bound, tol=tol
-    )
+    return MonitorReport(monitor_id=monitor_id, t=state_t.t, value=value, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +426,6 @@ def check_gradient_bound_EH(
     x0,
     rho: float,
     monitor_id: str = "gradient_bound_eh",
-    tol: float = 0.0,
 ) -> MonitorReport:
     """v(t,x) (1 - rho^-2(|x-x0|^2 + 2n(t-t1))) <= sup_{B^n(x0_hat, rho)} v(t1)
     on the shrinking ball B(x0, rho(t)), with v = (nu . e_last)^-1."""
@@ -481,9 +470,7 @@ def check_gradient_bound_EH(
             )
         weight = 1.0 - (dist[sel_t] ** 2 + 2.0 * n * tau) / rho**2
         value = float(np.max(weight / ne_t))
-    return MonitorReport(
-        monitor_id=monitor_id, t=state_t.t, value=value, bound=bound, tol=tol
-    )
+    return MonitorReport(monitor_id=monitor_id, t=state_t.t, value=value, bound=bound)
 
 
 def check_curvature_bound_EH(
@@ -492,7 +479,6 @@ def check_curvature_bound_EH(
     rho: float,
     c_hat: float,
     monitor_id: str = "curvature_bound_eh",
-    tol: float = 0.0,
 ) -> MonitorReport:
     """max |A|^2 over the final lift of B^n(x0_hat, rho) against
     c_hat ((s-s1)^-1 + rho^-2) sup_{[s1,s]} sup_{B^n(x0_hat, 2 rho)} (1+|Df|^2)^2."""
@@ -525,7 +511,7 @@ def check_curvature_bound_EH(
     d2f = hessian_field(final)[act][sel]
     value = float(np.max(second_fundamental_norm(df, d2f) ** 2))
     bound = c_hat * (1.0 / (s - s1) + 1.0 / rho**2) * sup_df
-    return MonitorReport(monitor_id=monitor_id, t=s, value=value, bound=bound, tol=tol)
+    return MonitorReport(monitor_id=monitor_id, t=s, value=value, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +572,6 @@ def check_brakke_identity(
     state_b,
     test_field: TestField,
     form: str = "divergence",
-    tol_rel: float = IDENTITY_TOL_REL_DEFAULT,
     monitor_id: str | None = None,
 ) -> MonitorReport:
     """|Delta int(phi) - Delta_t * int(dt phi + (form term) - |H|^2 phi)| small.
@@ -639,7 +624,7 @@ def check_brakke_identity(
     value = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), dt_window * (a[1] + b[1]) / 2.0)
     return MonitorReport(
-        monitor_id=mid, t=state_b.t, value=value, bound=tol_rel * scale, tol=0.0
+        monitor_id=mid, t=state_b.t, value=value, bound=IDENTITY_TOL_REL_DEFAULT * scale
     )
 
 

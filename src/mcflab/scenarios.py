@@ -11,7 +11,8 @@ three-resolution sweep (2x the max observed ratio) and are recorded in the
 verdict, never asserted against externally invented values.
 
 Each scenario probes its states in its cylinders as run_flow records them,
-while their caches are live (`_record_probe`, one of the flow's monitors).
+while their caches are live (`graphicality.record_probe`, one of the flow's
+monitors); its graphicality milestones read the probe lists that builds.
 
 Flows that read no other flow's result run in `_util.worker_pool`: the
 fold's calibration and doubled-gamma flows beside its main flow, and the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,9 @@ from .geometry import (
     total_length,
 )
 from .graphicality import (
-    held_graphical_index,
-    is_graphical,
+    first_graphical_time,
+    first_nongraphical_time,
+    record_probe,
     vertical_crossings,
 )
 from .monitors import (
@@ -98,34 +100,26 @@ class ScenarioResult:
         }
 
 
-def monitor_battery(
-    ambient_dim: int,
-    rho: float = 1.0,
-    y0=None,
-    t0: float = 0.0,
-    enabled=None,
-):
-    """Per-record monitors shared by every scenario.
+def monitor_battery(rho: float = 1.0, y0=(0.0, 0.0), enabled=None):
+    """Per-record monitors shared by every scenario, for curves and 1-D
+    graphs in R^2, centred at y0 from t = 0.
 
     The Brakke monitor uses the transport form H nu . Dphi.  The divergence
     form -div_M(Dphi) is the same identity after integration by parts and is
     exercised separately by the identity checks.
     """
-    if y0 is None:
-        y0 = np.zeros(ambient_dim)
     y0 = np.asarray(y0, dtype=float)
-    n = ambient_dim - 1
     upsilon = functools.partial(
-        windowed_monitor, check_upsilon_monotonicity, -2, y0=y0, rho=rho, t1=t0
+        windowed_monitor, check_upsilon_monotonicity, -2, y0=y0, rho=rho
     )
     battery = {
-        "phi": windowed_monitor(check_phi_monotonicity, -2, rho, t0=t0, x0=y0),
+        "phi": windowed_monitor(check_phi_monotonicity, -2, rho, x0=y0),
         "upsilon_constant": upsilon("constant"),
         "upsilon_slab": upsilon("slab", r0=0.2),
         "upsilon_split": upsilon("split", lam=0.5, c1=1.0),
         "gradient_eh": windowed_monitor(check_gradient_bound_EH, 0, y0, rho),
         "brakke": windowed_monitor(check_brakke_identity, -2,
-                                   phi_rho_cubed_field(rho, t0, y0, n), form="transport"),
+                                   phi_rho_cubed_field(rho, 0.0, y0, 1), form="transport"),
     }
     if enabled is None:
         enabled = MONITOR_IDS
@@ -140,19 +134,6 @@ def _monitor_failures(trace) -> list:
             f"margin {ev['margin']}"
         )
     return out
-
-
-def _record_probe(cyl: Cylinder, probes: list, until_lost: bool = False):
-    """A run_flow monitor that appends (state, its report in `cyl` without the
-    extracted graph) to `probes` as each state is recorded and returns no
-    report; with `until_lost`, none after the first non-graphical report."""
-
-    def probe(trace, state):
-        if until_lost and probes and not probes[-1][1].graphical:
-            return
-        probes.append((state, replace(is_graphical(state.surface, cyl), graph=None)))
-
-    return probe
 
 
 def _finish(result: ScenarioResult, out_dir, trace=None, extra_csv=None):
@@ -320,7 +301,7 @@ def scenario_flat_plane(
         radius=radius,
         nodes_per_axis=resolution,
     )
-    battery = monitor_battery(2, rho=radius / 2, y0=(0.0, value), enabled=monitors)
+    battery = monitor_battery(rho=radius / 2, y0=(0.0, value), enabled=monitors)
     battery.append(windowed_monitor(check_measure_bound, 0, (0.0, value), radius / 2))
     config = FlowConfig(t_end=t_end, record_stride=1)
     trace = run_flow(FlowState(patch), config, monitors=battery)
@@ -374,8 +355,8 @@ def _stay_member(i, values, config, monitors, L):
     cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
     patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
     probes = []
-    battery = monitor_battery(2, rho=1.0, enabled=monitors)
-    battery.append(_record_probe(cyl, probes, until_lost=True))
+    battery = monitor_battery(rho=1.0, enabled=monitors)
+    battery.append(record_probe(cyl, probes, until_lost=True))
     trace = run_flow(FlowState(patch), config, monitors=battery)
     mon_fail = _monitor_failures(trace)
     failures = [f"flow {i}: {m}" for m in mon_fail]
@@ -484,8 +465,8 @@ def scenario_flat_stay_graphical(
     dt0 = CFL * h * h / (1.0 + l * l)
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 50))
     probes = []
-    battery = monitor_battery(2, rho=rho, enabled=monitors)
-    battery.append(_record_probe(Cylinder((0.0, 0.0), rho, 1.0), probes))
+    battery = monitor_battery(rho=rho, enabled=monitors)
+    battery.append(record_probe(Cylinder((0.0, 0.0), rho, 1.0), probes))
     trace = run_flow(FlowState(patch), config, monitors=battery)
 
     failures = _monitor_failures(trace)
@@ -559,12 +540,12 @@ def scenario_shrinking_square(
     t_upper = (3 + 3 * epsilon) / 2
     stride = max(1, int(3 * t_upper / dt0) // 600)
     config = FlowConfig(t_end=2.0, record_stride=stride, remesh_spacing=e0)
-    battery = monitor_battery(2, rho=1.0, y0=(0.0, 1.0), enabled=monitors)
+    battery = monitor_battery(rho=1.0, y0=(0.0, 1.0), enabled=monitors)
     probes22, probes11 = [], []
     battery += [
         windowed_monitor(check_height_bound, 0, (0.0, 0.0), R=1.0, r0=0.05, c_hat=2.0),
-        _record_probe(Cylinder((0.0, 0.0), 2.0, 2.0), probes22, until_lost=True),
-        _record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes11, until_lost=True),
+        record_probe(Cylinder((0.0, 0.0), 2.0, 2.0), probes22, until_lost=True),
+        record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes11, until_lost=True),
     ]
     trace = run_flow(FlowState(curve), config, monitors=battery)
 
@@ -598,9 +579,9 @@ def scenario_shrinking_square(
             avoidance_margin = min(avoidance_margin, min_d - r_t)
         rows.append([t, r_lit, r_t, min_d, max_d])
     # a probe list ends at its first non-graphical record, if it has one
-    t_ng22 = None if probes22[-1][1].graphical else probes22[-1][0].t
+    t_ng22 = first_nongraphical_time(probes22)
     t_ng22_prev = probes22[-2][0].t if t_ng22 is not None and len(probes22) > 1 else None
-    t_ng11 = None if probes11[-1][1].graphical else probes11[-1][0].t
+    t_ng11 = first_nongraphical_time(probes11)
 
     T = trace.extinction_time
     if T is None:
@@ -660,23 +641,23 @@ def scenario_shrinking_square(
 
 
 def _fold_graphicality(probes):
-    """(held-graphical time, max ratios of the extracted sup stats against the
+    """(held-graphical time, max ratios of the probed sup stats against the
     slab-regularization bound shapes t/rho, (t/rho^2)^(1/4), t^(-1/2) from
     then on), from the record-time probes of one flow; (None, zeros) if
     never held."""
-    first = held_graphical_index([rep.graphical for _, rep in probes], hold=10)
+    t_graph = first_graphical_time(probes)
     ratios = [0.0, 0.0, 0.0]
-    if first is None:
+    if t_graph is None:
         return None, ratios
-    rho = probes[first][1].cylinder.radius
-    for state, rep in probes[first:]:
+    rho = probes[0][1].cylinder.radius
+    for state, rep in probes:
         t = state.t
-        if t <= 0 or not rep.graphical:
+        if t < t_graph or t <= 0 or not rep.graphical:
             continue
         ratios[0] = max(ratios[0], rep.sup_height / (t / rho))
         ratios[1] = max(ratios[1], rep.sup_grad / (t / rho**2) ** 0.25)
         ratios[2] = max(ratios[2], rep.sup_hess * math.sqrt(t))
-    return probes[first][0].t, ratios
+    return t_graph, ratios
 
 
 def _run_fold(L, gamma, spacing, t_end, monitors):
@@ -687,8 +668,8 @@ def _run_fold(L, gamma, spacing, t_end, monitors):
     dt0 = CFL * float(np.min(edge_lengths(curve))) ** 2
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 80))
     probes = []
-    battery = monitor_battery(2, rho=1.0, enabled=monitors)
-    battery.append(_record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes))
+    battery = monitor_battery(rho=1.0, enabled=monitors)
+    battery.append(record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes))
     trace = run_flow(FlowState(curve), config, monitors=battery)
     return trace, extra, _fold_graphicality(probes)
 
@@ -813,8 +794,8 @@ def scenario_bounded_curvature(
         a_norm = second_fundamental_norm(df, hessian_field(state.surface))
         extremes.append((float(np.max(tilt(df))), float(np.max(a_norm))))
 
-    battery = monitor_battery(2, rho=rho, enabled=monitors)
-    battery += [_record_probe(Cylinder((0.0, 0.0), rho, gamma_h), probes, until_lost=True),
+    battery = monitor_battery(rho=rho, enabled=monitors)
+    battery += [record_probe(Cylinder((0.0, 0.0), rho, gamma_h), probes, until_lost=True),
                 record_extremes]
     trace = run_flow(FlowState(patch), config, monitors=battery)
 
@@ -856,14 +837,11 @@ def scenario_bounded_curvature(
     return _finish(result, out_dir, trace)
 
 
-def calibrate_eh_curvature(
-    L: float = 2.0,
-    resolutions=(128, 192, 256),
-    rho: float = 0.5,
-    t_end: float = 0.02,
-) -> dict:
+def calibrate_eh_curvature() -> dict:
     """Three-resolution calibration of the curvature-bound constant on the
-    steep ramp family; returns per-resolution ratios and c_hat = 2 x max."""
+    steep ramp family (L 2, rho 0.5, t_end 0.02); returns per-resolution
+    ratios and c_hat = 2 x max."""
+    L, rho, t_end = 2.0, 0.5, 0.02
     ratios = {}
 
     def measure(res):
@@ -885,8 +863,8 @@ def calibrate_eh_curvature(
         ratios[res] = report.value / report.bound
         return ratios[res]
 
-    c_hat = calibrate_constant(measure, resolutions)
-    return {"c_hat": c_hat, "ratios": ratios, "rho": rho, "t_end": t_end}
+    c_hat = calibrate_constant(measure, (128, 192, 256))
+    return {"c_hat": c_hat, "ratios": ratios}
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +988,8 @@ def _check_param(scenario: str, key: str, value, where: str) -> None:
         )
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(where, "must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(where, f"must be finite, got {value}")
     if key in _INTEGER_PARAMS and not isinstance(value, int):
         raise ValidationError(where, "must be an integer")
     lo, hi = ranges[key]
@@ -1068,10 +1048,9 @@ def with_overrides(doc, seed=None, resolution=None):
     return {**doc, **{k: v for k, v in given.items() if v is not None}}
 
 
-def run_scenario(doc, out_dir=None, seed_override=None,
-                 resolution_override=None) -> ScenarioResult:
-    """Validate a spec document, with any overrides, and execute its scenario."""
-    spec = validate_scenario_spec(with_overrides(doc, seed_override, resolution_override))
+def run_scenario(doc, out_dir=None) -> ScenarioResult:
+    """Validate a spec document and execute its scenario."""
+    spec = validate_scenario_spec(doc)
     if spec["scenario"] == "sweep":
         raise ConfigError("sweep specs go through run_sweep")
     fn = SCENARIOS[spec["scenario"]]

@@ -347,7 +347,7 @@ def test_criterion_06_eh_monitors_and_calibration(battery):
                     if not rep.passed and not rep.skipped:
                         failures.append(f"{name}: gradient_bound_eh "
                                         f"margin {rep.margin}")
-    cal = calibrate_eh_curvature(L=2.0, resolutions=(128, 192, 256))
+    cal = calibrate_eh_curvature()
     ratios = cal["ratios"]
     print(f"criterion 6: {ran} gradient reports, {len(failures)} failures; "
           f"L=2 ratios {ratios}, c_hat {cal['c_hat']:.3f}")

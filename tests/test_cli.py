@@ -76,6 +76,15 @@ def test_run_rejects_bad_spec(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "$.params.bogus" in err
 
+    # json.dumps writes NaN, and json.loads reads it back as a float
+    nan = _write_spec(tmp_path / "nan.json", {
+        "schema_version": 1, "scenario": "flat_plane",
+        "params": {"value": float("nan")},
+    })
+    assert main(["run", "--spec", nan, "--out", str(tmp_path / "o")]) == 2
+    assert "error: $.params.value: must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
     assert main(["run", "--spec", str(tmp_path / "absent.json")]) == 2
     assert main(["run", "--spec", _write_spec(tmp_path / "empty.json", {})]) == 2
     garbage = tmp_path / "garbage.json"

@@ -502,7 +502,7 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
     from mcflab.scenarios import monitor_battery
 
     trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=4),
-                     monitors=monitor_battery(2))
+                     monitors=monitor_battery())
     write_run_dir(trace, tmp_path / "run")
     assert len(trace.snapshots) > 2
     for state in trace.snapshots[1:-1]:
@@ -534,7 +534,7 @@ def test_monitored_trace_pickles_without_caches(kind):
     from mcflab.scenarios import monitor_battery
 
     trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=4),
-                     monitors=monitor_battery(2))
+                     monitors=monitor_battery())
     assert "monitor_context" in trace.final.surface._cache
     loaded = pickle.loads(pickle.dumps(trace))
     assert loaded.config == trace.config
@@ -606,7 +606,7 @@ def test_cache_release_is_invisible(kind, tmp_path):
                              value=sample_surface(old).total_weight,
                              bound=sample_surface(state.surface).total_weight)
 
-    monitors = monitor_battery(2) + [lagging]
+    monitors = monitor_battery() + [lagging]
     trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=2),
                      monitors=monitors)
     out = write_run_dir(trace, tmp_path / "run")
@@ -663,7 +663,7 @@ def test_trace_memory_grows_with_snapshots_only():
         config = FlowConfig(t_end=(records - 1.5) * dt, dt=dt, record_stride=1)
         tracemalloc.start()
         try:
-            trace = run_flow(curve, config, monitors=monitor_battery(2))
+            trace = run_flow(curve, config, monitors=monitor_battery())
             return len(trace.snapshots), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

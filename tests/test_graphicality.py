@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,7 +59,7 @@ def test_flat_edge_is_exactly_graphical():
     rep = is_graphical(curve, Cylinder((0.0, 0.0), 1.0, 1.0), delta=0.25)
     assert rep.graphical and rep.sheet_count == 1
     assert rep.sup_height == 0.0 and rep.sup_grad == 0.0
-    assert rep.graph is not None and rep.witness is None
+    assert rep.witness is None
 
 
 def test_circle_band_miss_gives_gap_witness():
@@ -104,11 +103,9 @@ def test_vertical_jog_gives_tangency_witness():
 def test_extracted_graph_lies_on_the_curve():
     curve = make_circle(radius=2.0, m=2048)
     rep = is_graphical(curve, Cylinder((0.0, -2.0), 1.0, 1.0))
-    patch = rep.graph
-    xs = patch.center[0] - patch.radius + patch.spacing * np.arange(patch.shape[0])
-    radii = np.hypot(xs, patch.values)
-    # extraction error is bounded by the chord sag of the 2048-gon
-    assert np.max(np.abs(radii - 2.0)) < 1e-5
+    # the lower arc rises 2 - sqrt(3) over the base edge; the column heights
+    # miss it by at most the chord sag of the 2048-gon
+    assert abs(rep.sup_height - (2.0 - math.sqrt(3.0))) < 1e-5
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,38 +215,56 @@ def test_probe_rejects_point_samples():
         is_graphical(sample_surface(make_circle()), Cylinder((0.0, 0.0), 1.0, 1.0))
 
 
+def test_probe_rejects_2d_patch():
+    patch = GraphPatch.from_function(
+        lambda p: 0.1 * p[..., 0], center=(0.0, 0.0), radius=1.0, nodes_per_axis=17,
+    )
+    with pytest.raises(ConfigError):
+        is_graphical(patch, Cylinder((0.0, 0.0, 0.0), 0.5, 1.0))
+
+
 # ---------------------------------------------------------------------------
-# First-crossing times over recorded traces
+# First-crossing times over probe lists
 # ---------------------------------------------------------------------------
 
 
-def _fake_trace(flags, cyl):
+def _fake_probes(flags, cyl):
+    """A probe list, [(state, report)], graphical where the flag is set; the
+    states' caches are emptied after probing."""
     good = make_circle(radius=2.0, m=256, center=(0.0, 2.0))
     bad = make_circle(radius=0.5, m=256)
-    assert is_graphical(good, cyl).graphical
-    assert not is_graphical(bad, cyl).graphical
-    snaps = [
-        FlowState(surface=good if f else bad, step=i, t=0.1 * i)
+    good_rep, bad_rep = is_graphical(good, cyl), is_graphical(bad, cyl)
+    assert good_rep.graphical and not bad_rep.graphical
+    good._cache.clear()
+    bad._cache.clear()
+    return [
+        (FlowState(surface=good if f else bad, step=i, t=0.1 * i), good_rep if f else bad_rep)
         for i, f in enumerate(flags)
     ]
-    return SimpleNamespace(snapshots=snaps)
+
+
+def _no_cache(probes):
+    return all(not state.surface._cache for state, _ in probes)
 
 
 def test_first_nongraphical_time():
     cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
-    trace = _fake_trace([True, True, False, True], cyl)
-    assert first_nongraphical_time(trace, cyl) == pytest.approx(0.2)
-    always = _fake_trace([True, True], cyl)
-    assert first_nongraphical_time(always, cyl) is None
+    probes = _fake_probes([True, True, False, True], cyl)
+    assert first_nongraphical_time(probes) == pytest.approx(0.2)
+    always = _fake_probes([True, True], cyl)
+    assert first_nongraphical_time(always) is None
+    # the times read the reports: no state is probed again
+    assert _no_cache(probes) and _no_cache(always)
 
 
 def test_first_graphical_time_hold_semantics():
     cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
     # a single good record followed by a relapse does not count as settled
-    trace = _fake_trace([False, True, False, True, True], cyl)
-    assert first_graphical_time(trace, cyl, hold=2) == pytest.approx(0.3)
+    probes = _fake_probes([False, True, False, True, True], cyl)
+    assert first_graphical_time(probes, hold=2) == pytest.approx(0.3)
     # a good tail shorter than hold still settles when it reaches the end
-    tail = _fake_trace([False, True], cyl)
-    assert first_graphical_time(tail, cyl, hold=5) == pytest.approx(0.1)
-    never = _fake_trace([False, False], cyl)
-    assert first_graphical_time(never, cyl, hold=2) is None
+    tail = _fake_probes([False, True], cyl)
+    assert first_graphical_time(tail, hold=5) == pytest.approx(0.1)
+    never = _fake_probes([False, False], cyl)
+    assert first_graphical_time(never, hold=2) is None
+    assert _no_cache(probes) and _no_cache(tail) and _no_cache(never)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from mcflab.scenarios import (
     run_scenario,
     run_sweep,
     validate_scenario_spec,
+    with_overrides,
 )
 
 
@@ -67,6 +69,16 @@ def test_validate_normalizes_defaults():
     (_spec(params={"radius": True}), "$.params.radius"),
     (_spec(extra_field=1), "$.extra_field"),
     (_spec(monitors=["phi", "phi"]), "$.monitors[1]"),
+    # JSON's NaN and Infinity parse to floats that every range test passes
+    (_spec(params={"value": math.nan}), "$.params.value"),
+    ({"schema_version": 1, "scenario": "bounded_curvature",
+      "params": {"t_end": math.inf}}, "$.params.t_end"),
+    ({"schema_version": 1, "scenario": "stay_graphical",
+      "params": {"L": math.nan}}, "$.params.L"),
+    ({"schema_version": 1, "scenario": "shrinking_square",
+      "params": {"epsilon": math.nan}}, "$.params.epsilon"),
+    ({"schema_version": 1, "scenario": "sweep", "base": _spec(),
+      "vary": {"radius": [1.0, math.inf]}}, "$.vary.radius[1]"),
 ])
 def test_validate_reports_json_path(doc, loc):
     with pytest.raises(ValidationError) as err:
@@ -143,7 +155,7 @@ def test_run_scenario_flat_plane(tmp_path):
 
 
 def test_run_scenario_overrides():
-    res = run_scenario(_spec(), seed_override=9, resolution_override=16)
+    res = run_scenario(with_overrides(_spec(), 9, 16))
     assert res.measured["resolution"] == 16
 
 
