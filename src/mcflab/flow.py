@@ -8,7 +8,8 @@ for graphs, dt <= CFL * (min edge)^2 for curves, with the one CFL number
 g^{-1}); the curve step `_advance_curve` applies vertex += dt * kappa * N with
 the Menger kappa and N of `geometry.CurveKernel`, the one polyline kernel,
 which also gives the edge statistics the driver needs.  The single steppers
-`step_graph_mcf` / `step_csf` and the driver `run_flow` both call them.
+`step_graph_mcf` / `step_csf` and the driver `run_flow` both call them, and
+build each next state with `_successor`, which revalidates the surface.
 `run_flow` advances until the horizon, extinction, or a terminal event,
 recording snapshots and monitor reports every `record_stride` steps.
 `write_run_dir` persists a trace as a run directory (snapshots, timeseries,
@@ -41,6 +42,7 @@ values; it pays in time, and the cache it rebuilds stays.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,12 +82,13 @@ class FlowConfig:
     def __post_init__(self):
         if not np.isfinite(self.t_end) or self.t_end < 0:
             raise ConfigError("t_end must be finite and >= 0")
-        if self.dt is not None and not self.dt > 0:
-            raise ConfigError("fixed dt must be > 0")
-        if self.record_stride < 1:
-            raise ConfigError("record_stride must be >= 1")
-        if self.remesh_spacing is not None and not self.remesh_spacing > 0:
-            raise ConfigError("remesh_spacing must be > 0")
+        for name in ("dt", "remesh_spacing"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0")
+        stride = self.record_stride
+        if not isinstance(stride, numbers.Integral) or isinstance(stride, bool) or stride < 1:
+            raise ConfigError("record_stride must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,14 @@ def _advance_curve(kernel: geometry.CurveKernel, dt: float) -> np.ndarray:
     return out
 
 
+def _successor(state: FlowState, raw: np.ndarray, step: int, t: float) -> FlowState:
+    """state's surface with raw as its vertices or values, at (step, t); the
+    new surface is validated and gets an empty cache of its own."""
+    name = "vertices" if isinstance(state.surface, ClosedCurve) else "values"
+    surface = dataclasses.replace(state.surface, **{name: raw}, time=t, _cache={})
+    return FlowState(surface, step, t)
+
+
 # ---------------------------------------------------------------------------
 # Single steppers
 # ---------------------------------------------------------------------------
@@ -204,14 +215,7 @@ def step_graph_mcf(state: FlowState, dt: float) -> FlowState:
         raise ConfigError("step_graph_mcf requires a GraphPatch state")
     kernel = _GraphKernel(patch.values, patch.spacing)
     _check_cfl(dt, kernel.cfl_limit(), "(cfl={}, h={:.3e})", CFL, patch.spacing)
-    new_patch = GraphPatch(
-        center=patch.center,
-        radius=patch.radius,
-        spacing=patch.spacing,
-        values=kernel.advance(dt),
-        time=state.t + dt,
-    )
-    return FlowState(surface=new_patch, step=state.step + 1, t=state.t + dt)
+    return _successor(state, kernel.advance(dt), state.step + 1, state.t + dt)
 
 
 def step_csf(state: FlowState, dt: float) -> FlowState:
@@ -221,10 +225,7 @@ def step_csf(state: FlowState, dt: float) -> FlowState:
         raise ConfigError("step_csf requires a ClosedCurve state")
     kernel = geometry.CurveKernel(curve.vertices, curve.closed)
     _check_cfl(dt, _curve_cfl_limit(kernel), "(cfl={}, min edge={:.3e})", CFL, kernel.e_min)
-    new_curve = ClosedCurve(
-        vertices=_advance_curve(kernel, dt), closed=curve.closed, time=state.t + dt
-    )
-    return FlowState(surface=new_curve, step=state.step + 1, t=state.t + dt)
+    return _successor(state, _advance_curve(kernel, dt), state.step + 1, state.t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -326,30 +327,9 @@ def run_flow(
         min_edge0 = kernel.e_min
         area_floor = EXTINCTION_AREA_FACTOR * kernel.area() if closed else None
         area_lb, reach = -np.inf, 0.0  # no area bound until the first shoelace
-
-        def make_state():
-            return FlowState(
-                surface=ClosedCurve(vertices=raw, closed=closed, time=t),
-                step=step,
-                t=t,
-            )
-
     else:
-        patch0: GraphPatch = initial.surface
-        raw = patch0.values
-
-        def make_state():
-            return FlowState(
-                surface=GraphPatch(
-                    center=patch0.center,
-                    radius=patch0.radius,
-                    spacing=patch0.spacing,
-                    values=raw,
-                    time=t,
-                ),
-                step=step,
-                t=t,
-            )
+        raw = initial.surface.values
+        spacing = initial.surface.spacing
 
     advance = _advance_curve if is_curve else _GraphKernel.advance
     recorded_at = step
@@ -394,7 +374,7 @@ def run_flow(
                     break
                 limit = _curve_cfl_limit(kernel)
             else:
-                kernel = _GraphKernel(raw, patch0.spacing)
+                kernel = _GraphKernel(raw, spacing)
                 limit = kernel.cfl_limit()
             dt = config.dt if config.dt is not None else limit
             _check_cfl(dt, limit, "at step {}", step)
@@ -420,14 +400,14 @@ def run_flow(
         step += 1
         t = t_next
         if (step - initial.step) % config.record_stride == 0:
-            record(make_state())
+            record(_successor(initial, raw, step, t))
             recorded_at = step
     else:
         if config.t_end > 0:
             trace.events.append({"event": "horizon", "step": step, "t": t})
 
-    if recorded_at != step or len(trace.snapshots) == 0:
-        record(make_state())
+    if recorded_at != step:
+        record(_successor(initial, raw, step, t))
     return trace
 
 

@@ -9,8 +9,8 @@ graph Jacobian sqrt(1 + |Df|^2) on active nodes only.  `CurveKernel` is the
 one polyline kernel: edge lengths, length, shoelace area and the Menger
 curvature and normal; the curve-shortening step in `flow` and the cached
 curve quantities here both read it.  `load` refills a kernel's arrays, so
-the step reuses one kernel per vertex count; a cached curve quantity always
-comes from a fresh kernel, never a reused one.
+the step reuses one kernel per vertex count; a curve's cached edges, normals
+and kappa come from one fresh kernel.  Construction checks edges without one.
 
 A surface caches only what some reader reads: a curve its edge lengths,
 its normals and kappa, and a sample (its vertices, those normals and the
@@ -234,11 +234,9 @@ class ClosedCurve(_CachedSurface):
             raise GeometryError("need at least 8 vertices")
         if not np.isfinite(v).all():
             raise GeometryError("vertices must be finite")
-        edges = edge_lengths(self)
-        if np.any(edges == 0.0):
+        starts, ends = curve_segments(self)
+        if np.any(np.sum((ends - starts) ** 2, axis=1) == 0.0):  # a zero edge length
             raise GeometryError("consecutive vertices must be distinct")
-        if edges.sum() <= 0:
-            raise GeometryError("total length must be > 0")
 
     @property
     def m(self) -> int:
@@ -514,10 +512,10 @@ class CurveKernel:
 def edge_lengths(curve: ClosedCurve) -> np.ndarray:
     """Edge lengths; m edges if closed (wrapping), m-1 if open.
 
-    Cached on the curve; treat the returned array as read-only.
+    Cached by curve_quantities_all, from its kernel; treat as read-only.
     """
     if "edges" not in curve._cache:
-        curve._cache["edges"] = CurveKernel(curve.vertices, curve.closed).edges
+        curve_quantities_all(curve)
     return curve._cache["edges"]
 
 
@@ -542,11 +540,12 @@ def curve_quantities_all(curve: ClosedCurve):
     them fixed).  The unit tangent is (N_1, -N_0); curve_quantities derives
     it for one vertex.
 
-    Cached on the curve; treat the returned arrays as read-only.
+    Cached on the curve with its edge lengths; treat as read-only.
     """
     if "quantities" in curve._cache:
         return curve._cache["quantities"]
     kernel = CurveKernel(curve.vertices, curve.closed)
+    curve._cache["edges"] = kernel.edges
     kap, nor = kernel.menger()
     if not curve.closed:
         # one-sided tangents at the fixed endpoints, where menger gives N = 0

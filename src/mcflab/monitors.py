@@ -17,10 +17,11 @@ Delta_M phi, so their discrete residuals differ only by how well the
 quadrature integrates Delta_M phi to zero.
 
 The checks read each surface through one private context, kept in the
-surface's cache: the sample points, normals and weights, the graph Jacobian
-and h^n (so a graph integral keeps its sum(vals * jac) * h^n arithmetic),
-the signed mean curvature, and the rows on the computational boundary, whose
-mask comes from the grid.  Its memo holds the scalar results of each test
+surface's cache: the sample and the signed mean curvature, computed when the
+context is built, the graph Jacobian and h^n (so a graph integral keeps its
+sum(vals * jac) * h^n arithmetic), and the rows on the computational
+boundary, whose mask comes from the grid; never the surface itself, so the
+two form no cycle.  Its memo holds the scalar results of each test
 function, keyed by (state t, test function and its parameters): the integral
 and support-exits flag of a monotonicity check, the Brakke side, part and
 mass, and the gradient bound's sup at its window start.  A monitored run therefore evaluates each test function once per
@@ -30,9 +31,7 @@ because one surface may be checked as states at different times.
 
 from __future__ import annotations
 
-import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -223,32 +222,27 @@ def gaussian_density_ratio(
 
 
 class _Context:
-    """One surface as the checks see it (module docstring); a test function's
-    quadrature is sum(vals * jac) * scale, with scale = h^n for a graph and 1
-    for a curve, whose jac holds the vertex weights."""
+    """One surface as the checks see it (module docstring); H is signed, the
+    curvature vector is H times the normal.  A test function's quadrature is
+    sum(vals * jac) * scale, with scale = h^n for a graph and 1 for a curve,
+    whose jac holds the vertex weights."""
 
     def __init__(self, surface):
-        # weak, so that a surface and its cached context form no cycle
-        self.surface_ref = weakref.ref(surface)
         self.memo = {}
+        self.sample = sample_surface(surface)
         if isinstance(surface, GraphPatch):
+            act = surface.active
+            df, d2f = gradient_field(surface)[act], hessian_field(surface)[act]
+            self.mean_curvature = mean_curvature_graph(df, d2f)
             self.points, self.jac = graph_lift_and_jacobian(surface)
             self.scale = surface.spacing**surface.n
             self.edge = surface.grid.boundary
         else:
+            self.mean_curvature = curve_quantities_all(surface)[1]
             self.points = surface.vertices
-            self.jac = sample_surface(surface).weights
+            self.jac = self.sample.weights
             self.scale = 1.0
             self.edge = [] if surface.closed else [0, -1]
-
-    @functools.cached_property
-    def mean_curvature(self) -> np.ndarray:
-        """Signed H per point; the curvature vector is H times the normal."""
-        surf = self.surface_ref()
-        if isinstance(surf, ClosedCurve):
-            return curve_quantities_all(surf)[1]
-        act = surf.active
-        return mean_curvature_graph(gradient_field(surf)[act], hessian_field(surf)[act])
 
     def exits(self, vals: np.ndarray) -> bool:
         """Whether a test function's support reaches the boundary."""
@@ -443,7 +437,7 @@ def check_gradient_bound_EH(
 
     def initial_sup(t, ctx):
         """(sup of v over the base ball, or None with the reason)."""
-        sample = sample_surface(ctx.surface_ref())
+        sample = ctx.sample
         sel = np.linalg.norm(sample.points[:, :-1] - x0[:-1], axis=1) <= rho
         if not np.any(sel):
             return None, "no initial samples over the base ball"
@@ -540,8 +534,7 @@ def phi_rho_cubed_field(rho: float, t0: float, x0, n: int) -> TestField:
     x0 = np.asarray(x0, dtype=float)
 
     def base(t, pts):
-        d2 = np.sum((np.asarray(pts, dtype=float) - x0) ** 2, axis=-1)
-        return np.maximum(1.0 - (d2 + 2.0 * n * (t - t0)) / rho**2, 0.0)
+        return phi_rho(rho, t0, x0, t, pts, n)
 
     def value(t, pts):
         return base(t, pts) ** 3
@@ -596,8 +589,7 @@ def check_brakke_identity(
         phi = np.asarray(test_field.value(t, pts), dtype=float)
         if ctx.exits(phi):
             return None
-        sample = sample_surface(ctx.surface_ref())
-        w, nu, h_scalar = sample.weights, sample.normals, ctx.mean_curvature
+        w, nu, h_scalar = ctx.sample.weights, ctx.sample.normals, ctx.mean_curvature
         dphi = np.asarray(test_field.dt(t, pts), dtype=float)
         if form == "divergence":
             hess = np.asarray(test_field.hess(t, pts), dtype=float)

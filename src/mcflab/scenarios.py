@@ -786,28 +786,21 @@ def scenario_bounded_curvature(
     dt0 = CFL * h * h / (1.0 + L * L)
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 50))
     gamma_h = float(np.max(np.abs(values))) + 0.5
-    probes, extremes = [], []
-
-    def record_extremes(trace, state):
-        # max tilt and max|A| of each record, from its live caches
-        df = gradient_field(state.surface)
-        a_norm = second_fundamental_norm(df, hessian_field(state.surface))
-        extremes.append((float(np.max(tilt(df))), float(np.max(a_norm))))
-
+    probes = []
     battery = monitor_battery(rho=rho, enabled=monitors)
-    battery += [record_probe(Cylinder((0.0, 0.0), rho, gamma_h), probes, until_lost=True),
-                record_extremes]
+    battery.append(record_probe(Cylinder((0.0, 0.0), rho, gamma_h), probes, until_lost=True))
     trace = run_flow(FlowState(patch), config, monitors=battery)
 
     failures = _monitor_failures(trace)
     sigma_end = None
     tilt_max = 0.0
     a_sqrt_t = 0.0
-    for (state, rep), (tilt_now, a_now) in zip(probes, extremes):
+    # each record's (measure, max|Df| = g, max|A|); the max tilt is g^2/(1+g^2)
+    for (state, rep), (_, g, a_now) in zip(probes, trace.stats):
         if not rep.graphical:
             sigma_end = state.t
             break
-        tilt_max = max(tilt_max, tilt_now)
+        tilt_max = max(tilt_max, g * g / (1.0 + g * g))
         if state.t > 0:
             a_sqrt_t = max(a_sqrt_t, a_now * math.sqrt(state.t))
     censored = sigma_end is None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcflab.geometry import ClosedCurve, curve_segments
+from mcflab.geometry import ClosedCurve, CurveKernel, curve_segments
 
 
 def make_circle(radius=1.0, m=256, center=(0.0, 0.0), time=0.0):
@@ -10,6 +10,20 @@ def make_circle(radius=1.0, m=256, center=(0.0, 0.0), time=0.0):
         [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)], axis=1
     )
     return ClosedCurve(vertices=verts, time=time)
+
+
+def count_kernels(monkeypatch) -> list:
+    """Wrap CurveKernel.__init__; the returned list grows by one per kernel
+    built while the patch holds."""
+    built = []
+    init = CurveKernel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CurveKernel, "__init__", counted)
+    return built
 
 
 def curves_intersect(a: ClosedCurve, b: ClosedCurve) -> bool:

@@ -38,7 +38,7 @@ from mcflab.geometry import (
 )
 from mcflab.monitors import MonitorReport
 
-from conftest import curves_intersect, make_circle
+from conftest import count_kernels, curves_intersect, make_circle
 
 
 def graph_cfl_limit(values, spacing):
@@ -525,10 +525,10 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
 
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
 def test_monitored_trace_pickles_without_caches(kind):
-    """A trace whose states the monitors touched pickles (the monitor context
-    holds a weak reference, which cannot).  The loaded snapshots, reports,
-    events and stats equal the originals; every loaded state starts with an
-    empty cache and recomputes the stats recorded for it."""
+    """A trace whose states the monitors touched pickles, its caches left
+    out.  The loaded snapshots, reports, events and stats equal the
+    originals; every loaded state starts with an empty cache and recomputes
+    the stats recorded for it."""
     from mcflab.flow import _state_stats
     from mcflab.geometry import dumps_surface
     from mcflab.scenarios import monitor_battery
@@ -548,6 +548,22 @@ def test_monitored_trace_pickles_without_caches(kind):
         assert dumps_surface(got.surface) == dumps_surface(want.surface)
         assert got.surface._cache == {}
     assert _state_stats(loaded.final) == trace.stats[-1]
+
+
+@pytest.mark.parametrize("kind", ["closed", "open"])
+def test_monitored_curve_run_builds_one_kernel_per_record(kind, monkeypatch):
+    """A monitored curve run without a remesh builds one CurveKernel for its
+    steps and one per recorded state, which gives that state's edge lengths,
+    normals and kappa to the monitors, the probes and the stats alike."""
+    from mcflab.scenarios import monitor_battery
+
+    initial = _flow_initial(kind)
+    built = count_kernels(monkeypatch)
+    trace = run_flow(initial, FlowConfig(t_end=0.01, record_stride=4),
+                     monitors=monitor_battery())
+    assert trace.events_of("remesh") == []
+    assert len(trace.snapshots) > 2
+    assert len(built) == 1 + len(trace.snapshots)
 
 
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
@@ -768,6 +784,10 @@ def test_monitor_wiring_and_failure_events():
         {"t_end": 1.0, "remesh_spacing": math.nan},
         {"t_end": 1.0, "record_stride": 0},
         {"t_end": 1.0, "remesh_spacing": 0.0},
+        {"t_end": 1.0, "remesh_spacing": math.inf},
+        {"t_end": 1.0, "record_stride": 2.5},
+        {"t_end": 1.0, "record_stride": True},
+        {"t_end": 1.0, "dt": math.inf},
     ],
 )
 def test_flow_config_validation(kwargs):

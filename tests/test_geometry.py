@@ -43,7 +43,7 @@ from mcflab.geometry import (
     total_length,
 )
 
-from conftest import curves_intersect, fitted_order, make_circle
+from conftest import count_kernels, curves_intersect, fitted_order, make_circle
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +755,34 @@ def test_closed_curve_validation():
         ClosedCurve(verts)
     with pytest.raises(GeometryError):
         ClosedCurve(np.full((16, 2), np.nan))
+    # the closing edge of a closed curve counts; an open curve has none
+    ring = make_circle(m=16).vertices
+    loop = np.concatenate([ring, ring[:1]])
+    with pytest.raises(GeometryError):
+        ClosedCurve(loop)
+    arc = np.stack([np.linspace(0.0, 1.0, 16), np.zeros(16)], axis=1)
+    arc[5] = arc[4]
+    with pytest.raises(GeometryError):
+        ClosedCurve(arc, closed=False)
+    assert ClosedCurve(loop, closed=False).m == 17
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+def test_curve_queries_build_one_kernel(closed, monkeypatch):
+    """Constructing a curve builds no CurveKernel; its edge lengths, normals,
+    kappa, sample, length and native resolution come from one."""
+    from mcflab.graphicality import native_resolution
+
+    vertices = make_circle(m=64).vertices
+    built = count_kernels(monkeypatch)
+    curve = ClosedCurve(vertices, closed=closed)
+    assert built == []
+    sample_surface(curve)
+    edge_lengths(curve)
+    geometry.curve_quantities_all(curve)
+    native_resolution(curve)
+    total_length(curve)
+    assert len(built) == 1
 
 
 def _boundary_oracle(active):

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -533,3 +535,23 @@ def test_test_function_evaluated_once_per_recorded_state(kind):
     for name in ("value", "dt", "grad"):
         assert {t: counts.get((name, t), 0) for t in times} == {t: 1 for t in times}
     assert not any(name == "hess" for name, _ in counts)
+
+
+@pytest.mark.parametrize("kind", ["graph", "closed", "open"])
+def test_checked_surface_is_freed_by_reference_counting(kind):
+    """The monitor context a check caches on a surface holds arrays, not the
+    surface, so the two form no cycle: with the cyclic collector off, the
+    last reference to the state going frees its surface."""
+    surface, _ = _oracle_flows()[kind]
+    a = FlowState(surface)
+    b = FlowState(dataclasses.replace(surface, time=1e-4, _cache={}), 1, 1e-4)
+    for check, _, args, kwargs in _oracle_checks():
+        check(a, b, *args, **kwargs)
+    assert "monitor_context" in b.surface._cache
+    freed = weakref.ref(b.surface)
+    gc.disable()
+    try:
+        del b
+        assert freed() is None
+    finally:
+        gc.enable()

@@ -18,10 +18,11 @@ once, under the first place it is met: the snapshot arrays first, then the
 cache entries in name order, the monitor context last.  So an array shared
 by two entries counts once, with the entry that computed it: a curve
 sample's points are its vertices, its normals the cached `quantities`
-normals, and the monitor context's arrays are the sample weights and the
-cached curvature.  A patch grid is no cache entry (`patch_grid` shares one
-set of arrays among the patches on a grid); a grid array that an entry
-holds, such as the monitor context's boundary rows, counts once, with it.
+normals, and the monitor context holds the cached sample and, for a curve,
+the cached curvature (a graph context's mean curvature is its own array).
+A patch grid is no cache entry (`patch_grid` shares one set of arrays among
+the patches on a grid); a grid array that an entry holds, such as the
+monitor context's boundary rows, counts once, with it.
 The last line is the process's peak resident set size.
 """
 
@@ -33,7 +34,6 @@ import json
 import resource
 import sys
 import tempfile
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ def _arrays(obj, path: str):
     """(path, array) for every array reachable from a cache entry."""
     if isinstance(obj, np.ndarray):
         yield path, obj
-    elif isinstance(obj, (weakref.ref, str, bytes, int, float, bool, type(None))):
+    elif isinstance(obj, (str, bytes, int, float, bool, type(None))):
         return
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
