@@ -13,10 +13,8 @@ build each next state with `_successor`, which revalidates the surface.
 `run_flow` advances until the horizon, extinction, or a terminal event,
 recording snapshots and monitor reports every `record_stride` steps.
 `write_run_dir` persists a trace as a run directory (snapshots, timeseries,
-events, and last the manifest).  It writes the snapshots in contiguous chunks
-on an executor: a caller's worker pool takes chunks from the first one on
-while the caller writes, from the last one back, each chunk no worker has
-taken yet; no byte depends on which process wrote it.
+events, and last the manifest); a snapshot is `geometry.dumps_surface`'s
+schema-2 document, its array an exact base64 payload.
 
 A curve run `load`s each step's vertices into one `CurveKernel` per vertex
 count (a remesh builds a new one), but each step returns a fresh array.  The
@@ -43,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -51,8 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import geometry
-from ._util import (ConfigError, GeometryError, _InlineExecutor, canonical_dumps, write_csv,
-                    write_text_sha256)
+from ._util import ConfigError, GeometryError, canonical_dumps, write_csv, write_text_sha256
 from .geometry import ClosedCurve, GraphPatch
 
 EDGE_COLLAPSE = 1e-9
@@ -80,6 +76,9 @@ class FlowConfig:
     remesh_spacing: float | None = None
 
     def __post_init__(self):
+        for name in ("t_end", "dt", "remesh_spacing"):
+            if isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a number, not a bool")
         if not np.isfinite(self.t_end) or self.t_end < 0:
             raise ConfigError("t_end must be finite and >= 0")
         for name in ("dt", "remesh_spacing"):
@@ -432,45 +431,18 @@ def _state_stats(state: FlowState) -> tuple[float, float | None, float]:
     return measure, max_grad, max_a
 
 
-SNAPSHOT_CHUNKS = 32
-
-
-def _write_snapshots(out: Path, start: int, surfaces: list) -> dict[str, str]:
-    """Write surfaces as snapshots/NNNN.json, numbered from start; returns
-    their {relative path: sha256}.  A pool task: a surface pickles without
-    its cache."""
-    files = {}
-    for i, surface in enumerate(surfaces, start):
-        rel = f"snapshots/{i:04d}.json"
-        files[rel] = write_text_sha256(out / rel, geometry.dumps_surface(surface) + "\n")
-    return files
-
-
-def write_run_dir(trace: FlowTrace, out_dir: str | Path, pool: Executor | None = None) -> Path:
+def write_run_dir(trace: FlowTrace, out_dir: str | Path) -> Path:
     """Persist a trace: snapshots/NNNN.json, timeseries.csv, events.ndjson,
-    and (last, with file checksums) manifest.json.
-
-    An earlier run's snapshots go first.  The new ones go in SNAPSHOT_CHUNKS
-    chunks, on `pool` (default: inline) and in this process (module
-    docstring)."""
+    and (last, with file checksums) manifest.json.  An earlier run's
+    snapshots go first."""
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
     for stale in (out / "snapshots").glob("[0-9]*.json"):
         stale.unlink()
-
-    n = len(trace.snapshots)
-    bounds = [n * k // SNAPSHOT_CHUNKS for k in range(SNAPSHOT_CHUNKS + 1)]
-    chunks = [(a, [state.surface for state in trace.snapshots[a:b]])
-              for a, b in zip(bounds, bounds[1:]) if a < b]
-    pool = pool or _InlineExecutor()
-    futures = [pool.submit(_write_snapshots, out, *chunk) for chunk in chunks]
     files: dict[str, str] = {}
-    for future, chunk in zip(reversed(futures), reversed(chunks)):
-        if future.cancel():  # no worker took it
-            files.update(_write_snapshots(out, *chunk))
-    for future in futures:
-        if not future.cancelled():
-            files.update(future.result())
+    for i, state in enumerate(trace.snapshots):
+        rel = f"snapshots/{i:04d}.json"
+        files[rel] = write_text_sha256(out / rel, geometry.dumps_surface(state.surface) + "\n")
 
     monitor_ids = sorted({r.monitor_id for r in trace.reports})
     margins: dict[tuple[int, str], float] = {}

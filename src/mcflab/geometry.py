@@ -21,6 +21,7 @@ tangents or |A|: curve_quantities derives one tangent from the normal, and
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._util import GeometryError, ValidationError, canonical_dumps
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Round-off budget of a sample's unit normals.
 NORMAL_WEIGHT_TOL = 1e-12
@@ -731,14 +732,40 @@ def sample_surface(surface) -> SurfaceSample:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON serialization (snapshot schema 2)
 # ---------------------------------------------------------------------------
 
 
+def _encode(array: np.ndarray, path: str) -> str:
+    """Base64 of the array's little-endian float64 bytes, in C order."""
+    if not np.isfinite(array).all():
+        raise ValidationError(path, "NaN/Inf forbidden")
+    return base64.b64encode(array.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode(doc: dict, key: str, item: int) -> np.ndarray:
+    """doc[key] decoded to a flat float64 array, checked: valid base64, a
+    byte count that is a multiple of `item` (a vertex or a float), finite."""
+    path, text = f"$.{key}", doc[key]
+    if not isinstance(text, str):
+        raise ValidationError(path, "must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValidationError(path, f"invalid base64: {exc}")
+    if len(raw) % item:
+        raise ValidationError(path, f"{len(raw)} bytes is not a whole number of {item}-byte items")
+    flat = np.frombuffer(raw, dtype="<f8").astype(float)
+    if not np.isfinite(flat).all():
+        raise ValidationError(path, "NaN/Inf forbidden")
+    return flat
+
+
 def to_json_dict(surface) -> dict:
+    """Schema 2: a canonical JSON header, with the one array field as base64
+    of little-endian float64 in C order (`_encode`); its shape follows from
+    the header."""
     if isinstance(surface, GraphPatch):
-        if not np.isfinite(surface.values).all():
-            raise ValidationError("$.values", "NaN/Inf forbidden in serialized values")
         return {
             "kind": "graph_patch",
             "schema_version": SCHEMA_VERSION,
@@ -747,17 +774,15 @@ def to_json_dict(surface) -> dict:
             "radius": float(surface.radius),
             "spacing": float(surface.spacing),
             "time": float(surface.time),
-            "values": surface.values.ravel(order="C").tolist(),
+            "values": _encode(surface.values, "$.values"),
         }
     if isinstance(surface, ClosedCurve):
-        if not np.isfinite(surface.vertices).all():
-            raise ValidationError("$.vertices", "NaN/Inf forbidden in serialized vertices")
         return {
             "kind": "closed_curve",
             "schema_version": SCHEMA_VERSION,
             "closed": bool(surface.closed),
             "time": float(surface.time),
-            "vertices": surface.vertices.tolist(),
+            "vertices": _encode(surface.vertices, "$.vertices"),
         }
     raise ValidationError("$", f"cannot serialize {type(surface).__name__}")
 
@@ -765,6 +790,8 @@ def to_json_dict(surface) -> dict:
 def from_json_dict(doc: dict):
     if not isinstance(doc, dict):
         raise ValidationError("$", "surface document must be an object")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ValidationError("$.schema_version", f"must be {SCHEMA_VERSION}")
     kind = doc.get("kind")
     if kind == "graph_patch":
         for key in ("center", "radius", "spacing", "time", "values"):
@@ -773,9 +800,9 @@ def from_json_dict(doc: dict):
         if doc.get("codim", 1) != 1:
             raise ValidationError("$.codim", "only codimension 1 is supported")
         center = np.asarray(doc["center"], dtype=float)
-        flat = np.asarray(doc["values"], dtype=float)
-        if not np.isfinite(flat).all():
-            raise ValidationError("$.values", "NaN/Inf forbidden")
+        if center.ndim != 1 or not center.size:
+            raise ValidationError("$.center", "must be a non-empty list of numbers")
+        flat = _decode(doc, "values", 8)
         n = center.size
         m = round(flat.size ** (1.0 / n))
         if m**n != flat.size:
@@ -791,11 +818,8 @@ def from_json_dict(doc: dict):
         for key in ("time", "vertices"):
             if key not in doc:
                 raise ValidationError(f"$.{key}", "missing field")
-        verts = np.asarray(doc["vertices"], dtype=float)
-        if not np.isfinite(verts).all():
-            raise ValidationError("$.vertices", "NaN/Inf forbidden")
         return ClosedCurve(
-            vertices=verts,
+            vertices=_decode(doc, "vertices", 16).reshape(-1, 2),
             closed=bool(doc.get("closed", True)),
             time=float(doc["time"]),
         )

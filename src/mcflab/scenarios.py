@@ -17,10 +17,8 @@ monitors); its graphicality milestones read the probe lists that builds.
 Flows that read no other flow's result run in `_util.worker_pool`: the
 fold's calibration and doubled-gamma flows beside its main flow, and the
 stay family's members beside its first.  A task returns only what its caller
-reads.  The fold writes its main trace's run directory while its auxiliary
-flows still run, with the snapshot chunks shared between the pool and this
-process; every other run directory is written once every flow is done, and
-`verdict.json` always last.  No byte depends on the worker count.
+reads.  A run directory is written once every flow is done, and
+`verdict.json` last.  No byte depends on the worker count.
 """
 
 from __future__ import annotations
@@ -714,8 +712,6 @@ def scenario_become_graphical(
         pending = {tag: pool.submit(_fold_aux, L, g, spacing, t_end, monitors)
                    for tag, (g, spacing) in aux.items()}
         trace, extra_len, (t_graph, ratios) = _run_fold(L, gamma, base_spacing, t_end, monitors)
-        if out_dir is not None:  # while the auxiliary flows run
-            write_run_dir(trace, Path(out_dir) / "run", pool=pool)
         traces = {"run": trace}
         probes = {}
         for tag, future in pending.items():
@@ -753,7 +749,7 @@ def scenario_become_graphical(
     result = ScenarioResult("become_graphical", not failures, measured, failures,
                             workers=pool.workers)
     result.traces.update(traces)
-    return _finish(result, out_dir)
+    return _finish(result, out_dir, trace=trace)
 
 
 def scenario_bounded_curvature(

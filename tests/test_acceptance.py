@@ -552,7 +552,8 @@ def test_fixture_run_digests(battery, out_root):
     tests/data/run_digests.json (re-record with
     `python3 tools/digests.py --fixtures tests/data/run_digests.json`)."""
     recorded = json.loads(RUN_DIGESTS.read_text())
-    here = _digest_tool().fixture_document(out_root)
+    tool = _digest_tool()
+    here = tool.fixture_document(out_root)
     env = {k: here[k] for k in ("numpy", "platform")}
     assert {k: recorded[k] for k in env} == env, (
         f"digests recorded on numpy {recorded['numpy']} / {recorded['platform']}, "
@@ -565,4 +566,5 @@ def test_fixture_run_digests(battery, out_root):
     print(f"criterion 11: {len(got)} fixture files hashed, {len(moved)} moved, "
           f"{len(missing)} missing, {len(extra)} new")
     assert not (moved or missing or extra), (
-        f"moved {moved[:20]}, missing {missing[:20]}, new {extra[:20]}")
+        f"moved {tool.moved_by_kind(moved)}: {moved[:20]}, missing {missing[:20]}, "
+        f"new {extra[:20]}")

@@ -4,12 +4,14 @@ import multiprocessing
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from mcflab import scenarios
-from mcflab._util import ConfigError, GeometryError, ValidationError
+from mcflab._util import ConfigError, GeometryError, ValidationError, write_csv
 from mcflab.cli import main
-from mcflab.flow import BlowUp, StepRejected
+from mcflab.flow import BlowUp, FlowConfig, StepRejected, run_flow, write_run_dir
+from mcflab.geometry import ClosedCurve, GraphPatch
 
 
 def _write_spec(path, doc):
@@ -195,6 +197,39 @@ def test_plotdata_snapshots_and_margins(flat_spec, tmp_path):
     margins = (out / "plots" / "margins.csv").read_text().splitlines()
     assert margins[0] == "t,monitor,margin"
     assert len(margins) > 1
+
+
+def _initial(kind):
+    x = np.linspace(-1.0, 1.0, 48)
+    if kind == "open":
+        return ClosedCurve(np.stack([x, 0.3 * np.cos(0.5 * np.pi * x)], axis=1), closed=False)
+    return GraphPatch.from_function(lambda p: 0.2 * np.cos(p[..., 0] + 2.0 * p[..., 1]),
+                                    center=(0.0, 0.0), radius=1.0, nodes_per_axis=17)
+
+
+@pytest.mark.parametrize("kind", ["open", "graph"])
+def test_plotdata_snapshots_are_the_trace_floats(tmp_path, kind):
+    """plotdata decodes each snapshot to exactly the floats the trace held:
+    its snapshots.csv equals one written straight from the trace."""
+    trace = run_flow(_initial(kind), FlowConfig(t_end=1e-4, dt=1e-5, record_stride=3))
+    assert len(trace.snapshots) > 2
+    run = write_run_dir(trace, tmp_path / "run")
+    assert main(["plotdata", "--run", str(run), "--kind", "snapshots",
+                 "--out", str(tmp_path / "plots")]) == 0
+    rows = []
+    for idx, state in enumerate(trace.snapshots):
+        surf = state.surface
+        if kind == "open":
+            header = ["snapshot", "t", "i", "x", "y"]
+            points = [(float(x), float(y)) for x, y in surf.vertices]
+        else:
+            header = ["snapshot", "t", "i", "x0", "x1", "f"]
+            points = [(*map(float, p), float(f))
+                      for p, f in zip(surf.nodes[surf.active], surf.values[surf.active])]
+        rows += [[idx, surf.time, i, *point] for i, point in enumerate(points)]
+    write_csv(tmp_path / "want.csv", header, rows)
+    assert (tmp_path / "plots" / "snapshots.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
 
 
 def test_rerun_leaves_no_stale_snapshots(tmp_path):

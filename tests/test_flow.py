@@ -1,9 +1,5 @@
 import math
-import multiprocessing
-import os
 import pickle
-import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +9,7 @@ from hypothesis import strategies as st
 
 from mcflab import flow, geometry
 
-from mcflab._util import ConfigError, ValidationError, worker_pool
+from mcflab._util import ConfigError, ValidationError
 from mcflab.flow import (
     FlowConfig,
     FlowState,
@@ -788,6 +784,9 @@ def test_monitor_wiring_and_failure_events():
         {"t_end": 1.0, "record_stride": 2.5},
         {"t_end": 1.0, "record_stride": True},
         {"t_end": 1.0, "dt": math.inf},
+        {"t_end": True},
+        {"t_end": 1.0, "dt": True},
+        {"t_end": 1.0, "remesh_spacing": True},
     ],
 )
 def test_flow_config_validation(kwargs):
@@ -871,74 +870,15 @@ def test_margins_join_on_record_index(tmp_path):
     assert [float(r[col]) for r in rows] == [99.0, 98.0, 97.0, 96.0, 95.0]
 
 
-# ---------------------------------------------------------------------------
-# Snapshot chunks on a worker pool
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def spawn_pool():
-    """A spawn pool of two workers, whatever the usable CPU count."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        with worker_pool(2) as pool:
-            assert pool.workers == 2
-            yield pool
-
-
-def _trace_of(kind, n):
-    """An unmonitored trace of n snapshots, one per fixed step."""
-    dt = 1e-5
-    trace = run_flow(_flow_initial(kind), FlowConfig(t_end=(n + 1) * dt, dt=dt))
-    del trace.snapshots[n:], trace.stats[n:]
-    return trace
-
-
-def _files(out):
-    return {p.relative_to(out).as_posix(): p.read_bytes()
-            for p in sorted(out.rglob("*")) if p.is_file()}
-
-
-@pytest.mark.parametrize("n", [1, flow.SNAPSHOT_CHUNKS - 1, flow.SNAPSHOT_CHUNKS + 1])
 @pytest.mark.parametrize("kind", ["open", "graph"])
-def test_write_run_dir_through_pool_keeps_bytes(spawn_pool, tmp_path, kind, n):
-    trace = _trace_of(kind, n)
-    inline = _files(write_run_dir(trace, tmp_path / "inline"))
-    pooled = _files(write_run_dir(trace, tmp_path / "pool", pool=spawn_pool))
-    assert sum(rel.startswith("snapshots/") for rel in pooled) == n
-    assert pooled == inline
-
-
-def test_write_run_dir_writes_the_chunks_it_cancels(tmp_path):
-    """While the pool's only worker sleeps, this process writes every chunk
-    but the few the pool's call queue already holds, which the worker writes
-    once it wakes; the bytes are those of an inline write."""
-    n = 2 * flow.SNAPSHOT_CHUNKS
-    trace = _trace_of("open", n)
-    inline = _files(write_run_dir(trace, tmp_path / "inline"))
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-        woken = time.time() + 2.0
-        pool.submit(time.sleep, 2.0)
-        out = write_run_dir(trace, tmp_path / "pool", pool=pool)
-    assert _files(out) == inline
-    # the worker's call queue holds at most two chunks of two snapshots
-    early = [p for p in (out / "snapshots").iterdir() if p.stat().st_mtime < woken]
-    assert len(early) >= n - 4
-
-
-def test_non_finite_snapshot_raises_inline_and_from_a_worker(spawn_pool, tmp_path):
-    trace = _trace_of("open", 3)
+def test_non_finite_snapshot_raises_at_its_path(tmp_path, kind):
+    """A non-finite snapshot stops the write at its field, before the manifest."""
+    dt = 1e-5
+    trace = run_flow(_flow_initial(kind), FlowConfig(t_end=3 * dt, dt=dt))
     bad = trace.snapshots[1].surface
-    bad.vertices[2, 0] = np.nan
-    (tmp_path / "w" / "snapshots").mkdir(parents=True)
-    errors = []
-    for run in (lambda: write_run_dir(trace, tmp_path / "inline"),
-                lambda: write_run_dir(trace, tmp_path / "pool", pool=spawn_pool),
-                lambda: spawn_pool.submit(flow._write_snapshots, tmp_path / "w", 1,
-                                          [bad]).result()):
-        with pytest.raises(ValidationError) as exc:
-            run()
-        errors.append(exc.value)
-    assert [e.path for e in errors] == ["$.vertices"] * 3
-    assert not (tmp_path / "inline" / "manifest.json").exists()
+    field = "values" if kind == "graph" else "vertices"
+    getattr(bad, field)[2, ...] = np.nan
+    with pytest.raises(ValidationError) as exc:
+        write_run_dir(trace, tmp_path / "run")
+    assert exc.value.path == f"$.{field}"
+    assert not (tmp_path / "run" / "manifest.json").exists()

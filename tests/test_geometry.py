@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import pickle
@@ -14,7 +15,6 @@ from mcflab import geometry
 from mcflab._util import ValidationError, canonical_dumps
 from mcflab.flow import _advance_curve
 from mcflab.geometry import (
-    SCHEMA_VERSION,
     SIMPLE_PAIR_CHUNK,
     ClosedCurve,
     CurveKernel,
@@ -620,42 +620,19 @@ def test_surface_serialization_canonical_fixed_point():
         assert dumps_surface(loads_surface(text)) == text
 
 
-def _dumps_surface_elementwise(surface):
-    """Reference: one float() per element, then the canonical json.dumps."""
-    if isinstance(surface, ClosedCurve):
-        doc = {
-            "kind": "closed_curve",
-            "schema_version": SCHEMA_VERSION,
-            "closed": bool(surface.closed),
-            "time": float(surface.time),
-            "vertices": [[float(x), float(y)] for x, y in surface.vertices],
-        }
-    else:
-        doc = {
-            "kind": "graph_patch",
-            "schema_version": SCHEMA_VERSION,
-            "codim": 1,
-            "center": [float(c) for c in surface.center],
-            "radius": float(surface.radius),
-            "spacing": float(surface.spacing),
-            "time": float(surface.time),
-            "values": [float(v) for v in surface.values.ravel(order="C")],
-        }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 _EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 0.1, 1.5e-323]
 
 
-def test_dumps_surface_matches_elementwise_formatting():
+def _bits(array):
+    """The float64 bit patterns, so that -0.0 and the subnormals count."""
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+def test_snapshot_roundtrip_is_bitwise():
     verts = make_circle(m=32, time=0.375).vertices.copy()
-    verts[0] = [1.0, -0.0]
-    verts[8] = [5e-324, 1.0]
-    verts[16] = [-1.0, 1e300]
-    verts[20] = [-2.0, -0.0]
+    verts.reshape(-1)[: len(_EDGE_FLOATS)] = _EDGE_FLOATS
     with np.errstate(over="ignore"):  # the edge to 1e300 has length inf
-        surfaces = [make_circle(m=32), ClosedCurve(verts, time=0.375),
-                    ClosedCurve(verts[:12], closed=False)]
+        surfaces = [ClosedCurve(verts, time=0.375), ClosedCurve(verts[:12], closed=False)]
     for n, nodes in ((1, 33), (2, 17)):
         patch = GraphPatch.from_function(lambda p: np.sin(3.0 * p.sum(axis=-1)),
                                          center=(0.0,) * n, radius=1.0,
@@ -664,11 +641,84 @@ def test_dumps_surface_matches_elementwise_formatting():
         values.reshape(-1)[: len(_EDGE_FLOATS)] = _EDGE_FLOATS
         surfaces.append(GraphPatch(center=patch.center, radius=1.0,
                                    spacing=patch.spacing, values=values, time=0.5))
-    texts = [dumps_surface(surface) for surface in surfaces]
-    assert texts == [_dumps_surface_elementwise(surface) for surface in surfaces]
-    for token in ("-0.0", "5e-324", "1e+300", "1.0,", "1.5e-323"):
-        assert all(token in text for text in texts[3:]), token
-    assert all(token in texts[1] for token in ("-0.0", "5e-324", "1e+300"))
+    for surface in surfaces:
+        with np.errstate(over="ignore"):
+            back = loads_surface(dumps_surface(surface))
+        field = "vertices" if isinstance(surface, ClosedCurve) else "values"
+        got, want = getattr(back, field), getattr(surface, field)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+        assert back.time == surface.time
+    assert [s.closed for s in surfaces[:2]] == [True, False]
+
+
+def test_dumps_surface_golden_literal():
+    """Pins the key set, the little-endian byte order and the C order (x, y
+    interleaved) of a schema-2 snapshot on any host."""
+    verts = np.arange(16.0).reshape(8, 2)
+    verts[0, 0] = -0.0
+    text = dumps_surface(ClosedCurve(verts, closed=False, time=0.125))
+    assert text == (
+        '{"closed":false,"kind":"closed_curve","schema_version":2,"time":0.125,'
+        '"vertices":"AAAAAAAAAIAAAAAAAADwPwAAAAAAAABAAAAAAAAACEAAAAAAAAAQQAAAAAAAABRA'
+        'AAAAAAAAGEAAAAAAAAAcQAAAAAAAACBAAAAAAAAAIkAAAAAAAAAkQAAAAAAAACZAAAAAAAAAKEAA'
+        'AAAAAAAqQAAAAAAAACxAAAAAAAAALkA="}')
+
+
+def _snapshot_docs():
+    """A curve and a 2-D patch snapshot, as parsed JSON documents."""
+    patch = GraphPatch.from_function(_smooth_fn, center=(0.0, 0.0), radius=1.0,
+                                     nodes_per_axis=17)
+    return [json.loads(dumps_surface(s)) for s in (make_circle(m=16), patch)]
+
+
+def _reader_error(doc):
+    with pytest.raises(ValidationError) as err:
+        loads_surface(json.dumps(doc))
+    return err.value.path
+
+
+@pytest.mark.parametrize("version", [1, 3, 99, None, "2"])
+def test_loads_surface_rejects_other_schema_versions(version):
+    for doc in _snapshot_docs():
+        assert _reader_error(dict(doc, schema_version=version)) == "$.schema_version"
+    assert _reader_error({"kind": "closed_curve", "time": 0.0, "vertices": []}) \
+        == "$.schema_version"
+
+
+def test_loads_surface_rejects_a_payload_that_is_not_a_string():
+    curve, patch = _snapshot_docs()
+    assert _reader_error(dict(curve, vertices=[[0.0, 1.0]] * 16)) == "$.vertices"
+    assert _reader_error(dict(patch, values=[0.0] * 289)) == "$.values"
+
+
+def test_loads_surface_rejects_invalid_base64():
+    curve, patch = _snapshot_docs()
+    for bad in (curve["vertices"][:-1], "AAAA AAAA", "AA*A", "\u00e9AAA"):
+        assert _reader_error(dict(curve, vertices=bad)) == "$.vertices"
+    assert _reader_error(dict(patch, values=patch["values"] + "A")) == "$.values"
+
+
+def test_loads_surface_rejects_a_partial_vertex_or_grid():
+    curve, patch = _snapshot_docs()
+    raw = base64.b64decode(curve["vertices"])
+    for cut in (8, 1):  # half a vertex, then a partial float
+        bad = base64.b64encode(raw[:-cut]).decode()
+        assert _reader_error(dict(curve, vertices=bad)) == "$.vertices"
+    raw = base64.b64decode(patch["values"])
+    for cut in (8, 17 * 8, 3):  # 288 and 272 floats are not 17^2, nor a partial float
+        bad = base64.b64encode(raw[:-cut]).decode()
+        assert _reader_error(dict(patch, values=bad)) == "$.values"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loads_surface_rejects_decoded_non_finite(bad):
+    curve, patch = _snapshot_docs()
+    for doc, field in ((curve, "vertices"), (patch, "values")):
+        flat = np.frombuffer(base64.b64decode(doc[field]), dtype="<f8").copy()
+        flat[3] = bad
+        payload = base64.b64encode(flat.astype("<f8").tobytes()).decode()
+        assert _reader_error(dict(doc, **{field: payload})) == f"$.{field}"
 
 
 def test_dumps_surface_rejects_non_finite_with_path():
@@ -702,6 +752,9 @@ def test_loads_surface_rejects_garbage():
         loads_surface(json.dumps({"kind": "torus"}))
     with pytest.raises(ValidationError):
         loads_surface("not json")
+    _, patch = _snapshot_docs()
+    for center in ([], [[0.0, 0.0]]):  # no base dimension, or not a flat list
+        assert _reader_error(dict(patch, center=center)) == "$.center"
 
 
 def test_loads_surface_rejects_other_codimensions():

@@ -31,7 +31,7 @@ import platform
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,6 +63,21 @@ def environment() -> dict:
 def fixture_document(out_root: Path) -> dict:
     """The digest document of the acceptance fixtures' output root."""
     return {**environment(), "files": _digests(out_root)}
+
+
+def moved_by_kind(keys) -> dict:
+    """How many of the digest keys name a snapshot, a run manifest or any
+    other file, so that a format change shows which artifacts moved."""
+    kinds = {"snapshots/*": 0, "manifest.json": 0, "other": 0}
+    for key in keys:
+        path = PurePosixPath(key)
+        if path.parent.name == "snapshots":
+            kinds["snapshots/*"] += 1
+        elif path.name == "manifest.json":
+            kinds["manifest.json"] += 1
+        else:
+            kinds["other"] += 1
+    return kinds
 
 
 def _record_fixtures(out_json: Path, env: dict, work: Path) -> int:
