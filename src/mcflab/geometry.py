@@ -24,6 +24,7 @@ from __future__ import annotations
 import base64
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -761,6 +762,17 @@ def _decode(doc: dict, key: str, item: int) -> np.ndarray:
     return flat
 
 
+def _header_number(value, path: str) -> float:
+    """A snapshot header number as a float: finite, and not a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            pass
+    raise ValidationError(path, f"must be a finite number, got {value!r}")
+
+
 def to_json_dict(surface) -> dict:
     """Schema 2: a canonical JSON header, with the one array field as base64
     of little-endian float64 in C order (`_encode`); its shape follows from
@@ -799,9 +811,10 @@ def from_json_dict(doc: dict):
                 raise ValidationError(f"$.{key}", "missing field")
         if doc.get("codim", 1) != 1:
             raise ValidationError("$.codim", "only codimension 1 is supported")
-        center = np.asarray(doc["center"], dtype=float)
-        if center.ndim != 1 or not center.size:
+        center = doc["center"]
+        if not isinstance(center, list) or not center or any(isinstance(c, list) for c in center):
             raise ValidationError("$.center", "must be a non-empty list of numbers")
+        center = np.array([_header_number(c, f"$.center[{i}]") for i, c in enumerate(center)])
         flat = _decode(doc, "values", 8)
         n = center.size
         m = round(flat.size ** (1.0 / n))
@@ -809,19 +822,22 @@ def from_json_dict(doc: dict):
             raise ValidationError("$.values", f"length {flat.size} is not a grid^{n}")
         return GraphPatch(
             center=center,
-            radius=float(doc["radius"]),
-            spacing=float(doc["spacing"]),
+            radius=_header_number(doc["radius"], "$.radius"),
+            spacing=_header_number(doc["spacing"], "$.spacing"),
             values=flat.reshape((m,) * n),
-            time=float(doc["time"]),
+            time=_header_number(doc["time"], "$.time"),
         )
     if kind == "closed_curve":
         for key in ("time", "vertices"):
             if key not in doc:
                 raise ValidationError(f"$.{key}", "missing field")
+        closed = doc.get("closed", True)
+        if not isinstance(closed, bool):
+            raise ValidationError("$.closed", "must be true or false")
         return ClosedCurve(
             vertices=_decode(doc, "vertices", 16).reshape(-1, 2),
-            closed=bool(doc.get("closed", True)),
-            time=float(doc["time"]),
+            closed=closed,
+            time=_header_number(doc["time"], "$.time"),
         )
     raise ValidationError("$.kind", f"unknown kind {kind!r}")
 

@@ -1,10 +1,12 @@
 """Scenario runs: initial data driven through the flow's qualitative milestones.
 
-Each scenario builds initial data from a few geometric parameters, runs the
-flow with a standard battery of localization monitors, checks its milestone
-assertions, and optionally writes a run directory plus a machine-readable
-verdict.json.  Specs are plain JSON documents validated with field-path
-errors so drivers can surface `$.params.L`-style diagnostics.
+Each scenario builds initial data from a few geometric parameters, runs
+every flow through `_monitored_flow` (a standard battery of localization
+monitors plus its own probes and bounds), checks its milestone assertions,
+and ends in `_finish`, which builds its ScenarioResult and optionally writes
+a run directory plus a machine-readable verdict.json.  Specs are plain JSON
+documents validated with field-path errors so drivers can surface
+`$.params.L`-style diagnostics.
 
 Calibrated constants (c_hat values) are measured outputs: they come from a
 three-resolution sweep (2x the max observed ratio) and are recorded in the
@@ -81,12 +83,15 @@ MONITOR_IDS = (
 @dataclass
 class ScenarioResult:
     scenario: str
-    passed: bool
     measured: dict
     failures: list = field(default_factory=list)
     traces: dict = field(default_factory=dict, repr=False, compare=False)
     workers: int = field(default=1, compare=False)  # not in the verdict
     outputs: list = field(default_factory=list, compare=False)  # what out_dir got
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     @property
     def verdict(self) -> dict:
@@ -124,26 +129,30 @@ def monitor_battery(rho: float = 1.0, y0=(0.0, 0.0), enabled=None):
     return [battery[name] for name in enabled]
 
 
-def _monitor_failures(trace) -> list:
-    out = []
-    for ev in trace.events_of("monitor_failure"):
-        out.append(
-            f"monitor {ev['monitor_id']} failed at t={ev['t']}: "
-            f"margin {ev['margin']}"
-        )
-    return out
+def _monitored_flow(surface, config, monitors, *extra, rho=1.0, y0=(0.0, 0.0)):
+    """run_flow from `surface` under the `monitors` of the standard battery
+    (centred at y0, radius rho), then the `extra` per-record monitors:
+    (trace, one failure line per monitor_failure event)."""
+    battery = monitor_battery(rho, y0, enabled=monitors) + list(extra)
+    trace = run_flow(FlowState(surface), config, monitors=battery)
+    failures = [f"monitor {ev['monitor_id']} failed at t={ev['t']}: margin {ev['margin']}"
+                for ev in trace.events_of("monitor_failure")]
+    return trace, failures
 
 
-def _finish(result: ScenarioResult, out_dir, trace=None, extra_csv=None):
+def _finish(scenario, measured, failures, out_dir, traces, extra_csv=None, workers=1):
+    """The scenario's result; given an out_dir, it also writes traces["run"]
+    as run/, then each extra CSV ({name: (header, rows)}), then verdict.json."""
+    result = ScenarioResult(scenario, measured, failures, traces, workers)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if trace is not None:
-            write_run_dir(trace, out / "run")
-        for name, (header, rows) in (extra_csv or {}).items():
+        write_run_dir(traces["run"], out / "run")
+        extra_csv = extra_csv or {}
+        for name, (header, rows) in extra_csv.items():
             write_csv(out / name, header, rows)
         (out / "verdict.json").write_text(canonical_dumps(result.verdict) + "\n")
-        result.outputs = ["run", *(extra_csv or {}), "verdict.json"]
+        result.outputs = ["run", *extra_csv, "verdict.json"]
     return result
 
 
@@ -154,6 +163,25 @@ def _finish(result: ScenarioResult, out_dir, trace=None, extra_csv=None):
 
 def _patch_axis(radius: float, resolution: int) -> np.ndarray:
     return np.linspace(-radius, radius, resolution)
+
+
+def _line_patch(axis: np.ndarray, values: np.ndarray) -> GraphPatch:
+    """The 1-D graph of `values` on the node axis of `_patch_axis`."""
+    return GraphPatch(center=(0.0,), radius=float(axis[-1]),
+                      spacing=float(axis[1] - axis[0]), values=values)
+
+
+def _graph_config(axis: np.ndarray, slope: float, t_end: float, records: int) -> FlowConfig:
+    """A flow to t_end of a graph of Lipschitz constant `slope` on `axis` that
+    records about `records` times, counting steps of dt0 = CFL h^2/(1 + slope^2)."""
+    h = float(axis[1] - axis[0])
+    dt0 = CFL * h * h / (1.0 + slope * slope)
+    return FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // records))
+
+
+def _ramp(axis: np.ndarray, L: float, a: float) -> np.ndarray:
+    """(L/a) log cosh(a x): slope tending to L, curvature at most L a."""
+    return (L / a) * np.log(np.cosh(a * axis))
 
 
 def _random_unit_profile(rng: np.random.Generator, axis: np.ndarray) -> np.ndarray:
@@ -169,13 +197,7 @@ def _random_unit_profile(rng: np.random.Generator, axis: np.ndarray) -> np.ndarr
         vals = np.zeros_like(axis)
         for k, a, p in zip(modes, amps, phases):
             vals += a * np.sin(0.5 * np.pi * k * axis + p)
-        patch = GraphPatch(
-            center=(0.0,),
-            radius=float(axis[-1]),
-            spacing=float(axis[1] - axis[0]),
-            values=vals,
-        )
-        slope = float(np.max(np.abs(gradient_field(patch))))
+        slope = float(np.max(np.abs(gradient_field(_line_patch(axis, vals)))))
         if slope > 0 and float(np.max(np.abs(vals))) <= slope / 8.0:
             return vals / slope
     raise ConfigError("profile rejection loop failed to produce sup/slope <= 1/8")
@@ -299,12 +321,11 @@ def scenario_flat_plane(
         radius=radius,
         nodes_per_axis=resolution,
     )
-    battery = monitor_battery(rho=radius / 2, y0=(0.0, value), enabled=monitors)
-    battery.append(windowed_monitor(check_measure_bound, 0, (0.0, value), radius / 2))
-    config = FlowConfig(t_end=t_end, record_stride=1)
-    trace = run_flow(FlowState(patch), config, monitors=battery)
-
-    failures = _monitor_failures(trace)
+    trace, failures = _monitored_flow(
+        patch, FlowConfig(t_end=t_end, record_stride=1), monitors,
+        windowed_monitor(check_measure_bound, 0, (0.0, value), radius / 2),
+        rho=radius / 2, y0=(0.0, value),
+    )
     height = check_height_bound(
         trace.snapshots[0], trace.final, (0.0, value), R=radius / 2, r0=1e-9, c_hat=1.0
     )
@@ -329,9 +350,7 @@ def scenario_flat_plane(
         "height_margin": height.margin,
         "curvature_margin": curv.margin,
     }
-    result = ScenarioResult("flat_plane", not failures, measured, failures)
-    result.traces["run"] = trace
-    return _finish(result, out_dir, trace)
+    return _finish("flat_plane", measured, failures, out_dir, {"run": trace})
 
 
 def _graph_radius(values: np.ndarray, axis: np.ndarray, spacing: float,
@@ -349,14 +368,11 @@ def _stay_member(i, values, config, monitors, L):
     representative, the member with the least (kappa candidate, index): the
     first member, or one that leaves the cylinder before the horizon."""
     axis = _patch_axis(2.0, values.shape[0])
-    h = float(axis[1] - axis[0])
+    patch = _line_patch(axis, values)
     cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
-    patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
     probes = []
-    battery = monitor_battery(rho=1.0, enabled=monitors)
-    battery.append(record_probe(cyl, probes, until_lost=True))
-    trace = run_flow(FlowState(patch), config, monitors=battery)
-    mon_fail = _monitor_failures(trace)
+    trace, mon_fail = _monitored_flow(patch, config, monitors,
+                                      record_probe(cyl, probes, until_lost=True))
     failures = [f"flow {i}: {m}" for m in mon_fail]
 
     fnt = None
@@ -368,7 +384,7 @@ def _stay_member(i, values, config, monitors, L):
             break
         flow_grad = max(flow_grad, rep.sup_grad)
         if state.t > 0:
-            r_ok = _graph_radius(state.surface.values, axis, h, cyl.height)
+            r_ok = _graph_radius(state.surface.values, axis, patch.spacing, cyl.height)
             if r_ok < 2.0:
                 flow_lambda = max(flow_lambda, (2.0 - r_ok) / math.sqrt(state.t))
     if trace.events_of("blow_up") and len(trace.snapshots) <= 1:
@@ -399,12 +415,9 @@ def scenario_stay_graphical(
     """
     rng = np.random.default_rng(seed)
     axis = _patch_axis(2.0, resolution)
-    h = float(axis[1] - axis[0])
     # short record windows keep the identity-check trapezoid error well
     # under tol during the fast initial decay
-    dt0 = CFL * h * h / (1.0 + L * L)
-    stride = max(1, int(t_end / dt0) // 800)
-    config = FlowConfig(t_end=t_end, record_stride=stride)
+    config = _graph_config(axis, L, t_end, 800)
 
     profiles = [L * _random_unit_profile(rng, axis) for _ in range(family)]
     member = functools.partial(_stay_member, config=config, monitors=monitors, L=L)
@@ -431,17 +444,9 @@ def scenario_stay_graphical(
         "sup_grad_max": max(row[3] for row in rows),
         "grad_bound": 4.0 * L,
     }
-    result = ScenarioResult("stay_graphical", not failures, measured, failures,
-                            workers=pool.workers)
-    result.traces["run"] = rep_trace
-    extra = {
-        "family.csv": (
-            ["flow", "kappa_candidate", "lambda_hat", "sup_grad_max",
-             "monitor_failures"],
-            rows,
-        )
-    }
-    return _finish(result, out_dir, rep_trace, extra)
+    header = ["flow", "kappa_candidate", "lambda_hat", "sup_grad_max", "monitor_failures"]
+    return _finish("stay_graphical", measured, failures, out_dir, {"run": rep_trace},
+                   {"family.csv": (header, rows)}, workers=pool.workers)
 
 
 def scenario_flat_stay_graphical(
@@ -457,17 +462,12 @@ def scenario_flat_stay_graphical(
     """Small-gradient sinusoid: height/gradient/curvature bounds with fixed
     c_hat at every recorded time inside C(0, rho, 1)."""
     axis = _patch_axis(2.0, resolution)
-    h = float(axis[1] - axis[0])
     values = l * (2.0 / np.pi) * np.sin(0.5 * np.pi * axis)
-    patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
-    dt0 = CFL * h * h / (1.0 + l * l)
-    config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 50))
     probes = []
-    battery = monitor_battery(rho=rho, enabled=monitors)
-    battery.append(record_probe(Cylinder((0.0, 0.0), rho, 1.0), probes))
-    trace = run_flow(FlowState(patch), config, monitors=battery)
-
-    failures = _monitor_failures(trace)
+    trace, failures = _monitored_flow(
+        _line_patch(axis, values), _graph_config(axis, l, t_end, 50), monitors,
+        record_probe(Cylinder((0.0, 0.0), rho, 1.0), probes), rho=rho,
+    )
     max_h_ratio = max_g_ratio = max_d2_ratio = 0.0
     d2_sqrt_t = []
     for state, rep in probes:
@@ -503,11 +503,7 @@ def scenario_flat_stay_graphical(
         "hess_ratio": max_d2_ratio,
         "d2_sqrt_t_max": max(d2_sqrt_t) if d2_sqrt_t else 0.0,
     }
-    result = ScenarioResult(
-        "flat_stay_graphical", not failures, measured, failures
-    )
-    result.traces["run"] = trace
-    return _finish(result, out_dir, trace)
+    return _finish("flat_stay_graphical", measured, failures, out_dir, {"run": trace})
 
 
 def scenario_shrinking_square(
@@ -538,16 +534,14 @@ def scenario_shrinking_square(
     t_upper = (3 + 3 * epsilon) / 2
     stride = max(1, int(3 * t_upper / dt0) // 600)
     config = FlowConfig(t_end=2.0, record_stride=stride, remesh_spacing=e0)
-    battery = monitor_battery(rho=1.0, y0=(0.0, 1.0), enabled=monitors)
     probes22, probes11 = [], []
-    battery += [
+    trace, failures = _monitored_flow(
+        curve, config, monitors,
         windowed_monitor(check_height_bound, 0, (0.0, 0.0), R=1.0, r0=0.05, c_hat=2.0),
         record_probe(Cylinder((0.0, 0.0), 2.0, 2.0), probes22, until_lost=True),
         record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes11, until_lost=True),
-    ]
-    trace = run_flow(FlowState(curve), config, monitors=battery)
-
-    failures = _monitor_failures(trace)
+        y0=(0.0, 1.0),
+    )
     failures.extend(
         f"non-simple at step {ev['step']}" for ev in trace.events_of("non_simple")
     )
@@ -627,15 +621,9 @@ def scenario_shrinking_square(
         "containment_margin": containment_margin,
         "avoidance_margin": avoidance_margin,
     }
-    result = ScenarioResult("shrinking_square", not failures, measured, failures)
-    result.traces["run"] = trace
-    extra = {
-        "envelopes.csv": (
-            ["t", "R", "r", "min_dist_to_inner", "max_dist_to_center"],
-            rows,
-        )
-    }
-    return _finish(result, out_dir, trace, extra)
+    header = ["t", "R", "r", "min_dist_to_inner", "max_dist_to_center"]
+    return _finish("shrinking_square", measured, failures, out_dir, {"run": trace},
+                   {"envelopes.csv": (header, rows)})
 
 
 def _fold_graphicality(probes):
@@ -659,24 +647,23 @@ def _fold_graphicality(probes):
 
 
 def _run_fold(L, gamma, spacing, t_end, monitors):
-    """One fold flow, probed in C(0,1,1) as it records: (trace, extra
-    length, _fold_graphicality)."""
+    """One fold flow, probed in C(0,1,1) as it records: (trace, failures,
+    extra length, _fold_graphicality)."""
     verts, extra, w = _fold_vertices(L, gamma, spacing)
     curve = ClosedCurve(verts, closed=False)
     dt0 = CFL * float(np.min(edge_lengths(curve))) ** 2
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 80))
     probes = []
-    battery = monitor_battery(rho=1.0, enabled=monitors)
-    battery.append(record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes))
-    trace = run_flow(FlowState(curve), config, monitors=battery)
-    return trace, extra, _fold_graphicality(probes)
+    trace, failures = _monitored_flow(curve, config, monitors,
+                                      record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes))
+    return trace, failures, extra, _fold_graphicality(probes)
 
 
 def _fold_aux(L, gamma, spacing, t_end, monitors):
     """An auxiliary fold flow (a pool task): its trace cut to the final state,
     and its _fold_graphicality.  Its reports, events and report_records (which
     keep the original record indices) stay."""
-    trace, _, graphicality = _run_fold(L, gamma, spacing, t_end, monitors)
+    trace, _, _, graphicality = _run_fold(L, gamma, spacing, t_end, monitors)
     del trace.snapshots[:-1], trace.stats[:-1]
     return trace, graphicality
 
@@ -711,7 +698,8 @@ def scenario_become_graphical(
     with worker_pool(len(aux)) as pool:
         pending = {tag: pool.submit(_fold_aux, L, g, spacing, t_end, monitors)
                    for tag, (g, spacing) in aux.items()}
-        trace, extra_len, (t_graph, ratios) = _run_fold(L, gamma, base_spacing, t_end, monitors)
+        trace, failures, extra_len, (t_graph, ratios) = _run_fold(
+            L, gamma, base_spacing, t_end, monitors)
         traces = {"run": trace}
         probes = {}
         for tag, future in pending.items():
@@ -720,7 +708,6 @@ def scenario_become_graphical(
     c_hats = [calibrate_constant(lambda rs, i=i: rs[i], ratio_sets) for i in range(3)]
     t_graph2 = probes["doubled"][0]
 
-    failures = _monitor_failures(traces["run"])
     if t_graph is None:
         failures.append("never reaches held graphicality in C(0,1,1)")
     elif t_graph > epsilon:
@@ -746,10 +733,8 @@ def scenario_become_graphical(
         "c_hat_grad": c_hats[1],
         "c_hat_hess": c_hats[2],
     }
-    result = ScenarioResult("become_graphical", not failures, measured, failures,
-                            workers=pool.workers)
-    result.traces.update(traces)
-    return _finish(result, out_dir, trace=trace)
+    return _finish("become_graphical", measured, failures, out_dir, traces,
+                   workers=pool.workers)
 
 
 def scenario_bounded_curvature(
@@ -766,10 +751,8 @@ def scenario_bounded_curvature(
     """Steep tanh ramp with bounded curvature: graphicality persists over a
     measured window, tilt stays below 1 - kappa_tilt, max|A| sqrt(t) bounded."""
     axis = _patch_axis(2.0, resolution)
-    h = float(axis[1] - axis[0])
-    a = 0.9 * K / (L * rho)
-    values = (L / a) * np.log(np.cosh(a * axis))
-    patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
+    values = _ramp(axis, L, 0.9 * K / (L * rho))
+    patch = _line_patch(axis, values)
     a_norm0 = float(
         np.max(second_fundamental_norm(gradient_field(patch), hessian_field(patch)))
     )
@@ -779,15 +762,12 @@ def scenario_bounded_curvature(
     if tilt0 > 1 - 2 * kappa_tilt:
         raise ConfigError(f"initial tilt {tilt0:.6g} exceeds 1 - 2 kappa_tilt")
 
-    dt0 = CFL * h * h / (1.0 + L * L)
-    config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 50))
     gamma_h = float(np.max(np.abs(values))) + 0.5
     probes = []
-    battery = monitor_battery(rho=rho, enabled=monitors)
-    battery.append(record_probe(Cylinder((0.0, 0.0), rho, gamma_h), probes, until_lost=True))
-    trace = run_flow(FlowState(patch), config, monitors=battery)
-
-    failures = _monitor_failures(trace)
+    trace, failures = _monitored_flow(
+        patch, _graph_config(axis, L, t_end, 50), monitors,
+        record_probe(Cylinder((0.0, 0.0), rho, gamma_h), probes, until_lost=True), rho=rho,
+    )
     sigma_end = None
     tilt_max = 0.0
     a_sqrt_t = 0.0
@@ -819,11 +799,7 @@ def scenario_bounded_curvature(
         "tilt_max": tilt_max,
         "a_sqrt_t_max": a_sqrt_t,
     }
-    result = ScenarioResult(
-        "bounded_curvature", not failures, measured, failures
-    )
-    result.traces["run"] = trace
-    return _finish(result, out_dir, trace)
+    return _finish("bounded_curvature", measured, failures, out_dir, {"run": trace})
 
 
 def calibrate_eh_curvature() -> dict:
@@ -832,28 +808,15 @@ def calibrate_eh_curvature() -> dict:
     ratios and c_hat = 2 x max."""
     L, rho, t_end = 2.0, 0.5, 0.02
     ratios = {}
-
-    def measure(res):
+    for res in (128, 192, 256):
         axis = _patch_axis(2.0, res)
-        h = float(axis[1] - axis[0])
-        a = 2.25
-        values = (L / a) * np.log(np.cosh(a * axis))
-        patch = GraphPatch(center=(0.0,), radius=2.0, spacing=h, values=values)
-        dt0 = CFL * h * h / (1.0 + L * L)
-        config = FlowConfig(
-            t_end=t_end, record_stride=max(1, int(t_end / dt0) // 25)
-        )
-        trace = run_flow(FlowState(patch), config)
-        report = check_curvature_bound_EH(
-            trace.snapshots, (0.0, 0.0), rho=rho, c_hat=1.0
-        )
+        patch = _line_patch(axis, _ramp(axis, L, 2.25))
+        trace = run_flow(FlowState(patch), _graph_config(axis, L, t_end, 25))
+        report = check_curvature_bound_EH(trace.snapshots, (0.0, 0.0), rho=rho, c_hat=1.0)
         if report.skipped:
             raise ConfigError(f"calibration run skipped: {report.reason}")
         ratios[res] = report.value / report.bound
-        return ratios[res]
-
-    c_hat = calibrate_constant(measure, (128, 192, 256))
-    return {"c_hat": c_hat, "ratios": ratios}
+    return {"c_hat": calibrate_constant(ratios.get, list(ratios)), "ratios": ratios}
 
 
 # ---------------------------------------------------------------------------
@@ -988,6 +951,14 @@ def _check_param(scenario: str, key: str, value, where: str) -> None:
         raise ValidationError(where, f"must be <= {hi}, got {value}")
 
 
+def _validate_sweep_member(doc, path: str) -> dict:
+    """A scenario spec a sweep runs or varies; a sweep cannot nest a sweep."""
+    spec = validate_scenario_spec(doc, path)
+    if spec["scenario"] == "sweep":
+        raise ValidationError(f"{path}.scenario", "a sweep cannot run a sweep")
+    return spec
+
+
 def _validate_sweep_spec(doc, path: str = "$") -> dict:
     out = {"schema_version": SCHEMA_VERSION, "scenario": "sweep"}
     runs = doc.get("runs")
@@ -1001,7 +972,7 @@ def _validate_sweep_spec(doc, path: str = "$") -> dict:
         if not isinstance(runs, list) or not runs:
             raise ValidationError(f"{path}.runs", "must be a non-empty list")
         out["runs"] = [
-            validate_scenario_spec(r, f"{path}.runs[{i}]")
+            _validate_sweep_member(r, f"{path}.runs[{i}]")
             for i, r in enumerate(runs)
         ]
         return out
@@ -1009,7 +980,7 @@ def _validate_sweep_spec(doc, path: str = "$") -> dict:
         raise ValidationError(
             path, "sweep needs either 'runs' or both 'base' and 'vary'"
         )
-    base_spec = validate_scenario_spec(base, f"{path}.base")
+    base_spec = _validate_sweep_member(base, f"{path}.base")
     if not isinstance(vary, dict):
         raise ValidationError(f"{path}.vary", "must map parameter -> list")
     keys = sorted(vary)

@@ -130,10 +130,15 @@ def test_run_validates_overrides(tmp_path, capsys, doc, flag, value, loc):
     assert not out.exists()
 
 
+NESTED = {"schema_version": 1, "scenario": "sweep", "runs": [FLAT]}
+
+
 @pytest.mark.parametrize("sweep, loc", [
     ({"runs": []}, "$.runs"),
     ({"base": FLAT, "vary": {"value": []}}, "$.vary.value"),
-], ids=["runs", "vary"])
+    ({"runs": [FLAT, NESTED]}, "$.runs[1].scenario"),
+    ({"base": NESTED, "vary": {"value": [0.0]}}, "$.base.scenario"),
+], ids=["runs", "vary", "nested_run", "nested_base"])
 def test_sweep_rejects_empty_expansion(tmp_path, capsys, sweep, loc):
     spec = _write_spec(tmp_path / "sw.json",
                        {"schema_version": 1, "scenario": "sweep", **sweep})

@@ -752,9 +752,17 @@ def test_loads_surface_rejects_garbage():
         loads_surface(json.dumps({"kind": "torus"}))
     with pytest.raises(ValidationError):
         loads_surface("not json")
-    _, patch = _snapshot_docs()
+    curve, patch = _snapshot_docs()
     for center in ([], [[0.0, 0.0]]):  # no base dimension, or not a flat list
         assert _reader_error(dict(patch, center=center)) == "$.center"
+    # header fields: finite non-bool numbers, and a real bool for `closed`
+    for center, where in ((["a"], 0), ([0.0, None], 1), ([np.inf, 0.0], 0), ([True], 0)):
+        assert _reader_error(dict(patch, center=center)) == f"$.center[{where}]"
+    for key, bad in (("time", None), ("time", "x"), ("time", np.inf), ("spacing", "a"),
+                     ("spacing", -np.inf), ("radius", True), ("radius", 10**400)):
+        assert _reader_error(dict(patch, **{key: bad})) == f"$.{key}"
+    for key, bad in (("time", None), ("time", np.nan), ("closed", "no"), ("closed", 0)):
+        assert _reader_error(dict(curve, **{key: bad})) == f"$.{key}"
 
 
 def test_loads_surface_rejects_other_codimensions():

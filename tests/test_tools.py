@@ -1,9 +1,18 @@
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+DIGESTS = ROOT / "tools" / "digests.py"
+
+
+def _digest_tool():
+    spec = importlib.util.spec_from_file_location("mcflab_digests", DIGESTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_tracer_targets_resolve():
@@ -19,11 +28,24 @@ def test_tracer_targets_resolve():
 
 
 def test_digests_count_moved_files_by_kind():
-    spec = importlib.util.spec_from_file_location("mcflab_digests", DIGESTS)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _digest_tool()
     keys = ["fold/run/snapshots/0000.json", "fold/run/snapshots/0001.json",
             "fold/run/manifest.json", "fold/run/timeseries.csv", "fold/verdict.json",
             "stay/L1/run/manifest.json"]
     assert tool.moved_by_kind(keys) == {"snapshots/*": 2, "manifest.json": 2, "other": 2}
     assert tool.moved_by_kind([]) == {"snapshots/*": 0, "manifest.json": 0, "other": 0}
+
+
+def test_digests_cover_the_sweep_path(tmp_path):
+    """The protocol's sweep entry runs `mcflab sweep`: its sweep.csv and every
+    run's files are digested, and the manifest inventory it digests lists
+    exactly those files, so the outputs a run reports are compared too."""
+    tool = _digest_tool()
+    command, doc = tool.protocol()["sweep"]
+    assert command == "sweep"
+    got = tool.digest_run("sweep", command, doc, tmp_path, tool.source_env(ROOT / "src"))
+    assert got["sweep/exit"] == 0
+    files = {k[len("sweep/"):] for k in got} - {"exit", "run_manifest.json:files"}
+    assert {"sweep.csv", "runs/run_0000/verdict.json", "runs/run_0001/run/timeseries.csv"} <= files
+    inventory = json.loads((tmp_path / "sweep" / "run_manifest.json").read_text())["files"]
+    assert set(inventory) == files

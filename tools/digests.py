@@ -1,18 +1,23 @@
-"""SHA-256 of every run-directory file of the six scenarios.
+"""SHA-256 of every run-directory file of the six scenarios and one sweep.
 
     python3 tools/digests.py OUT_JSON [--src SRC_DIR] [--work WORK_DIR]
     python3 tools/digests.py --fixtures tests/data/run_digests.json [--src ...]
 
 Runs each scenario through `mcflab run` in a fresh interpreter, with the
 sources under SRC_DIR (default: this checkout's `src`), and writes one
-canonical JSON object `{"<scenario>/<relative path>": sha256}` to OUT_JSON.
-`run_manifest.json` is left out: it holds wall-clock times.  Run it on two
-commits and `diff` the two files to check that a change kept every byte.
+canonical JSON object `{"<name>/<relative path>": sha256}` to OUT_JSON.
+`run_manifest.json` is hashed only through its file inventory: it holds
+wall-clock times.  Run it on two commits and `diff` the two files to check
+that a change kept every byte.
 
 The protocol: every scenario at its defaults, except `stay_graphical` at
-seed 0 (family 20, the default) and `become_graphical` at gamma 0.04.  The
-exit code of each run is recorded under `"<scenario>/exit"`; the fold exits 1
-with its two known `brakke_identity[transport]` failures.
+seed 0 (family 20, the default) and `become_graphical` at gamma 0.04, then
+one small sweep through `mcflab sweep` (`SWEEP`: `flat_plane` at two `t_end`),
+whose `sweep.csv` and `runs/*` land under `"sweep/..."`.  The exit code of
+each run is recorded under `"<name>/exit"`; the fold exits 1 with its two
+known `brakke_identity[transport]` failures.  The file inventory of each
+`run_manifest.json` (the outputs a run reports, without its wall-clock
+times) is recorded under `"<name>/run_manifest.json:files"`.
 
 `--fixtures` re-records the Tier-1 byte gate instead: it runs the run
 directories that `tests/test_acceptance.py`'s fixtures write (square, stay at
@@ -44,6 +49,9 @@ SPECS = {
     "become_graphical": {"params": {"gamma": 0.04}},
 }
 
+SWEEP = {"base": {"schema_version": 1, "scenario": "flat_plane"},
+         "vary": {"t_end": [0.005, 0.01]}}
+
 
 def _digests(out: Path) -> dict:
     files = {}
@@ -51,6 +59,50 @@ def _digests(out: Path) -> dict:
         if p.is_file() and p.name != "run_manifest.json":
             files[p.relative_to(out).as_posix()] = hashlib.sha256(p.read_bytes()).hexdigest()
     return files
+
+
+def _inventory_digest(out: Path):
+    """SHA-256 of the canonical `files` inventory of out/run_manifest.json,
+    or None when the run wrote no manifest."""
+    path = out / "run_manifest.json"
+    if not path.is_file():
+        return None
+    files = json.loads(path.read_text())["files"]
+    return hashlib.sha256(json.dumps(files, sort_keys=True).encode()).hexdigest()
+
+
+def protocol() -> dict:
+    """{name: (CLI command, spec document)} of every run the digests cover."""
+    runs = {name: ("run", {"schema_version": 1, "scenario": name, **extra})
+            for name, extra in SPECS.items()}
+    runs["sweep"] = ("sweep", {"schema_version": 1, "scenario": "sweep", **SWEEP})
+    return runs
+
+
+def source_env(src) -> dict:
+    """This process's environment with the sources under `src` first on
+    PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(src).resolve()), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def digest_run(name: str, command: str, doc: dict, work: Path, env: dict) -> dict:
+    """Run one protocol entry through the CLI in a fresh interpreter, into
+    work/<name>: its exit code, manifest inventory and file digests."""
+    spec = work / f"{name}.json"
+    spec.write_text(json.dumps(doc))
+    out = work / name
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcflab.cli", command, "--spec", str(spec), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+    return {f"{name}/exit": proc.returncode,
+            f"{name}/run_manifest.json:files": _inventory_digest(out),
+            **{f"{name}/{rel}": h for rel, h in _digests(out).items()}}
 
 
 def environment() -> dict:
@@ -107,30 +159,18 @@ def main(argv=None) -> int:
                         help="re-record the acceptance fixtures' digest file")
     args = parser.parse_args(argv)
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(args.src).resolve()), env.get("PYTHONPATH")) if p
-    )
+    env = source_env(args.src)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.work) if args.work else Path(tmp)
         work.mkdir(parents=True, exist_ok=True)
         if args.fixtures:
             return _record_fixtures(Path(args.out_json), env, work / "basetemp")
         digests = {}
-        for name, extra in SPECS.items():
-            spec = work / f"{name}.json"
-            spec.write_text(json.dumps({"schema_version": 1, "scenario": name, **extra}))
-            out = work / name
-            proc = subprocess.run(
-                [sys.executable, "-m", "mcflab.cli", "run", "--spec", str(spec),
-                 "--out", str(out)],
-                env=env, capture_output=True, text=True,
-            )
-            print(f"{name}: exit {proc.returncode}", file=sys.stderr)
-            digests[f"{name}/exit"] = proc.returncode
-            digests.update({f"{name}/{rel}": h for rel, h in _digests(out).items()})
+        runs = protocol()
+        for name, (command, doc) in runs.items():
+            digests.update(digest_run(name, command, doc, work, env))
     Path(args.out_json).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"{len(digests) - len(SPECS)} files -> {args.out_json}", file=sys.stderr)
+    print(f"{len(digests) - 2 * len(runs)} files -> {args.out_json}", file=sys.stderr)
     return 0
 
 
