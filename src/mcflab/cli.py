@@ -45,26 +45,10 @@ def _resolve_out(explicit, spec_path: Path) -> Path:
     return Path(root) / spec_path.stem
 
 
-def _file_inventory(out: Path, written) -> dict:
-    """{relative path: sha256} of the files and run directories under out that
-    the run wrote.  A run directory's entries come from its manifest.json,
-    which write_run_dir filled as it wrote them; only that manifest and the
-    top-level files are hashed here."""
-    files = {}
-    for name in written:
-        path = out / name
-        if path.is_dir():
-            manifest = path / "manifest.json"
-            files[f"{name}/manifest.json"] = sha256_file(manifest)
-            for rel, digest in json.loads(manifest.read_text())["files"].items():
-                files[f"{name}/{rel}"] = digest
-        elif path.is_file():
-            files[name] = sha256_file(path)
-    return files
-
-
 def _write_manifest(out: Path, spec_path: Path, resolved: dict,
-                    started: str, finished: str, workers: int, written) -> None:
+                    started: str, finished: str, workers: int, files: dict) -> None:
+    """run_manifest.json; `files` is {relative path: sha256} of what the run
+    wrote under out, as hashed when it was written."""
     manifest = {
         "tool": "mcflab",
         "version": __version__,
@@ -74,7 +58,7 @@ def _write_manifest(out: Path, spec_path: Path, resolved: dict,
         "finished": finished,
         "workers": workers,
         "resolved_config": resolved,
-        "files": _file_inventory(out, written),
+        "files": files,
     }
     (out / "run_manifest.json").write_text(canonical_dumps(manifest) + "\n")
 
@@ -112,9 +96,7 @@ def cmd_sweep(args) -> int:
     sweep = run_sweep(doc, out_dir=out, parallelism=args.parallelism)
     resolved["out"] = str(out)
     resolved["parallelism"] = args.parallelism
-    _write_manifest(out, spec_path, resolved, started, _now(), sweep["workers"],
-                    ["sweep.csv", *(f"runs/{r['run_id']}/{name}" for r in sweep["results"]
-                                    for name in r["outputs"])])
+    _write_manifest(out, spec_path, resolved, started, _now(), sweep["workers"], sweep["files"])
     n = len(sweep["rows"])
     status = "PASS" if sweep["all_passed"] else "FAIL"
     print(f"sweep: {status} ({n} runs, {out})")

@@ -13,8 +13,10 @@ build each next state with `_successor`, which revalidates the surface.
 `run_flow` advances until the horizon, extinction, or a terminal event,
 recording snapshots and monitor reports every `record_stride` steps.
 `write_run_dir` persists a trace as a run directory (snapshots, timeseries,
-events, and last the manifest); a snapshot is `geometry.dumps_surface`'s
-schema-2 document, its array an exact base64 payload.
+events, and last the manifest) and returns the SHA-256 of each file it wrote,
+hashed from the bytes as they are written; a snapshot is
+`geometry.dumps_surface`'s schema-2 document, its array an exact base64
+payload.
 
 A curve run `load`s each step's vertices into one `CurveKernel` per vertex
 count (a remesh builds a new one), but each step returns a fresh array.  The
@@ -280,12 +282,13 @@ def run_flow(
     is_curve = isinstance(initial.surface, ClosedCurve)
     closed = is_curve and initial.surface.closed
 
+    def event(kind: str, step: int, t: float, **fields):
+        trace.events.append({"event": kind, "step": step, "t": t, **fields})
+
     def record(state: FlowState):
         trace.snapshots.append(state)
         if closed and not geometry.is_simple(state.surface):
-            trace.events.append(
-                {"event": "non_simple", "step": state.step, "t": state.t}
-            )
+            event("non_simple", state.step, state.t)
         new_reports = []
         for monitor in monitors:
             rep = monitor(trace, state)
@@ -297,17 +300,8 @@ def run_flow(
         trace.report_records.extend([len(trace.snapshots) - 1] * len(new_reports))
         for r in new_reports:
             if not r.passed and not r.skipped:
-                trace.events.append(
-                    {
-                        "event": "monitor_failure",
-                        "monitor_id": r.monitor_id,
-                        "step": state.step,
-                        "t": state.t,
-                        "value": r.value,
-                        "bound": r.bound,
-                        "margin": r.margin,
-                    }
-                )
+                event("monitor_failure", state.step, state.t, monitor_id=r.monitor_id,
+                      value=r.value, bound=r.bound, margin=r.margin)
         trace.stats.append(_state_stats(state))
         if len(trace.snapshots) > 2:
             # the previous state leaves the last window that reads it
@@ -341,16 +335,9 @@ def run_flow(
                 if e_min < EDGE_COLLAPSE or e_max / e_min > EDGE_RATIO_LIMIT:
                     count = _remesh_count(kernel.length, raw.shape[0], config.remesh_spacing)
                     raw = geometry.resample_curve_raw(raw, closed, count)
-                    trace.events.append(
-                        {
-                            "event": "remesh",
-                            "step": step,
-                            "t": t,
-                            "min_edge": e_min,
-                            "edge_ratio": e_max / e_min if e_min > 0 else float("inf"),
-                            "vertex_count": int(raw.shape[0]),
-                        }
-                    )
+                    event("remesh", step, t, min_edge=e_min,
+                          edge_ratio=e_max / e_min if e_min > 0 else float("inf"),
+                          vertex_count=int(raw.shape[0]))
                     kernel = geometry.CurveKernel(raw, closed)
                     area_lb = -np.inf
                 short = kernel.length < EXTINCTION_LENGTH_FACTOR * min_edge0
@@ -361,15 +348,7 @@ def run_flow(
                     reach = float(np.abs(raw).max())
                     area_lb = area - 2.0 * _shoelace_error_coef(raw.shape[0]) * reach * reach
                 if short or (area is not None and area < area_floor):
-                    trace.events.append(
-                        {
-                            "event": "extinction",
-                            "step": step,
-                            "t": t,
-                            "length": kernel.length,
-                            "area": area,
-                        }
-                    )
+                    event("extinction", step, t, length=kernel.length, area=area)
                     break
                 limit = _curve_cfl_limit(kernel)
             else:
@@ -379,22 +358,16 @@ def run_flow(
             _check_cfl(dt, limit, "at step {}", step)
             t_next = t_end if dt >= t_end - t else t + dt
             if t_next == t:
-                trace.events.append(
-                    {"event": "stall", "step": step, "t": t, "detail": "dt underflow"}
-                )
+                event("stall", step, t, detail="dt underflow")
                 break
             raw = advance(kernel, t_next - t)
             if closed:
                 area_lb, reach = _area_bound_after_step(kernel, t_next - t, area_lb, reach)
         except StepRejected as exc:
-            trace.events.append(
-                {"event": "step_rejected", "step": step, "t": t, "detail": str(exc)}
-            )
+            event("step_rejected", step, t, detail=str(exc))
             break
         except (BlowUp, GeometryError) as exc:
-            trace.events.append(
-                {"event": "blow_up", "step": step, "t": t, "detail": str(exc)}
-            )
+            event("blow_up", step, t, detail=str(exc))
             break
         step += 1
         t = t_next
@@ -403,7 +376,7 @@ def run_flow(
             recorded_at = step
     else:
         if config.t_end > 0:
-            trace.events.append({"event": "horizon", "step": step, "t": t})
+            event("horizon", step, t)
 
     if recorded_at != step:
         record(_successor(initial, raw, step, t))
@@ -431,10 +404,11 @@ def _state_stats(state: FlowState) -> tuple[float, float | None, float]:
     return measure, max_grad, max_a
 
 
-def write_run_dir(trace: FlowTrace, out_dir: str | Path) -> Path:
+def write_run_dir(trace: FlowTrace, out_dir: str | Path) -> dict[str, str]:
     """Persist a trace: snapshots/NNNN.json, timeseries.csv, events.ndjson,
-    and (last, with file checksums) manifest.json.  An earlier run's
-    snapshots go first."""
+    and (last, with the checksums of the others) manifest.json.  An earlier
+    run's snapshots go first.  Returns {relative path: sha256} of every file
+    written, manifest.json included."""
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
     for stale in (out / "snapshots").glob("[0-9]*.json"):
@@ -472,5 +446,6 @@ def write_run_dir(trace: FlowTrace, out_dir: str | Path) -> Path:
         "event_count": len(trace.events),
         "files": files,
     }
-    (out / "manifest.json").write_text(canonical_dumps(manifest) + "\n")
-    return out
+    files["manifest.json"] = write_text_sha256(out / "manifest.json",
+                                               canonical_dumps(manifest) + "\n")
+    return files

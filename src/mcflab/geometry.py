@@ -820,13 +820,17 @@ def from_json_dict(doc: dict):
         m = round(flat.size ** (1.0 / n))
         if m**n != flat.size:
             raise ValidationError("$.values", f"length {flat.size} is not a grid^{n}")
-        return GraphPatch(
-            center=center,
-            radius=_header_number(doc["radius"], "$.radius"),
-            spacing=_header_number(doc["spacing"], "$.spacing"),
-            values=flat.reshape((m,) * n),
-            time=_header_number(doc["time"], "$.time"),
-        )
+        radius = _header_number(doc["radius"], "$.radius")
+        spacing = _header_number(doc["spacing"], "$.spacing")
+        for key, value in (("radius", radius), ("spacing", spacing)):
+            if value <= 0:
+                raise ValidationError(f"$.{key}", f"must be > 0, got {value!r}")
+        time = _header_number(doc["time"], "$.time")
+        try:  # the grid does not fit the ball, or too few active nodes
+            return GraphPatch(center=center, radius=radius, spacing=spacing,
+                              values=flat.reshape((m,) * n), time=time)
+        except GeometryError as exc:
+            raise ValidationError("$.values", str(exc)) from None
     if kind == "closed_curve":
         for key in ("time", "vertices"):
             if key not in doc:
@@ -834,11 +838,12 @@ def from_json_dict(doc: dict):
         closed = doc.get("closed", True)
         if not isinstance(closed, bool):
             raise ValidationError("$.closed", "must be true or false")
-        return ClosedCurve(
-            vertices=_decode(doc, "vertices", 16).reshape(-1, 2),
-            closed=closed,
-            time=_header_number(doc["time"], "$.time"),
-        )
+        vertices = _decode(doc, "vertices", 16).reshape(-1, 2)
+        time = _header_number(doc["time"], "$.time")
+        try:  # too few vertices, or a zero edge
+            return ClosedCurve(vertices=vertices, closed=closed, time=time)
+        except GeometryError as exc:
+            raise ValidationError("$.vertices", str(exc)) from None
     raise ValidationError("$.kind", f"unknown kind {kind!r}")
 
 

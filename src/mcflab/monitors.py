@@ -102,26 +102,26 @@ class KernelPoint:
 # ---------------------------------------------------------------------------
 
 
-def phi_rho(rho: float, t0: float, x0, t: float, x, n: int | None = None):
-    """(1 - rho^-2 (|x-x0|^2 + 2n(t-t0)))_+ ; x ambient, n surface dim."""
+def phi_rho(rho: float, t0: float, x0, t: float, x):
+    """(1 - rho^-2 (|x-x0|^2 + 2n(t-t0)))_+ ; x ambient, of dimension n + 1
+    (codimension 1)."""
     if rho <= 0:
         raise ConfigError("rho must be > 0")
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    if n is None:
-        n = x.shape[-1] - 1
+    n = x.shape[-1] - 1
     d2 = np.sum((x - x0) ** 2, axis=-1)
     return np.maximum(1.0 - (d2 + 2.0 * n * (t - t0)) / rho**2, 0.0)
 
 
-def heat_kernel(kp: KernelPoint, t: float, x, n: int | None = None):
-    """Backward Gaussian (4 pi (t0-t))^(-n/2) exp(|x-x0|^2 / (4(t-t0)))."""
+def heat_kernel(kp: KernelPoint, t: float, x):
+    """Backward Gaussian (4 pi (t0-t))^(-n/2) exp(|x-x0|^2 / (4(t-t0))), with
+    x of dimension n + 1."""
     if t >= kp.t0:
         raise GeometryError(f"heat kernel needs t < t0 = {kp.t0}, got t = {t}")
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(kp.x0, dtype=float)
-    if n is None:
-        n = x.shape[-1] - 1
+    n = x.shape[-1] - 1
     tau = kp.t0 - t
     d2 = np.sum((x - x0) ** 2, axis=-1)
     return (4.0 * math.pi * tau) ** (-n / 2.0) * np.exp(-d2 / (4.0 * tau))
@@ -135,12 +135,12 @@ def upsilon(
     y0,
     rho: float,
     t1: float = 0.0,
-    n: int | None = None,
     r0: float = 0.0,
     lam: float | None = None,
     c1: float = 1.0,
 ):
-    """Localized barrier ((rho^2 - |x-y0|^2) eta - (2n + L rho)(t - t1))_+ .
+    """Localized barrier ((rho^2 - |x-y0|^2) eta - (2n + L rho)(t - t1))_+ ,
+    with x of dimension n + 1.
 
     Built-in eta forms and their Lipschitz constants L:
       "constant"  eta = 1, L = 0 (recovers the rho^2-scaled paraboloid cutoff)
@@ -152,8 +152,7 @@ def upsilon(
     y0 = np.asarray(y0, dtype=float)
     if rho <= 0:
         raise ConfigError("rho must be > 0")
-    if n is None:
-        n = x.shape[-1] - 1
+    n = x.shape[-1] - 1
     if form == "constant":
         eta = np.ones(x.shape[:-1])
         lip = 0.0
@@ -201,7 +200,7 @@ def gaussian_density_ratio(
     Warns when the sample reaches less far than 6 sqrt(t0 - t) from x0, where
     the kernel tail is no longer negligible.
     """
-    vals = heat_kernel(kp, t, sample.points, n=sample.n)
+    vals = heat_kernel(kp, t, sample.points)
     ratio = float(np.sum(sample.weights * vals))
     x0 = np.asarray(kp.x0, dtype=float)
     radius_used = float(np.max(np.linalg.norm(sample.points - x0, axis=1)))
@@ -299,17 +298,16 @@ def check_phi_monotonicity(
     rho: float,
     t0: float = 0.0,
     x0=None,
-    n: int | None = None,
     monitor_id: str = "phi_monotonicity",
 ) -> MonitorReport:
     """int phi_rho^3 dmu between two recorded states must not increase."""
     if x0 is None:
         dim = 2 if isinstance(state_a.surface, ClosedCurve) else state_a.surface.n + 1
         x0 = np.zeros(dim)
-    key = ("phi", rho, t0, tuple(np.asarray(x0, dtype=float).tolist()), n)
+    key = ("phi", rho, t0, tuple(np.asarray(x0, dtype=float).tolist()))
 
     def fn(t, pts):
-        return phi_rho(rho, t0, x0, t, pts, n) ** 3
+        return phi_rho(rho, t0, x0, t, pts) ** 3
 
     return _monotonicity_report(monitor_id, state_a, state_b, key, fn)
 
@@ -322,7 +320,6 @@ def check_upsilon_monotonicity(
     y0,
     rho: float,
     t1: float = 0.0,
-    n: int | None = None,
     r0: float = 0.0,
     lam: float | None = None,
     c1: float = 1.0,
@@ -331,11 +328,11 @@ def check_upsilon_monotonicity(
     """int Upsilon^3 dmu between two recorded states must not increase."""
     mid = monitor_id or f"upsilon_monotonicity[{form}]"
     key = ("upsilon", form, tuple(np.asarray(y0, dtype=float).tolist()),
-           rho, t1, n, r0, lam, c1)
+           rho, t1, r0, lam, c1)
 
     def fn(t, pts):
         return (
-            upsilon(form, t, pts, y0=y0, rho=rho, t1=t1, n=n, r0=r0, lam=lam, c1=c1)
+            upsilon(form, t, pts, y0=y0, rho=rho, t1=t1, r0=r0, lam=lam, c1=c1)
             ** 3
         )
 
@@ -527,19 +524,20 @@ class TestField:
     hess: Callable
 
 
-def phi_rho_cubed_field(rho: float, t0: float, x0, n: int) -> TestField:
+def phi_rho_cubed_field(rho: float, t0: float, x0) -> TestField:
     """phi_rho^3 as a C^2 test field (cubing smooths the truncation kink)."""
     if rho <= 0:
         raise ConfigError("rho must be > 0")
     x0 = np.asarray(x0, dtype=float)
 
     def base(t, pts):
-        return phi_rho(rho, t0, x0, t, pts, n)
+        return phi_rho(rho, t0, x0, t, pts)
 
     def value(t, pts):
         return base(t, pts) ** 3
 
     def dt(t, pts):
+        n = np.shape(pts)[-1] - 1
         return 3.0 * base(t, pts) ** 2 * (-2.0 * n / rho**2)
 
     def grad(t, pts):

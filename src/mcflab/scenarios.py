@@ -4,8 +4,10 @@ Each scenario builds initial data from a few geometric parameters, runs
 every flow through `_monitored_flow` (a standard battery of localization
 monitors plus its own probes and bounds), checks its milestone assertions,
 and ends in `_finish`, which builds its ScenarioResult and optionally writes
-a run directory plus a machine-readable verdict.json.  Specs are plain JSON
-documents validated with field-path errors so drivers can surface
+a run directory plus a machine-readable verdict.json; the result's `outputs`
+is then {relative path: sha256} of every file written, each hashed as it was
+written, and `run_sweep` joins its runs' outputs into one.  Specs are plain
+JSON documents validated with field-path errors so drivers can surface
 `$.params.L`-style diagnostics.
 
 Calibrated constants (c_hat values) are measured outputs: they come from a
@@ -32,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import ConfigError, ValidationError, canonical_dumps, worker_pool, write_csv
+from ._util import (ConfigError, ValidationError, canonical_dumps, worker_pool, write_csv,
+                    write_text_sha256)
 from .flow import CFL, FlowConfig, FlowState, run_flow, write_run_dir
 from .geometry import (
     ClosedCurve,
@@ -87,7 +90,7 @@ class ScenarioResult:
     failures: list = field(default_factory=list)
     traces: dict = field(default_factory=dict, repr=False, compare=False)
     workers: int = field(default=1, compare=False)  # not in the verdict
-    outputs: list = field(default_factory=list, compare=False)  # what out_dir got
+    outputs: dict = field(default_factory=dict, compare=False)  # {path: sha256} in out_dir
 
     @property
     def passed(self) -> bool:
@@ -122,7 +125,7 @@ def monitor_battery(rho: float = 1.0, y0=(0.0, 0.0), enabled=None):
         "upsilon_split": upsilon("split", lam=0.5, c1=1.0),
         "gradient_eh": windowed_monitor(check_gradient_bound_EH, 0, y0, rho),
         "brakke": windowed_monitor(check_brakke_identity, -2,
-                                   phi_rho_cubed_field(rho, 0.0, y0, 1), form="transport"),
+                                   phi_rho_cubed_field(rho, 0.0, y0), form="transport"),
     }
     if enabled is None:
         enabled = MONITOR_IDS
@@ -142,17 +145,19 @@ def _monitored_flow(surface, config, monitors, *extra, rho=1.0, y0=(0.0, 0.0)):
 
 def _finish(scenario, measured, failures, out_dir, traces, extra_csv=None, workers=1):
     """The scenario's result; given an out_dir, it also writes traces["run"]
-    as run/, then each extra CSV ({name: (header, rows)}), then verdict.json."""
+    as run/, then each extra CSV ({name: (header, rows)}), then verdict.json,
+    and records {relative path: sha256} of each file in result.outputs."""
     result = ScenarioResult(scenario, measured, failures, traces, workers)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_run_dir(traces["run"], out / "run")
-        extra_csv = extra_csv or {}
-        for name, (header, rows) in extra_csv.items():
-            write_csv(out / name, header, rows)
-        (out / "verdict.json").write_text(canonical_dumps(result.verdict) + "\n")
-        result.outputs = ["run", *extra_csv, "verdict.json"]
+        outputs = {f"run/{rel}": digest
+                   for rel, digest in write_run_dir(traces["run"], out / "run").items()}
+        for name, (header, rows) in (extra_csv or {}).items():
+            outputs[name] = write_csv(out / name, header, rows)
+        outputs["verdict.json"] = write_text_sha256(out / "verdict.json",
+                                                    canonical_dumps(result.verdict) + "\n")
+        result.outputs = outputs
     return result
 
 
@@ -969,6 +974,9 @@ def _validate_sweep_spec(doc, path: str = "$") -> dict:
         if key not in known:
             raise ValidationError(f"{path}.{key}", "unknown field")
     if runs is not None:
+        for key, value in (("base", base), ("vary", vary)):
+            if value is not None:
+                raise ValidationError(f"{path}.{key}", "a sweep with 'runs' takes no base or vary")
         if not isinstance(runs, list) or not runs:
             raise ValidationError(f"{path}.runs", "must be a non-empty list")
         out["runs"] = [
@@ -1035,13 +1043,16 @@ def _sweep_worker(item):
         res = run_scenario(doc, out_dir=None if out_root is None else Path(out_root) / run_id)
     except Exception as exc:  # individual failures recorded, sweep continues
         return {**row, "scenario": doc.get("scenario"), "pass": False,
-                "error": f"{type(exc).__name__}: {exc}", "measured": {}, "outputs": []}
+                "error": f"{type(exc).__name__}: {exc}", "measured": {}, "outputs": {}}
     return {**row, "scenario": res.scenario, "pass": res.passed, "error": None,
             "measured": res.measured, "outputs": res.outputs}
 
 
 def run_sweep(doc, out_dir=None, parallelism: int = 1):
-    """Run a sweep spec; returns (rows, all_passed) and writes sweep.csv.
+    """Run a sweep spec and, given an out_dir, write sweep.csv and each run
+    under runs/<run id>/.  Returns the header and rows, all_passed, each
+    run's result, the worker count, and "files": {relative path: sha256} of
+    every file written (a run that raised wrote none).
 
     Rows are canonically sorted by run id, so results are byte-identical
     across parallelism settings.
@@ -1077,8 +1088,11 @@ def run_sweep(doc, out_dir=None, parallelism: int = 1):
             + [r["params"].get(k) for k in param_keys]
             + [r["measured"].get(k) for k in measured_keys]
         )
+    files = {}
     if out_root is not None:
-        write_csv(out_root / "sweep.csv", header, rows)
+        files["sweep.csv"] = write_csv(out_root / "sweep.csv", header, rows)
+        files.update((f"runs/{r['run_id']}/{rel}", digest)
+                     for r in results for rel, digest in r["outputs"].items())
     all_passed = all(r["pass"] for r in results)
     return {"header": header, "rows": rows, "all_passed": all_passed,
-            "results": results, "workers": pool.workers}
+            "results": results, "workers": pool.workers, "files": files}

@@ -275,7 +275,7 @@ def _identity_ladder(kind: str, form: str):
     """Normalized window residual per grid scale h, refining dt with h^2."""
     out_h, out_res = [], []
     if kind == "circle":
-        field = phi_rho_cubed_field(2.0, 1.0, (0.0, 0.0), 1)
+        field = phi_rho_cubed_field(2.0, 1.0, (0.0, 0.0))
         for m in (64, 128, 256, 512):
             e = 2.0 * math.sin(math.pi / m)
             dt = 0.15 * e * e
@@ -288,7 +288,7 @@ def _identity_ladder(kind: str, form: str):
             out_h.append(e)
             out_res.append(rep.value * IDENTITY_TOL_REL_DEFAULT / rep.bound)
     else:
-        field = phi_rho_cubed_field(2.0, 1.0, (0.0, 0.25), 1)
+        field = phi_rho_cubed_field(2.0, 1.0, (0.0, 0.25))
         for m in (65, 129, 257, 513):
             h = 8.0 / (m - 1)
             patch = GraphPatch.from_function(

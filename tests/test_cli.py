@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcflab import scenarios
-from mcflab._util import ConfigError, GeometryError, ValidationError, write_csv
+from mcflab._util import ConfigError, GeometryError, ValidationError, sha256_file, write_csv
 from mcflab.cli import main
 from mcflab.flow import BlowUp, FlowConfig, StepRejected, run_flow, write_run_dir
 from mcflab.geometry import ClosedCurve, GraphPatch
@@ -138,7 +138,9 @@ NESTED = {"schema_version": 1, "scenario": "sweep", "runs": [FLAT]}
     ({"base": FLAT, "vary": {"value": []}}, "$.vary.value"),
     ({"runs": [FLAT, NESTED]}, "$.runs[1].scenario"),
     ({"base": NESTED, "vary": {"value": [0.0]}}, "$.base.scenario"),
-], ids=["runs", "vary", "nested_run", "nested_base"])
+    ({"runs": [FLAT], "base": FLAT, "vary": {"bogus": "x"}}, "$.base"),
+    ({"runs": [FLAT], "vary": {"value": [0.0]}}, "$.vary"),
+], ids=["runs", "vary", "nested_run", "nested_base", "runs_and_base", "runs_and_vary"])
 def test_sweep_rejects_empty_expansion(tmp_path, capsys, sweep, loc):
     spec = _write_spec(tmp_path / "sw.json",
                        {"schema_version": 1, "scenario": "sweep", **sweep})
@@ -192,6 +194,30 @@ def test_sweep_parallel_byte_identical(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_sweep_inventory_lists_what_is_on_disk(tmp_path):
+    """A sweep whose second run raises (an error row): run_manifest.json lists
+    exactly sweep.csv and the passing run's files, each with the SHA-256 of
+    the file on disk; the run's entries agree with its run/manifest.json."""
+    broken = {"schema_version": 1, "scenario": "bounded_curvature", "resolution": 32,
+              "params": {"kappa_tilt": 0.45}}  # initial tilt 0.8 > 1 - 2 kappa_tilt
+    spec = _write_spec(tmp_path / "sw.json",
+                       {"schema_version": 1, "scenario": "sweep", "runs": [FLAT, broken]})
+    out = tmp_path / "o"
+    assert main(["sweep", "--spec", spec, "--out", str(out)]) == 1
+    assert "ConfigError" in (out / "sweep.csv").read_text().splitlines()[2]
+    inventory = json.loads((out / "run_manifest.json").read_text())["files"]
+    on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*")
+               if p.is_file() and p.name != "run_manifest.json"}
+    assert set(inventory) == on_disk
+    assert "sweep.csv" in on_disk and "runs/run_0000/verdict.json" in on_disk
+    assert not any(rel.startswith("runs/run_0001/") for rel in on_disk)
+    for rel, digest in inventory.items():
+        assert sha256_file(out / rel) == digest
+    run = out / "runs" / "run_0000" / "run"
+    listed = json.loads((run / "manifest.json").read_text())["files"]
+    assert {rel: inventory[f"runs/run_0000/run/{rel}"] for rel in listed} == listed
+
+
 def test_plotdata_snapshots_and_margins(flat_spec, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--spec", flat_spec, "--out", str(out)]) == 0
@@ -218,7 +244,8 @@ def test_plotdata_snapshots_are_the_trace_floats(tmp_path, kind):
     its snapshots.csv equals one written straight from the trace."""
     trace = run_flow(_initial(kind), FlowConfig(t_end=1e-4, dt=1e-5, record_stride=3))
     assert len(trace.snapshots) > 2
-    run = write_run_dir(trace, tmp_path / "run")
+    run = tmp_path / "run"
+    write_run_dir(trace, run)
     assert main(["plotdata", "--run", str(run), "--kind", "snapshots",
                  "--out", str(tmp_path / "plots")]) == 0
     rows = []

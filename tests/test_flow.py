@@ -621,7 +621,8 @@ def test_cache_release_is_invisible(kind, tmp_path):
     monitors = monitor_battery() + [lagging]
     trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=2),
                      monitors=monitors)
-    out = write_run_dir(trace, tmp_path / "run")
+    out = tmp_path / "run"
+    write_run_dir(trace, out)
     assert len(trace.snapshots) > 4
 
     lines = (out / "timeseries.csv").read_text().splitlines()
@@ -826,7 +827,8 @@ def test_write_run_dir_deterministic(tmp_path):
 def test_run_dir_layout_and_manifest(tmp_path):
     trace = run_flow(make_circle(radius=0.4, m=64),
                      FlowConfig(t_end=0.01, record_stride=20))
-    out = write_run_dir(trace, tmp_path / "run")
+    out = tmp_path / "run"
+    written = write_run_dir(trace, out)
     assert (out / "manifest.json").is_file()
     assert (out / "timeseries.csv").is_file()
     assert (out / "events.ndjson").is_file()
@@ -841,6 +843,7 @@ def test_run_dir_layout_and_manifest(tmp_path):
     assert set(inv) == on_disk
     for rel, digest in inv.items():
         assert sha256_file(out / rel) == digest
+    assert written == {**inv, "manifest.json": sha256_file(out / "manifest.json")}
 
 
 def test_margins_join_on_record_index(tmp_path):
@@ -861,7 +864,8 @@ def test_margins_join_on_record_index(tmp_path):
     assert round(times[3] * 1e12) == round(times[4] * 1e12)
     assert trace.report_records == [0, 1, 2, 3, 4]
 
-    out = write_run_dir(trace, tmp_path / "run")
+    out = tmp_path / "run"
+    write_run_dir(trace, out)
     lines = (out / "timeseries.csv").read_text().splitlines()
     header = lines[0].split(",")
     col = header.index("margin:m")

@@ -763,6 +763,13 @@ def test_loads_surface_rejects_garbage():
         assert _reader_error(dict(patch, **{key: bad})) == f"$.{key}"
     for key, bad in (("time", None), ("time", np.nan), ("closed", "no"), ("closed", 0)):
         assert _reader_error(dict(curve, **{key: bad})) == f"$.{key}"
+    # header ranges, and a surface the header and payload cannot build
+    for key, bad, where in (("radius", -1, "radius"), ("spacing", 0, "spacing"),
+                            ("spacing", 0.5, "values")):  # 17 nodes span 8 > 2 radius
+        assert _reader_error(dict(patch, **{key: bad})) == f"$.{where}"
+    for verts in (np.zeros((16, 2)), make_circle(m=16).vertices[:3]):
+        payload = base64.b64encode(verts.astype("<f8").tobytes()).decode()
+        assert _reader_error(dict(curve, vertices=payload)) == "$.vertices"
 
 
 def test_loads_surface_rejects_other_codimensions():

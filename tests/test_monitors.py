@@ -67,11 +67,11 @@ def _flat_line_sample(height=0.0, radius=8.0, m=8001, time=0.0):
 
 
 def test_phi_rho_values_and_support():
-    assert phi_rho(2.0, 0.0, (0.0, 0.0), 0.0, (0.0, 0.0), n=1) == 1.0
+    assert phi_rho(2.0, 0.0, (0.0, 0.0), 0.0, (0.0, 0.0)) == 1.0
     # support shrinks like rho^2 - 2n(t - t0)
     x_edge = math.sqrt(4.0 - 2.0 * 0.5)
-    assert phi_rho(2.0, 0.0, (0.0, 0.0), 0.5, (x_edge + 1e-9, 0.0), n=1) == 0.0
-    assert phi_rho(2.0, 0.0, (0.0, 0.0), 0.5, (x_edge - 1e-3, 0.0), n=1) > 0.0
+    assert phi_rho(2.0, 0.0, (0.0, 0.0), 0.5, (x_edge + 1e-9, 0.0)) == 0.0
+    assert phi_rho(2.0, 0.0, (0.0, 0.0), 0.5, (x_edge - 1e-3, 0.0)) > 0.0
     with pytest.raises(ConfigError):
         phi_rho(0.0, 0.0, (0.0, 0.0), 0.0, (0.0, 0.0))
 
@@ -80,8 +80,8 @@ def test_phi_rho_is_scaled_constant_upsilon():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(64, 2), scale=2.0)
     for t in (0.0, 0.3):
-        a = upsilon("constant", t, pts, y0=(0.1, -0.2), rho=1.7, t1=0.0, n=1)
-        b = 1.7**2 * phi_rho(1.7, 0.0, (0.1, -0.2), t, pts, n=1)
+        a = upsilon("constant", t, pts, y0=(0.1, -0.2), rho=1.7, t1=0.0)
+        b = 1.7**2 * phi_rho(1.7, 0.0, (0.1, -0.2), t, pts)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -91,15 +91,15 @@ def test_heat_kernel_unit_mass_on_line(tau):
     sampled plane integral reproduces the exact normalization."""
     samp = _flat_line_sample()
     kp = KernelPoint(t0=tau, x0=(0.0, 0.0))
-    vals = heat_kernel(kp, 0.0, samp.points, n=1)
+    vals = heat_kernel(kp, 0.0, samp.points)
     assert math.isclose(float(np.sum(samp.weights * vals)), 1.0, rel_tol=1e-3)
 
 
 def test_heat_kernel_peak_and_domain():
     kp = KernelPoint(t0=1.0, x0=(0.0, 0.0))
-    peak = heat_kernel(kp, 0.0, (0.0, 0.0), n=1)
+    peak = heat_kernel(kp, 0.0, (0.0, 0.0))
     assert math.isclose(float(peak), (4.0 * math.pi) ** -0.5, rel_tol=1e-12)
-    assert float(heat_kernel(kp, 0.0, (3.0, 0.0), n=1)) < float(peak)
+    assert float(heat_kernel(kp, 0.0, (3.0, 0.0))) < float(peak)
     with pytest.raises(GeometryError):
         heat_kernel(kp, 1.0, (0.0, 0.0))
 
@@ -152,13 +152,11 @@ def test_density_truncation_warning():
 
 def test_upsilon_trivials():
     # constant form at the kernel point equals rho^2
-    assert upsilon("constant", 0.0, (0.0, 0.0), y0=(0.0, 0.0), rho=1.5,
-                   n=1) == pytest.approx(1.5**2, rel=1e-12)
+    assert upsilon("constant", 0.0, (0.0, 0.0), y0=(0.0, 0.0),
+                   rho=1.5) == pytest.approx(1.5**2, rel=1e-12)
     # slab form truncates to zero inside |x_last| <= r0
-    assert upsilon("slab", 0.0, (0.3, 0.1), y0=(0.0, 0.0), rho=2.0, r0=0.2,
-                   n=1) == 0.0
-    assert upsilon("slab", 0.0, (0.3, 1.0), y0=(0.0, 0.0), rho=2.0, r0=0.2,
-                   n=1) > 0.0
+    assert upsilon("slab", 0.0, (0.3, 0.1), y0=(0.0, 0.0), rho=2.0, r0=0.2) == 0.0
+    assert upsilon("slab", 0.0, (0.3, 1.0), y0=(0.0, 0.0), rho=2.0, r0=0.2) > 0.0
     with pytest.raises(ConfigError):
         upsilon("spiral", 0.0, (0.0, 0.0), y0=(0.0, 0.0), rho=1.0)
     with pytest.raises(ConfigError):
@@ -175,7 +173,7 @@ def test_upsilon_trivials():
 )
 def test_upsilon_nonincreasing_in_time(form, px, py, t1_offset, dt):
     x = (px, py)
-    kw = dict(y0=(0.0, 0.0), rho=1.3, t1=0.0, n=1, r0=0.1, lam=0.5, c1=1.0)
+    kw = dict(y0=(0.0, 0.0), rho=1.3, t1=0.0, r0=0.1, lam=0.5, c1=1.0)
     early = upsilon(form, t1_offset, x, **kw)
     late = upsilon(form, t1_offset + dt, x, **kw)
     assert late <= early + 1e-12
@@ -215,8 +213,7 @@ def test_phi_monotonicity_flags_growth():
 ])
 def test_upsilon_monotonicity_all_forms(form, extra):
     a, b = _circle_state(1.0, 0.0), _circle_state(1.0, 0.2)
-    rep = check_upsilon_monotonicity(a, b, form, y0=(0.0, 0.0), rho=3.0,
-                                     n=1, **extra)
+    rep = check_upsilon_monotonicity(a, b, form, y0=(0.0, 0.0), rho=3.0, **extra)
     assert rep.passed
     assert rep.monitor_id == f"upsilon_monotonicity[{form}]"
 
@@ -364,7 +361,7 @@ def test_brakke_constant_field_matches_length_decay():
 
 
 def test_brakke_static_plane_both_forms():
-    field = phi_rho_cubed_field(rho=1.5, t0=1.0, x0=(0.0, 0.0), n=1)
+    field = phi_rho_cubed_field(rho=1.5, t0=1.0, x0=(0.0, 0.0))
     a = _flat_state(0.0, 0.0, radius=4.0, m=513)
     b = _flat_state(0.0, 0.01, radius=4.0, m=513)
     for form in ("divergence", "transport"):
@@ -373,7 +370,7 @@ def test_brakke_static_plane_both_forms():
 
 
 def test_brakke_disjoint_support_trivial():
-    field = phi_rho_cubed_field(rho=0.5, t0=1.0, x0=(50.0, 50.0), n=1)
+    field = phi_rho_cubed_field(rho=0.5, t0=1.0, x0=(50.0, 50.0))
     a, b = _circle_window()
     rep = check_brakke_identity(a, b, field)
     assert rep.value == 0.0 and rep.passed
@@ -386,7 +383,7 @@ def test_brakke_forms_split_on_curved_flow():
     shrinking circle.  The field is centred off the circle's centre: for a
     centred radial field the two middle terms agree pointwise, so only an
     off-centre field tests the integration by parts."""
-    field = phi_rho_cubed_field(rho=2.0, t0=1.0, x0=(0.8, 0.4), n=1)
+    field = phi_rho_cubed_field(rho=2.0, t0=1.0, x0=(0.8, 0.4))
     a, b = _circle_window(m=512, t_end=0.01)
     for form in ("transport", "divergence"):
         rep = check_brakke_identity(a, b, field, form=form)
@@ -400,7 +397,7 @@ def test_brakke_forms_split_on_curved_flow():
 def test_brakke_forms_evaluate_only_their_derivative():
     """The divergence form needs only the Hessian of phi and the transport
     form only its gradient; the other derivative is never evaluated."""
-    field = phi_rho_cubed_field(rho=2.0, t0=1.0, x0=(0.8, 0.4), n=1)
+    field = phi_rho_cubed_field(rho=2.0, t0=1.0, x0=(0.8, 0.4))
     a, b = _circle_window(m=128, t_end=0.005)
 
     def unused(t, pts):
@@ -452,7 +449,7 @@ def _oracle_flows():
 
 def _oracle_checks():
     y0 = (0.0, 0.0)
-    field = phi_rho_cubed_field(1.0, 0.0, y0, 1)
+    field = phi_rho_cubed_field(1.0, 0.0, y0)
     return [
         (check_phi_monotonicity, -2, (1.0,), {"x0": y0}),
         # support reaching the open ends and the graph's boundary: skipped
@@ -524,7 +521,7 @@ def _counting_field(base, counts):
 def test_test_function_evaluated_once_per_recorded_state(kind):
     surface, config = _oracle_flows()[kind]
     counts = {}
-    field = _counting_field(phi_rho_cubed_field(1.0, 0.0, (0.0, 0.0), 1), counts)
+    field = _counting_field(phi_rho_cubed_field(1.0, 0.0, (0.0, 0.0)), counts)
     trace = run_flow(surface, config, monitors=[
         windowed_monitor(check_brakke_identity, -2, field, form="transport"),
         windowed_monitor(check_brakke_identity, -2, field, form="transport",
