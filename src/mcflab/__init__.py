@@ -8,11 +8,8 @@ from .geometry import (
     Cylinder,
     GraphPatch,
     SurfaceSample,
-    curve_quantities,
     dumps_surface,
-    gradient,
     graph_normal,
-    hessian,
     integrate_over_graph,
     loads_surface,
     mean_curvature_graph,
@@ -29,7 +26,7 @@ from .graphicality import (
     native_resolution,
     record_probe,
 )
-from .monitors import KernelPoint, MonitorReport
+from .monitors import MonitorReport
 from .scenarios import ScenarioResult, run_scenario, run_sweep, validate_scenario_spec
 
 __all__ = [
@@ -40,17 +37,13 @@ __all__ = [
     "FlowTrace",
     "GraphPatch",
     "GraphReport",
-    "KernelPoint",
     "MonitorReport",
     "ScenarioResult",
     "SurfaceSample",
-    "curve_quantities",
     "dumps_surface",
     "first_graphical_time",
     "first_nongraphical_time",
-    "gradient",
     "graph_normal",
-    "hessian",
     "integrate_over_graph",
     "is_graphical",
     "loads_surface",

@@ -29,9 +29,11 @@ def _now() -> str:
 
 def _load_spec(path: Path) -> dict:
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError("$", f"cannot read spec: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError("$", f"spec is not UTF-8: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

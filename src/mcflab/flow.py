@@ -94,13 +94,17 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
+    """A surface at (step, t); t defaults to the surface's time."""
+
     surface: object
     step: int = 0
-    t: float = 0.0
+    t: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.surface, (GraphPatch, ClosedCurve)):
             raise ConfigError("surface must be a GraphPatch or ClosedCurve")
+        if self.t is None:
+            object.__setattr__(self, "t", self.surface.time)
 
 
 @dataclass
@@ -277,7 +281,7 @@ def run_flow(
     horizon are recorded as they occur (extinction also terminates).
     """
     if isinstance(initial, (GraphPatch, ClosedCurve)):
-        initial = FlowState(surface=initial, step=0, t=initial.time)
+        initial = FlowState(initial)
     trace = FlowTrace(config=config)
     is_curve = isinstance(initial.surface, ClosedCurve)
     closed = is_curve and initial.surface.closed

@@ -15,8 +15,8 @@ and kappa come from one fresh kernel.  Construction checks edges without one.
 A surface caches only what some reader reads: a curve its edge lengths,
 its normals and kappa, and a sample (its vertices, those normals and the
 vertex weights); a graph its Df, D^2f, lift and sample.  Neither caches
-tangents or |A|: curve_quantities derives one tangent from the normal, and
-|A| is computed where it is read.
+tangents or |A|: a curve's unit tangent is (N_1, -N_0), and |A| is computed
+where it is read.
 """
 
 from __future__ import annotations
@@ -267,15 +267,6 @@ class SurfaceSample:
         if np.any(w <= 0):
             raise GeometryError("weights must be > 0")
 
-    @property
-    def n(self) -> int:
-        """Surface dimension (codimension-1 samples)."""
-        return self.points.shape[1] - 1
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
 
 # ---------------------------------------------------------------------------
 # Stencils on graph patches
@@ -337,27 +328,6 @@ def hessian_field(patch: GraphPatch) -> np.ndarray:
     if "hess" not in patch._cache:
         patch._cache["hess"] = hessian_raw(patch.values, gradient_field(patch), patch.spacing)
     return patch._cache["hess"]
-
-
-def _check_node(patch: GraphPatch, node) -> tuple:
-    idx = tuple(int(i) for i in np.atleast_1d(node))
-    if len(idx) != patch.n:
-        raise GeometryError(f"node index must have {patch.n} components")
-    if any(not 0 <= i < patch.shape[a] for a, i in enumerate(idx)):
-        raise GeometryError(f"node {idx} outside grid")
-    if not patch.active[idx]:
-        raise GeometryError(f"node {idx} is inactive (outside the ball)")
-    return idx
-
-
-def gradient(patch: GraphPatch, node) -> np.ndarray:
-    """Df at one active node (second-order; one-sided at the grid boundary)."""
-    return gradient_field(patch)[_check_node(patch, node)].copy()
-
-
-def hessian(patch: GraphPatch, node) -> np.ndarray:
-    """D^2 f at one active node; symmetric n x n."""
-    return hessian_field(patch)[_check_node(patch, node)].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +509,7 @@ def curve_quantities_all(curve: ClosedCurve):
     curve the left normal points inward, so the curvature vector kappa*N is
     the inward curve-shortening velocity either way.  Open-curve endpoints get
     the left normal of their one-sided tangent and kappa = 0 (the flow holds
-    them fixed).  The unit tangent is (N_1, -N_0); curve_quantities derives
-    it for one vertex.
+    them fixed).  The unit tangent is (N_1, -N_0).
 
     Cached on the curve with its edge lengths; treat as read-only.
     """
@@ -556,18 +525,6 @@ def curve_quantities_all(curve: ClosedCurve):
         nor[[0, -1], 1] = tan_ends[:, 0]
     curve._cache["quantities"] = (nor, kap)
     return curve._cache["quantities"]
-
-
-def curve_quantities(curve: ClosedCurve, vertex: int):
-    """(tangent, normal, kappa) at one vertex; circumscribed-circle formula.
-    The tangent (N_1, -N_0) is the stencil's unit chord."""
-    i = int(vertex)
-    if not 0 <= i < curve.m:
-        raise GeometryError(f"vertex {i} out of range")
-    if not curve.closed and i in (0, curve.m - 1):
-        raise GeometryError("curvature undefined at open-curve endpoints")
-    nor, kap = curve_quantities_all(curve)
-    return np.array([nor[i, 1], -nor[i, 0]]), nor[i].copy(), float(kap[i])
 
 
 def curve_segments(curve: ClosedCurve) -> tuple[np.ndarray, np.ndarray]:

@@ -2,10 +2,10 @@
 cylinder's 1-D base, count sheets, and report the sup statistics of the
 column heights; plus the first-crossing times over a probe list.
 
-Probing is resolution-limited.  The probe grid spacing delta defaults to
-half the surface's native resolution and must not exceed it; every report
-records the delta actually used.  No claim is made about features below the
-probe scale.
+Probing is resolution-limited.  The probe grid spacing is half the
+surface's native resolution, snapped so that probes hit both base
+endpoints; every report records the spacing used as its delta.  No claim is
+made about features below the probe scale.
 
 A probe column fails graphicality three ways: no sheet in the height range
 (gap), more than one sheet (multi), or a near-vertical crossing where graph
@@ -36,7 +36,7 @@ from .geometry import (
 )
 
 TANGENCY_TOL = 1e-6
-HOLD_RECORDS_DEFAULT = 10
+HOLD_RECORDS = 10
 
 
 @dataclass(frozen=True)
@@ -231,21 +231,10 @@ def _probe_graph_patch(patch: GraphPatch, cyl: Cylinder, delta: float) -> GraphR
 # ---------------------------------------------------------------------------
 
 
-def is_graphical(surface, cyl: Cylinder, delta: float | None = None) -> GraphReport:
-    """Probe the surface over the cylinder base and report graphicality.
-
-    `surface` is a ClosedCurve or GraphPatch; delta defaults to half the
-    native resolution and must not exceed it.
-    """
-    native = native_resolution(surface)
-    if delta is None:
-        delta = native / 2
-    if delta <= 0:
-        raise ConfigError("probe spacing must be > 0")
-    if delta > native * (1 + 1e-12):
-        raise ConfigError(
-            f"probe spacing {delta:.3e} exceeds native resolution {native:.3e}"
-        )
+def is_graphical(surface, cyl: Cylinder) -> GraphReport:
+    """Probe the surface (a ClosedCurve or GraphPatch) over the cylinder
+    base at half its native resolution and report graphicality."""
+    delta = native_resolution(surface) / 2
     if cyl.radius <= 0 or cyl.height <= 0:
         return GraphReport(
             cylinder=cyl, delta=delta, sheet_count=0,
@@ -275,14 +264,14 @@ def first_nongraphical_time(probes) -> float | None:
     return next((state.t for state, rep in probes if not rep.graphical), None)
 
 
-def first_graphical_time(probes, hold: int = HOLD_RECORDS_DEFAULT) -> float | None:
+def first_graphical_time(probes) -> float | None:
     """Earliest time in the probe list from which reports stay graphical for
-    `hold` consecutive records (or through the end of the list); None if
-    never."""
+    HOLD_RECORDS consecutive records (or through the end of the list); None
+    if never."""
     first = None
     run = 0
     for i in range(len(probes) - 1, -1, -1):
         run = run + 1 if probes[i][1].graphical else 0
-        if run >= hold or run == len(probes) - i:
+        if run >= HOLD_RECORDS or run == len(probes) - i:
             first = i
     return None if first is None else probes[first][0].t

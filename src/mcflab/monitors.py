@@ -1,5 +1,5 @@
-"""Runtime inequality monitors: localized test functions, Gaussian density
-ratios, and local height/gradient/curvature bounds.
+"""Runtime inequality monitors: localized test functions and local
+height/gradient/curvature bounds.
 
 Every check returns a MonitorReport with margin = bound - value and
 pass <=> margin >= -tol.  A check that cannot be evaluated honestly (test
@@ -24,9 +24,10 @@ boundary, whose mask comes from the grid; never the surface itself, so the
 two form no cycle.  Its memo holds the scalar results of each test
 function, keyed by (state t, test function and its parameters): the integral
 and support-exits flag of a monotonicity check, the Brakke side, part and
-mass, and the gradient bound's sup at its window start.  A monitored run therefore evaluates each test function once per
-recorded state, though every window uses the state twice; the key holds t
-because one surface may be checked as states at different times.
+mass, and the gradient bound's sup at its window start.  A monitored run
+therefore evaluates each test function once per recorded state, though
+every window uses the state twice; the key holds t because one surface may
+be checked as states at different times.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import ConfigError, GeometryError
+from ._util import ConfigError
 from .geometry import (
     ClosedCurve,
     GraphPatch,
-    SurfaceSample,
     curve_quantities_all,
     gradient_field,
     gradient_raw,
@@ -52,10 +52,8 @@ from .geometry import (
     second_fundamental_norm,
 )
 
-DENSITY_EXCESS_DEFAULT = 0.1
 MONO_TOL_REL_DEFAULT = 1e-6
 IDENTITY_TOL_REL_DEFAULT = 0.02
-KERNEL_TRUNCATION_FACTOR = 6.0
 
 
 @dataclass(frozen=True)
@@ -86,17 +84,6 @@ def _skipped(monitor_id: str, t: float, reason: str) -> MonitorReport:
     )
 
 
-@dataclass(frozen=True)
-class KernelPoint:
-    """Backward-kernel target (t0, x0); evaluation only for t < t0."""
-
-    t0: float
-    x0: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(float(c) for c in self.x0))
-
-
 # ---------------------------------------------------------------------------
 # Test functions
 # ---------------------------------------------------------------------------
@@ -112,19 +99,6 @@ def phi_rho(rho: float, t0: float, x0, t: float, x):
     n = x.shape[-1] - 1
     d2 = np.sum((x - x0) ** 2, axis=-1)
     return np.maximum(1.0 - (d2 + 2.0 * n * (t - t0)) / rho**2, 0.0)
-
-
-def heat_kernel(kp: KernelPoint, t: float, x):
-    """Backward Gaussian (4 pi (t0-t))^(-n/2) exp(|x-x0|^2 / (4(t-t0))), with
-    x of dimension n + 1."""
-    if t >= kp.t0:
-        raise GeometryError(f"heat kernel needs t < t0 = {kp.t0}, got t = {t}")
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(kp.x0, dtype=float)
-    n = x.shape[-1] - 1
-    tau = kp.t0 - t
-    d2 = np.sum((x - x0) ** 2, axis=-1)
-    return (4.0 * math.pi * tau) ** (-n / 2.0) * np.exp(-d2 / (4.0 * tau))
 
 
 def upsilon(
@@ -173,46 +147,6 @@ def upsilon(
         raise ConfigError(f"unknown upsilon form {form!r}")
     d2 = np.sum((x - y0) ** 2, axis=-1)
     return np.maximum((rho**2 - d2) * eta - (2.0 * n + lip * rho) * (t - t1), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian density ratio
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Sampled Gaussian density ratio against the 1 + d0 smallness flag."""
-
-    ratio: float
-    bound: float
-    flagged: bool
-    truncation_warning: bool
-    radius_used: float
-    t: float
-
-
-def gaussian_density_ratio(
-    sample: SurfaceSample, kp: KernelPoint, t: float, d0: float = DENSITY_EXCESS_DEFAULT
-) -> DensityReport:
-    """Sum of weights * Phi over the sample; flagged when above 1 + d0.
-
-    Warns when the sample reaches less far than 6 sqrt(t0 - t) from x0, where
-    the kernel tail is no longer negligible.
-    """
-    vals = heat_kernel(kp, t, sample.points)
-    ratio = float(np.sum(sample.weights * vals))
-    x0 = np.asarray(kp.x0, dtype=float)
-    radius_used = float(np.max(np.linalg.norm(sample.points - x0, axis=1)))
-    needed = KERNEL_TRUNCATION_FACTOR * math.sqrt(kp.t0 - t)
-    return DensityReport(
-        ratio=ratio,
-        bound=1.0 + d0,
-        flagged=ratio > 1.0 + d0,
-        truncation_warning=radius_used < needed,
-        radius_used=radius_used,
-        t=t,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +231,16 @@ def check_phi_monotonicity(
     state_b,
     rho: float,
     t0: float = 0.0,
-    x0=None,
-    monitor_id: str = "phi_monotonicity",
+    *,
+    x0,
 ) -> MonitorReport:
     """int phi_rho^3 dmu between two recorded states must not increase."""
-    if x0 is None:
-        dim = 2 if isinstance(state_a.surface, ClosedCurve) else state_a.surface.n + 1
-        x0 = np.zeros(dim)
     key = ("phi", rho, t0, tuple(np.asarray(x0, dtype=float).tolist()))
 
     def fn(t, pts):
         return phi_rho(rho, t0, x0, t, pts) ** 3
 
-    return _monotonicity_report(monitor_id, state_a, state_b, key, fn)
+    return _monotonicity_report("phi_monotonicity", state_a, state_b, key, fn)
 
 
 def check_upsilon_monotonicity(
@@ -323,10 +254,8 @@ def check_upsilon_monotonicity(
     r0: float = 0.0,
     lam: float | None = None,
     c1: float = 1.0,
-    monitor_id: str | None = None,
 ) -> MonitorReport:
     """int Upsilon^3 dmu between two recorded states must not increase."""
-    mid = monitor_id or f"upsilon_monotonicity[{form}]"
     key = ("upsilon", form, tuple(np.asarray(y0, dtype=float).tolist()),
            rho, t1, r0, lam, c1)
 
@@ -336,7 +265,7 @@ def check_upsilon_monotonicity(
             ** 3
         )
 
-    return _monotonicity_report(mid, state_a, state_b, key, fn)
+    return _monotonicity_report(f"upsilon_monotonicity[{form}]", state_a, state_b, key, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +278,22 @@ def check_measure_bound(
     state_t,
     y0,
     rho: float,
-    monitor_id: str = "measure_bound",
 ) -> MonitorReport:
     """mu_t(B(y0, rho/2)) <= 8 mu_s1(B(y0, rho)) inside the parabolic window."""
+    mid = "measure_bound"
     if rho <= 0:
         raise ConfigError("rho must be > 0")
     surf = state_t.surface
     n = 1 if isinstance(surf, ClosedCurve) else surf.n
     dt = state_t.t - state_s1.t
     if dt < 0:
-        return _skipped(monitor_id, state_t.t, "window ends before it starts")
+        return _skipped(mid, state_t.t, "window ends before it starts")
     window = rho**2 / (8.0 * n)
     if dt >= window:
-        return _skipped(
-            monitor_id,
-            state_t.t,
-            f"t - s1 = {dt:.3e} outside window {window:.3e}",
-        )
+        return _skipped(mid, state_t.t, f"t - s1 = {dt:.3e} outside window {window:.3e}")
     value = _ball_measure(state_t, y0, rho / 2.0)
     bound = 8.0 * _ball_measure(state_s1, y0, rho)
-    return MonitorReport(monitor_id=monitor_id, t=state_t.t, value=value, bound=bound)
+    return MonitorReport(monitor_id=mid, t=state_t.t, value=value, bound=bound)
 
 
 def check_height_bound(
@@ -378,7 +303,6 @@ def check_height_bound(
     R: float,
     r0: float,
     c_hat: float,
-    monitor_id: str = "height_bound",
 ) -> MonitorReport:
     """Vertical excursion in C(x0, R, R) stays below r0 + c_hat (t-t1)/R.
 
@@ -403,7 +327,7 @@ def check_height_bound(
     inside = (base <= R) & (heights <= R)
     value = float(np.max(heights[inside])) if np.any(inside) else 0.0
     bound = r0 + c_hat * (state_t.t - state_t1.t) / R
-    return MonitorReport(monitor_id=monitor_id, t=state_t.t, value=value, bound=bound)
+    return MonitorReport(monitor_id="height_bound", t=state_t.t, value=value, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +340,10 @@ def check_gradient_bound_EH(
     state_t,
     x0,
     rho: float,
-    monitor_id: str = "gradient_bound_eh",
 ) -> MonitorReport:
     """v(t,x) (1 - rho^-2(|x-x0|^2 + 2n(t-t1))) <= sup_{B^n(x0_hat, rho)} v(t1)
     on the shrinking ball B(x0, rho(t)), with v = (nu . e_last)^-1."""
+    mid = "gradient_bound_eh"
     if rho <= 0:
         raise ConfigError("rho must be > 0")
     x0 = np.asarray(x0, dtype=float)
@@ -427,10 +351,10 @@ def check_gradient_bound_EH(
     n = 1 if isinstance(surf, ClosedCurve) else surf.n
     tau = state_t.t - state_t1.t
     if tau < 0:
-        return _skipped(monitor_id, state_t.t, "window ends before it starts")
+        return _skipped(mid, state_t.t, "window ends before it starts")
     rho_t_sq = rho**2 - 2.0 * n * tau
     if rho_t_sq <= 0:
-        return _skipped(monitor_id, state_t.t, "shrunken ball is empty")
+        return _skipped(mid, state_t.t, "shrunken ball is empty")
 
     def initial_sup(t, ctx):
         """(sup of v over the base ball, or None with the reason)."""
@@ -446,7 +370,7 @@ def check_gradient_bound_EH(
     key = ("gradient_sup", tuple(x0.tolist()), rho)
     bound, reason = _memo(state_t1, key, initial_sup)
     if bound is None:
-        return _skipped(monitor_id, state_t.t, reason)
+        return _skipped(mid, state_t.t, reason)
 
     sample_t = sample_surface(state_t.surface)
     dist = np.linalg.norm(sample_t.points - x0, axis=1)
@@ -456,12 +380,10 @@ def check_gradient_bound_EH(
     else:
         ne_t = sample_t.normals[sel_t, -1]
         if np.any(ne_t <= 0):
-            return _skipped(
-                monitor_id, state_t.t, "current state not graphical (nu.e <= 0)"
-            )
+            return _skipped(mid, state_t.t, "current state not graphical (nu.e <= 0)")
         weight = 1.0 - (dist[sel_t] ** 2 + 2.0 * n * tau) / rho**2
         value = float(np.max(weight / ne_t))
-    return MonitorReport(monitor_id=monitor_id, t=state_t.t, value=value, bound=bound)
+    return MonitorReport(monitor_id=mid, t=state_t.t, value=value, bound=bound)
 
 
 def check_curvature_bound_EH(
@@ -469,25 +391,25 @@ def check_curvature_bound_EH(
     x0,
     rho: float,
     c_hat: float,
-    monitor_id: str = "curvature_bound_eh",
 ) -> MonitorReport:
     """max |A|^2 over the final lift of B^n(x0_hat, rho) against
     c_hat ((s-s1)^-1 + rho^-2) sup_{[s1,s]} sup_{B^n(x0_hat, 2 rho)} (1+|Df|^2)^2."""
+    mid = "curvature_bound_eh"
     if rho <= 0 or c_hat <= 0:
         raise ConfigError("need rho > 0 and c_hat > 0")
     if len(states) < 2:
-        return _skipped(monitor_id, states[-1].t if states else 0.0, "window too short")
+        return _skipped(mid, states[-1].t if states else 0.0, "window too short")
     x0 = np.asarray(x0, dtype=float)
     s1, s = states[0].t, states[-1].t
     if s <= s1:
-        return _skipped(monitor_id, s, "window has zero duration")
+        return _skipped(mid, s, "window has zero duration")
     sup_df = 0.0
     for st in states:
         surf = st.surface
         if not isinstance(surf, GraphPatch):
-            return _skipped(monitor_id, s, "requires graph states")
+            return _skipped(mid, s, "requires graph states")
         if np.linalg.norm(surf.center - x0[:-1]) + 2 * rho > surf.radius + surf.spacing:
-            return _skipped(monitor_id, s, "patch does not cover B(x0, 2 rho)")
+            return _skipped(mid, s, "patch does not cover B(x0, 2 rho)")
         act = surf.active
         base = np.linalg.norm(surf.nodes[act] - x0[:-1], axis=1)
         df = gradient_raw(surf.values, surf.spacing)[act]  # builds no cache
@@ -502,7 +424,7 @@ def check_curvature_bound_EH(
     d2f = hessian_field(final)[act][sel]
     value = float(np.max(second_fundamental_norm(df, d2f) ** 2))
     bound = c_hat * (1.0 / (s - s1) + 1.0 / rho**2) * sup_df
-    return MonitorReport(monitor_id=monitor_id, t=s, value=value, bound=bound)
+    return MonitorReport(monitor_id=mid, t=s, value=value, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +485,6 @@ def check_brakke_identity(
     state_b,
     test_field: TestField,
     form: str = "divergence",
-    monitor_id: str | None = None,
 ) -> MonitorReport:
     """|Delta int(phi) - Delta_t * int(dt phi + (form term) - |H|^2 phi)| small.
 
@@ -576,7 +497,7 @@ def check_brakke_identity(
     """
     if form not in ("divergence", "transport"):
         raise ConfigError(f"unknown identity form {form!r}")
-    mid = monitor_id or f"brakke_identity[{form}]"
+    mid = f"brakke_identity[{form}]"
     dt_window = state_b.t - state_a.t
     if dt_window <= 0:
         return _skipped(mid, state_b.t, "window has zero duration")
@@ -623,11 +544,11 @@ def check_brakke_identity(
 # ---------------------------------------------------------------------------
 
 
-def calibrate_constant(measure: Callable[[int], float], resolutions: Sequence[int]) -> float:
-    """2x the max observed ratio across resolutions (constant calibration)."""
-    if len(resolutions) < 3:
+def calibrate_constant(ratios: Sequence[float]) -> float:
+    """2x the max ratio observed across resolutions (constant calibration)."""
+    if len(ratios) < 3:
         raise ConfigError("calibration needs at least 3 resolutions")
-    return 2.0 * max(float(measure(r)) for r in resolutions)
+    return 2.0 * max(float(r) for r in ratios)
 
 
 def windowed_monitor(check: Callable, start: int, *args, **kwargs) -> Callable:

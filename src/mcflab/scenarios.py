@@ -710,7 +710,7 @@ def scenario_become_graphical(
         for tag, future in pending.items():
             traces[tag], probes[tag] = future.result()
     ratio_sets = [ratios, probes["cal_mid"][1], probes["cal_fine"][1]]
-    c_hats = [calibrate_constant(lambda rs, i=i: rs[i], ratio_sets) for i in range(3)]
+    c_hats = [calibrate_constant([rs[i] for rs in ratio_sets]) for i in range(3)]
     t_graph2 = probes["doubled"][0]
 
     if t_graph is None:
@@ -821,7 +821,7 @@ def calibrate_eh_curvature() -> dict:
         if report.skipped:
             raise ConfigError(f"calibration run skipped: {report.reason}")
         ratios[res] = report.value / report.bound
-    return {"c_hat": calibrate_constant(ratios.get, list(ratios)), "ratios": ratios}
+    return {"c_hat": calibrate_constant(list(ratios.values())), "ratios": ratios}
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +929,7 @@ def validate_scenario_spec(doc, path: str = "$") -> dict:
     out["params"] = dict(params)
 
     known = {"schema_version", "scenario", "seed", "resolution", "monitors",
-             "params", "out"}
+             "params"}
     for key in doc:
         if key not in known:
             raise ValidationError(f"{path}.{key}", "unknown field")
@@ -969,7 +969,7 @@ def _validate_sweep_spec(doc, path: str = "$") -> dict:
     runs = doc.get("runs")
     base = doc.get("base")
     vary = doc.get("vary")
-    known = {"schema_version", "scenario", "runs", "base", "vary", "out"}
+    known = {"schema_version", "scenario", "runs", "base", "vary"}
     for key in doc:
         if key not in known:
             raise ValidationError(f"{path}.{key}", "unknown field")

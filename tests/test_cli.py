@@ -94,6 +94,15 @@ def test_run_rejects_bad_spec(tmp_path, capsys):
     assert main(["run", "--spec", str(garbage)]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_utf8_spec_exits_two(tmp_path, capsys, command):
+    spec = tmp_path / "utf16.json"
+    spec.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "error: $: spec is not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_rejects_fractional_count_param(tmp_path, capsys):
     bad = _write_spec(tmp_path / "frac.json", {
         "schema_version": 1, "scenario": "stay_graphical",

@@ -23,7 +23,6 @@ from mcflab.flow import (
 from mcflab.geometry import (
     ClosedCurve,
     GraphPatch,
-    curve_quantities,
     curve_quantities_all,
     enclosed_area,
     gradient_field,
@@ -187,8 +186,8 @@ def _menger_oracle(vertices, closed):
 def test_curve_step_matches_menger_oracle(closed):
     """One step equals v + dt * (kappa N) with kappa and N from a slow
     per-vertex oracle, bit for bit; curve_quantities_all gives the same kappa
-    and N, curve_quantities the oracle's chord / lc as the tangent at every
-    curved vertex; open endpoints (kappa = 0 there) do not move.
+    and N, whose (N_1, -N_0) is the oracle's chord / lc as the tangent at
+    every curved vertex; open endpoints (kappa = 0 there) do not move.
 
     Every other vertex of the star sits at radius 0.01, where the update is
     far larger than the coordinate, so the comparison sees the last bits of
@@ -206,8 +205,8 @@ def test_curve_step_matches_menger_oracle(closed):
     inner = slice(None) if closed else slice(1, -1)
     assert np.array_equal(got_kappa, kappa)
     assert np.array_equal(got_normals[inner], normals[inner])
-    for i in range(m)[inner]:
-        assert np.array_equal(curve_quantities(curve, i)[0], tangents[i])
+    got_tangents = np.stack([got_normals[:, 1], -got_normals[:, 0]], axis=1)
+    assert np.array_equal(got_tangents[inner], tangents[inner])
     velocity = np.where(np.isnan(normals), 0.0, kappa[:, None] * normals)
     assert np.array_equal(out, curve.vertices + dt * velocity)
     if not closed:
@@ -615,8 +614,8 @@ def test_cache_release_is_invisible(kind, tmp_path):
             return None
         old = trace.snapshots[-3].surface
         return MonitorReport(monitor_id="lagging", t=state.t,
-                             value=sample_surface(old).total_weight,
-                             bound=sample_surface(state.surface).total_weight)
+                             value=float(sample_surface(old).weights.sum()),
+                             bound=float(sample_surface(state.surface).weights.sum()))
 
     monitors = monitor_battery() + [lagging]
     trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=2),
@@ -735,6 +734,50 @@ def test_step_rejected_event_terminates():
     limit = 0.2 * (2.0 * math.sin(math.pi / 64)) ** 2
     assert ev[0]["detail"] == f"dt={0.05:.3e} exceeds CFL limit {limit:.3e} at step 0"
     assert trace.final.t == 0.0
+
+
+def test_flow_state_starts_at_the_surface_time():
+    curve = make_circle(radius=1.0, m=256, time=0.3)
+    config = FlowConfig(t_end=1e-3, record_stride=2)
+    via_state = run_flow(FlowState(curve), config)
+    via_surface = run_flow(curve, config)
+    times = [s.t for s in via_state.snapshots]
+    assert times[0] == 0.3 and len(times) > 2
+    assert times == [s.t for s in via_surface.snapshots]
+    assert times == [s.surface.time for s in via_state.snapshots]
+
+
+def test_stall_event_when_dt_underflows():
+    # at t = 1e16 an admissible dt no longer changes t
+    trace = run_flow(FlowState(make_circle(radius=1.0, m=64), 0, 1e16),
+                     FlowConfig(t_end=10.0))
+    ev = trace.events_of("stall")
+    assert len(ev) == 1 and ev[0]["detail"] == "dt underflow"
+    assert ev[0]["step"] == 0 and ev[0]["t"] == 1e16
+    assert not trace.events_of("horizon")
+
+
+def test_non_simple_event_on_figure_eight():
+    # the crossing at the origin lies inside two segments, at no vertex
+    th = 2.0 * np.pi * np.arange(64) / 64 + np.pi / 64
+    eight = ClosedCurve(np.stack([np.sin(th), np.sin(th) * np.cos(th)], axis=1))
+    trace = run_flow(eight, FlowConfig(t_end=1e-5))
+    assert trace.events_of("non_simple")[0]["step"] == 0
+
+
+def test_blow_up_event_on_non_finite_curvature(monkeypatch):
+    menger = geometry.CurveKernel.menger
+
+    def one_nan(kernel):
+        kap, nor = menger(kernel)
+        kap[3] = np.nan
+        return kap, nor
+
+    monkeypatch.setattr(geometry.CurveKernel, "menger", one_nan)
+    trace = run_flow(make_circle(radius=1.0, m=64), FlowConfig(t_end=1e-3))
+    ev = trace.events_of("blow_up")
+    assert len(ev) == 1 and ev[0]["step"] == 0
+    assert "non-finite" in ev[0]["detail"]
 
 
 def test_monitor_wiring_and_failure_events():

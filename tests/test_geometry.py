@@ -22,15 +22,13 @@ from mcflab.geometry import (
     GeometryError,
     GraphPatch,
     curve_point_distance,
-    curve_quantities,
+    curve_quantities_all,
     curve_segments,
     dumps_surface,
     edge_lengths,
     enclosed_area,
-    gradient,
     gradient_field,
     graph_normal,
-    hessian,
     hessian_field,
     integrate_over_graph,
     is_simple,
@@ -88,16 +86,6 @@ def test_gradient_hessian_second_order():
     assert eg2 < 2e-4 and eh2 < 2e-2
     assert fitted_order([h1, h2], [eg1, eg2]) > 1.8
     assert fitted_order([h1, h2], [eh1, eh2]) > 1.8
-
-
-def test_pointwise_accessors_match_fields():
-    patch = GraphPatch.from_function(_smooth_fn, center=(0.0, 0.0), radius=1.0,
-                                     nodes_per_axis=33)
-    node = (16, 16)
-    assert np.array_equal(gradient(patch, node), gradient_field(patch)[node])
-    assert np.array_equal(hessian(patch, node), hessian_field(patch)[node])
-    with pytest.raises(GeometryError):
-        gradient(patch, (0, 99))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +287,10 @@ def test_circle_curvature_exact():
     """Circumscribed-circle curvature is exact on co-circular samples."""
     R = 0.8
     curve = make_circle(radius=R, m=48, center=(0.3, -0.5))
+    normals, kappa = curve_quantities_all(curve)
     for vertex in (0, 11, 47):
-        tan, nor, kap = curve_quantities(curve, vertex)
+        nor, kap = normals[vertex], float(kappa[vertex])
+        tan = np.array([nor[1], -nor[0]])
         assert math.isclose(kap, 1.0 / R, rel_tol=1e-12)
         assert math.isclose(float(np.linalg.norm(tan)), 1.0, rel_tol=1e-12)
         # curvature vector kappa*N points toward the center
@@ -312,8 +302,9 @@ def test_circle_curvature_exact():
 def test_open_polyline_quantities():
     x = np.linspace(-1.0, 1.0, 33)
     curve = ClosedCurve(np.stack([x, 0.2 * x], axis=1), closed=False)
-    tan, nor, kap = curve_quantities(curve, 16)
-    assert math.isclose(kap, 0.0, abs_tol=1e-14)
+    normals, kappa = curve_quantities_all(curve)
+    tan = np.array([normals[16, 1], -normals[16, 0]])
+    assert math.isclose(float(kappa[16]), 0.0, abs_tol=1e-14)
     assert math.isclose(float(np.linalg.norm(tan)), 1.0, rel_tol=1e-12)
 
 

@@ -29,11 +29,9 @@ from mcflab.graphicality import (
 from conftest import make_circle
 
 
-def curve_probe_parity_violations(curve, cyl, delta=None):
+def curve_probe_parity_violations(curve, cyl):
     """Probes whose full-line crossing count is odd; 0 for any closed curve."""
-    if delta is None:
-        delta = native_resolution(curve) / 2
-    step, count = _probe_step(cyl, delta)
+    step, count = _probe_step(cyl, native_resolution(curve) / 2)
     lo = float(cyl.base_center[0]) - cyl.radius
     p1, p2 = curve_segments(curve)
     _, cols = _covered_columns(*_probe_index_ranges(p1[:, 0], p2[:, 0], lo, step, count))
@@ -56,7 +54,7 @@ def test_flat_edge_is_exactly_graphical():
     verts = [(-5.0, 0.0), (-2.5, 0.0), (0.0, 0.0), (2.5, 0.0), (5.0, 0.0),
              (5.0, 4.0), (0.0, 4.0), (-5.0, 4.0)]
     curve = ClosedCurve(vertices=np.asarray(verts))
-    rep = is_graphical(curve, Cylinder((0.0, 0.0), 1.0, 1.0), delta=0.25)
+    rep = is_graphical(curve, Cylinder((0.0, 0.0), 1.0, 1.0))
     assert rep.graphical and rep.sheet_count == 1
     assert rep.sup_height == 0.0 and rep.sup_grad == 0.0
     assert rep.witness is None
@@ -172,11 +170,6 @@ def test_patch_probe_recovers_amplitude_and_slope():
     assert rep.graphical and rep.sheet_count == 1
     assert rep.sup_height == pytest.approx(0.3, rel=1e-2)
     assert rep.sup_grad == pytest.approx(0.6, rel=1e-2)
-    # probing at the native step lands on the nodes, so second differences
-    # see the underlying function rather than the interpolant's kinks
-    aligned = is_graphical(patch, Cylinder((0.0, 0.0), 1.5, 1.0),
-                           delta=patch.spacing)
-    assert aligned.sup_hess == pytest.approx(1.2, rel=1e-2)
 
 
 def test_patch_probe_gap_outside_coverage():
@@ -199,10 +192,6 @@ def test_delta_defaults_and_validation():
     assert native == patch.spacing
     rep = is_graphical(patch, Cylinder((0.0, 0.0), 1.0, 1.0))
     assert rep.delta <= native / 2 * (1 + 1e-12)
-    with pytest.raises(ConfigError):
-        is_graphical(patch, Cylinder((0.0, 0.0), 1.0, 1.0), delta=2 * native)
-    with pytest.raises(ConfigError):
-        is_graphical(patch, Cylinder((0.0, 0.0), 1.0, 1.0), delta=0.0)
 
 
 def test_empty_cylinder_reports_nongraphical():
@@ -259,12 +248,12 @@ def test_first_nongraphical_time():
 
 def test_first_graphical_time_hold_semantics():
     cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
-    # a single good record followed by a relapse does not count as settled
-    probes = _fake_probes([False, True, False, True, True], cyl)
-    assert first_graphical_time(probes, hold=2) == pytest.approx(0.3)
-    # a good tail shorter than hold still settles when it reaches the end
+    # nine good records followed by a relapse do not count as settled; ten do
+    probes = _fake_probes([False] + [True] * 9 + [False] + [True] * 10 + [False], cyl)
+    assert first_graphical_time(probes) == pytest.approx(1.1)
+    # a good tail shorter than the hold still settles when it reaches the end
     tail = _fake_probes([False, True], cyl)
-    assert first_graphical_time(tail, hold=5) == pytest.approx(0.1)
+    assert first_graphical_time(tail) == pytest.approx(0.1)
     never = _fake_probes([False, False], cyl)
-    assert first_graphical_time(never, hold=2) is None
+    assert first_graphical_time(never) is None
     assert _no_cache(probes) and _no_cache(tail) and _no_cache(never)

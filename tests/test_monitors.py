@@ -12,15 +12,10 @@ from mcflab._util import ConfigError
 from mcflab.flow import FlowConfig, FlowState, run_flow
 from mcflab.geometry import (
     ClosedCurve,
-    GeometryError,
     GraphPatch,
-    SurfaceSample,
-    sample_surface,
 )
 from mcflab.monitors import (
-    DENSITY_EXCESS_DEFAULT,
     IDENTITY_TOL_REL_DEFAULT,
-    KernelPoint,
     TestField as Field,
     calibrate_constant,
     check_brakke_identity,
@@ -30,8 +25,6 @@ from mcflab.monitors import (
     check_measure_bound,
     check_phi_monotonicity,
     check_upsilon_monotonicity,
-    gaussian_density_ratio,
-    heat_kernel,
     phi_rho,
     phi_rho_cubed_field,
     upsilon,
@@ -51,14 +44,6 @@ def constant_field(c=1.0):
         dt=zeros,
         hess=lambda t, pts: np.zeros((np.asarray(pts).shape[0],) + (np.asarray(pts).shape[1],) * 2),
     )
-
-
-def _flat_line_sample(height=0.0, radius=8.0, m=8001, time=0.0):
-    patch = GraphPatch.from_function(
-        lambda p: np.full(p.shape[:-1], height),
-        center=(0.0,), radius=radius, nodes_per_axis=m, time=time,
-    )
-    return sample_surface(patch)
 
 
 # ---------------------------------------------------------------------------
@@ -83,66 +68,6 @@ def test_phi_rho_is_scaled_constant_upsilon():
         a = upsilon("constant", t, pts, y0=(0.1, -0.2), rho=1.7, t1=0.0)
         b = 1.7**2 * phi_rho(1.7, 0.0, (0.1, -0.2), t, pts)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("tau", [1e-4, 1e-2, 1.0])
-def test_heat_kernel_unit_mass_on_line(tau):
-    """Equispaced Riemann sums of a Gaussian are spectrally accurate, so the
-    sampled plane integral reproduces the exact normalization."""
-    samp = _flat_line_sample()
-    kp = KernelPoint(t0=tau, x0=(0.0, 0.0))
-    vals = heat_kernel(kp, 0.0, samp.points)
-    assert math.isclose(float(np.sum(samp.weights * vals)), 1.0, rel_tol=1e-3)
-
-
-def test_heat_kernel_peak_and_domain():
-    kp = KernelPoint(t0=1.0, x0=(0.0, 0.0))
-    peak = heat_kernel(kp, 0.0, (0.0, 0.0))
-    assert math.isclose(float(peak), (4.0 * math.pi) ** -0.5, rel_tol=1e-12)
-    assert float(heat_kernel(kp, 0.0, (3.0, 0.0))) < float(peak)
-    with pytest.raises(GeometryError):
-        heat_kernel(kp, 1.0, (0.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# Gaussian density ratio
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("tau", [1e-04, 1e-2, 1.0])
-def test_density_of_flat_line_is_one(tau):
-    samp = _flat_line_sample()
-    rep = gaussian_density_ratio(samp, KernelPoint(t0=tau, x0=(0.0, 0.0)), 0.0)
-    assert abs(rep.ratio - 1.0) < 1e-3
-    assert not rep.flagged and not rep.truncation_warning
-    assert rep.bound == 1.0 + DENSITY_EXCESS_DEFAULT
-
-
-def test_density_of_offset_line_is_gaussian_factor():
-    samp = _flat_line_sample(height=0.0)
-    rep = gaussian_density_ratio(samp, KernelPoint(t0=1.0, x0=(0.0, 3.0)), 0.0)
-    assert math.isclose(rep.ratio, math.exp(-9.0 / 4.0), rel_tol=1e-3)
-    assert not rep.flagged
-
-
-def test_density_two_sheets_flagged():
-    lo = _flat_line_sample(height=-0.005)
-    hi = _flat_line_sample(height=0.005)
-    two = SurfaceSample(
-        points=np.vstack([lo.points, hi.points]),
-        normals=np.vstack([lo.normals, hi.normals]),
-        weights=np.concatenate([lo.weights, hi.weights]),
-    )
-    rep = gaussian_density_ratio(two, KernelPoint(t0=1e-2, x0=(0.0, 0.0)), 0.0)
-    assert math.isclose(rep.ratio, 2.0, rel_tol=2e-3)
-    assert rep.flagged
-
-
-def test_density_truncation_warning():
-    samp = _flat_line_sample(radius=1.0, m=501)
-    rep = gaussian_density_ratio(samp, KernelPoint(t0=1.0, x0=(0.0, 0.0)), 0.0)
-    assert rep.truncation_warning
-    assert rep.radius_used < 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +117,7 @@ def _circle_state(r0, t, m=256):
 
 def test_phi_monotonicity_on_shrinking_circle():
     a, b = _circle_state(1.0, 0.0), _circle_state(1.0, 0.2)
-    rep = check_phi_monotonicity(a, b, rho=3.0)
+    rep = check_phi_monotonicity(a, b, rho=3.0, x0=(0.0, 0.0))
     assert rep.passed and rep.value <= 0.0
     assert rep.monitor_id == "phi_monotonicity"
 
@@ -202,7 +127,7 @@ def test_phi_monotonicity_flags_growth():
     a = FlowState(surface=make_circle(radius=0.5, m=256, time=0.0), t=0.0)
     b = FlowState(surface=make_circle(radius=1.0, m=256, time=0.01),
                   step=1, t=0.01)
-    rep = check_phi_monotonicity(a, b, rho=3.0)
+    rep = check_phi_monotonicity(a, b, rho=3.0, x0=(0.0, 0.0))
     assert not rep.passed and rep.value > 0.0 and rep.margin < 0.0
 
 
@@ -225,7 +150,7 @@ def test_monotonicity_skips_when_support_exits():
     )
     a = FlowState(surface=patch, t=0.0)
     b = FlowState(surface=patch, t=0.01)
-    rep = check_phi_monotonicity(a, b, rho=10.0)
+    rep = check_phi_monotonicity(a, b, rho=10.0, x0=(0.0, 0.0))
     assert rep.skipped and "support" in rep.reason
     assert not rep.passed
 
@@ -239,12 +164,14 @@ def test_graph_integrals_use_the_state_time():
     # one patch recorded as two states: the state's t, not patch.time, counts
     patch = flat(0.0)
     rep = check_phi_monotonicity(FlowState(surface=patch, t=0.0),
-                                 FlowState(surface=patch, t=0.1), rho=1.0)
+                                 FlowState(surface=patch, t=0.1), rho=1.0,
+                                 x0=(0.0, 0.0))
     # int (1 - x^2 - 2t)^3 dx over its support is (32/35)(1 - 2t)^(7/2)
     exact = -(32.0 / 35.0) * (1.0 - 0.8**3.5)
     assert math.isclose(rep.value, exact, rel_tol=1e-3)
     timed = check_phi_monotonicity(FlowState(surface=flat(0.0), t=0.0),
-                                   FlowState(surface=flat(0.1), t=0.1), rho=1.0)
+                                   FlowState(surface=flat(0.1), t=0.1), rho=1.0,
+                                   x0=(0.0, 0.0))
     assert timed == rep
 
 
@@ -424,8 +351,9 @@ def test_brakke_window_must_advance():
 
 
 def test_calibrate_constant_doubles_worst_case():
-    data = {64: 1.0, 96: 2.5, 128: 0.5}
-    assert calibrate_constant(lambda r: data[r], [64, 96, 128]) == 5.0
+    assert calibrate_constant([1.0, 2.5, 0.5]) == 5.0
+    with pytest.raises(ConfigError):
+        calibrate_constant([1.0, 2.5])
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +381,7 @@ def _oracle_checks():
     return [
         (check_phi_monotonicity, -2, (1.0,), {"x0": y0}),
         # support reaching the open ends and the graph's boundary: skipped
-        (check_phi_monotonicity, -2, (1.0,),
-         {"x0": (1.6, 0.0), "monitor_id": "phi_edge"}),
+        (check_phi_monotonicity, -2, (1.0,), {"x0": (1.6, 0.0)}),
         (check_upsilon_monotonicity, -2, ("constant",), {"y0": y0, "rho": 1.0}),
         (check_upsilon_monotonicity, -2, ("slab",), {"y0": y0, "rho": 1.0, "r0": 0.2}),
         (check_upsilon_monotonicity, -2, ("split",),
@@ -501,7 +428,9 @@ def test_monitored_reports_match_fresh_checks(kind):
         assert [_bits(r) for r in reps] == [_bits(r) for r in fresh]
         evaluated += sum(not r.skipped for r in reps)
     assert evaluated > 0
-    skipped_edge = {r.skipped for r in trace.reports if r.monitor_id == "phi_edge"}
+    # each record's two phi reports keep the battery's order: centred, edge
+    phi = [r for r in trace.reports if r.monitor_id == "phi_monotonicity"]
+    skipped_edge = {r.skipped for r in phi[1::2]}
     assert skipped_edge == ({False} if kind == "closed" else {True})
 
 
@@ -524,8 +453,7 @@ def test_test_function_evaluated_once_per_recorded_state(kind):
     field = _counting_field(phi_rho_cubed_field(1.0, 0.0, (0.0, 0.0)), counts)
     trace = run_flow(surface, config, monitors=[
         windowed_monitor(check_brakke_identity, -2, field, form="transport"),
-        windowed_monitor(check_brakke_identity, -2, field, form="transport",
-                         monitor_id="brakke_again"),
+        windowed_monitor(check_brakke_identity, -2, field, form="transport"),
     ])
     assert all(not r.skipped for r in trace.reports)
     times = [s.t for s in trace.snapshots]

@@ -79,6 +79,12 @@ def test_validate_normalizes_defaults():
       "params": {"epsilon": math.nan}}, "$.params.epsilon"),
     ({"schema_version": 1, "scenario": "sweep", "base": _spec(),
       "vary": {"radius": [1.0, math.inf]}}, "$.vary.radius[1]"),
+    # the output directory comes from --out or $MCFLAB_OUT, never the spec
+    (_spec(out="/tmp/x"), "$.out"),
+    ({"schema_version": 1, "scenario": "sweep", "base": _spec(),
+      "vary": {"radius": [1.0]}, "out": "/tmp/x"}, "$.out"),
+    ({"schema_version": 1, "scenario": "sweep", "runs": [_spec(out="/tmp/x")]},
+     "$.runs[0].out"),
 ])
 def test_validate_reports_json_path(doc, loc):
     with pytest.raises(ValidationError) as err:

@@ -27,6 +27,15 @@ def test_tracer_targets_resolve():
         assert callable(getattr(importlib.import_module(f"mcflab.{layer}"), name)), (layer, name)
 
 
+def test_package_exports_resolve():
+    """Every name in mcflab.__all__ is bound, once, so a deleted export fails
+    here and not only at `from mcflab import *`."""
+    package = importlib.import_module("mcflab")
+    assert len(package.__all__) == len(set(package.__all__))
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing
+
+
 def test_digests_count_moved_files_by_kind():
     tool = _digest_tool()
     keys = ["fold/run/snapshots/0000.json", "fold/run/snapshots/0001.json",
