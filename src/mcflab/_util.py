@@ -1,4 +1,5 @@
-"""Shared helpers: error types, canonical serialization, checksums, worker pool."""
+"""Shared helpers: error types, JSON number checks, canonical serialization,
+checksums, worker pool."""
 
 from __future__ import annotations
 
@@ -63,6 +64,21 @@ def worker_pool(tasks: int, cap: int | None = None):
     with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
         pool.workers = workers
         yield pool
+
+
+def finite_float(value, path: str) -> float:
+    """A JSON number as a finite float, else a ValidationError at `path`: a
+    bool, NaN, an infinity or an integer beyond the float range is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(path, "must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError(
+            path, "must be finite, got an integer beyond the float range") from None
+    if not math.isfinite(number):
+        raise ValidationError(path, f"must be finite, got {number}")
+    return number
 
 
 def float_repr(x: float) -> str:

@@ -36,7 +36,7 @@ def _load_spec(path: Path) -> dict:
         raise ValidationError("$", f"spec is not UTF-8: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond int_max_str_digits
         raise ValidationError("$", f"invalid JSON: {exc}")
 
 
@@ -67,9 +67,7 @@ def _write_manifest(out: Path, spec_path: Path, resolved: dict,
 
 def cmd_run(args) -> int:
     spec_path = Path(args.spec)
-    doc = with_overrides(
-        _load_spec(spec_path), args.seed_override, args.resolution_override
-    )
+    doc = with_overrides(_load_spec(spec_path), args.seed_override)
     resolved = validate_scenario_spec(doc)
     if resolved["scenario"] == "sweep":
         raise ValidationError("$.scenario", "sweep specs go through the sweep command")
@@ -110,13 +108,17 @@ def _run_base(run_dir: Path) -> Path:
 
 
 def _check_complete(base: Path) -> list:
-    """Missing or corrupt files relative to the run manifest inventory."""
+    """Missing or corrupt files relative to the run manifest inventory, or
+    the manifest itself if it is absent or holds no inventory."""
     gaps = []
     manifest_path = base / "manifest.json"
     if not manifest_path.is_file():
         return [str(manifest_path)]
-    inventory = json.loads(manifest_path.read_text()).get("files", {})
-    for rel, digest in sorted(inventory.items()):
+    try:  # not JSON, not an object, no "files", or "files" not an object
+        inventory = json.loads(manifest_path.read_text())["files"].items()
+    except (ValueError, LookupError, TypeError, AttributeError):
+        return [f"{manifest_path} (unreadable)"]
+    for rel, digest in sorted(inventory):
         p = base / rel
         if not p.is_file():
             gaps.append(f"{p} (missing)")
@@ -211,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"output directory (default: ${OUT_ENV_VAR}/<spec stem>)",
     )
     p_run.add_argument("--seed-override", type=int, default=None)
-    p_run.add_argument("--resolution-override", type=int, default=None)
     p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a sweep spec")

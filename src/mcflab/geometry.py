@@ -24,13 +24,12 @@ from __future__ import annotations
 import base64
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import GeometryError, ValidationError, canonical_dumps
+from ._util import GeometryError, ValidationError, canonical_dumps, finite_float
 
 SCHEMA_VERSION = 2
 
@@ -719,17 +718,6 @@ def _decode(doc: dict, key: str, item: int) -> np.ndarray:
     return flat
 
 
-def _header_number(value, path: str) -> float:
-    """A snapshot header number as a float: finite, and not a bool."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # a JSON integer beyond the float range
-            pass
-    raise ValidationError(path, f"must be a finite number, got {value!r}")
-
-
 def to_json_dict(surface) -> dict:
     """Schema 2: a canonical JSON header, with the one array field as base64
     of little-endian float64 in C order (`_encode`); its shape follows from
@@ -759,7 +747,8 @@ def to_json_dict(surface) -> dict:
 def from_json_dict(doc: dict):
     if not isinstance(doc, dict):
         raise ValidationError("$", "surface document must be an object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    # a JSON integer: neither true nor 2.0 equals the version
+    if type(doc.get("schema_version")) is not int or doc["schema_version"] != SCHEMA_VERSION:
         raise ValidationError("$.schema_version", f"must be {SCHEMA_VERSION}")
     kind = doc.get("kind")
     if kind == "graph_patch":
@@ -771,18 +760,18 @@ def from_json_dict(doc: dict):
         center = doc["center"]
         if not isinstance(center, list) or not center or any(isinstance(c, list) for c in center):
             raise ValidationError("$.center", "must be a non-empty list of numbers")
-        center = np.array([_header_number(c, f"$.center[{i}]") for i, c in enumerate(center)])
+        center = np.array([finite_float(c, f"$.center[{i}]") for i, c in enumerate(center)])
         flat = _decode(doc, "values", 8)
         n = center.size
         m = round(flat.size ** (1.0 / n))
         if m**n != flat.size:
             raise ValidationError("$.values", f"length {flat.size} is not a grid^{n}")
-        radius = _header_number(doc["radius"], "$.radius")
-        spacing = _header_number(doc["spacing"], "$.spacing")
+        radius = finite_float(doc["radius"], "$.radius")
+        spacing = finite_float(doc["spacing"], "$.spacing")
         for key, value in (("radius", radius), ("spacing", spacing)):
             if value <= 0:
                 raise ValidationError(f"$.{key}", f"must be > 0, got {value!r}")
-        time = _header_number(doc["time"], "$.time")
+        time = finite_float(doc["time"], "$.time")
         try:  # the grid does not fit the ball, or too few active nodes
             return GraphPatch(center=center, radius=radius, spacing=spacing,
                               values=flat.reshape((m,) * n), time=time)
@@ -796,7 +785,7 @@ def from_json_dict(doc: dict):
         if not isinstance(closed, bool):
             raise ValidationError("$.closed", "must be true or false")
         vertices = _decode(doc, "vertices", 16).reshape(-1, 2)
-        time = _header_number(doc["time"], "$.time")
+        time = finite_float(doc["time"], "$.time")
         try:  # too few vertices, or a zero edge
             return ClosedCurve(vertices=vertices, closed=closed, time=time)
         except GeometryError as exc:

@@ -1,14 +1,14 @@
 """Scenario runs: initial data driven through the flow's qualitative milestones.
 
 Each scenario builds initial data from a few geometric parameters, runs
-every flow through `_monitored_flow` (a standard battery of localization
-monitors plus its own probes and bounds), checks its milestone assertions,
+every flow through `_monitored_flow` (the one `monitor_battery` that every
+run carries, plus its own probes and bounds), checks its milestone assertions,
 and ends in `_finish`, which builds its ScenarioResult and optionally writes
 a run directory plus a machine-readable verdict.json; the result's `outputs`
 is then {relative path: sha256} of every file written, each hashed as it was
 written, and `run_sweep` joins its runs' outputs into one.  Specs are plain
 JSON documents validated with field-path errors so drivers can surface
-`$.params.L`-style diagnostics.
+`$.params.L`-style diagnostics; a spec picks no monitors.
 
 Calibrated constants (c_hat values) are measured outputs: they come from a
 three-resolution sweep (2x the max observed ratio) and are recorded in the
@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import (ConfigError, ValidationError, canonical_dumps, worker_pool, write_csv,
-                    write_text_sha256)
+from ._util import (ConfigError, ValidationError, canonical_dumps, finite_float, worker_pool,
+                    write_csv, write_text_sha256)
 from .flow import CFL, FlowConfig, FlowState, run_flow, write_run_dir
 from .geometry import (
     ClosedCurve,
@@ -73,15 +73,6 @@ from .monitors import (
 
 SCHEMA_VERSION = 1
 
-MONITOR_IDS = (
-    "phi",
-    "upsilon_constant",
-    "upsilon_slab",
-    "upsilon_split",
-    "gradient_eh",
-    "brakke",
-)
-
 
 @dataclass
 class ScenarioResult:
@@ -106,9 +97,10 @@ class ScenarioResult:
         }
 
 
-def monitor_battery(rho: float = 1.0, y0=(0.0, 0.0), enabled=None):
-    """Per-record monitors shared by every scenario, for curves and 1-D
-    graphs in R^2, centred at y0 from t = 0.
+def monitor_battery(rho: float = 1.0, y0=(0.0, 0.0)):
+    """The per-record monitors every scenario runs, for curves and 1-D graphs
+    in R^2, centred at y0 from t = 0: the phi and three upsilon monotone
+    quantities, the Ecker-Huisken gradient bound and Brakke's identity.
 
     The Brakke monitor uses the transport form H nu . Dphi.  The divergence
     form -div_M(Dphi) is the same identity after integration by parts and is
@@ -118,25 +110,22 @@ def monitor_battery(rho: float = 1.0, y0=(0.0, 0.0), enabled=None):
     upsilon = functools.partial(
         windowed_monitor, check_upsilon_monotonicity, -2, y0=y0, rho=rho
     )
-    battery = {
-        "phi": windowed_monitor(check_phi_monotonicity, -2, rho, x0=y0),
-        "upsilon_constant": upsilon("constant"),
-        "upsilon_slab": upsilon("slab", r0=0.2),
-        "upsilon_split": upsilon("split", lam=0.5, c1=1.0),
-        "gradient_eh": windowed_monitor(check_gradient_bound_EH, 0, y0, rho),
-        "brakke": windowed_monitor(check_brakke_identity, -2,
-                                   phi_rho_cubed_field(rho, 0.0, y0), form="transport"),
-    }
-    if enabled is None:
-        enabled = MONITOR_IDS
-    return [battery[name] for name in enabled]
+    return [
+        windowed_monitor(check_phi_monotonicity, -2, rho, x0=y0),
+        upsilon("constant"),
+        upsilon("slab", r0=0.2),
+        upsilon("split", lam=0.5, c1=1.0),
+        windowed_monitor(check_gradient_bound_EH, 0, y0, rho),
+        windowed_monitor(check_brakke_identity, -2,
+                         phi_rho_cubed_field(rho, 0.0, y0), form="transport"),
+    ]
 
 
-def _monitored_flow(surface, config, monitors, *extra, rho=1.0, y0=(0.0, 0.0)):
-    """run_flow from `surface` under the `monitors` of the standard battery
-    (centred at y0, radius rho), then the `extra` per-record monitors:
-    (trace, one failure line per monitor_failure event)."""
-    battery = monitor_battery(rho, y0, enabled=monitors) + list(extra)
+def _monitored_flow(surface, config, *extra, rho=1.0, y0=(0.0, 0.0)):
+    """run_flow from `surface` under the monitor battery (centred at y0,
+    radius rho), then the `extra` per-record monitors: (trace, one failure
+    line per monitor_failure event)."""
+    battery = monitor_battery(rho, y0) + list(extra)
     trace = run_flow(FlowState(surface), config, monitors=battery)
     failures = [f"monitor {ev['monitor_id']} failed at t={ev['t']}: margin {ev['margin']}"
                 for ev in trace.events_of("monitor_failure")]
@@ -316,7 +305,6 @@ def scenario_flat_plane(
     radius: float = 2.0,
     t_end: float = 0.01,
     seed: int = 0,
-    monitors=None,
     out_dir=None,
 ) -> ScenarioResult:
     """Stationary plane with the full monitor battery; everything must pass."""
@@ -327,7 +315,7 @@ def scenario_flat_plane(
         nodes_per_axis=resolution,
     )
     trace, failures = _monitored_flow(
-        patch, FlowConfig(t_end=t_end, record_stride=1), monitors,
+        patch, FlowConfig(t_end=t_end, record_stride=1),
         windowed_monitor(check_measure_bound, 0, (0.0, value), radius / 2),
         rho=radius / 2, y0=(0.0, value),
     )
@@ -367,7 +355,7 @@ def _graph_radius(values: np.ndarray, axis: np.ndarray, spacing: float,
     return max(0.0, float(np.min(np.abs(axis[bad]))) - spacing)
 
 
-def _stay_member(i, values, config, monitors, L):
+def _stay_member(i, values, config, L):
     """One stay_graphical family member, run and probed in C(0,1,1) (a pool
     task but for member 0): its failures, its family.csv row and its trace if it can be the
     representative, the member with the least (kappa candidate, index): the
@@ -376,7 +364,7 @@ def _stay_member(i, values, config, monitors, L):
     patch = _line_patch(axis, values)
     cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
     probes = []
-    trace, mon_fail = _monitored_flow(patch, config, monitors,
+    trace, mon_fail = _monitored_flow(patch, config,
                                       record_probe(cyl, probes, until_lost=True))
     failures = [f"flow {i}: {m}" for m in mon_fail]
 
@@ -407,7 +395,6 @@ def scenario_stay_graphical(
     seed: int = 0,
     family: int = 20,
     t_end: float = 0.1,
-    monitors=None,
     out_dir=None,
 ) -> ScenarioResult:
     """Randomized graph family with lip = L: measure kappa_hat(L) in C(0,1,1).
@@ -425,7 +412,7 @@ def scenario_stay_graphical(
     config = _graph_config(axis, L, t_end, 800)
 
     profiles = [L * _random_unit_profile(rng, axis) for _ in range(family)]
-    member = functools.partial(_stay_member, config=config, monitors=monitors, L=L)
+    member = functools.partial(_stay_member, config=config, L=L)
     with worker_pool(family) as pool:
         rest = pool.map(member, range(1, family), profiles[1:])
         members = [member(0, profiles[0]), *rest]
@@ -461,7 +448,6 @@ def scenario_flat_stay_graphical(
     rho: float = 1.0,
     t_end: float = 0.05,
     seed: int = 0,
-    monitors=None,
     out_dir=None,
 ) -> ScenarioResult:
     """Small-gradient sinusoid: height/gradient/curvature bounds with fixed
@@ -470,7 +456,7 @@ def scenario_flat_stay_graphical(
     values = l * (2.0 / np.pi) * np.sin(0.5 * np.pi * axis)
     probes = []
     trace, failures = _monitored_flow(
-        _line_patch(axis, values), _graph_config(axis, l, t_end, 50), monitors,
+        _line_patch(axis, values), _graph_config(axis, l, t_end, 50),
         record_probe(Cylinder((0.0, 0.0), rho, 1.0), probes), rho=rho,
     )
     max_h_ratio = max_g_ratio = max_d2_ratio = 0.0
@@ -515,7 +501,6 @@ def scenario_shrinking_square(
     epsilon: float = 0.1,
     resolution: int = 768,
     seed: int = 0,
-    monitors=None,
     out_dir=None,
 ) -> ScenarioResult:
     """Rounded-square boundary under CSF: envelopes, graphicality milestones,
@@ -541,7 +526,7 @@ def scenario_shrinking_square(
     config = FlowConfig(t_end=2.0, record_stride=stride, remesh_spacing=e0)
     probes22, probes11 = [], []
     trace, failures = _monitored_flow(
-        curve, config, monitors,
+        curve, config,
         windowed_monitor(check_height_bound, 0, (0.0, 0.0), R=1.0, r0=0.05, c_hat=2.0),
         record_probe(Cylinder((0.0, 0.0), 2.0, 2.0), probes22, until_lost=True),
         record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes11, until_lost=True),
@@ -651,7 +636,7 @@ def _fold_graphicality(probes):
     return t_graph, ratios
 
 
-def _run_fold(L, gamma, spacing, t_end, monitors):
+def _run_fold(L, gamma, spacing, t_end):
     """One fold flow, probed in C(0,1,1) as it records: (trace, failures,
     extra length, _fold_graphicality)."""
     verts, extra, w = _fold_vertices(L, gamma, spacing)
@@ -659,16 +644,16 @@ def _run_fold(L, gamma, spacing, t_end, monitors):
     dt0 = CFL * float(np.min(edge_lengths(curve))) ** 2
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 80))
     probes = []
-    trace, failures = _monitored_flow(curve, config, monitors,
+    trace, failures = _monitored_flow(curve, config,
                                       record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes))
     return trace, failures, extra, _fold_graphicality(probes)
 
 
-def _fold_aux(L, gamma, spacing, t_end, monitors):
+def _fold_aux(L, gamma, spacing, t_end):
     """An auxiliary fold flow (a pool task): its trace cut to the final state,
     and its _fold_graphicality.  Its reports, events and report_records (which
     keep the original record indices) stay."""
-    trace, _, _, graphicality = _run_fold(L, gamma, spacing, t_end, monitors)
+    trace, _, _, graphicality = _run_fold(L, gamma, spacing, t_end)
     del trace.snapshots[:-1], trace.stats[:-1]
     return trace, graphicality
 
@@ -680,7 +665,6 @@ def scenario_become_graphical(
     resolution: int | None = None,
     seed: int = 0,
     t_end: float = 1e-4,
-    monitors=None,
     out_dir=None,
 ) -> ScenarioResult:
     """Z-fold over the excised strip unwinds into a graph in C(0,1,1).
@@ -701,10 +685,10 @@ def scenario_become_graphical(
         "doubled": (2 * gamma, 2 * base_spacing),
     }
     with worker_pool(len(aux)) as pool:
-        pending = {tag: pool.submit(_fold_aux, L, g, spacing, t_end, monitors)
+        pending = {tag: pool.submit(_fold_aux, L, g, spacing, t_end)
                    for tag, (g, spacing) in aux.items()}
         trace, failures, extra_len, (t_graph, ratios) = _run_fold(
-            L, gamma, base_spacing, t_end, monitors)
+            L, gamma, base_spacing, t_end)
         traces = {"run": trace}
         probes = {}
         for tag, future in pending.items():
@@ -750,7 +734,6 @@ def scenario_bounded_curvature(
     rho: float = 1.0,
     t_end: float = 0.02,
     seed: int = 0,
-    monitors=None,
     out_dir=None,
 ) -> ScenarioResult:
     """Steep tanh ramp with bounded curvature: graphicality persists over a
@@ -770,7 +753,7 @@ def scenario_bounded_curvature(
     gamma_h = float(np.max(np.abs(values))) + 0.5
     probes = []
     trace, failures = _monitored_flow(
-        patch, _graph_config(axis, L, t_end, 50), monitors,
+        patch, _graph_config(axis, L, t_end, 50),
         record_probe(Cylinder((0.0, 0.0), rho, gamma_h), probes, until_lost=True), rho=rho,
     )
     sigma_end = None
@@ -878,7 +861,8 @@ def validate_scenario_spec(doc, path: str = "$") -> dict:
     """Normalize and range-check a scenario spec document."""
     if not isinstance(doc, dict):
         raise ValidationError(path, "spec must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    # a JSON integer, as for seed: neither true nor 1.0 equals the version
+    if type(doc.get("schema_version")) is not int or doc["schema_version"] != SCHEMA_VERSION:
         raise ValidationError(
             f"{path}.schema_version", f"must be {SCHEMA_VERSION}"
         )
@@ -907,20 +891,6 @@ def validate_scenario_spec(doc, path: str = "$") -> dict:
         raise ValidationError(f"{path}.resolution", "must be an integer >= 8")
     out["resolution"] = resolution
 
-    mons = doc.get("monitors")
-    if mons is not None:
-        if not isinstance(mons, list):
-            raise ValidationError(f"{path}.monitors", "must be a list")
-        for i, m in enumerate(mons):
-            if m not in MONITOR_IDS:
-                raise ValidationError(
-                    f"{path}.monitors[{i}]",
-                    f"unknown monitor {m!r}; expected one of {list(MONITOR_IDS)}",
-                )
-            if m in mons[:i]:
-                raise ValidationError(f"{path}.monitors[{i}]", f"duplicate monitor {m!r}")
-    out["monitors"] = mons
-
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ValidationError(f"{path}.params", "must be an object")
@@ -928,8 +898,7 @@ def validate_scenario_spec(doc, path: str = "$") -> dict:
         _check_param(scenario, key, value, f"{path}.params.{key}")
     out["params"] = dict(params)
 
-    known = {"schema_version", "scenario", "seed", "resolution", "monitors",
-             "params"}
+    known = {"schema_version", "scenario", "seed", "resolution", "params"}
     for key in doc:
         if key not in known:
             raise ValidationError(f"{path}.{key}", "unknown field")
@@ -943,10 +912,7 @@ def _check_param(scenario: str, key: str, value, where: str) -> None:
         raise ValidationError(
             where, f"unknown parameter for {scenario}; expected one of {sorted(ranges)}"
         )
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(where, "must be a number")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(where, f"must be finite, got {value}")
+    finite_float(value, where)  # the spec keeps an int as an int
     if key in _INTEGER_PARAMS and not isinstance(value, int):
         raise ValidationError(where, "must be an integer")
     lo, hi = ranges[key]
@@ -1007,13 +973,12 @@ def _validate_sweep_spec(doc, path: str = "$") -> dict:
     return out
 
 
-def with_overrides(doc, seed=None, resolution=None):
-    """The spec document with `seed` / `resolution` in place of its own where
-    given, so that overrides go through validation like spec fields."""
-    if not isinstance(doc, dict):
+def with_overrides(doc, seed=None):
+    """The spec document with `seed` in place of its own where given, so that
+    the override goes through validation like the spec field."""
+    if seed is None or not isinstance(doc, dict):
         return doc
-    given = {"seed": seed, "resolution": resolution}
-    return {**doc, **{k: v for k, v in given.items() if v is not None}}
+    return {**doc, "seed": seed}
 
 
 def run_scenario(doc, out_dir=None) -> ScenarioResult:
@@ -1026,8 +991,6 @@ def run_scenario(doc, out_dir=None) -> ScenarioResult:
     kwargs["seed"] = spec["seed"]
     if spec["resolution"] is not None:
         kwargs["resolution"] = spec["resolution"]
-    if spec["monitors"] is not None:
-        kwargs["monitors"] = spec["monitors"]
     return fn(out_dir=out_dir, **kwargs)
 
 

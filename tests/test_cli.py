@@ -124,11 +124,8 @@ def test_run_refuses_sweep_spec(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, flag, value, loc", [
-    (FLAT, "--resolution-override", "4", "$.resolution"),
-    ({"schema_version": 1, "scenario": "shrinking_square"},
-     "--resolution-override", "3", "$.resolution"),
     (FLAT, "--seed-override", "-1", "$.seed"),
-], ids=["flat-resolution", "square-resolution", "seed"])
+], ids=["seed"])
 def test_run_validates_overrides(tmp_path, capsys, doc, flag, value, loc):
     """An override is checked like the spec field it replaces: exit 2 at its
     path, before anything runs or is written."""
@@ -137,6 +134,49 @@ def test_run_validates_overrides(tmp_path, capsys, doc, flag, value, loc):
     assert main(["run", "--spec", spec, "--out", str(out), flag, value]) == 2
     assert f"error: {loc}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_has_no_resolution_flag(tmp_path, capsys):
+    """A spec's `resolution` field is the one way to set its resolution: a
+    `--resolution` flag, which argparse would take as the abbreviation of
+    any option that starts with it, is a usage error (exit 2)."""
+    spec = _write_spec(tmp_path / "s.json", FLAT)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--spec", spec, "--out", str(tmp_path / "o"), "--resolution", "16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --resolution 16" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, doc, loc", [
+    ("run", {**FLAT, "monitors": ["phi"]}, "$.monitors"),
+    ("sweep", {"schema_version": 1, "scenario": "sweep",
+               "runs": [{**FLAT, "monitors": ["phi"]}]}, "$.runs[0].monitors"),
+    ("sweep", {"schema_version": 1, "scenario": "sweep",
+               "base": {**FLAT, "monitors": None}, "vary": {"value": [0.0]}},
+     "$.base.monitors"),
+], ids=["run", "sweep-runs", "sweep-base"])
+def test_spec_picks_no_monitors(tmp_path, capsys, command, doc, loc):
+    """Every run carries the whole monitor battery, so a spec's "monitors"
+    field, even null, is an unknown field: exit 2 at its path."""
+    spec = _write_spec(tmp_path / "s.json", doc)
+    assert main([command, "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {loc}: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("digits", [401, 5000])
+def test_run_rejects_integer_beyond_float_range(tmp_path, capsys, digits):
+    """An integer literal that no float holds exits 2 before anything runs:
+    one past the float range at its path, one past Python's int-parsing
+    digit limit at `$`, as invalid JSON."""
+    spec = tmp_path / "big.json"
+    spec.write_text('{"schema_version": 1, "scenario": "flat_plane", '
+                    f'"params": {{"value": 1{"0" * (digits - 1)}}}}}')
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    loc = "$.params.value: must be finite" if digits < 4300 else "$: invalid JSON"
+    assert f"error: {loc}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 NESTED = {"schema_version": 1, "scenario": "sweep", "runs": [FLAT]}
@@ -319,6 +359,23 @@ def test_plotdata_flags_incomplete_run(flat_spec, tmp_path, capsys):
     rc = main(["plotdata", "--run", str(out), "--kind", "snapshots"])
     assert rc == 1
     assert "incomplete" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", [
+    "{not json", json.dumps({"files": [1]}), json.dumps({"snapshot_count": 2}),
+], ids=["invalid-json", "files-not-an-object", "no-files"])
+def test_plotdata_refuses_unreadable_manifest(flat_spec, tmp_path, capsys, manifest):
+    """A run/manifest.json that holds no inventory leaves nothing to verify
+    the run against: every kind exits 1 as incomplete, naming the manifest."""
+    out = tmp_path / "out"
+    assert main(["run", "--spec", flat_spec, "--out", str(out)]) == 0
+    (out / "run" / "manifest.json").write_text(manifest)
+    for kind in ("snapshots", "margins", "envelopes"):
+        assert main(["plotdata", "--run", str(out), "--kind", kind]) == 1
+        err = capsys.readouterr().err
+        assert "run directory incomplete" in err
+        assert f"{out / 'run' / 'manifest.json'} (unreadable)" in err
+    assert not (out / "plots").exists()
 
 
 def test_plotdata_missing_envelopes(flat_spec, tmp_path, capsys):

@@ -669,7 +669,8 @@ def _reader_error(doc):
     return err.value.path
 
 
-@pytest.mark.parametrize("version", [1, 3, 99, None, "2"])
+# 2.0 is not the JSON integer 2, though it compares equal in Python
+@pytest.mark.parametrize("version", [1, 3, 99, None, "2", 2.0])
 def test_loads_surface_rejects_other_schema_versions(version):
     for doc in _snapshot_docs():
         assert _reader_error(dict(doc, schema_version=version)) == "$.schema_version"

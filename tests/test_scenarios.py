@@ -6,7 +6,6 @@ import pytest
 
 from mcflab._util import ValidationError
 from mcflab.scenarios import (
-    MONITOR_IDS,
     run_scenario,
     run_sweep,
     validate_scenario_spec,
@@ -48,7 +47,6 @@ def test_validate_normalizes_defaults():
         "scenario": "flat_plane",
         "seed": 0,
         "resolution": None,
-        "monitors": None,
         "params": {},
     }
 
@@ -62,13 +60,15 @@ def test_validate_normalizes_defaults():
     (_spec(seed=True), "$.seed"),
     (_spec(resolution=7), "$.resolution"),
     (_spec(resolution=32.0), "$.resolution"),
+    # every run carries the whole monitor battery: a spec picks none
     (_spec(monitors="phi"), "$.monitors"),
-    (_spec(monitors=["phi", "nope"]), "$.monitors[1]"),
+    (_spec(monitors=None), "$.monitors"),
     (_spec(params={"bogus": 1.0}), "$.params.bogus"),
     (_spec(params={"radius": 0.0}), "$.params.radius"),
     (_spec(params={"radius": True}), "$.params.radius"),
     (_spec(extra_field=1), "$.extra_field"),
-    (_spec(monitors=["phi", "phi"]), "$.monitors[1]"),
+    # a JSON integer beyond the float range is no finite number either
+    (_spec(params={"value": 10**400}), "$.params.value"),
     # JSON's NaN and Infinity parse to floats that every range test passes
     (_spec(params={"value": math.nan}), "$.params.value"),
     ({"schema_version": 1, "scenario": "bounded_curvature",
@@ -85,16 +85,22 @@ def test_validate_normalizes_defaults():
       "vary": {"radius": [1.0]}, "out": "/tmp/x"}, "$.out"),
     ({"schema_version": 1, "scenario": "sweep", "runs": [_spec(out="/tmp/x")]},
      "$.runs[0].out"),
+    (_spec(params={"value": -10**400}), "$.params.value"),
+    ({"schema_version": 1, "scenario": "bounded_curvature",
+      "params": {"K": 10**400}}, "$.params.K"),
+    ({"schema_version": 1, "scenario": "sweep", "base": _spec(),
+      "vary": {"value": [0.0, 10**400]}}, "$.vary.value[1]"),
+    # a JSON integer, as for seed: true and 1.0 compare equal to 1 in Python
+    ({"schema_version": True, "scenario": "flat_plane"}, "$.schema_version"),
+    ({"schema_version": 1.0, "scenario": "flat_plane"}, "$.schema_version"),
+    ({"schema_version": True, "scenario": "sweep", "runs": [_spec()]}, "$.schema_version"),
+    ({"schema_version": 1, "scenario": "sweep", "runs": [_spec(schema_version=1.0)]},
+     "$.runs[0].schema_version"),
 ])
 def test_validate_reports_json_path(doc, loc):
     with pytest.raises(ValidationError) as err:
         validate_scenario_spec(doc)
     assert str(err.value).startswith(loc)
-
-
-def test_validate_known_monitor_ids():
-    spec = validate_scenario_spec(_spec(monitors=list(MONITOR_IDS)))
-    assert spec["monitors"] == list(MONITOR_IDS)
 
 
 def test_sweep_expansion_cartesian():
@@ -161,8 +167,12 @@ def test_run_scenario_flat_plane(tmp_path):
 
 
 def test_run_scenario_overrides():
-    res = run_scenario(with_overrides(_spec(), 9, 16))
-    assert res.measured["resolution"] == 16
+    doc = _spec()
+    assert with_overrides(doc) is doc
+    overridden = with_overrides(doc, 9)
+    assert validate_scenario_spec(overridden)["seed"] == 9 and doc["seed"] == 3
+    res = run_scenario(overridden)
+    assert res.passed and res.measured["resolution"] == 32
 
 
 def test_run_scenario_rejects_sweep():

@@ -1,7 +1,10 @@
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
+
+from mcflab.scenarios import validate_scenario_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -34,6 +37,18 @@ def test_package_exports_resolve():
     assert len(package.__all__) == len(set(package.__all__))
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert not missing
+
+
+def test_readme_spec_example_validates():
+    """The scenario spec the README shows under "Command line" is one that
+    `mcflab run` accepts, so the example cannot drift from the schema."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    doc = json.loads(blocks[0])
+    spec = validate_scenario_spec(doc)
+    assert spec["scenario"] == doc["scenario"] != "sweep"
 
 
 def test_digests_count_moved_files_by_kind():
