@@ -9,7 +9,9 @@ g^{-1}); the curve step `_advance_curve` applies vertex += dt * kappa * N with
 the Menger kappa and N of `geometry.CurveKernel`, the one polyline kernel,
 which also gives the edge statistics the driver needs.  The single steppers
 `step_graph_mcf` / `step_csf` and the driver `run_flow` both call them, and
-build each next state with `_successor`, which revalidates the surface.
+build each next state with `_successor`, which revalidates the surface.  A
+state is its surface and its step: its time is the surface's, so a recorded
+state is exactly its snapshot plus the step in its `timeseries.csv` row.
 `run_flow` advances until the horizon, extinction, or a terminal event,
 recording snapshots and monitor reports every `record_stride` steps.
 `write_run_dir` persists a trace as a run directory (snapshots, timeseries,
@@ -94,17 +96,20 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """A surface at (step, t); t defaults to the surface's time."""
+    """A surface at a step: its snapshot plus its step.  Its time t is the
+    surface's own, so a state holds nothing that its snapshot and step do
+    not."""
 
     surface: object
     step: int = 0
-    t: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.surface, (GraphPatch, ClosedCurve)):
             raise ConfigError("surface must be a GraphPatch or ClosedCurve")
-        if self.t is None:
-            object.__setattr__(self, "t", self.surface.time)
+
+    @property
+    def t(self) -> float:
+        return self.surface.time
 
 
 @dataclass
@@ -197,11 +202,11 @@ def _advance_curve(kernel: geometry.CurveKernel, dt: float) -> np.ndarray:
 
 
 def _successor(state: FlowState, raw: np.ndarray, step: int, t: float) -> FlowState:
-    """state's surface with raw as its vertices or values, at (step, t); the
-    new surface is validated and gets an empty cache of its own."""
+    """state's surface with raw as its vertices or values and t as its time,
+    at step; the new surface is validated, and like every surface it starts
+    with an empty cache of its own."""
     name = "vertices" if isinstance(state.surface, ClosedCurve) else "values"
-    surface = dataclasses.replace(state.surface, **{name: raw}, time=t, _cache={})
-    return FlowState(surface, step, t)
+    return FlowState(dataclasses.replace(state.surface, **{name: raw}, time=t), step)
 
 
 # ---------------------------------------------------------------------------

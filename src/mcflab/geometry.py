@@ -16,7 +16,10 @@ A surface caches only what some reader reads: a curve its edge lengths,
 its normals and kappa, and a sample (its vertices, those normals and the
 vertex weights); a graph its Df, D^2f, lift and sample.  Neither caches
 tangents or |A|: a curve's unit tangent is (N_1, -N_0), and |A| is computed
-where it is read.
+where it is read.  Each surface owns its `_cache`: no constructor takes one,
+and every surface built, by `dataclasses.replace` too, starts with an empty
+dict of its own, so a cache always describes the values and the time of the
+surface that holds it.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ class GraphPatch(_CachedSurface):
     spacing: float
     values: np.ndarray
     time: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
@@ -224,7 +227,7 @@ class ClosedCurve(_CachedSurface):
     vertices: np.ndarray
     closed: bool = True
     time: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)

@@ -22,12 +22,12 @@ context is built, the graph Jacobian and h^n (so a graph integral keeps its
 sum(vals * jac) * h^n arithmetic), and the rows on the computational
 boundary, whose mask comes from the grid; never the surface itself, so the
 two form no cycle.  Its memo holds the scalar results of each test
-function, keyed by (state t, test function and its parameters): the integral
-and support-exits flag of a monotonicity check, the Brakke side, part and
-mass, and the gradient bound's sup at its window start.  A monitored run
-therefore evaluates each test function once per recorded state, though
-every window uses the state twice; the key holds t because one surface may
-be checked as states at different times.
+function, keyed by the test function and its parameters alone, since a
+state's time is its surface's: the integral and support-exits flag of a
+monotonicity check, the Brakke side, part and mass, and the gradient
+bound's sup at its window start.  A monitored run therefore evaluates each
+test function once per recorded state, though every window uses the state
+twice.  The monotone quantities' windows start at t = 0.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 
 from ._util import ConfigError
 from .geometry import (
-    ClosedCurve,
     GraphPatch,
     curve_quantities_all,
     gradient_field,
@@ -108,18 +107,16 @@ def upsilon(
     *,
     y0,
     rho: float,
-    t1: float = 0.0,
     r0: float = 0.0,
     lam: float | None = None,
-    c1: float = 1.0,
 ):
-    """Localized barrier ((rho^2 - |x-y0|^2) eta - (2n + L rho)(t - t1))_+ ,
-    with x of dimension n + 1.
+    """Localized barrier ((rho^2 - |x-y0|^2) eta - (2n + L rho) t)_+ , with x
+    of dimension n + 1.
 
     Built-in eta forms and their Lipschitz constants L:
       "constant"  eta = 1, L = 0 (recovers the rho^2-scaled paraboloid cutoff)
       "slab"      eta = min(((|x_last| - r0)_+)/2, 1), L = 1/2
-      "split"     eta = (1 - (2 c1 lam^n)^-2 (|Q x|^2 + 2n(t-t1)))_+ with Q the
+      "split"     eta = (1 - (2 lam^n)^-2 (|Q x|^2 + 2n t))_+ with Q the
                   projection onto the last two ambient coordinates, L = lam^-2n
     """
     x = np.asarray(x, dtype=float)
@@ -136,17 +133,13 @@ def upsilon(
     elif form == "split":
         if lam is None or not 0 < lam <= 1:
             raise ConfigError("split form needs lam in (0, 1]")
-        if c1 <= 0:
-            raise ConfigError("split form needs c1 > 0")
         q2 = x[..., -2] ** 2 + x[..., -1] ** 2
-        eta = np.maximum(
-            1.0 - (q2 + 2.0 * n * (t - t1)) / (2.0 * c1 * lam**n) ** 2, 0.0
-        )
+        eta = np.maximum(1.0 - (q2 + 2.0 * n * t) / (2.0 * lam**n) ** 2, 0.0)
         lip = lam ** (-2 * n)
     else:
         raise ConfigError(f"unknown upsilon form {form!r}")
     d2 = np.sum((x - y0) ** 2, axis=-1)
-    return np.maximum((rho**2 - d2) * eta - (2.0 * n + lip * rho) * (t - t1), 0.0)
+    return np.maximum((rho**2 - d2) * eta - (2.0 * n + lip * rho) * t, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +176,14 @@ class _Context:
 
 
 def _memo(state, key, compute):
-    """compute(t, context) of the state's surface, once per (state.t, key)."""
+    """compute(t, context) of the state's surface, once per key."""
     cache = state.surface._cache
     ctx = cache.get("monitor_context")
     if ctx is None:
         ctx = cache["monitor_context"] = _Context(state.surface)
-    if (state.t, key) not in ctx.memo:
-        ctx.memo[(state.t, key)] = compute(state.t, ctx)
-    return ctx.memo[(state.t, key)]
+    if key not in ctx.memo:
+        ctx.memo[key] = compute(state.t, ctx)
+    return ctx.memo[key]
 
 
 def _ball_measure(state, center, radius: float) -> float:
@@ -230,15 +223,15 @@ def check_phi_monotonicity(
     state_a,
     state_b,
     rho: float,
-    t0: float = 0.0,
     *,
     x0,
 ) -> MonitorReport:
-    """int phi_rho^3 dmu between two recorded states must not increase."""
-    key = ("phi", rho, t0, tuple(np.asarray(x0, dtype=float).tolist()))
+    """int phi_rho^3 dmu, centred at (t = 0, x0), between two recorded states
+    must not increase."""
+    key = ("phi", rho, tuple(np.asarray(x0, dtype=float).tolist()))
 
     def fn(t, pts):
-        return phi_rho(rho, t0, x0, t, pts) ** 3
+        return phi_rho(rho, 0.0, x0, t, pts) ** 3
 
     return _monotonicity_report("phi_monotonicity", state_a, state_b, key, fn)
 
@@ -250,20 +243,14 @@ def check_upsilon_monotonicity(
     *,
     y0,
     rho: float,
-    t1: float = 0.0,
     r0: float = 0.0,
     lam: float | None = None,
-    c1: float = 1.0,
 ) -> MonitorReport:
     """int Upsilon^3 dmu between two recorded states must not increase."""
-    key = ("upsilon", form, tuple(np.asarray(y0, dtype=float).tolist()),
-           rho, t1, r0, lam, c1)
+    key = ("upsilon", form, tuple(np.asarray(y0, dtype=float).tolist()), rho, r0, lam)
 
     def fn(t, pts):
-        return (
-            upsilon(form, t, pts, y0=y0, rho=rho, t1=t1, r0=r0, lam=lam, c1=c1)
-            ** 3
-        )
+        return upsilon(form, t, pts, y0=y0, rho=rho, r0=r0, lam=lam) ** 3
 
     return _monotonicity_report(f"upsilon_monotonicity[{form}]", state_a, state_b, key, fn)
 
@@ -283,8 +270,7 @@ def check_measure_bound(
     mid = "measure_bound"
     if rho <= 0:
         raise ConfigError("rho must be > 0")
-    surf = state_t.surface
-    n = 1 if isinstance(surf, ClosedCurve) else surf.n
+    n = sample_surface(state_t.surface).points.shape[1] - 1
     dt = state_t.t - state_s1.t
     if dt < 0:
         return _skipped(mid, state_t.t, "window ends before it starts")
@@ -347,8 +333,8 @@ def check_gradient_bound_EH(
     if rho <= 0:
         raise ConfigError("rho must be > 0")
     x0 = np.asarray(x0, dtype=float)
-    surf = state_t.surface
-    n = 1 if isinstance(surf, ClosedCurve) else surf.n
+    sample_t = sample_surface(state_t.surface)
+    n = sample_t.points.shape[1] - 1
     tau = state_t.t - state_t1.t
     if tau < 0:
         return _skipped(mid, state_t.t, "window ends before it starts")
@@ -372,7 +358,6 @@ def check_gradient_bound_EH(
     if bound is None:
         return _skipped(mid, state_t.t, reason)
 
-    sample_t = sample_surface(state_t.surface)
     dist = np.linalg.norm(sample_t.points - x0, axis=1)
     sel_t = dist <= math.sqrt(rho_t_sq)
     if not np.any(sel_t):

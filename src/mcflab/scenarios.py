@@ -114,7 +114,7 @@ def monitor_battery(rho: float = 1.0, y0=(0.0, 0.0)):
         windowed_monitor(check_phi_monotonicity, -2, rho, x0=y0),
         upsilon("constant"),
         upsilon("slab", r0=0.2),
-        upsilon("split", lam=0.5, c1=1.0),
+        upsilon("split", lam=0.5),
         windowed_monitor(check_gradient_bound_EH, 0, y0, rho),
         windowed_monitor(check_brakke_identity, -2,
                          phi_rho_cubed_field(rho, 0.0, y0), form="transport"),
@@ -368,13 +368,11 @@ def _stay_member(i, values, config, L):
                                       record_probe(cyl, probes, until_lost=True))
     failures = [f"flow {i}: {m}" for m in mon_fail]
 
-    fnt = None
+    fnt = first_nongraphical_time(probes)
     flow_grad = 0.0
     flow_lambda = 0.0
-    for state, rep in probes:
-        if not rep.graphical:
-            fnt = state.t
-            break
+    graphical = probes if fnt is None else probes[:-1]  # until_lost: only the last fails
+    for state, rep in graphical:
         flow_grad = max(flow_grad, rep.sup_grad)
         if state.t > 0:
             r_ok = _graph_radius(state.surface.values, axis, patch.spacing, cyl.height)
@@ -756,14 +754,12 @@ def scenario_bounded_curvature(
         patch, _graph_config(axis, L, t_end, 50),
         record_probe(Cylinder((0.0, 0.0), rho, gamma_h), probes, until_lost=True), rho=rho,
     )
-    sigma_end = None
+    sigma_end = first_nongraphical_time(probes)
     tilt_max = 0.0
     a_sqrt_t = 0.0
     # each record's (measure, max|Df| = g, max|A|); the max tilt is g^2/(1+g^2)
-    for (state, rep), (_, g, a_now) in zip(probes, trace.stats):
-        if not rep.graphical:
-            sigma_end = state.t
-            break
+    graphical = probes if sigma_end is None else probes[:-1]  # until_lost: only the last fails
+    for (state, _), (_, g, a_now) in zip(graphical, trace.stats):
         tilt_max = max(tilt_max, g * g / (1.0 + g * g))
         if state.t > 0:
             a_sqrt_t = max(a_sqrt_t, a_now * math.sqrt(state.t))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -630,7 +631,7 @@ def test_cache_release_is_invisible(kind, tmp_path):
     reports, failures = [], []
     for i, row in enumerate(rows):
         surf = loads_surface((out / "snapshots" / f"{i:04d}.json").read_text())
-        state = FlowState(surface=surf, step=int(row[1]), t=surf.time)
+        state = FlowState(surface=surf, step=int(row[1]))
         assert row[2:5] == [format_csv_cell(v) for v in _state_stats(state)]
         replay.snapshots.append(state)
         new = []
@@ -749,7 +750,7 @@ def test_flow_state_starts_at_the_surface_time():
 
 def test_stall_event_when_dt_underflows():
     # at t = 1e16 an admissible dt no longer changes t
-    trace = run_flow(FlowState(make_circle(radius=1.0, m=64), 0, 1e16),
+    trace = run_flow(make_circle(radius=1.0, m=64, time=1e16),
                      FlowConfig(t_end=10.0))
     ev = trace.events_of("stall")
     assert len(ev) == 1 and ev[0]["detail"] == "dt underflow"
@@ -813,24 +814,25 @@ def test_monitor_wiring_and_failure_events():
 # ---------------------------------------------------------------------------
 
 
+# explicit ids: a row inserted anywhere renames no other case
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"t_end": -1.0},
-        {"t_end": math.nan},
-        {"t_end": 1.0, "dt": 0.0},
-        {"t_end": math.inf},
-        {"t_end": 1.0, "dt": math.nan},
-        {"t_end": 1.0, "remesh_spacing": math.nan},
-        {"t_end": 1.0, "record_stride": 0},
-        {"t_end": 1.0, "remesh_spacing": 0.0},
-        {"t_end": 1.0, "remesh_spacing": math.inf},
-        {"t_end": 1.0, "record_stride": 2.5},
-        {"t_end": 1.0, "record_stride": True},
-        {"t_end": 1.0, "dt": math.inf},
-        {"t_end": True},
-        {"t_end": 1.0, "dt": True},
-        {"t_end": 1.0, "remesh_spacing": True},
+        pytest.param({"t_end": -1.0}, id="kwargs0"),
+        pytest.param({"t_end": math.nan}, id="kwargs1"),
+        pytest.param({"t_end": 1.0, "dt": 0.0}, id="kwargs2"),
+        pytest.param({"t_end": math.inf}, id="kwargs3"),
+        pytest.param({"t_end": 1.0, "dt": math.nan}, id="kwargs4"),
+        pytest.param({"t_end": 1.0, "remesh_spacing": math.nan}, id="kwargs5"),
+        pytest.param({"t_end": 1.0, "record_stride": 0}, id="kwargs6"),
+        pytest.param({"t_end": 1.0, "remesh_spacing": 0.0}, id="kwargs7"),
+        pytest.param({"t_end": 1.0, "remesh_spacing": math.inf}, id="kwargs8"),
+        pytest.param({"t_end": 1.0, "record_stride": 2.5}, id="kwargs9"),
+        pytest.param({"t_end": 1.0, "record_stride": True}, id="kwargs10"),
+        pytest.param({"t_end": 1.0, "dt": math.inf}, id="kwargs11"),
+        pytest.param({"t_end": True}, id="kwargs12"),
+        pytest.param({"t_end": 1.0, "dt": True}, id="kwargs13"),
+        pytest.param({"t_end": 1.0, "remesh_spacing": True}, id="kwargs14"),
     ],
 )
 def test_flow_config_validation(kwargs):
@@ -841,6 +843,22 @@ def test_flow_config_validation(kwargs):
 def test_flow_state_requires_surface():
     with pytest.raises(ConfigError):
         FlowState(surface=np.zeros((8, 2)))
+
+
+def test_flow_state_is_its_surface_and_step():
+    """A state takes no time of its own: t reads the surface's."""
+    curve = make_circle(m=32, time=0.25)
+    state = FlowState(curve, 3)
+    assert [f.name for f in dataclasses.fields(FlowState)] == ["surface", "step"]
+    assert state.t is state.surface.time
+    with pytest.raises(TypeError):
+        FlowState(curve, 3, 0.5)
+    with pytest.raises(TypeError):
+        FlowState(curve, t=0.5)
+    with pytest.raises(AttributeError):
+        state.t = 0.5
+    moved = dataclasses.replace(state, surface=dataclasses.replace(curve, time=0.5))
+    assert (moved.step, moved.t) == (3, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -929,3 +947,90 @@ def test_non_finite_snapshot_raises_at_its_path(tmp_path, kind):
         write_run_dir(trace, tmp_path / "run")
     assert exc.value.path == f"$.{field}"
     assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_timeseries_and_snapshots_agree_on_the_time(tmp_path):
+    """A state's time is its surface's, so a state moved to another surface
+    by dataclasses.replace takes that surface's time: every timeseries.csv
+    row and its snapshot carry the same t, from row 0 on."""
+    state = FlowState(make_circle(radius=1.0, m=64), 0)
+    moved = dataclasses.replace(state, surface=make_circle(radius=1.0, m=64, time=0.5))
+    trace = run_flow(moved, FlowConfig(t_end=0.02, record_stride=4))
+    write_run_dir(trace, tmp_path)
+    rows = [line.split(",") for line in (tmp_path / "timeseries.csv").read_text().splitlines()]
+    assert rows[0][0] == "t" and len(rows) > 3
+    for i, row in enumerate(rows[1:]):
+        snapshot = geometry.loads_surface((tmp_path / f"snapshots/{i:04d}.json").read_text())
+        assert float(row[0]) == snapshot.time
+    assert float(rows[1][0]) == 0.5
+
+
+def _square(m: int) -> ClosedCurve:
+    """m vertices spread evenly along the boundary of [-1, 1]^2; under the
+    flow its corners round off and the edges there shrink until a remesh."""
+    side, u = np.divmod(np.arange(m) * 8.0 / m, 2.0)
+    z = (1.0 + 1j * (u - 1.0)) * np.array([1, 1j, -1, -1j])[side.astype(int)]
+    return ClosedCurve(np.stack([z.real, z.imag], axis=1))
+
+
+@st.composite
+def _restart_runs(draw):
+    """(kind, initial surface, t_end): a star-shaped closed curve, an open
+    curve, a square that remeshes before t_end, a 1-D graph or a 2-D patch,
+    each run far from extinction (the extinction tests read the initial
+    state)."""
+    kind = draw(st.sampled_from(["closed", "open", "square", "graph", "patch"]))
+    a, b = (draw(st.floats(-0.2, 0.2)) for _ in range(2))
+    if kind == "square":
+        return kind, _square(draw(st.integers(40, 56))), 0.3
+    if kind == "patch":
+        return kind, GraphPatch.from_function(
+            lambda p: a * p[..., 0] * p[..., 1] + b * np.cos(p[..., 0] + p[..., 1]),
+            center=(0.0, 0.0), radius=1.0, nodes_per_axis=17), 0.02
+    m = draw(st.integers(16, 48))
+    if kind == "closed":
+        th = 2.0 * np.pi * np.arange(m) / m
+        r = 1.0 + a * np.cos(2.0 * th) + b * np.sin(3.0 * th)
+        return kind, ClosedCurve(np.stack([r * np.cos(th), r * np.sin(th)], axis=1)), 0.1
+    if kind == "open":
+        x = np.linspace(-1.0, 1.0, m)
+        y = a * np.sin(np.pi * x) + b * np.cos(0.5 * np.pi * x)
+        return kind, ClosedCurve(np.stack([x, y], axis=1), closed=False), 0.02
+    return kind, GraphPatch.from_function(
+        lambda p: a * np.sin(np.pi * p[..., 0]) + b * np.cos(0.5 * np.pi * p[..., 0]),
+        center=(0.0,), radius=1.0, nodes_per_axis=m), 0.02
+
+
+@settings(max_examples=60, deadline=None)
+@given(_restart_runs(), st.integers(1, 12), st.data())
+def test_restart_from_a_snapshot_continues_bitwise(run, stride, data):
+    """A flow restarted from recorded state k, rebuilt from its snapshot
+    alone, retraces the original run bitwise: each later record has the same
+    step and the same snapshot bytes, and the events between match.  So
+    nothing outside a snapshot steers the trajectory.  A snapshot lacks two
+    things: the step, which the restart takes from the state (a run
+    directory has it in timeseries.csv), and the extinction thresholds,
+    which run_flow takes from the initial minimum edge and area, so these
+    runs stay far from extinction.  The final record is left out: the
+    restart's horizon t_k + (T - t_k) need not round to T, so its last step
+    may differ by rounding."""
+    kind, surface, t_end = run
+    trace = run_flow(surface, FlowConfig(t_end=t_end, record_stride=stride))
+    k = data.draw(st.integers(0, len(trace.snapshots) - 2), label="k")
+    start = trace.snapshots[k]
+    restart = run_flow(
+        FlowState(geometry.loads_surface(geometry.dumps_surface(start.surface)), start.step),
+        FlowConfig(t_end=t_end - start.t, record_stride=stride),
+    )
+    assert len(restart.snapshots) == len(trace.snapshots) - k
+    assert restart.final.step == trace.final.step
+    for got, want in zip(restart.snapshots[:-1], trace.snapshots[k:-1]):
+        assert got.step == want.step
+        assert geometry.dumps_surface(got.surface) == geometry.dumps_surface(want.surface)
+
+    def between(events):
+        return [e for e in events if start.step <= e["step"] < trace.final.step]
+
+    assert between(restart.events) == between(trace.events)
+    assert not trace.events_of("extinction") and not restart.events_of("extinction")
+    assert bool(trace.events_of("remesh")) == (kind == "square")

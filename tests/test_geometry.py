@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 import pickle
@@ -788,6 +789,34 @@ def test_surfaces_compare_by_identity():
         assert obj == obj
         assert (obj == copy) is False
         assert (obj != copy) is True
+
+
+def test_replaced_surface_gets_a_fresh_cache():
+    """No constructor takes a cache, so a surface built by
+    dataclasses.replace starts with an empty one of its own and reads its
+    own values, not the cached quantities of the surface it came from."""
+    curve = make_circle(m=16)
+    length, area = total_length(curve), enclosed_area(curve)
+    assert curve._cache
+    doubled = dataclasses.replace(curve, vertices=2.0 * curve.vertices)
+    assert doubled._cache == {} and doubled._cache is not curve._cache
+    # doubling is exact in binary, so length and area scale exactly
+    assert total_length(doubled) == 2.0 * length
+    assert enclosed_area(doubled) == 4.0 * area
+    assert total_length(curve) == length
+
+    patch = GraphPatch.from_function(lambda p: 0.5 * p[..., 0], center=(0.0,), radius=1.0,
+                                     nodes_per_axis=33)
+    measure = integrate_over_graph(patch, lambda t, pts: 1.0)
+    assert patch._cache
+    steeper = dataclasses.replace(patch, values=2.0 * patch.values)
+    assert steeper._cache == {} and steeper._cache is not patch._cache
+    # the Jacobian sqrt(1 + |Df|^2) goes from sqrt(1.25) to sqrt(2) at every node
+    assert math.isclose(integrate_over_graph(steeper, lambda t, pts: 1.0),
+                        measure * math.sqrt(2.0 / 1.25), rel_tol=1e-12)
+    assert integrate_over_graph(patch, lambda t, pts: 1.0) == measure
+    with pytest.raises(ValueError):
+        dataclasses.replace(curve, _cache={})
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -218,16 +219,15 @@ def test_probe_rejects_2d_patch():
 
 
 def _fake_probes(flags, cyl):
-    """A probe list, [(state, report)], graphical where the flag is set; the
-    states' caches are emptied after probing."""
+    """A probe list, [(state, report)], graphical where the flag is set; each
+    state is a copy of a probed curve at its own time, with an empty cache."""
     good = make_circle(radius=2.0, m=256, center=(0.0, 2.0))
     bad = make_circle(radius=0.5, m=256)
     good_rep, bad_rep = is_graphical(good, cyl), is_graphical(bad, cyl)
     assert good_rep.graphical and not bad_rep.graphical
-    good._cache.clear()
-    bad._cache.clear()
     return [
-        (FlowState(surface=good if f else bad, step=i, t=0.1 * i), good_rep if f else bad_rep)
+        (FlowState(surface=dataclasses.replace(good if f else bad, time=0.1 * i), step=i),
+         good_rep if f else bad_rep)
         for i, f in enumerate(flags)
     ]
 

@@ -65,7 +65,7 @@ def test_phi_rho_is_scaled_constant_upsilon():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(64, 2), scale=2.0)
     for t in (0.0, 0.3):
-        a = upsilon("constant", t, pts, y0=(0.1, -0.2), rho=1.7, t1=0.0)
+        a = upsilon("constant", t, pts, y0=(0.1, -0.2), rho=1.7)
         b = 1.7**2 * phi_rho(1.7, 0.0, (0.1, -0.2), t, pts)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
@@ -98,7 +98,7 @@ def test_upsilon_trivials():
 )
 def test_upsilon_nonincreasing_in_time(form, px, py, t1_offset, dt):
     x = (px, py)
-    kw = dict(y0=(0.0, 0.0), rho=1.3, t1=0.0, r0=0.1, lam=0.5, c1=1.0)
+    kw = dict(y0=(0.0, 0.0), rho=1.3, r0=0.1, lam=0.5)
     early = upsilon(form, t1_offset, x, **kw)
     late = upsilon(form, t1_offset + dt, x, **kw)
     assert late <= early + 1e-12
@@ -112,7 +112,7 @@ def test_upsilon_nonincreasing_in_time(form, px, py, t1_offset, dt):
 
 def _circle_state(r0, t, m=256):
     r = math.sqrt(r0 * r0 - 2.0 * t)
-    return FlowState(surface=make_circle(radius=r, m=m, time=t), step=0, t=t)
+    return FlowState(surface=make_circle(radius=r, m=m, time=t))
 
 
 def test_phi_monotonicity_on_shrinking_circle():
@@ -124,9 +124,8 @@ def test_phi_monotonicity_on_shrinking_circle():
 
 def test_phi_monotonicity_flags_growth():
     # an expanding circle gains localized mass faster than the kernel decays
-    a = FlowState(surface=make_circle(radius=0.5, m=256, time=0.0), t=0.0)
-    b = FlowState(surface=make_circle(radius=1.0, m=256, time=0.01),
-                  step=1, t=0.01)
+    a = FlowState(surface=make_circle(radius=0.5, m=256, time=0.0))
+    b = FlowState(surface=make_circle(radius=1.0, m=256, time=0.01), step=1)
     rep = check_phi_monotonicity(a, b, rho=3.0, x0=(0.0, 0.0))
     assert not rep.passed and rep.value > 0.0 and rep.margin < 0.0
 
@@ -134,7 +133,7 @@ def test_phi_monotonicity_flags_growth():
 @pytest.mark.parametrize("form,extra", [
     ("constant", {}),
     ("slab", {"r0": 0.05}),
-    ("split", {"lam": 0.5, "c1": 1.0}),
+    ("split", {"lam": 0.5}),
 ])
 def test_upsilon_monotonicity_all_forms(form, extra):
     a, b = _circle_state(1.0, 0.0), _circle_state(1.0, 0.2)
@@ -148,8 +147,8 @@ def test_monotonicity_skips_when_support_exits():
         lambda p: np.zeros(p.shape[:-1]), center=(0.0,), radius=1.0,
         nodes_per_axis=64,
     )
-    a = FlowState(surface=patch, t=0.0)
-    b = FlowState(surface=patch, t=0.01)
+    a = FlowState(surface=patch)
+    b = FlowState(surface=dataclasses.replace(patch, time=0.01))
     rep = check_phi_monotonicity(a, b, rho=10.0, x0=(0.0, 0.0))
     assert rep.skipped and "support" in rep.reason
     assert not rep.passed
@@ -161,16 +160,17 @@ def test_graph_integrals_use_the_state_time():
                                         center=(0.0,), radius=2.0,
                                         nodes_per_axis=401, time=time)
 
-    # one patch recorded as two states: the state's t, not patch.time, counts
+    # one patch moved to a second time: the copy's time counts, and its
+    # cache is its own, so nothing computed at t = 0 is read at t = 0.1
     patch = flat(0.0)
-    rep = check_phi_monotonicity(FlowState(surface=patch, t=0.0),
-                                 FlowState(surface=patch, t=0.1), rho=1.0,
-                                 x0=(0.0, 0.0))
+    rep = check_phi_monotonicity(FlowState(surface=patch),
+                                 FlowState(surface=dataclasses.replace(patch, time=0.1)),
+                                 rho=1.0, x0=(0.0, 0.0))
     # int (1 - x^2 - 2t)^3 dx over its support is (32/35)(1 - 2t)^(7/2)
     exact = -(32.0 / 35.0) * (1.0 - 0.8**3.5)
     assert math.isclose(rep.value, exact, rel_tol=1e-3)
-    timed = check_phi_monotonicity(FlowState(surface=flat(0.0), t=0.0),
-                                   FlowState(surface=flat(0.1), t=0.1), rho=1.0,
+    timed = check_phi_monotonicity(FlowState(surface=flat(0.0)),
+                                   FlowState(surface=flat(0.1)), rho=1.0,
                                    x0=(0.0, 0.0))
     assert timed == rep
 
@@ -198,7 +198,7 @@ def _flat_state(height, t, radius=2.0, m=257):
         lambda p: np.full(p.shape[:-1], height),
         center=(0.0,), radius=radius, nodes_per_axis=m, time=t,
     )
-    return FlowState(surface=patch, t=t)
+    return FlowState(surface=patch)
 
 
 def test_height_bound_pass_and_fail():
@@ -242,10 +242,10 @@ def test_gradient_bound_eh_on_decaying_graph():
 def test_gradient_bound_eh_detects_steepening():
     a = FlowState(surface=GraphPatch.from_function(
         lambda p: 0.05 * p[..., 0], center=(0.0,), radius=2.0,
-        nodes_per_axis=257), t=0.0)
+        nodes_per_axis=257))
     b = FlowState(surface=GraphPatch.from_function(
         lambda p: 1.5 * p[..., 0], center=(0.0,), radius=2.0,
-        nodes_per_axis=257, time=0.01), t=0.01)
+        nodes_per_axis=257, time=0.01))
     rep = check_gradient_bound_EH(a, b, x0=(0.0, 0.0), rho=1.0)
     assert not rep.passed
     with pytest.raises(ConfigError):
@@ -385,7 +385,7 @@ def _oracle_checks():
         (check_upsilon_monotonicity, -2, ("constant",), {"y0": y0, "rho": 1.0}),
         (check_upsilon_monotonicity, -2, ("slab",), {"y0": y0, "rho": 1.0, "r0": 0.2}),
         (check_upsilon_monotonicity, -2, ("split",),
-         {"y0": y0, "rho": 1.0, "lam": 0.5, "c1": 1.0}),
+         {"y0": y0, "rho": 1.0, "lam": 0.5}),
         (check_gradient_bound_EH, 0, (y0, 1.0), {}),
         (check_brakke_identity, -2, (field,), {"form": "transport"}),
         (check_brakke_identity, -2, (field,), {"form": "divergence"}),
@@ -396,8 +396,7 @@ def _oracle_checks():
 
 def _fresh(state):
     """The same state on a surface with empty caches."""
-    return FlowState(surface=dataclasses.replace(state.surface, _cache={}),
-                     step=state.step, t=state.t)
+    return FlowState(surface=dataclasses.replace(state.surface), step=state.step)
 
 
 def _bits(report):
@@ -469,7 +468,7 @@ def test_checked_surface_is_freed_by_reference_counting(kind):
     last reference to the state going frees its surface."""
     surface, _ = _oracle_flows()[kind]
     a = FlowState(surface)
-    b = FlowState(dataclasses.replace(surface, time=1e-4, _cache={}), 1, 1e-4)
+    b = FlowState(dataclasses.replace(surface, time=1e-4), 1)
     for check, _, args, kwargs in _oracle_checks():
         check(a, b, *args, **kwargs)
     assert "monitor_context" in b.surface._cache

@@ -51,51 +51,67 @@ def test_validate_normalizes_defaults():
     }
 
 
+# explicit ids: a row inserted anywhere renames no other case
 @pytest.mark.parametrize("doc,loc", [
-    ([], "$"),
-    ({"scenario": "flat_plane"}, "$.schema_version"),
-    ({"schema_version": 2, "scenario": "flat_plane"}, "$.schema_version"),
-    (_spec(scenario="warp_drive"), "$.scenario"),
-    (_spec(seed=-1), "$.seed"),
-    (_spec(seed=True), "$.seed"),
-    (_spec(resolution=7), "$.resolution"),
-    (_spec(resolution=32.0), "$.resolution"),
+    pytest.param([], "$", id="doc0-$"),
+    pytest.param({"scenario": "flat_plane"}, "$.schema_version",
+                 id="doc1-$.schema_version"),
+    pytest.param({"schema_version": 2, "scenario": "flat_plane"}, "$.schema_version",
+                 id="doc2-$.schema_version"),
+    pytest.param(_spec(scenario="warp_drive"), "$.scenario", id="doc3-$.scenario"),
+    pytest.param(_spec(seed=-1), "$.seed", id="doc4-$.seed"),
+    pytest.param(_spec(seed=True), "$.seed", id="doc5-$.seed"),
+    pytest.param(_spec(resolution=7), "$.resolution", id="doc6-$.resolution"),
+    pytest.param(_spec(resolution=32.0), "$.resolution", id="doc7-$.resolution"),
     # every run carries the whole monitor battery: a spec picks none
-    (_spec(monitors="phi"), "$.monitors"),
-    (_spec(monitors=None), "$.monitors"),
-    (_spec(params={"bogus": 1.0}), "$.params.bogus"),
-    (_spec(params={"radius": 0.0}), "$.params.radius"),
-    (_spec(params={"radius": True}), "$.params.radius"),
-    (_spec(extra_field=1), "$.extra_field"),
+    pytest.param(_spec(monitors="phi"), "$.monitors", id="doc8-$.monitors"),
+    pytest.param(_spec(monitors=None), "$.monitors", id="doc9-$.monitors"),
+    pytest.param(_spec(params={"bogus": 1.0}), "$.params.bogus", id="doc10-$.params.bogus"),
+    pytest.param(_spec(params={"radius": 0.0}), "$.params.radius",
+                 id="doc11-$.params.radius"),
+    pytest.param(_spec(params={"radius": True}), "$.params.radius",
+                 id="doc12-$.params.radius"),
+    pytest.param(_spec(extra_field=1), "$.extra_field", id="doc13-$.extra_field"),
     # a JSON integer beyond the float range is no finite number either
-    (_spec(params={"value": 10**400}), "$.params.value"),
+    pytest.param(_spec(params={"value": 10**400}), "$.params.value",
+                 id="doc14-$.params.value"),
     # JSON's NaN and Infinity parse to floats that every range test passes
-    (_spec(params={"value": math.nan}), "$.params.value"),
-    ({"schema_version": 1, "scenario": "bounded_curvature",
-      "params": {"t_end": math.inf}}, "$.params.t_end"),
-    ({"schema_version": 1, "scenario": "stay_graphical",
-      "params": {"L": math.nan}}, "$.params.L"),
-    ({"schema_version": 1, "scenario": "shrinking_square",
-      "params": {"epsilon": math.nan}}, "$.params.epsilon"),
-    ({"schema_version": 1, "scenario": "sweep", "base": _spec(),
-      "vary": {"radius": [1.0, math.inf]}}, "$.vary.radius[1]"),
+    pytest.param(_spec(params={"value": math.nan}), "$.params.value",
+                 id="doc15-$.params.value"),
+    pytest.param({"schema_version": 1, "scenario": "bounded_curvature",
+                  "params": {"t_end": math.inf}}, "$.params.t_end",
+                 id="doc16-$.params.t_end"),
+    pytest.param({"schema_version": 1, "scenario": "stay_graphical",
+                  "params": {"L": math.nan}}, "$.params.L", id="doc17-$.params.L"),
+    pytest.param({"schema_version": 1, "scenario": "shrinking_square",
+                  "params": {"epsilon": math.nan}}, "$.params.epsilon",
+                 id="doc18-$.params.epsilon"),
+    pytest.param({"schema_version": 1, "scenario": "sweep", "base": _spec(),
+                  "vary": {"radius": [1.0, math.inf]}}, "$.vary.radius[1]",
+                 id="doc19-$.vary.radius[1]"),
     # the output directory comes from --out or $MCFLAB_OUT, never the spec
-    (_spec(out="/tmp/x"), "$.out"),
-    ({"schema_version": 1, "scenario": "sweep", "base": _spec(),
-      "vary": {"radius": [1.0]}, "out": "/tmp/x"}, "$.out"),
-    ({"schema_version": 1, "scenario": "sweep", "runs": [_spec(out="/tmp/x")]},
-     "$.runs[0].out"),
-    (_spec(params={"value": -10**400}), "$.params.value"),
-    ({"schema_version": 1, "scenario": "bounded_curvature",
-      "params": {"K": 10**400}}, "$.params.K"),
-    ({"schema_version": 1, "scenario": "sweep", "base": _spec(),
-      "vary": {"value": [0.0, 10**400]}}, "$.vary.value[1]"),
+    pytest.param(_spec(out="/tmp/x"), "$.out", id="doc20-$.out"),
+    pytest.param({"schema_version": 1, "scenario": "sweep", "base": _spec(),
+                  "vary": {"radius": [1.0]}, "out": "/tmp/x"}, "$.out", id="doc21-$.out"),
+    pytest.param({"schema_version": 1, "scenario": "sweep", "runs": [_spec(out="/tmp/x")]},
+                 "$.runs[0].out", id="doc22-$.runs[0].out"),
+    pytest.param(_spec(params={"value": -10**400}), "$.params.value",
+                 id="doc23-$.params.value"),
+    pytest.param({"schema_version": 1, "scenario": "bounded_curvature",
+                  "params": {"K": 10**400}}, "$.params.K", id="doc24-$.params.K"),
+    pytest.param({"schema_version": 1, "scenario": "sweep", "base": _spec(),
+                  "vary": {"value": [0.0, 10**400]}}, "$.vary.value[1]",
+                 id="doc25-$.vary.value[1]"),
     # a JSON integer, as for seed: true and 1.0 compare equal to 1 in Python
-    ({"schema_version": True, "scenario": "flat_plane"}, "$.schema_version"),
-    ({"schema_version": 1.0, "scenario": "flat_plane"}, "$.schema_version"),
-    ({"schema_version": True, "scenario": "sweep", "runs": [_spec()]}, "$.schema_version"),
-    ({"schema_version": 1, "scenario": "sweep", "runs": [_spec(schema_version=1.0)]},
-     "$.runs[0].schema_version"),
+    pytest.param({"schema_version": True, "scenario": "flat_plane"}, "$.schema_version",
+                 id="doc26-$.schema_version"),
+    pytest.param({"schema_version": 1.0, "scenario": "flat_plane"}, "$.schema_version",
+                 id="doc27-$.schema_version"),
+    pytest.param({"schema_version": True, "scenario": "sweep", "runs": [_spec()]},
+                 "$.schema_version", id="doc28-$.schema_version"),
+    pytest.param({"schema_version": 1, "scenario": "sweep",
+                  "runs": [_spec(schema_version=1.0)]},
+                 "$.runs[0].schema_version", id="doc29-$.runs[0].schema_version"),
 ])
 def test_validate_reports_json_path(doc, loc):
     with pytest.raises(ValidationError) as err:
