@@ -408,7 +408,7 @@ def _state_stats(state: FlowState) -> tuple[float, float | None, float]:
     df = geometry.gradient_field(surf)[act]
     d2f = geometry.hessian_field(surf)[act]
     measure = geometry.integrate_over_graph(surf, lambda t, pts: 1.0)
-    max_grad = float(np.max(np.linalg.norm(df, axis=-1)))
+    max_grad = float(np.max(np.sqrt(geometry.sum_squares(df))))
     max_a = float(np.max(geometry.second_fundamental_norm(df, d2f)))
     return measure, max_grad, max_a
 

@@ -33,6 +33,7 @@ from .geometry import (
     edge_lengths,
     gradient_raw,
     hessian_raw,
+    sum_squares,
 )
 
 TANGENCY_TOL = 1e-6
@@ -85,7 +86,7 @@ def _report_from_grid(
         delta=step,
         sheet_count=m0,
         sup_height=float(np.max(np.abs(values - float(cyl.height_center[0])))),
-        sup_grad=float(np.max(np.linalg.norm(df, axis=-1))),
+        sup_grad=float(np.max(np.sqrt(sum_squares(df)))),
         sup_hess=float(np.max(np.sqrt(np.sum(d2f * d2f, axis=(-2, -1))))),
     )
 

@@ -21,13 +21,14 @@ surface's cache: the sample and the signed mean curvature, computed when the
 context is built, the graph Jacobian and h^n (so a graph integral keeps its
 sum(vals * jac) * h^n arithmetic), and the rows on the computational
 boundary, whose mask comes from the grid; never the surface itself, so the
-two form no cycle.  Its memo holds the scalar results of each test
-function, keyed by the test function and its parameters alone, since a
-state's time is its surface's: the integral and support-exits flag of a
-monotonicity check, the Brakke side, part and mass, and the gradient
-bound's sup at its window start.  A monitored run therefore evaluates each
-test function once per recorded state, though every window uses the state
-twice.  The monotone quantities' windows start at t = 0.
+two form no cycle.  Its memo, keyed by parameters alone (a state's time is
+its surface's), holds |x - c|^2 per centre and phi_rho per (rho, t0, x0),
+shared by the checks that read them, and the scalar results of each test
+function: the integral and support-exits flag of a monotonicity check, the
+Brakke side, part and mass, and the gradient bound's sup at its window
+start.  A monitored run therefore evaluates each test function once per
+recorded state, though every window uses the state twice.  The monotone
+quantities' windows start at t = 0.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .geometry import (
     mean_curvature_graph,
     sample_surface,
     second_fundamental_norm,
+    sum_squares,
 )
 
 MONO_TOL_REL_DEFAULT = 1e-6
@@ -88,15 +90,15 @@ def _skipped(monitor_id: str, t: float, reason: str) -> MonitorReport:
 # ---------------------------------------------------------------------------
 
 
-def phi_rho(rho: float, t0: float, x0, t: float, x):
+def phi_rho(rho: float, t0: float, x0, t: float, x, d2=None):
     """(1 - rho^-2 (|x-x0|^2 + 2n(t-t0)))_+ ; x ambient, of dimension n + 1
-    (codimension 1)."""
+    (codimension 1).  d2, if given, is |x-x0|^2."""
     if rho <= 0:
         raise ConfigError("rho must be > 0")
     x = np.asarray(x, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
     n = x.shape[-1] - 1
-    d2 = np.sum((x - x0) ** 2, axis=-1)
+    if d2 is None:
+        d2 = sum_squares(x, x0)
     return np.maximum(1.0 - (d2 + 2.0 * n * (t - t0)) / rho**2, 0.0)
 
 
@@ -109,9 +111,10 @@ def upsilon(
     rho: float,
     r0: float = 0.0,
     lam: float | None = None,
+    d2=None,
 ):
     """Localized barrier ((rho^2 - |x-y0|^2) eta - (2n + L rho) t)_+ , with x
-    of dimension n + 1.
+    of dimension n + 1; d2, if given, is |x-y0|^2.
 
     Built-in eta forms and their Lipschitz constants L:
       "constant"  eta = 1, L = 0 (recovers the rho^2-scaled paraboloid cutoff)
@@ -120,7 +123,6 @@ def upsilon(
                   projection onto the last two ambient coordinates, L = lam^-2n
     """
     x = np.asarray(x, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
     if rho <= 0:
         raise ConfigError("rho must be > 0")
     n = x.shape[-1] - 1
@@ -138,7 +140,8 @@ def upsilon(
         lip = lam ** (-2 * n)
     else:
         raise ConfigError(f"unknown upsilon form {form!r}")
-    d2 = np.sum((x - y0) ** 2, axis=-1)
+    if d2 is None:
+        d2 = sum_squares(x, y0)
     return np.maximum((rho**2 - d2) * eta - (2.0 * n + lip * rho) * t, 0.0)
 
 
@@ -154,6 +157,7 @@ class _Context:
     whose jac holds the vertex weights."""
 
     def __init__(self, surface):
+        self.t = surface.time
         self.memo = {}
         self.sample = sample_surface(surface)
         if isinstance(surface, GraphPatch):
@@ -174,22 +178,36 @@ class _Context:
         """Whether a test function's support reaches the boundary."""
         return bool(np.any(vals[self.edge] > 0.0))
 
+    def once(self, key, compute):
+        """compute(self), once per key."""
+        if key not in self.memo:
+            self.memo[key] = compute(self)
+        return self.memo[key]
 
-def _memo(state, key, compute):
-    """compute(t, context) of the state's surface, once per key."""
+    def dist2(self, center) -> np.ndarray:
+        """|x - center|^2 at every point."""
+        center = np.asarray(center, dtype=float)
+        return self.once(("dist2", *center.tolist()),
+                         lambda ctx: sum_squares(ctx.points, center))
+
+    def phi_rho(self, rho: float, t0: float, x0) -> np.ndarray:
+        """phi_rho(rho, t0, x0) at every point, on dist2(x0)."""
+        x0 = np.asarray(x0, dtype=float)
+        return self.once(("phi_rho", rho, t0, *x0.tolist()), lambda ctx: phi_rho(
+            rho, t0, x0, ctx.t, ctx.points, d2=ctx.dist2(x0)))
+
+
+def _context(state) -> _Context:
+    """The state's context, built on first use and kept in its cache."""
     cache = state.surface._cache
-    ctx = cache.get("monitor_context")
-    if ctx is None:
-        ctx = cache["monitor_context"] = _Context(state.surface)
-    if key not in ctx.memo:
-        ctx.memo[key] = compute(state.t, ctx)
-    return ctx.memo[key]
+    if "monitor_context" not in cache:
+        cache["monitor_context"] = _Context(state.surface)
+    return cache["monitor_context"]
 
 
 def _ball_measure(state, center, radius: float) -> float:
     sample = sample_surface(state.surface)
-    c = np.asarray(center, dtype=float)
-    inside = np.linalg.norm(sample.points - c, axis=1) <= radius
+    inside = np.sqrt(sum_squares(sample.points, center)) <= radius
     return float(np.sum(sample.weights[inside]))
 
 
@@ -199,15 +217,16 @@ def _ball_measure(state, center, radius: float) -> float:
 
 
 def _monotonicity_report(monitor_id: str, state_a, state_b, key, fn) -> MonitorReport:
-    """key names fn by its parameters, so that every check of the same test
-    function shares one evaluation per state."""
+    """fn(ctx) gives the test function at the context's points; key names
+    it by its parameters, so that every check of the same test function
+    shares one evaluation per state."""
 
-    def quadrature(t, ctx):
-        vals = np.asarray(fn(t, ctx.points), dtype=float)
+    def quadrature(ctx):
+        vals = np.asarray(fn(ctx), dtype=float)
         return ctx.exits(vals), float(np.sum(vals * ctx.jac) * ctx.scale)
 
-    exits_a, i_a = _memo(state_a, key, quadrature)
-    exits_b, i_b = _memo(state_b, key, quadrature)
+    exits_a, i_a = _context(state_a).once(key, quadrature)
+    exits_b, i_b = _context(state_b).once(key, quadrature)
     if exits_a or exits_b:
         return _skipped(monitor_id, state_b.t, "support leaves computational domain")
     return MonitorReport(
@@ -230,8 +249,8 @@ def check_phi_monotonicity(
     must not increase."""
     key = ("phi", rho, tuple(np.asarray(x0, dtype=float).tolist()))
 
-    def fn(t, pts):
-        return phi_rho(rho, 0.0, x0, t, pts) ** 3
+    def fn(ctx):
+        return ctx.phi_rho(rho, 0.0, x0) ** 3
 
     return _monotonicity_report("phi_monotonicity", state_a, state_b, key, fn)
 
@@ -249,8 +268,9 @@ def check_upsilon_monotonicity(
     """int Upsilon^3 dmu between two recorded states must not increase."""
     key = ("upsilon", form, tuple(np.asarray(y0, dtype=float).tolist()), rho, r0, lam)
 
-    def fn(t, pts):
-        return upsilon(form, t, pts, y0=y0, rho=rho, r0=r0, lam=lam) ** 3
+    def fn(ctx):
+        return upsilon(form, ctx.t, ctx.points, y0=y0, rho=rho, r0=r0, lam=lam,
+                       d2=ctx.dist2(y0)) ** 3
 
     return _monotonicity_report(f"upsilon_monotonicity[{form}]", state_a, state_b, key, fn)
 
@@ -299,7 +319,7 @@ def check_height_bound(
         raise ConfigError("need R > 0, r0 >= 0, c_hat >= 0")
     x0 = np.asarray(x0, dtype=float)
     sample_1 = sample_surface(state_t1.surface)
-    dist_1 = np.linalg.norm(sample_1.points - x0, axis=1)
+    dist_1 = np.sqrt(sum_squares(sample_1.points, x0))
     heights_1 = np.abs(sample_1.points[:, -1] - x0[-1])
     near = dist_1 <= 2.0 * R
     if np.any(heights_1[near] > r0 * (1 + 1e-12) + 1e-15):
@@ -308,7 +328,7 @@ def check_height_bound(
             f"initial state not inside C(x0, 2R, r0): max height {worst:.6g} > r0 = {r0}"
         )
     sample_t = sample_surface(state_t.surface)
-    base = np.linalg.norm(sample_t.points[:, :-1] - x0[:-1], axis=1)
+    base = np.sqrt(sum_squares(sample_t.points[:, :-1], x0[:-1]))
     heights = np.abs(sample_t.points[:, -1] - x0[-1])
     inside = (base <= R) & (heights <= R)
     value = float(np.max(heights[inside])) if np.any(inside) else 0.0
@@ -333,8 +353,8 @@ def check_gradient_bound_EH(
     if rho <= 0:
         raise ConfigError("rho must be > 0")
     x0 = np.asarray(x0, dtype=float)
-    sample_t = sample_surface(state_t.surface)
-    n = sample_t.points.shape[1] - 1
+    ctx_t = _context(state_t)
+    n = ctx_t.points.shape[1] - 1
     tau = state_t.t - state_t1.t
     if tau < 0:
         return _skipped(mid, state_t.t, "window ends before it starts")
@@ -342,10 +362,10 @@ def check_gradient_bound_EH(
     if rho_t_sq <= 0:
         return _skipped(mid, state_t.t, "shrunken ball is empty")
 
-    def initial_sup(t, ctx):
+    def initial_sup(ctx):
         """(sup of v over the base ball, or None with the reason)."""
         sample = ctx.sample
-        sel = np.linalg.norm(sample.points[:, :-1] - x0[:-1], axis=1) <= rho
+        sel = np.sqrt(sum_squares(sample.points[:, :-1], x0[:-1])) <= rho
         if not np.any(sel):
             return None, "no initial samples over the base ball"
         ne = sample.normals[sel, -1]
@@ -354,16 +374,16 @@ def check_gradient_bound_EH(
         return float(np.max(1.0 / ne)), ""
 
     key = ("gradient_sup", tuple(x0.tolist()), rho)
-    bound, reason = _memo(state_t1, key, initial_sup)
+    bound, reason = _context(state_t1).once(key, initial_sup)
     if bound is None:
         return _skipped(mid, state_t.t, reason)
 
-    dist = np.linalg.norm(sample_t.points - x0, axis=1)
+    dist = np.sqrt(ctx_t.dist2(x0))
     sel_t = dist <= math.sqrt(rho_t_sq)
     if not np.any(sel_t):
         value = 0.0
     else:
-        ne_t = sample_t.normals[sel_t, -1]
+        ne_t = ctx_t.sample.normals[sel_t, -1]
         if np.any(ne_t <= 0):
             return _skipped(mid, state_t.t, "current state not graphical (nu.e <= 0)")
         weight = 1.0 - (dist[sel_t] ** 2 + 2.0 * n * tau) / rho**2
@@ -422,13 +442,16 @@ class TestField:
     """C^2 ambient test field phi(t, x) with its derivatives.
 
     value/grad/dt/hess take (t, points) with points of shape (N, d) and
-    return arrays of shape (N,), (N, d), (N,), (N, d, d).
+    return arrays of shape (N,), (N, d), (N,), (N, d, d).  A field on phi_rho
+    names its (rho, t0, x0) in `base`; a check then passes that phi_rho, from
+    the state's context, as every callable's third argument.
     """
 
     value: Callable
     grad: Callable
     dt: Callable
     hess: Callable
+    base: tuple | None = None
 
 
 def phi_rho_cubed_field(rho: float, t0: float, x0) -> TestField:
@@ -437,24 +460,24 @@ def phi_rho_cubed_field(rho: float, t0: float, x0) -> TestField:
         raise ConfigError("rho must be > 0")
     x0 = np.asarray(x0, dtype=float)
 
-    def base(t, pts):
-        return phi_rho(rho, t0, x0, t, pts)
+    def base(t, pts, u):
+        return phi_rho(rho, t0, x0, t, pts) if u is None else u
 
-    def value(t, pts):
-        return base(t, pts) ** 3
+    def value(t, pts, u=None):
+        return base(t, pts, u) ** 3
 
-    def dt(t, pts):
+    def dt(t, pts, u=None):
         n = np.shape(pts)[-1] - 1
-        return 3.0 * base(t, pts) ** 2 * (-2.0 * n / rho**2)
+        return 3.0 * base(t, pts, u) ** 2 * (-2.0 * n / rho**2)
 
-    def grad(t, pts):
+    def grad(t, pts, u=None):  # a column at a time: an (N, 2) broadcast goes row by row
         pts = np.asarray(pts, dtype=float)
-        u = base(t, pts)
-        return (3.0 * u**2 * (-2.0 / rho**2))[:, None] * (pts - x0)
+        s = 3.0 * base(t, pts, u) ** 2 * (-2.0 / rho**2)
+        return np.stack([s * (pts[:, k] - x0[k]) for k in range(pts.shape[1])], axis=1)
 
-    def hess(t, pts):
+    def hess(t, pts, u=None):
         pts = np.asarray(pts, dtype=float)
-        u = base(t, pts)
+        u = base(t, pts, u)
         d = pts.shape[1]
         offset = pts - x0
         outer = offset[:, :, None] * offset[:, None, :]
@@ -462,7 +485,7 @@ def phi_rho_cubed_field(rho: float, t0: float, x0) -> TestField:
         h += (3.0 * u**2 * (-2.0 / rho**2))[:, None, None] * np.eye(d)
         return h
 
-    return TestField(value=value, grad=grad, dt=dt, hess=hess)
+    return TestField(value, grad, dt, hess, base=(rho, t0, tuple(x0.tolist())))
 
 
 def check_brakke_identity(
@@ -487,21 +510,22 @@ def check_brakke_identity(
     if dt_window <= 0:
         return _skipped(mid, state_b.t, "window has zero duration")
 
-    def terms(t, ctx):
+    def terms(ctx):
         """None if phi's support exits, else the integrals (side, part, mass)."""
-        pts = ctx.points
-        phi = np.asarray(test_field.value(t, pts), dtype=float)
+        base = () if test_field.base is None else (ctx.phi_rho(*test_field.base),)
+        args = (ctx.t, ctx.points, *base)
+        phi = np.asarray(test_field.value(*args), dtype=float)
         if ctx.exits(phi):
             return None
         w, nu, h_scalar = ctx.sample.weights, ctx.sample.normals, ctx.mean_curvature
-        dphi = np.asarray(test_field.dt(t, pts), dtype=float)
+        dphi = np.asarray(test_field.dt(*args), dtype=float)
         if form == "divergence":
-            hess = np.asarray(test_field.hess(t, pts), dtype=float)
+            hess = np.asarray(test_field.hess(*args), dtype=float)
             trace_h = np.einsum("...ii->...", hess)
             nhn = np.einsum("...i,...ij,...j->...", nu, hess, nu)
             middle = nhn - trace_h
         else:
-            grad = np.asarray(test_field.grad(t, pts), dtype=float)
+            grad = np.asarray(test_field.grad(*args), dtype=float)
             middle = h_scalar * np.einsum("...i,...i->...", nu, grad)
         integrand = dphi + middle - h_scalar**2 * phi
         return (
@@ -511,8 +535,8 @@ def check_brakke_identity(
         )
 
     key = ("brakke", test_field, form)
-    a = _memo(state_a, key, terms)
-    b = None if a is None else _memo(state_b, key, terms)
+    a = _context(state_a).once(key, terms)
+    b = None if a is None else _context(state_b).once(key, terms)
     if b is None:
         return _skipped(mid, state_b.t, "support leaves computational domain")
     lhs = b[2] - a[2]

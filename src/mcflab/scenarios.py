@@ -49,6 +49,7 @@ from .geometry import (
     hessian_field,
     resample_curve_raw,
     second_fundamental_norm,
+    sum_squares,
     tilt,
     total_length,
 )
@@ -535,7 +536,7 @@ def scenario_shrinking_square(
     )
 
     r0_literal = math.sqrt(3 + 3 * epsilon)
-    d0 = np.linalg.norm(trace.snapshots[0].surface.vertices - inner, axis=1)
+    d0 = np.sqrt(sum_squares(trace.snapshots[0].surface.vertices, inner))
     r0_measured = float(np.max(d0)) * (1 + 1e-6)
 
     rows = []
@@ -545,7 +546,7 @@ def scenario_shrinking_square(
     for state in trace.snapshots:
         v = state.surface.vertices
         t = state.t
-        d = np.linalg.norm(v - inner, axis=1)
+        d = np.sqrt(sum_squares(v, inner))
         max_d = float(np.max(d))
         min_d = curve_point_distance(state.surface, inner)
         r_t = math.sqrt(1 - 2 * t) if t < 0.5 else None

@@ -494,7 +494,9 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
     has left all monitor windows, so only the first and the last state hold
     one; those hold only data some reader reads: no tangent array, no |A|
     column in the sample, and for a curve at most 5m + 1 floats of unique
-    cached memory (the normals, kappa, vertex weights and edge lengths)."""
+    cached memory (the normals, kappa, vertex weights and edge lengths)
+    besides the monitor context's two per-point arrays: |x - y0|^2 and
+    phi_rho, one each."""
     from mcflab.scenarios import monitor_battery
 
     trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=4),
@@ -511,8 +513,14 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
             continue
         normals, _ = curve_quantities_all(surf)
         tangents = np.stack([normals[:, 1], -normals[:, 0]], axis=-1)
+        memo = surf._cache["monitor_context"].memo
+        per_point = {key[0]: v for key, v in memo.items() if isinstance(v, np.ndarray)}
+        assert sorted(per_point) == ["dist2", "phi_rho"]
+        assert all(v.shape == (surf.m,) for v in per_point.values())
         owners = {id(_owner(a)): _owner(a) for a in _cached_arrays(surf._cache)}
         owners.pop(id(_owner(surf.vertices)))
+        for v in per_point.values():
+            owners.pop(id(_owner(v)))
         assert not any(a.shape == tangents.shape and np.array_equal(a, tangents)
                        for a in owners.values())
         held = sum(a.nbytes for a in owners.values())
@@ -621,6 +629,10 @@ def test_cache_release_is_invisible(kind, tmp_path):
     monitors = monitor_battery() + [lagging]
     trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=2),
                      monitors=monitors)
+    # the per-point arrays go with the context: only the first and the last
+    # state still hold one (lagging rebuilds a sample, not a context)
+    holding = [i for i, s in enumerate(trace.snapshots) if "monitor_context" in s.surface._cache]
+    assert holding == [0, len(trace.snapshots) - 1]
     out = tmp_path / "run"
     write_run_dir(trace, out)
     assert len(trace.snapshots) > 4

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -38,6 +39,7 @@ from mcflab.geometry import (
     resample_curve_raw,
     sample_surface,
     second_fundamental_norm,
+    sum_squares,
     tilt,
     total_length,
 )
@@ -916,3 +918,48 @@ def test_graph_patch_validation():
     with pytest.raises(GeometryError):
         GraphPatch(center=np.zeros(2), radius=1.0, spacing=2.0 / 15,
                    values=bad)
+
+
+# ±0, subnormals, 1e±154 (whose squares sit at the ends of the float range),
+# ±inf and NaN, besides ordinary values
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-154, -1e-154, 1e154, -1e154,
+            1.5e154, np.inf, -np.inf, np.nan, -np.nan, 1.0, -3.25, 0.1]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _squares_operands(width):
+    """Every width-tuple of the special values, then random rows across the
+    exponent range; also as a (rows, 2, width) stack for graph-shaped arrays."""
+    rng = np.random.default_rng(width)
+    special = np.array(list(itertools.product(_SPECIAL, repeat=width)))
+    random = rng.standard_normal((1000, width)) * 10.0 ** rng.integers(-160, 160, (1000, width))
+    v = np.concatenate([special, random])
+    return v, rng.permutation(v), v[: 2 * (len(v) // 2)].reshape(-1, 2, width)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_sum_squares_is_numpy_reduce_bitwise(width):
+    """sum_squares equals numpy's reductions bit for bit, NaN payloads
+    included: sum(v * v), the norm as its sqrt and sum((x - c) ** 2) for a
+    point and for a whole array c."""
+    v, c, stacked = _squares_operands(width)
+    with np.errstate(all="ignore"):
+        for arr in (v, stacked, v[::-1], v.T.copy().T):
+            assert _same_bits(sum_squares(arr), np.sum(arr * arr, axis=-1))
+            assert _same_bits(np.sqrt(sum_squares(arr)), np.linalg.norm(arr, axis=-1))
+        for centre in (c, c[0], c[7], np.array(_SPECIAL[:width])):
+            assert _same_bits(sum_squares(v, centre), np.sum((v - centre) ** 2, axis=-1))
+        assert _same_bits(sum_squares(v[0], tuple(c[1])), np.sum((v[0] - c[1]) ** 2))
+
+
+def test_sum_squares_oracle_rejects_right_association():
+    """Adding the last two columns first is a different rounding at width 3,
+    and the oracle above tells it apart."""
+    v, _, _ = _squares_operands(3)
+    with np.errstate(all="ignore"):
+        right = v[:, 0] * v[:, 0] + (v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+        assert not _same_bits(right, np.sum(v * v, axis=-1))

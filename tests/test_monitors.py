@@ -13,6 +13,7 @@ from mcflab.flow import FlowConfig, FlowState, run_flow
 from mcflab.geometry import (
     ClosedCurve,
     GraphPatch,
+    sum_squares,
 )
 from mcflab.monitors import (
     IDENTITY_TOL_REL_DEFAULT,
@@ -435,30 +436,133 @@ def test_monitored_reports_match_fresh_checks(kind):
 
 def _counting_field(base, counts):
     def counted(name, fn):
-        def wrapper(t, pts):
+        def wrapper(t, pts, *phi):
             counts[(name, t)] = counts.get((name, t), 0) + 1
-            return fn(t, pts)
+            return fn(t, pts, *phi)
 
         return wrapper
 
-    return Field(value=counted("value", base.value), grad=counted("grad", base.grad),
-                 dt=counted("dt", base.dt), hess=counted("hess", base.hess))
+    return dataclasses.replace(
+        base, value=counted("value", base.value), grad=counted("grad", base.grad),
+        dt=counted("dt", base.dt), hess=counted("hess", base.hess))
 
 
 @pytest.mark.parametrize("kind", ["graph", "closed", "open"])
-def test_test_function_evaluated_once_per_recorded_state(kind):
+def test_test_function_evaluated_once_per_recorded_state(kind, monkeypatch):
+    """Each recorded state evaluates the test field once, and computes
+    |x - c|^2 once per centre and phi_rho once, for every check that reads
+    them: the phi check and Brakke's value, dt and grad share one phi_rho,
+    and the upsilon forms and the gradient bound one |x - y0|^2."""
+    from mcflab import monitors
+
+    squares, phis = [], {}
+
+    def count_squares(v, c=None):
+        squares.append((v.shape[-1], None if c is None else tuple(np.asarray(c).tolist())))
+        return sum_squares(v, c)
+
+    def count_phi(rho, t0, x0, t, x, d2=None):
+        phis[t] = phis.get(t, 0) + 1
+        return phi_rho(rho, t0, x0, t, x, d2=d2)
+
+    monkeypatch.setattr(monitors, "sum_squares", count_squares)
+    monkeypatch.setattr(monitors, "phi_rho", count_phi)
     surface, config = _oracle_flows()[kind]
+    y0, y1 = (0.0, 0.0), (0.1, 0.0)
     counts = {}
-    field = _counting_field(phi_rho_cubed_field(1.0, 0.0, (0.0, 0.0)), counts)
+    field = _counting_field(phi_rho_cubed_field(1.0, 0.0, y0), counts)
     trace = run_flow(surface, config, monitors=[
         windowed_monitor(check_brakke_identity, -2, field, form="transport"),
         windowed_monitor(check_brakke_identity, -2, field, form="transport"),
+        windowed_monitor(check_phi_monotonicity, -2, 1.0, x0=y0),
+        *(windowed_monitor(check_upsilon_monotonicity, -2, form, y0=y0, rho=1.0, **kw)
+          for form, kw in (("constant", {}), ("slab", {"r0": 0.2}), ("split", {"lam": 0.5}))),
+        windowed_monitor(check_upsilon_monotonicity, -2, "constant", y0=y1, rho=1.0),
+        windowed_monitor(check_gradient_bound_EH, 0, y0, 1.0),
     ])
-    assert all(not r.skipped for r in trace.reports)
+    assert all(not r.skipped for r in trace.reports if r.monitor_id != "gradient_bound_eh")
     times = [s.t for s in trace.snapshots]
     for name in ("value", "dt", "grad"):
         assert {t: counts.get((name, t), 0) for t in times} == {t: 1 for t in times}
     assert not any(name == "hess" for name, _ in counts)
+    assert phis == {t: 1 for t in times}
+    # full-width distances: one per state and centre (the gradient bound's
+    # base-ball distance at the first state is one column narrower)
+    full = [c for width, c in squares if width == 2]
+    assert sorted(full) == sorted([y0, y1] * len(times))
+
+
+def _phi_rho_reference(rho, t0, x0, t, x, d2=None):
+    """phi_rho as a numpy reduce over the trailing axis, the slow reference;
+    it ignores d2 and computes |x - x0|^2 itself."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1] - 1
+    d2 = np.sum((x - np.asarray(x0, dtype=float)) ** 2, axis=-1)
+    return np.maximum(1.0 - (d2 + 2.0 * n * (t - t0)) / rho**2, 0.0)
+
+
+def _upsilon_reference(form, t, x, *, y0, rho, r0=0.0, lam=None, d2=None):
+    """upsilon as a numpy reduce over the trailing axis, ignoring d2."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1] - 1
+    if form == "constant":
+        eta, lip = np.ones(x.shape[:-1]), 0.0
+    elif form == "slab":
+        eta, lip = np.minimum(np.maximum(np.abs(x[..., -1]) - r0, 0.0) / 2.0, 1.0), 0.5
+    else:
+        q2 = x[..., -2] ** 2 + x[..., -1] ** 2
+        eta = np.maximum(1.0 - (q2 + 2.0 * n * t) / (2.0 * lam**n) ** 2, 0.0)
+        lip = lam ** (-2 * n)
+    d2 = np.sum((x - np.asarray(y0, dtype=float)) ** 2, axis=-1)
+    return np.maximum((rho**2 - d2) * eta - (2.0 * n + lip * rho) * t, 0.0)
+
+
+def _sum_squares_reference(v, c=None):
+    return np.sum(v * v if c is None else (v - np.asarray(c, dtype=float)) ** 2, axis=-1)
+
+
+def _phi_rho_cubed_reference(rho, t0, x0):
+    """phi_rho^3, its t-derivative and its gradient on _phi_rho_reference,
+    with the gradient broadcast over the (N, d) points; no shared phi_rho."""
+    x0 = np.asarray(x0, dtype=float)
+
+    def base(t, pts):
+        return _phi_rho_reference(rho, t0, x0, t, pts)
+
+    def grad(t, pts):
+        return (3.0 * base(t, pts) ** 2 * (-2.0 / rho**2))[:, None] * (pts - x0)
+
+    def dt(t, pts):
+        return 3.0 * base(t, pts) ** 2 * (-2.0 * (np.shape(pts)[-1] - 1) / rho**2)
+
+    def hess(t, pts):
+        raise AssertionError("the transport form reads no Hessian")
+
+    return Field(value=lambda t, pts: base(t, pts) ** 3, grad=grad, dt=dt, hess=hess)
+
+
+@pytest.mark.parametrize("kind", ["open", "graph"])
+def test_battery_margins_equal_the_numpy_reduce_reference(kind, monkeypatch):
+    """Every report of the monitor battery equals, bit for bit, the battery
+    run on the reference arithmetic: phi_rho, upsilon and |x - c|^2 as numpy
+    reduces, and a Brakke field that computes its own phi_rho in each
+    callable and broadcasts its gradient."""
+    from mcflab import monitors
+    from mcflab.scenarios import monitor_battery
+
+    surface, config = _oracle_flows()[kind]
+    fast = run_flow(surface, config, monitors=monitor_battery())
+    monkeypatch.setattr(monitors, "phi_rho", _phi_rho_reference)
+    monkeypatch.setattr(monitors, "upsilon", _upsilon_reference)
+    monkeypatch.setattr(monitors, "sum_squares", _sum_squares_reference)
+    battery = monitor_battery()[:-1] + [windowed_monitor(
+        check_brakke_identity, -2, _phi_rho_cubed_reference(1.0, 0.0, (0.0, 0.0)),
+        form="transport")]
+    surface, config = _oracle_flows()[kind]
+    slow = run_flow(surface, config, monitors=battery)
+    assert [_bits(r) for r in fast.reports] == [_bits(r) for r in slow.reports]
+    evaluated = {r.monitor_id for r in fast.reports if not r.skipped}
+    assert len(evaluated) == 6, evaluated
 
 
 @pytest.mark.parametrize("kind", ["graph", "closed", "open"])
