@@ -13,12 +13,13 @@ build each next state with `_successor`, which revalidates the surface.  A
 state is its surface and its step: its time is the surface's, so a recorded
 state is exactly its snapshot plus the step in its `timeseries.csv` row.
 `run_flow` advances until the horizon, extinction, or a terminal event,
-recording snapshots and monitor reports every `record_stride` steps.
-`write_run_dir` persists a trace as a run directory (snapshots, timeseries,
-events, and last the manifest) and returns the SHA-256 of each file it wrote,
-hashed from the bytes as they are written; a snapshot is
-`geometry.dumps_surface`'s schema-2 document, its array an exact base64
-payload.
+recording a state every `record_stride` steps and handing it to its sink.
+`RunDirSink` is the sink that streams a run directory: it writes each
+recorded state as snapshots/NNNN.json as it arrives, and `write_run_dir`
+ends the directory with the timeseries, the events and, last, the manifest,
+and returns the SHA-256 of each file written, hashed from the bytes as they
+are written; a snapshot is `geometry.dumps_surface`'s schema-2 document, its
+array an exact base64 payload.
 
 A curve run `load`s each step's vertices into one `CurveKernel` per vertex
 count (a remesh builds a new one), but each step returns a fresh array.  The
@@ -31,14 +32,17 @@ The shoelace runs when the bound is at most twice the threshold, after a
 remesh or a guarded-path step (some lc = 0), and for the extinction event,
 which records the area.
 
-`run_flow` leaves a trace holding its snapshot arrays and the caches of two
-states.  Each state's `timeseries.csv` row is computed when it is recorded,
-after the monitors ran, and its derived-array cache is released when the
-next state is recorded: the monitor windows start at the previous record or
-at the first, whose cache stays.  A monitor that returns None only
-observes, as the scenarios' probes do.  A cache is a pure function of the
-snapshot's values, so a reader of a released state recomputes bit-identical
-values; it pays in time, and the cache it rebuilds stays.
+`run_flow` keeps only the states a monitor window reads: the first, and
+while a state is recorded the previous one and the current one; a returned
+trace holds its first and its last state and the bookkeeping of every
+record.  Each state's `timeseries.csv` row is computed when it is recorded,
+after the monitors ran, and the sink receives it then.  A state's
+derived-array cache is released when the next state is recorded: the
+monitor windows start at the previous record or at the first, whose cache
+stays.  A monitor that returns None only observes, as the scenarios' probes
+do.  A cache is a pure function of the snapshot's values, so a sink that
+keeps a released state recomputes bit-identical values; it pays in time,
+and the cache it rebuilds stays.
 """
 
 from __future__ import annotations
@@ -114,14 +118,17 @@ class FlowState:
 
 @dataclass
 class FlowTrace:
-    """Recorded snapshots, monitor reports, and events of one flow run;
-    report_records[i] is the snapshot index at which reports[i] was made,
-    and stats[i] the (measure, max|Df|, max|A|) of snapshots[i], taken when
-    it was recorded.  Only the first and the last snapshot keep their
-    derived-array caches (module docstring)."""
+    """The bookkeeping of one flow run and the states its monitor windows
+    read.  snapshots holds the first recorded state and, once there are
+    two, the last (the previous and the current one while a state is
+    recorded); run_flow's sink receives every state.  records[i] is the
+    (t, step) of record i and stats[i] its (measure, max|Df|, max|A|), taken
+    when it was recorded; report_records[i] is the record at which
+    reports[i] was made."""
 
     config: FlowConfig
     snapshots: list = field(default_factory=list)
+    records: list = field(default_factory=list)
     reports: list = field(default_factory=list)
     events: list = field(default_factory=list)
     report_records: list = field(default_factory=list)
@@ -277,17 +284,22 @@ def run_flow(
     initial: FlowState | GraphPatch | ClosedCurve,
     config: FlowConfig,
     monitors: Sequence[Callable] = (),
+    sink: Callable[[FlowState], None] | None = None,
 ) -> FlowTrace:
     """Advance the flow to t_end, recording every record_stride steps.
 
     Monitors are callables (trace_so_far, state) -> report | list | None,
-    invoked at each recorded step.  Step errors become trace events:
-    blow_up and step_rejected terminate; remesh, non_simple, extinction,
-    horizon are recorded as they occur (extinction also terminates).
+    invoked at each recorded step; trace_so_far.snapshots[0] is the first
+    state and [-2] the previous one.  The sink, if given, receives each
+    recorded state once its monitors ran and its stats row was taken.  Step
+    errors become trace events: blow_up and step_rejected terminate; remesh,
+    non_simple, extinction, horizon are recorded as they occur (extinction
+    also terminates).
     """
     if isinstance(initial, (GraphPatch, ClosedCurve)):
         initial = FlowState(initial)
     trace = FlowTrace(config=config)
+    window = trace.snapshots
     is_curve = isinstance(initial.surface, ClosedCurve)
     closed = is_curve and initial.surface.closed
 
@@ -295,7 +307,7 @@ def run_flow(
         trace.events.append({"event": kind, "step": step, "t": t, **fields})
 
     def record(state: FlowState):
-        trace.snapshots.append(state)
+        window.append(state)
         if closed and not geometry.is_simple(state.surface):
             event("non_simple", state.step, state.t)
         new_reports = []
@@ -306,15 +318,18 @@ def run_flow(
             new_reports.extend(rep if isinstance(rep, (list, tuple)) else [rep])
         new_reports.sort(key=lambda r: r.monitor_id)
         trace.reports.extend(new_reports)
-        trace.report_records.extend([len(trace.snapshots) - 1] * len(new_reports))
+        trace.report_records.extend([len(trace.records)] * len(new_reports))
         for r in new_reports:
             if not r.passed and not r.skipped:
                 event("monitor_failure", state.step, state.t, monitor_id=r.monitor_id,
                       value=r.value, bound=r.bound, margin=r.margin)
         trace.stats.append(_state_stats(state))
-        if len(trace.snapshots) > 2:
+        trace.records.append((state.t, state.step))
+        if sink is not None:
+            sink(state)
+        if len(window) > 2:
             # the previous state leaves the last window that reads it
-            trace.snapshots[-2].surface._cache.clear()
+            window.pop(-2).surface._cache.clear()
 
     record(initial)
     t = initial.t
@@ -413,20 +428,34 @@ def _state_stats(state: FlowState) -> tuple[float, float | None, float]:
     return measure, max_grad, max_a
 
 
-def write_run_dir(trace: FlowTrace, out_dir: str | Path) -> dict[str, str]:
-    """Persist a trace: snapshots/NNNN.json, timeseries.csv, events.ndjson,
-    and (last, with the checksums of the others) manifest.json.  An earlier
-    run's snapshots go first.  Returns {relative path: sha256} of every file
-    written, manifest.json included."""
-    out = Path(out_dir)
-    (out / "snapshots").mkdir(parents=True, exist_ok=True)
-    for stale in (out / "snapshots").glob("[0-9]*.json"):
-        stale.unlink()
-    files: dict[str, str] = {}
-    for i, state in enumerate(trace.snapshots):
-        rel = f"snapshots/{i:04d}.json"
-        files[rel] = write_text_sha256(out / rel, geometry.dumps_surface(state.surface) + "\n")
+class RunDirSink:
+    """A run_flow sink that streams a run directory: each recorded state is
+    written as snapshots/NNNN.json when it arrives, and `write_run_dir` ends
+    the directory.  A directory is complete only once its manifest exists,
+    so an earlier run's manifest and snapshots go before the first write.
+    `files` is {relative path: sha256} of what it wrote."""
 
+    def __init__(self, out_dir: str | Path):
+        self.out = Path(out_dir)
+        snapshots = self.out / "snapshots"
+        snapshots.mkdir(parents=True, exist_ok=True)
+        (self.out / "manifest.json").unlink(missing_ok=True)
+        for stale in snapshots.glob("[0-9]*.json"):
+            stale.unlink()
+        self.files: dict[str, str] = {}
+
+    def __call__(self, state: FlowState) -> None:
+        rel = f"snapshots/{len(self.files):04d}.json"
+        self.files[rel] = write_text_sha256(self.out / rel,
+                                            geometry.dumps_surface(state.surface) + "\n")
+
+
+def write_run_dir(trace: FlowTrace, sink: RunDirSink) -> dict[str, str]:
+    """End the run directory that `sink` streamed trace's states into:
+    timeseries.csv, events.ndjson, and (last, with the checksums of the
+    others) manifest.json.  Returns {relative path: sha256} of every file
+    written, snapshots and manifest.json included."""
+    out, files = sink.out, dict(sink.files)
     monitor_ids = sorted({r.monitor_id for r in trace.reports})
     margins: dict[tuple[int, str], float] = {}
     for r, record in zip(trace.reports, trace.report_records):
@@ -436,8 +465,8 @@ def write_run_dir(trace: FlowTrace, out_dir: str | Path) -> dict[str, str]:
         f"margin:{mid}" for mid in monitor_ids
     ]
     rows = []
-    for record, state in enumerate(trace.snapshots):
-        row = [state.t, state.step, *trace.stats[record]]
+    for record, (t, step) in enumerate(trace.records):
+        row = [t, step, *trace.stats[record]]
         for mid in monitor_ids:
             row.append(margins.get((record, mid)))
         rows.append(row)
@@ -450,7 +479,7 @@ def write_run_dir(trace: FlowTrace, out_dir: str | Path) -> dict[str, str]:
     manifest = {
         "schema_version": 1,
         "config": dataclasses.asdict(trace.config),
-        "snapshot_count": len(trace.snapshots),
+        "snapshot_count": len(trace.records),
         "report_count": len(trace.reports),
         "event_count": len(trace.events),
         "files": files,

@@ -12,7 +12,7 @@ A probe column fails graphicality three ways: no sheet in the height range
 extraction is ill-posed (tangency).  A report is graphical exactly when it
 carries no witness.
 
-`record_probe` builds a probe list, [(state, GraphReport)], as run_flow
+`record_probe` builds a probe list, [(t, GraphReport)], as run_flow
 records each state; `first_nongraphical_time` and `first_graphical_time`
 read it and probe nothing again.
 """
@@ -247,14 +247,15 @@ def is_graphical(surface, cyl: Cylinder) -> GraphReport:
 
 
 def record_probe(cyl: Cylinder, probes: list, until_lost: bool = False):
-    """A run_flow monitor that appends (state, its report in `cyl`) to the
-    probe list `probes` as each state is recorded and returns no report;
-    with `until_lost`, none after the first non-graphical report."""
+    """A run_flow monitor that appends (t, the state's report in `cyl`) to
+    the probe list `probes` as each state is recorded and returns no report;
+    with `until_lost`, none after the first non-graphical report.  The list
+    holds no state, so it keeps no surface alive."""
 
     def probe(trace, state):
         if until_lost and probes and not probes[-1][1].graphical:
             return
-        probes.append((state, is_graphical(state.surface, cyl)))
+        probes.append((state.t, is_graphical(state.surface, cyl)))
 
     return probe
 
@@ -262,7 +263,7 @@ def record_probe(cyl: Cylinder, probes: list, until_lost: bool = False):
 def first_nongraphical_time(probes) -> float | None:
     """Earliest time in the probe list whose report is not graphical; None
     if never."""
-    return next((state.t for state, rep in probes if not rep.graphical), None)
+    return next((t for t, rep in probes if not rep.graphical), None)
 
 
 def first_graphical_time(probes) -> float | None:
@@ -275,4 +276,4 @@ def first_graphical_time(probes) -> float | None:
         run = run + 1 if probes[i][1].graphical else 0
         if run >= HOLD_RECORDS or run == len(probes) - i:
             first = i
-    return None if first is None else probes[first][0].t
+    return None if first is None else probes[first][0]

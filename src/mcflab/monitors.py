@@ -391,6 +391,69 @@ def check_gradient_bound_EH(
     return MonitorReport(monitor_id=mid, t=state_t.t, value=value, bound=bound)
 
 
+class CurvatureWindowEH:
+    """check_curvature_bound_EH's window, taken in one recorded state at a
+    time: the first state's time, the last state and the running sup of
+    (1+|Df|^2)^2 over B^n(x0_hat, 2 rho), so no state need be kept.  As a
+    run_flow monitor it takes in each recorded state and returns no report;
+    `report()` checks the window from the first state taken in to the last."""
+
+    def __init__(self, x0, rho: float, c_hat: float):
+        if rho <= 0 or c_hat <= 0:
+            raise ConfigError("need rho > 0 and c_hat > 0")
+        self.x0 = np.asarray(x0, dtype=float)
+        self.rho = rho
+        self.c_hat = c_hat
+        self.count = 0
+        self.s1 = 0.0
+        self.last = None
+        self.sup_df = 0.0
+        self.reason = None  # why a state cannot enter the bound, if one cannot
+
+    def __call__(self, trace, state) -> None:
+        self.add(state)
+
+    def add(self, state) -> None:
+        if self.count == 0:
+            self.s1 = state.t
+        self.count += 1
+        self.last = state
+        surf = state.surface
+        if self.reason is not None:
+            return
+        if not isinstance(surf, GraphPatch):
+            self.reason = "requires graph states"
+            return
+        if np.linalg.norm(surf.center - self.x0[:-1]) + 2 * self.rho > surf.radius + surf.spacing:
+            self.reason = "patch does not cover B(x0, 2 rho)"
+            return
+        act = surf.active
+        base = np.linalg.norm(surf.nodes[act] - self.x0[:-1], axis=1)
+        df = gradient_raw(surf.values, surf.spacing)[act]  # builds no cache
+        sel = base <= 2 * self.rho
+        w = 1.0 + np.sum(df[sel] ** 2, axis=-1)
+        self.sup_df = max(self.sup_df, float(np.max(w**2)))
+
+    def report(self) -> MonitorReport:
+        mid = "curvature_bound_eh"
+        if self.count < 2:
+            return _skipped(mid, self.last.t if self.last else 0.0, "window too short")
+        s = self.last.t
+        if s <= self.s1:
+            return _skipped(mid, s, "window has zero duration")
+        if self.reason is not None:
+            return _skipped(mid, s, self.reason)
+        final = self.last.surface
+        act = final.active
+        base = np.linalg.norm(final.nodes[act] - self.x0[:-1], axis=1)
+        sel = base <= self.rho
+        df = gradient_field(final)[act][sel]
+        d2f = hessian_field(final)[act][sel]
+        value = float(np.max(second_fundamental_norm(df, d2f) ** 2))
+        bound = self.c_hat * (1.0 / (s - self.s1) + 1.0 / self.rho**2) * self.sup_df
+        return MonitorReport(monitor_id=mid, t=s, value=value, bound=bound)
+
+
 def check_curvature_bound_EH(
     states: Sequence,
     x0,
@@ -398,38 +461,12 @@ def check_curvature_bound_EH(
     c_hat: float,
 ) -> MonitorReport:
     """max |A|^2 over the final lift of B^n(x0_hat, rho) against
-    c_hat ((s-s1)^-1 + rho^-2) sup_{[s1,s]} sup_{B^n(x0_hat, 2 rho)} (1+|Df|^2)^2."""
-    mid = "curvature_bound_eh"
-    if rho <= 0 or c_hat <= 0:
-        raise ConfigError("need rho > 0 and c_hat > 0")
-    if len(states) < 2:
-        return _skipped(mid, states[-1].t if states else 0.0, "window too short")
-    x0 = np.asarray(x0, dtype=float)
-    s1, s = states[0].t, states[-1].t
-    if s <= s1:
-        return _skipped(mid, s, "window has zero duration")
-    sup_df = 0.0
-    for st in states:
-        surf = st.surface
-        if not isinstance(surf, GraphPatch):
-            return _skipped(mid, s, "requires graph states")
-        if np.linalg.norm(surf.center - x0[:-1]) + 2 * rho > surf.radius + surf.spacing:
-            return _skipped(mid, s, "patch does not cover B(x0, 2 rho)")
-        act = surf.active
-        base = np.linalg.norm(surf.nodes[act] - x0[:-1], axis=1)
-        df = gradient_raw(surf.values, surf.spacing)[act]  # builds no cache
-        sel = base <= 2 * rho
-        w = 1.0 + np.sum(df[sel] ** 2, axis=-1)
-        sup_df = max(sup_df, float(np.max(w**2)))
-    final = states[-1].surface
-    act = final.active
-    base = np.linalg.norm(final.nodes[act] - x0[:-1], axis=1)
-    sel = base <= rho
-    df = gradient_field(final)[act][sel]
-    d2f = hessian_field(final)[act][sel]
-    value = float(np.max(second_fundamental_norm(df, d2f) ** 2))
-    bound = c_hat * (1.0 / (s - s1) + 1.0 / rho**2) * sup_df
-    return MonitorReport(monitor_id=mid, t=s, value=value, bound=bound)
+    c_hat ((s-s1)^-1 + rho^-2) sup_{[s1,s]} sup_{B^n(x0_hat, 2 rho)} (1+|Df|^2)^2,
+    over the window from states[0] to states[-1] (`CurvatureWindowEH`)."""
+    window = CurvatureWindowEH(x0, rho, c_hat)
+    for state in states:
+        window.add(state)
+    return window.report()
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,19 @@ verdict, never asserted against externally invented values.
 Each scenario probes its states in its cylinders as run_flow records them,
 while their caches are live (`graphicality.record_probe`, one of the flow's
 monitors); its graphicality milestones read the probe lists that builds.
+Whatever else a scenario reads of every state (the square's envelope rows,
+flat_plane's curvature window) it also takes at record time, so a flow keeps
+only its monitor window.
 
 Flows that read no other flow's result run in `_util.worker_pool`: the
 fold's calibration and doubled-gamma flows beside its main flow, and the
 stay family's members beside its first.  A task returns only what its caller
-reads.  A run directory is written once every flow is done, and
-`verdict.json` last.  No byte depends on the worker count.
+reads.  The main flow streams its states into run/ as it records them
+(`flow.RunDirSink`); the stay family's representative is known only once
+every member has run, so its members keep their small states in a list and
+the representative's go to run/ then.  run/ is ended once every flow is
+done, then the extra CSVs, and `verdict.json` last.  No byte depends on the
+worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 
 from ._util import (ConfigError, ValidationError, canonical_dumps, finite_float, worker_pool,
                     write_csv, write_text_sha256)
-from .flow import CFL, FlowConfig, FlowState, run_flow, write_run_dir
+from .flow import CFL, FlowConfig, FlowState, RunDirSink, run_flow, write_run_dir
 from .geometry import (
     ClosedCurve,
     CurveKernel,
@@ -60,9 +67,9 @@ from .graphicality import (
     vertical_crossings,
 )
 from .monitors import (
+    CurvatureWindowEH,
     calibrate_constant,
     check_brakke_identity,
-    check_curvature_bound_EH,
     check_gradient_bound_EH,
     check_height_bound,
     check_measure_bound,
@@ -122,27 +129,33 @@ def monitor_battery(rho: float = 1.0, y0=(0.0, 0.0)):
     ]
 
 
-def _monitored_flow(surface, config, *extra, rho=1.0, y0=(0.0, 0.0)):
+def _monitored_flow(surface, config, *extra, rho=1.0, y0=(0.0, 0.0), sink=None):
     """run_flow from `surface` under the monitor battery (centred at y0,
-    radius rho), then the `extra` per-record monitors: (trace, one failure
-    line per monitor_failure event)."""
+    radius rho), then the `extra` per-record monitors, into `sink`: (trace,
+    one failure line per monitor_failure event)."""
     battery = monitor_battery(rho, y0) + list(extra)
-    trace = run_flow(FlowState(surface), config, monitors=battery)
+    trace = run_flow(FlowState(surface), config, monitors=battery, sink=sink)
     failures = [f"monitor {ev['monitor_id']} failed at t={ev['t']}: margin {ev['margin']}"
                 for ev in trace.events_of("monitor_failure")]
     return trace, failures
 
 
-def _finish(scenario, measured, failures, out_dir, traces, extra_csv=None, workers=1):
-    """The scenario's result; given an out_dir, it also writes traces["run"]
-    as run/, then each extra CSV ({name: (header, rows)}), then verdict.json,
-    and records {relative path: sha256} of each file in result.outputs."""
+def _run_dir(out_dir):
+    """The sink that streams the main flow's states into out_dir/run, or
+    None without an out_dir."""
+    return None if out_dir is None else RunDirSink(Path(out_dir) / "run")
+
+
+def _finish(scenario, measured, failures, run_dir, traces, extra_csv=None, workers=1):
+    """The scenario's result; given the `_run_dir` sink that received
+    traces["run"]'s states, it also ends run/, then writes each extra CSV
+    ({name: (header, rows)}) and verdict.json beside it, and records
+    {relative path: sha256} of each file in result.outputs."""
     result = ScenarioResult(scenario, measured, failures, traces, workers)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if run_dir is not None:
+        out = run_dir.out.parent
         outputs = {f"run/{rel}": digest
-                   for rel, digest in write_run_dir(traces["run"], out / "run").items()}
+                   for rel, digest in write_run_dir(traces["run"], run_dir).items()}
         for name, (header, rows) in (extra_csv or {}).items():
             outputs[name] = write_csv(out / name, header, rows)
         outputs["verdict.json"] = write_text_sha256(out / "verdict.json",
@@ -315,25 +328,25 @@ def scenario_flat_plane(
         radius=radius,
         nodes_per_axis=resolution,
     )
+    curvature = CurvatureWindowEH((0.0, value), rho=radius / 4, c_hat=1.0)
+    run_dir = _run_dir(out_dir)
     trace, failures = _monitored_flow(
         patch, FlowConfig(t_end=t_end, record_stride=1),
-        windowed_monitor(check_measure_bound, 0, (0.0, value), radius / 2),
-        rho=radius / 2, y0=(0.0, value),
+        windowed_monitor(check_measure_bound, 0, (0.0, value), radius / 2), curvature,
+        rho=radius / 2, y0=(0.0, value), sink=run_dir,
     )
     height = check_height_bound(
         trace.snapshots[0], trace.final, (0.0, value), R=radius / 2, r0=1e-9, c_hat=1.0
     )
     if not height.passed and not height.skipped:
         failures.append(f"height bound failed: margin {height.margin}")
-    curv = check_curvature_bound_EH(
-        trace.snapshots, (0.0, value), rho=radius / 4, c_hat=1.0
-    )
+    curv = curvature.report()
     if not curv.passed and not curv.skipped:
         failures.append(f"curvature bound failed: margin {curv.margin}")
 
     measured = {
         "resolution": resolution,
-        "records": len(trace.snapshots),
+        "records": len(trace.records),
         "reports": len(trace.reports),
         "reports_failed": sum(
             1 for r in trace.reports if not r.passed and not r.skipped
@@ -344,7 +357,7 @@ def scenario_flat_plane(
         "height_margin": height.margin,
         "curvature_margin": curv.margin,
     }
-    return _finish("flat_plane", measured, failures, out_dir, {"run": trace})
+    return _finish("flat_plane", measured, failures, run_dir, {"run": trace})
 
 
 def _graph_radius(values: np.ndarray, axis: np.ndarray, spacing: float,
@@ -358,34 +371,37 @@ def _graph_radius(values: np.ndarray, axis: np.ndarray, spacing: float,
 
 def _stay_member(i, values, config, L):
     """One stay_graphical family member, run and probed in C(0,1,1) (a pool
-    task but for member 0): its failures, its family.csv row and its trace if it can be the
-    representative, the member with the least (kappa candidate, index): the
-    first member, or one that leaves the cylinder before the horizon."""
+    task but for member 0): its failures, its family.csv row and, if it can
+    be the representative, its trace and recorded states.  The representative
+    is the member with the least (kappa candidate, index): the first member,
+    or one that leaves the cylinder before the horizon."""
     axis = _patch_axis(2.0, values.shape[0])
     patch = _line_patch(axis, values)
     cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
     probes = []
+    states = []
     trace, mon_fail = _monitored_flow(patch, config,
-                                      record_probe(cyl, probes, until_lost=True))
+                                      record_probe(cyl, probes, until_lost=True),
+                                      sink=states.append)
     failures = [f"flow {i}: {m}" for m in mon_fail]
 
     fnt = first_nongraphical_time(probes)
     flow_grad = 0.0
     flow_lambda = 0.0
     graphical = probes if fnt is None else probes[:-1]  # until_lost: only the last fails
-    for state, rep in graphical:
+    for (t, rep), state in zip(graphical, states):  # probes[k] is record k's
         flow_grad = max(flow_grad, rep.sup_grad)
-        if state.t > 0:
+        if t > 0:
             r_ok = _graph_radius(state.surface.values, axis, patch.spacing, cyl.height)
             if r_ok < 2.0:
-                flow_lambda = max(flow_lambda, (2.0 - r_ok) / math.sqrt(state.t))
-    if trace.events_of("blow_up") and len(trace.snapshots) <= 1:
+                flow_lambda = max(flow_lambda, (2.0 - r_ok) / math.sqrt(t))
+    if trace.events_of("blow_up") and len(trace.records) <= 1:
         fnt = 0.0
     if flow_grad > 4.0 * L:
         failures.append(f"flow {i}: sup|Dg| {flow_grad:.6g} exceeds 4L = {4.0 * L}")
     row = [i, fnt, flow_lambda, flow_grad, len(mon_fail)]
     keep = i == 0 or (fnt is not None and fnt < config.t_end)
-    return failures, row, trace if keep else None
+    return failures, row, (trace, states) if keep else None
 
 
 def scenario_stay_graphical(
@@ -420,7 +436,11 @@ def scenario_stay_graphical(
     fnts = [row[1] for row in rows]
     candidates = [t_end if fnt is None else fnt for fnt in fnts]
     kappa_hat = min(candidates)
-    rep_trace = members[candidates.index(kappa_hat)][2]
+    rep_trace, rep_states = members[candidates.index(kappa_hat)][2]
+    run_dir = _run_dir(out_dir)
+    if run_dir is not None:
+        for state in rep_states:
+            run_dir(state)
     censored = all(f is None for f in fnts)
     if kappa_hat <= 0:
         failures.append(f"kappa_hat = {kappa_hat} is not positive")
@@ -436,7 +456,7 @@ def scenario_stay_graphical(
         "grad_bound": 4.0 * L,
     }
     header = ["flow", "kappa_candidate", "lambda_hat", "sup_grad_max", "monitor_failures"]
-    return _finish("stay_graphical", measured, failures, out_dir, {"run": rep_trace},
+    return _finish("stay_graphical", measured, failures, run_dir, {"run": rep_trace},
                    {"family.csv": (header, rows)}, workers=pool.workers)
 
 
@@ -454,17 +474,17 @@ def scenario_flat_stay_graphical(
     axis = _patch_axis(2.0, resolution)
     values = l * (2.0 / np.pi) * np.sin(0.5 * np.pi * axis)
     probes = []
+    run_dir = _run_dir(out_dir)
     trace, failures = _monitored_flow(
         _line_patch(axis, values), _graph_config(axis, l, t_end, 50),
-        record_probe(Cylinder((0.0, 0.0), rho, 1.0), probes), rho=rho,
+        record_probe(Cylinder((0.0, 0.0), rho, 1.0), probes), rho=rho, sink=run_dir,
     )
     max_h_ratio = max_g_ratio = max_d2_ratio = 0.0
     d2_sqrt_t = []
-    for state, rep in probes:
+    for t, rep in probes:
         if not rep.graphical:
-            failures.append(f"not graphical in C(0,{rho},1) at t={state.t}")
+            failures.append(f"not graphical in C(0,{rho},1) at t={t}")
             continue
-        t = state.t
         max_h_ratio = max(
             max_h_ratio, rep.sup_height / (2 * l * rho + c_hat * t / rho)
         )
@@ -493,7 +513,7 @@ def scenario_flat_stay_graphical(
         "hess_ratio": max_d2_ratio,
         "d2_sqrt_t_max": max(d2_sqrt_t) if d2_sqrt_t else 0.0,
     }
-    return _finish("flat_stay_graphical", measured, failures, out_dir, {"run": trace})
+    return _finish("flat_stay_graphical", measured, failures, run_dir, {"run": trace})
 
 
 def scenario_shrinking_square(
@@ -524,44 +544,43 @@ def scenario_shrinking_square(
     stride = max(1, int(3 * t_upper / dt0) // 600)
     config = FlowConfig(t_end=2.0, record_stride=stride, remesh_spacing=e0)
     probes22, probes11 = [], []
+    rows = []  # envelopes.csv: one row per record
+
+    def envelope_row(trace, state):
+        t = state.t
+        max_d = float(np.max(np.sqrt(sum_squares(state.surface.vertices, inner))))
+        min_d = curve_point_distance(state.surface, inner)
+        r_t = math.sqrt(1 - 2 * t) if t < 0.5 else None
+        big = 3 + 3 * epsilon - 2 * t
+        rows.append([t, math.sqrt(big) if big > 0 else None, r_t, min_d, max_d])
+
+    run_dir = _run_dir(out_dir)
     trace, failures = _monitored_flow(
         curve, config,
         windowed_monitor(check_height_bound, 0, (0.0, 0.0), R=1.0, r0=0.05, c_hat=2.0),
         record_probe(Cylinder((0.0, 0.0), 2.0, 2.0), probes22, until_lost=True),
         record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes11, until_lost=True),
-        y0=(0.0, 1.0),
+        envelope_row, y0=(0.0, 1.0), sink=run_dir,
     )
     failures.extend(
         f"non-simple at step {ev['step']}" for ev in trace.events_of("non_simple")
     )
 
     r0_literal = math.sqrt(3 + 3 * epsilon)
-    d0 = np.sqrt(sum_squares(trace.snapshots[0].surface.vertices, inner))
-    r0_measured = float(np.max(d0)) * (1 + 1e-6)
-
-    rows = []
+    r0_measured = rows[0][4] * (1 + 1e-6)
     literal_violation = 0.0
     containment_margin = math.inf
     avoidance_margin = math.inf
-    for state in trace.snapshots:
-        v = state.surface.vertices
-        t = state.t
-        d = np.sqrt(sum_squares(v, inner))
-        max_d = float(np.max(d))
-        min_d = curve_point_distance(state.surface, inner)
-        r_t = math.sqrt(1 - 2 * t) if t < 0.5 else None
-        big = 3 + 3 * epsilon - 2 * t
-        r_lit = math.sqrt(big) if big > 0 else None
+    for t, r_lit, r_t, min_d, max_d in rows:
         if r_lit is not None:
             literal_violation = max(literal_violation, max_d - r_lit)
         r_hat = math.sqrt(r0_measured**2 - 2 * t)
         containment_margin = min(containment_margin, r_hat - max_d)
         if r_t is not None:
             avoidance_margin = min(avoidance_margin, min_d - r_t)
-        rows.append([t, r_lit, r_t, min_d, max_d])
     # a probe list ends at its first non-graphical record, if it has one
     t_ng22 = first_nongraphical_time(probes22)
-    t_ng22_prev = probes22[-2][0].t if t_ng22 is not None and len(probes22) > 1 else None
+    t_ng22_prev = probes22[-2][0] if t_ng22 is not None and len(probes22) > 1 else None
     t_ng11 = first_nongraphical_time(probes11)
 
     T = trace.extinction_time
@@ -611,7 +630,7 @@ def scenario_shrinking_square(
         "avoidance_margin": avoidance_margin,
     }
     header = ["t", "R", "r", "min_dist_to_inner", "max_dist_to_center"]
-    return _finish("shrinking_square", measured, failures, out_dir, {"run": trace},
+    return _finish("shrinking_square", measured, failures, run_dir, {"run": trace},
                    {"envelopes.csv": (header, rows)})
 
 
@@ -625,8 +644,7 @@ def _fold_graphicality(probes):
     if t_graph is None:
         return None, ratios
     rho = probes[0][1].cylinder.radius
-    for state, rep in probes:
-        t = state.t
+    for t, rep in probes:
         if t < t_graph or t <= 0 or not rep.graphical:
             continue
         ratios[0] = max(ratios[0], rep.sup_height / (t / rho))
@@ -635,25 +653,24 @@ def _fold_graphicality(probes):
     return t_graph, ratios
 
 
-def _run_fold(L, gamma, spacing, t_end):
-    """One fold flow, probed in C(0,1,1) as it records: (trace, failures,
-    extra length, _fold_graphicality)."""
+def _run_fold(L, gamma, spacing, t_end, sink=None):
+    """One fold flow, probed in C(0,1,1) as it records, into `sink`: (trace,
+    failures, extra length, _fold_graphicality)."""
     verts, extra, w = _fold_vertices(L, gamma, spacing)
     curve = ClosedCurve(verts, closed=False)
     dt0 = CFL * float(np.min(edge_lengths(curve))) ** 2
     config = FlowConfig(t_end=t_end, record_stride=max(1, int(t_end / dt0) // 80))
     probes = []
     trace, failures = _monitored_flow(curve, config,
-                                      record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes))
+                                      record_probe(Cylinder((0.0, 0.0), 1.0, 1.0), probes),
+                                      sink=sink)
     return trace, failures, extra, _fold_graphicality(probes)
 
 
 def _fold_aux(L, gamma, spacing, t_end):
-    """An auxiliary fold flow (a pool task): its trace cut to the final state,
-    and its _fold_graphicality.  Its reports, events and report_records (which
-    keep the original record indices) stay."""
+    """An auxiliary fold flow (a pool task), which writes no state: its trace
+    and its _fold_graphicality."""
     trace, _, _, graphicality = _run_fold(L, gamma, spacing, t_end)
-    del trace.snapshots[:-1], trace.stats[:-1]
     return trace, graphicality
 
 
@@ -686,8 +703,9 @@ def scenario_become_graphical(
     with worker_pool(len(aux)) as pool:
         pending = {tag: pool.submit(_fold_aux, L, g, spacing, t_end)
                    for tag, (g, spacing) in aux.items()}
+        run_dir = _run_dir(out_dir)
         trace, failures, extra_len, (t_graph, ratios) = _run_fold(
-            L, gamma, base_spacing, t_end)
+            L, gamma, base_spacing, t_end, run_dir)
         traces = {"run": trace}
         probes = {}
         for tag, future in pending.items():
@@ -721,7 +739,7 @@ def scenario_become_graphical(
         "c_hat_grad": c_hats[1],
         "c_hat_hess": c_hats[2],
     }
-    return _finish("become_graphical", measured, failures, out_dir, traces,
+    return _finish("become_graphical", measured, failures, run_dir, traces,
                    workers=pool.workers)
 
 
@@ -751,19 +769,21 @@ def scenario_bounded_curvature(
 
     gamma_h = float(np.max(np.abs(values))) + 0.5
     probes = []
+    run_dir = _run_dir(out_dir)
     trace, failures = _monitored_flow(
         patch, _graph_config(axis, L, t_end, 50),
         record_probe(Cylinder((0.0, 0.0), rho, gamma_h), probes, until_lost=True), rho=rho,
+        sink=run_dir,
     )
     sigma_end = first_nongraphical_time(probes)
     tilt_max = 0.0
     a_sqrt_t = 0.0
     # each record's (measure, max|Df| = g, max|A|); the max tilt is g^2/(1+g^2)
     graphical = probes if sigma_end is None else probes[:-1]  # until_lost: only the last fails
-    for (state, _), (_, g, a_now) in zip(graphical, trace.stats):
+    for (t, _), (_, g, a_now) in zip(graphical, trace.stats):
         tilt_max = max(tilt_max, g * g / (1.0 + g * g))
-        if state.t > 0:
-            a_sqrt_t = max(a_sqrt_t, a_now * math.sqrt(state.t))
+        if t > 0:
+            a_sqrt_t = max(a_sqrt_t, a_now * math.sqrt(t))
     censored = sigma_end is None
     sigma_hat = (t_end if censored else sigma_end) / rho**2
     if sigma_hat <= 0:
@@ -784,24 +804,7 @@ def scenario_bounded_curvature(
         "tilt_max": tilt_max,
         "a_sqrt_t_max": a_sqrt_t,
     }
-    return _finish("bounded_curvature", measured, failures, out_dir, {"run": trace})
-
-
-def calibrate_eh_curvature() -> dict:
-    """Three-resolution calibration of the curvature-bound constant on the
-    steep ramp family (L 2, rho 0.5, t_end 0.02); returns per-resolution
-    ratios and c_hat = 2 x max."""
-    L, rho, t_end = 2.0, 0.5, 0.02
-    ratios = {}
-    for res in (128, 192, 256):
-        axis = _patch_axis(2.0, res)
-        patch = _line_patch(axis, _ramp(axis, L, 2.25))
-        trace = run_flow(FlowState(patch), _graph_config(axis, L, t_end, 25))
-        report = check_curvature_bound_EH(trace.snapshots, (0.0, 0.0), rho=rho, c_hat=1.0)
-        if report.skipped:
-            raise ConfigError(f"calibration run skipped: {report.reason}")
-        ratios[res] = report.value / report.bound
-    return {"c_hat": calibrate_constant(list(ratios.values())), "ratios": ratios}
+    return _finish("bounded_curvature", measured, failures, run_dir, {"run": trace})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcflab.flow import RunDirSink, run_flow, write_run_dir
 from mcflab.geometry import ClosedCurve, CurveKernel, curve_segments
 
 
@@ -10,6 +11,28 @@ def make_circle(radius=1.0, m=256, center=(0.0, 0.0), time=0.0):
         [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)], axis=1
     )
     return ClosedCurve(vertices=verts, time=time)
+
+
+def run_states(initial, config, monitors=(), sink=None):
+    """run_flow with a list sink: (trace, every recorded state).  A trace
+    keeps only its first and last state; `sink`, if given, also receives
+    each state as it is recorded."""
+    states = []
+
+    def keep(state):
+        states.append(state)
+        if sink is not None:
+            sink(state)
+
+    return run_flow(initial, config, monitors, sink=keep), states
+
+
+def run_to_dir(initial, config, out, monitors=()):
+    """run_flow streamed into the run directory `out`: (trace, every
+    recorded state, {relative path: sha256} of the files written)."""
+    run_dir = RunDirSink(out)
+    trace, states = run_states(initial, config, monitors, sink=run_dir)
+    return trace, states, write_run_dir(trace, run_dir)
 
 
 def count_kernels(monkeypatch) -> list:

@@ -41,11 +41,16 @@ from mcflab.geometry import (
 )
 from mcflab.monitors import (
     IDENTITY_TOL_REL_DEFAULT,
+    calibrate_constant,
     check_brakke_identity,
+    check_curvature_bound_EH,
     phi_rho_cubed_field,
 )
 from mcflab.scenarios import (
-    calibrate_eh_curvature,
+    _graph_config,
+    _line_patch,
+    _patch_axis,
+    _ramp,
     scenario_become_graphical,
     scenario_bounded_curvature,
     scenario_flat_plane,
@@ -54,7 +59,7 @@ from mcflab.scenarios import (
     scenario_stay_graphical,
 )
 
-from conftest import fitted_order, make_circle
+from conftest import fitted_order, make_circle, run_states
 
 MONO_IDS = ("phi_monotonicity", "upsilon_monotonicity")
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,9 +79,9 @@ def out_root(tmp_path_factory):
 @pytest.fixture(scope="module")
 def circle_run():
     t0 = time.monotonic()
-    trace = run_flow(make_circle(radius=1.0, m=512),
-                     FlowConfig(t_end=0.6, record_stride=200))
-    return trace, time.monotonic() - t0
+    trace, states = run_states(make_circle(radius=1.0, m=512),
+                               FlowConfig(t_end=0.6, record_stride=200))
+    return trace, states, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +138,9 @@ def battery(square_result, stay_results, fold_result, small_scenarios):
 
 
 def test_criterion_01_circle_tracks_exact_radius(circle_run):
-    trace, elapsed = circle_run
+    trace, states, elapsed = circle_run
     worst = 0.0
-    for state in trace.snapshots:
+    for state in states:
         if state.t > 0.45:
             break
         r_disc = float(np.max(np.linalg.norm(state.surface.vertices, axis=1)))
@@ -341,6 +346,23 @@ def test_criterion_05_identity_divergence_form():
 # ---------------------------------------------------------------------------
 
 
+def _calibrate_eh_curvature() -> dict:
+    """Three-resolution calibration of the curvature-bound constant on the
+    steep ramp family (L 2, rho 0.5, t_end 0.02), each run's states kept by
+    a list sink; returns per-resolution ratios and c_hat = 2 x max."""
+    L, rho, t_end = 2.0, 0.5, 0.02
+    ratios = {}
+    for res in (128, 192, 256):
+        axis = _patch_axis(2.0, res)
+        states = []
+        run_flow(FlowState(_line_patch(axis, _ramp(axis, L, 2.25))),
+                 _graph_config(axis, L, t_end, 25), sink=states.append)
+        report = check_curvature_bound_EH(states, (0.0, 0.0), rho=rho, c_hat=1.0)
+        assert not report.skipped, f"calibration run skipped: {report.reason}"
+        ratios[res] = report.value / report.bound
+    return {"c_hat": calibrate_constant(list(ratios.values())), "ratios": ratios}
+
+
 def test_criterion_06_eh_monitors_and_calibration(battery):
     ran = 0
     failures = []
@@ -355,7 +377,7 @@ def test_criterion_06_eh_monitors_and_calibration(battery):
                     if not rep.passed and not rep.skipped:
                         failures.append(f"{name}: gradient_bound_eh "
                                         f"margin {rep.margin}")
-    cal = calibrate_eh_curvature()
+    cal = _calibrate_eh_curvature()
     ratios = cal["ratios"]
     print(f"criterion 6: {ran} gradient reports, {len(failures)} failures; "
           f"L=2 ratios {ratios}, c_hat {cal['c_hat']:.3f}")
@@ -415,43 +437,40 @@ def test_criterion_08_fold_becomes_graphical(fold_result):
         assert math.isfinite(m[key]) and m[key] > 0.0
 
 
-def test_criterion_08_fold_traces_hold_bounded_memory(fold_result):
-    """The auxiliary fold flows keep every report and event but only their
-    final state; the main flow's probes, taken as each state is recorded,
-    and its persistence leave every state but the first and the last
-    without a cache."""
+def test_criterion_08_fold_traces_hold_bounded_memory(fold_result, out_root):
+    """Every fold flow keeps every report, event and record but only its
+    first and its final state: the main flow streams each state to
+    run/snapshots as it records it, and the auxiliary flows write none."""
     res, _ = fold_result
+    for tag in ("run", "cal_mid", "cal_fine", "doubled"):
+        trace = res.traces[tag]
+        assert [s.step for s in trace.snapshots] == [0, trace.records[-1][1]]
     for tag in ("cal_mid", "cal_fine", "doubled"):
         trace = res.traces[tag]
         records = trace.report_records
-        assert len(trace.snapshots) <= 1
         assert len(records) == len(trace.reports) > 0
         assert set(records) == set(range(1, records[-1] + 1))
         failing = [r for r in trace.reports if not r.passed and not r.skipped]
         assert len(trace.events_of("monitor_failure")) == len(failing)
         assert trace.events_of("horizon") or trace.extinction_time is not None
-    run = res.traces["run"].snapshots
-    print(f"criterion 8 (memory): {len(run)} main-flow states, "
-          f"{sum(bool(s.surface._cache) for s in run)} with a cache")
-    assert len(run) > 2
-    for state in run[1:-1]:
-        assert state.surface._cache == {}
+    run = res.traces["run"]
+    written = sorted((out_root / "fold" / "run" / "snapshots").iterdir())
+    print(f"criterion 8 (memory): {len(run.records)} main-flow records, "
+          f"{len(written)} snapshots written, {len(run.snapshots)} states held")
+    assert len(written) == len(run.records) > 2
 
 
 def test_scenarios_keep_the_release_rule(battery):
-    """run_flow releases a recorded state's cache once the next state is
-    recorded, and no scenario reads a released state back into a cache: when
-    a scenario has returned, every trace it keeps holds at most the caches of
-    its first and its last state."""
+    """run_flow drops a recorded state from its trace, and releases its
+    cache, once the next state is recorded: when a scenario has returned,
+    every trace it keeps holds its first and its last state and no other."""
     held = {}
     for name, res in battery:
         for tag, trace in res.traces.items():
-            cached = [i for i, state in enumerate(trace.snapshots[1:-1], 1)
-                      if state.surface._cache]
-            if cached:
-                held[f"{name}/{tag}"] = f"{len(cached)} states, from record {cached[0]}"
+            if len(trace.snapshots) != min(2, len(trace.records)):
+                held[f"{name}/{tag}"] = f"{len(trace.snapshots)} of {len(trace.records)} states"
     print(f"release rule: {len(battery)} scenario runs, "
-          f"{len(held)} traces with a released state's cache rebuilt")
+          f"{len(held)} traces holding states beyond their window")
     assert held == {}
 
 

@@ -10,8 +10,10 @@ import pytest
 from mcflab import scenarios
 from mcflab._util import ConfigError, GeometryError, ValidationError, sha256_file, write_csv
 from mcflab.cli import main
-from mcflab.flow import BlowUp, FlowConfig, StepRejected, run_flow, write_run_dir
+from mcflab.flow import BlowUp, FlowConfig, StepRejected
 from mcflab.geometry import ClosedCurve, GraphPatch
+
+from conftest import run_to_dir
 
 
 def _write_spec(path, doc):
@@ -291,14 +293,14 @@ def _initial(kind):
 def test_plotdata_snapshots_are_the_trace_floats(tmp_path, kind):
     """plotdata decodes each snapshot to exactly the floats the trace held:
     its snapshots.csv equals one written straight from the trace."""
-    trace = run_flow(_initial(kind), FlowConfig(t_end=1e-4, dt=1e-5, record_stride=3))
-    assert len(trace.snapshots) > 2
     run = tmp_path / "run"
-    write_run_dir(trace, run)
+    _, states, _ = run_to_dir(_initial(kind), FlowConfig(t_end=1e-4, dt=1e-5, record_stride=3),
+                              run)
+    assert len(states) > 2
     assert main(["plotdata", "--run", str(run), "--kind", "snapshots",
                  "--out", str(tmp_path / "plots")]) == 0
     rows = []
-    for idx, state in enumerate(trace.snapshots):
+    for idx, state in enumerate(states):
         surf = state.surface
         if kind == "open":
             header = ["snapshot", "t", "i", "x", "y"]
@@ -333,6 +335,63 @@ def test_rerun_leaves_no_stale_snapshots(tmp_path):
     assert main(["plotdata", "--run", str(out), "--kind", "snapshots"]) == 0
     rows = (out / "plots" / "snapshots.csv").read_text().splitlines()[1:]
     assert {row.split(",")[0] for row in rows} == {"0", "1"}
+
+
+def test_streamed_rerun_with_fewer_records_rehashes_every_entry(tmp_path):
+    """run/ is streamed as the flow records: a second run into the same
+    --out with fewer records clears the first run's snapshots before its
+    own first write, so only its own are on disk, and every entry of
+    run_manifest.json and of run/manifest.json re-hashes from the disk."""
+    out = tmp_path / "out"
+    counts = []
+    for t_end in (0.02, 0.005):
+        doc = {"schema_version": 1, "scenario": "flat_stay_graphical", "resolution": 32,
+               "params": {"t_end": t_end}}
+        assert main(["run", "--spec", _write_spec(tmp_path / "fs.json", doc),
+                     "--out", str(out)]) == 0
+        counts.append(json.loads((out / "run" / "manifest.json").read_text())["snapshot_count"])
+    assert counts[0] > counts[1] > 2
+    on_disk = sorted(p.name for p in (out / "run" / "snapshots").iterdir())
+    assert on_disk == [f"{i:04d}.json" for i in range(counts[1])]
+    inventory = json.loads((out / "run_manifest.json").read_text())["files"]
+    assert set(inventory) == {p.relative_to(out).as_posix() for p in out.rglob("*")
+                              if p.is_file() and p.name != "run_manifest.json"}
+    for rel, digest in inventory.items():
+        assert sha256_file(out / rel) == digest
+    listed = json.loads((out / "run" / "manifest.json").read_text())["files"]
+    assert {rel: inventory[f"run/{rel}"] for rel in listed} == listed
+
+
+def test_monitor_error_mid_run_leaves_an_incomplete_run_dir(tmp_path, monkeypatch, capsys):
+    """A monitor that raises at record k ends a streamed run: run/ keeps
+    snapshots 0..k-1 and no manifest.json, not even the one an earlier
+    complete run left there, and plotdata refuses the directory as
+    incomplete."""
+    out = tmp_path / "out"
+    spec = _write_spec(tmp_path / "flat.json", {**FLAT, "params": {"t_end": 0.05}})
+    assert main(["run", "--spec", spec, "--out", str(out)]) == 0
+    k = 3
+    assert json.loads((out / "run" / "manifest.json").read_text())["snapshot_count"] > k + 1
+    battery = scenarios.monitor_battery
+
+    def raising_battery(*args):
+        def boom(trace, state):
+            if len(trace.records) == k:
+                raise RuntimeError(f"monitor failed at record {k}")
+
+        return battery(*args) + [boom]
+
+    monkeypatch.setattr(scenarios, "monitor_battery", raising_battery)
+    assert main(["run", "--spec", spec, "--out", str(out)]) == 1
+    assert f"monitor failed at record {k}" in capsys.readouterr().err
+    run = out / "run"
+    assert sorted(p.name for p in (run / "snapshots").iterdir()) == \
+        [f"{i:04d}.json" for i in range(k)]
+    assert not (run / "manifest.json").exists()
+    for kind in ("snapshots", "margins"):
+        assert main(["plotdata", "--run", str(out), "--kind", kind]) == 1
+        err = capsys.readouterr().err
+        assert "run directory incomplete" in err and str(run / "manifest.json") in err
 
 
 def test_rerun_of_another_scenario_inventories_only_its_files(tmp_path):

@@ -19,7 +19,6 @@ from mcflab.flow import (
     run_flow,
     step_csf,
     step_graph_mcf,
-    write_run_dir,
 )
 from mcflab.geometry import (
     ClosedCurve,
@@ -34,7 +33,7 @@ from mcflab.geometry import (
 )
 from mcflab.monitors import MonitorReport
 
-from conftest import count_kernels, curves_intersect, make_circle
+from conftest import count_kernels, curves_intersect, make_circle, run_states, run_to_dir
 
 
 def graph_cfl_limit(values, spacing):
@@ -318,8 +317,8 @@ def _curve_run(curve, monkeypatch, every_step):
         if every_step:
             patch.setattr(flow, "_area_bound_after_step",
                           lambda kernel, dt, lb, reach: (-math.inf, reach))
-        trace = run_flow(curve, FlowConfig(t_end=1.0, record_stride=50))
-    snapshots = [geometry.dumps_surface(s.surface) for s in trace.snapshots]
+        trace, states = run_states(curve, FlowConfig(t_end=1.0, record_stride=50))
+    snapshots = [geometry.dumps_surface(s.surface) for s in states]
     return trace.events, snapshots, len(shoelaces), trace.final.step
 
 
@@ -357,10 +356,10 @@ def test_circle_extinction_time():
 
 def test_circle_radius_tracks_exact_law():
     r0 = 0.6
-    trace = run_flow(make_circle(radius=r0, m=128),
-                     FlowConfig(t_end=1.0, record_stride=32))
+    _, states = run_states(make_circle(radius=r0, m=128),
+                           FlowConfig(t_end=1.0, record_stride=32))
     T = r0 * r0 / 2.0
-    for snap in trace.snapshots:
+    for snap in states:
         if snap.t > 0.8 * T:
             break
         radius = float(np.linalg.norm(snap.surface.vertices, axis=1).mean())
@@ -383,9 +382,9 @@ def test_flow_preserves_simplicity_and_embedding():
     th = 2.0 * np.pi * np.arange(200) / 200
     wavy = ClosedCurve(np.stack([(1 + 0.2 * np.cos(5 * th)) * np.cos(th),
                                  (1 + 0.2 * np.cos(5 * th)) * np.sin(th)], axis=1))
-    trace = run_flow(wavy, FlowConfig(t_end=0.08, record_stride=50))
+    trace, states = run_states(wavy, FlowConfig(t_end=0.08, record_stride=50))
     assert not trace.events_of("non_simple")
-    assert all(is_simple(s.surface) for s in trace.snapshots)
+    assert all(is_simple(s.surface) for s in states)
 
 
 def test_disjoint_flows_stay_disjoint():
@@ -394,9 +393,9 @@ def test_disjoint_flows_stay_disjoint():
     outer = ClosedCurve(np.stack([1.2 * np.cos(th) + 0.1,
                                   1.0 * np.sin(th)], axis=1))
     cfg = FlowConfig(t_end=0.1, dt=2e-5, record_stride=500)
-    tr_in = run_flow(inner, cfg)
-    tr_out = run_flow(outer, cfg)
-    paired = zip(tr_in.snapshots, tr_out.snapshots)
+    _, states_in = run_states(inner, cfg)
+    _, states_out = run_states(outer, cfg)
+    paired = zip(states_in, states_out)
     for a, b in paired:
         if abs(a.t - b.t) > 1e-12:
             break
@@ -413,10 +412,10 @@ def test_run_flow_matches_step_csf_closed():
     th = 2.0 * np.pi * np.arange(96) / 96
     curve = ClosedCurve(np.stack([(1 + 0.1 * np.sin(3 * th)) * np.cos(th),
                                   (1 + 0.1 * np.sin(3 * th)) * np.sin(th)], axis=1))
-    trace = run_flow(curve, FlowConfig(t_end=0.002, record_stride=1))
+    trace, states = run_states(curve, FlowConfig(t_end=0.002, record_stride=1))
     assert not trace.events_of("remesh")
-    state = trace.snapshots[0]
-    for snap in trace.snapshots[1:]:
+    state = states[0]
+    for snap in states[1:]:
         state = step_csf(state, snap.t - state.t)
         assert np.array_equal(state.surface.vertices, snap.surface.vertices)
         assert state.t == snap.t
@@ -426,10 +425,10 @@ def test_run_flow_matches_step_csf_open():
     x = np.linspace(-1.0, 1.0, 64)
     curve = ClosedCurve(np.stack([x, 0.3 * np.cos(0.5 * math.pi * x)], axis=1),
                         closed=False)
-    trace = run_flow(curve, FlowConfig(t_end=0.001, record_stride=1))
+    trace, states = run_states(curve, FlowConfig(t_end=0.001, record_stride=1))
     assert not trace.events_of("remesh")
-    state = trace.snapshots[0]
-    for snap in trace.snapshots[1:]:
+    state = states[0]
+    for snap in states[1:]:
         state = step_csf(state, snap.t - state.t)
         assert np.array_equal(state.surface.vertices, snap.surface.vertices)
     # endpoints never move
@@ -442,9 +441,9 @@ def test_run_flow_matches_step_graph():
         lambda p: 0.2 * np.cos(0.5 * math.pi * p[..., 0]),
         center=(0.0,), radius=1.0, nodes_per_axis=41,
     )
-    trace = run_flow(patch, FlowConfig(t_end=0.004, record_stride=1))
-    state = trace.snapshots[0]
-    for snap in trace.snapshots[1:]:
+    _, states = run_states(patch, FlowConfig(t_end=0.004, record_stride=1))
+    state = states[0]
+    for snap in states[1:]:
         state = step_graph_mcf(state, snap.t - state.t)
         assert np.array_equal(state.surface.values, snap.surface.values)
 
@@ -491,19 +490,20 @@ def _flow_initial(kind):
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
 def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
     """A monitored, persisted flow releases the cache of every state that
-    has left all monitor windows, so only the first and the last state hold
-    one; those hold only data some reader reads: no tangent array, no |A|
+    has left all monitor windows, so of the states a list sink kept only the
+    first and the last hold one, and the trace holds only those two; they
+    hold only data some reader reads: no tangent array, no |A|
     column in the sample, and for a curve at most 5m + 1 floats of unique
     cached memory (the normals, kappa, vertex weights and edge lengths)
     besides the monitor context's two per-point arrays: |x - y0|^2 and
     phi_rho, one each."""
     from mcflab.scenarios import monitor_battery
 
-    trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=4),
-                     monitors=monitor_battery())
-    write_run_dir(trace, tmp_path / "run")
-    assert len(trace.snapshots) > 2
-    for state in trace.snapshots[1:-1]:
+    trace, states, _ = run_to_dir(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=4),
+                                  tmp_path / "run", monitors=monitor_battery())
+    assert len(states) > 2
+    assert trace.snapshots == [states[0], states[-1]]
+    for state in states[1:-1]:
         assert state.surface._cache == {}
     for state in (trace.snapshots[0], trace.final):
         surf = state.surface
@@ -530,9 +530,9 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
 def test_monitored_trace_pickles_without_caches(kind):
     """A trace whose states the monitors touched pickles, its caches left
-    out.  The loaded snapshots, reports, events and stats equal the
-    originals; every loaded state starts with an empty cache and recomputes
-    the stats recorded for it."""
+    out.  The loaded snapshots (the first and the last state), records,
+    reports, events and stats equal the originals; every loaded state starts
+    with an empty cache and recomputes the stats recorded for it."""
     from mcflab.flow import _state_stats
     from mcflab.geometry import dumps_surface
     from mcflab.scenarios import monitor_battery
@@ -542,11 +542,12 @@ def test_monitored_trace_pickles_without_caches(kind):
     assert "monitor_context" in trace.final.surface._cache
     loaded = pickle.loads(pickle.dumps(trace))
     assert loaded.config == trace.config
+    assert loaded.records == trace.records and len(loaded.records) > 2
     assert loaded.reports == trace.reports and loaded.reports
     assert loaded.report_records == trace.report_records
     assert loaded.events == trace.events
     assert loaded.stats == trace.stats
-    assert len(loaded.snapshots) == len(trace.snapshots) > 2
+    assert len(loaded.snapshots) == len(trace.snapshots) == 2
     for got, want in zip(loaded.snapshots, trace.snapshots):
         assert (got.step, got.t) == (want.step, want.t)
         assert dumps_surface(got.surface) == dumps_surface(want.surface)
@@ -566,8 +567,8 @@ def test_monitored_curve_run_builds_one_kernel_per_record(kind, monkeypatch):
     trace = run_flow(initial, FlowConfig(t_end=0.01, record_stride=4),
                      monitors=monitor_battery())
     assert trace.events_of("remesh") == []
-    assert len(trace.snapshots) > 2
-    assert len(built) == 1 + len(trace.snapshots)
+    assert len(trace.records) > 2
+    assert len(built) == 1 + len(trace.records)
 
 
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
@@ -593,10 +594,10 @@ def test_snapshots_share_no_memory(kind):
     def copying_monitor(trace, state):
         seen.append(raw(state).copy())
 
-    trace = run_flow(initial, config, monitors=[copying_monitor])
+    trace, states = run_states(initial, config, monitors=[copying_monitor])
     if kind == "closed":
         assert trace.events_of("remesh")
-    arrays = [raw(s) for s in trace.snapshots]
+    arrays = [raw(s) for s in states]
     assert len(arrays) > 3 and len(seen) == len(arrays)
     for i, a in enumerate(arrays):
         assert np.array_equal(a, seen[i])
@@ -610,36 +611,41 @@ def test_cache_release_is_invisible(kind, tmp_path):
     same monitors over fresh copies of the persisted snapshots, whose
     caches are never released: the reports are equal, each timeseries row
     equals the stats of its reloaded snapshot, and events.ndjson is
-    byte-equal.  One monitor reads three records back, a state whose cache
-    the flow had already released; its reports fail, so its values reach
-    the events."""
+    byte-equal.  One monitor keeps every state it is given and reads the
+    state two records back, whose cache the flow had already released; its
+    reports fail, so its values reach the events."""
     from mcflab._util import canonical_dumps, format_csv_cell
     from mcflab.flow import FlowTrace, _state_stats
     from mcflab.geometry import loads_surface, sample_surface
     from mcflab.scenarios import monitor_battery
 
-    def lagging(trace, state):
-        if len(trace.snapshots) < 3:
-            return None
-        old = trace.snapshots[-3].surface
-        return MonitorReport(monitor_id="lagging", t=state.t,
-                             value=float(sample_surface(old).weights.sum()),
-                             bound=float(sample_surface(state.surface).weights.sum()))
+    def lagging_monitor():
+        seen = []
 
-    monitors = monitor_battery() + [lagging]
-    trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=2),
-                     monitors=monitors)
+        def lagging(trace, state):
+            seen.append(state)
+            if len(seen) < 3:
+                return None
+            old = seen[-3].surface
+            return MonitorReport(monitor_id="lagging", t=state.t,
+                                 value=float(sample_surface(old).weights.sum()),
+                                 bound=float(sample_surface(state.surface).weights.sum()))
+
+        return lagging
+
+    out = tmp_path / "run"
+    trace, states, _ = run_to_dir(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=2),
+                                  out, monitors=monitor_battery() + [lagging_monitor()])
     # the per-point arrays go with the context: only the first and the last
     # state still hold one (lagging rebuilds a sample, not a context)
-    holding = [i for i, s in enumerate(trace.snapshots) if "monitor_context" in s.surface._cache]
-    assert holding == [0, len(trace.snapshots) - 1]
-    out = tmp_path / "run"
-    write_run_dir(trace, out)
-    assert len(trace.snapshots) > 4
+    holding = [i for i, s in enumerate(states) if "monitor_context" in s.surface._cache]
+    assert holding == [0, len(states) - 1]
+    assert len(states) > 4
 
     lines = (out / "timeseries.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     replay = FlowTrace(config=trace.config)
+    monitors = monitor_battery() + [lagging_monitor()]
     reports, failures = [], []
     for i, row in enumerate(rows):
         surf = loads_surface((out / "snapshots" / f"{i:04d}.json").read_text())
@@ -670,10 +676,12 @@ def test_cache_release_is_invisible(kind, tmp_path):
 
 
 def test_trace_memory_grows_with_snapshots_only():
-    """What a monitored trace holds grows with its snapshot vertices only:
-    four times the records costs at most the extra records' vertex bytes,
-    plus per-record bookkeeping (reports, states), over the shorter run's
-    peak.  Every released state's cache would add about 5m floats each."""
+    """What a monitored run without a sink holds does not grow with its
+    states: four times the records costs per-record bookkeeping (six
+    reports, a stats row and a (t, step) pair, about 2 KiB) plus a constant
+    over the shorter run's peak, and no vertex bytes per extra record.  A
+    state kept past its window would add its 2m floats (62.5 KiB here) and
+    a kept cache about 5m floats more."""
     import tracemalloc
 
     from mcflab.scenarios import monitor_battery
@@ -689,15 +697,15 @@ def test_trace_memory_grows_with_snapshots_only():
         tracemalloc.start()
         try:
             trace = run_flow(curve, config, monitors=monitor_battery())
-            return len(trace.snapshots), tracemalloc.get_traced_memory()[1]
+            return len(trace.records), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     n1, peak1 = peak(10)
     n4, peak4 = peak(40)
     assert (n1, n4) == (10, 40)
-    vertex_bytes = m * 2 * 8
-    assert peak4 - peak1 <= (n4 - n1) * vertex_bytes * 1.25 + 256 * 1024
+    bookkeeping = 4 * 1024  # per record, a sixteenth of one state's vertices
+    assert peak4 - peak1 <= (n4 - n1) * bookkeeping + 128 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +760,13 @@ def test_step_rejected_event_terminates():
 def test_flow_state_starts_at_the_surface_time():
     curve = make_circle(radius=1.0, m=256, time=0.3)
     config = FlowConfig(t_end=1e-3, record_stride=2)
-    via_state = run_flow(FlowState(curve), config)
-    via_surface = run_flow(curve, config)
-    times = [s.t for s in via_state.snapshots]
+    via_state, states = run_states(FlowState(curve), config)
+    via_surface, surface_states = run_states(curve, config)
+    times = [s.t for s in states]
     assert times[0] == 0.3 and len(times) > 2
-    assert times == [s.t for s in via_surface.snapshots]
-    assert times == [s.surface.time for s in via_state.snapshots]
+    assert times == [s.t for s in surface_states]
+    assert times == [s.surface.time for s in states]
+    assert via_state.records == [(s.t, s.step) for s in states] == via_surface.records
 
 
 def test_stall_event_when_dt_underflows():
@@ -811,7 +820,7 @@ def test_monitor_wiring_and_failure_events():
     trace = run_flow(make_circle(radius=0.5, m=64),
                      FlowConfig(t_end=1e-3, record_stride=5),
                      monitors=[failing_monitor, quiet_monitor, list_monitor])
-    n_records = len(trace.snapshots)
+    n_records = len(trace.records)
     assert len(calls) == n_records
     fails = trace.events_of("monitor_failure")
     assert len(fails) == n_records
@@ -880,9 +889,8 @@ def test_flow_state_is_its_surface_and_step():
 
 def test_write_run_dir_deterministic(tmp_path):
     def run_once(dest):
-        trace = run_flow(make_circle(radius=0.4, m=96),
-                         FlowConfig(t_end=0.02, record_stride=25))
-        write_run_dir(trace, dest)
+        run_to_dir(make_circle(radius=0.4, m=96), FlowConfig(t_end=0.02, record_stride=25),
+                   dest)
         return dest
 
     a = run_once(tmp_path / "a")
@@ -898,10 +906,9 @@ def test_write_run_dir_deterministic(tmp_path):
 
 
 def test_run_dir_layout_and_manifest(tmp_path):
-    trace = run_flow(make_circle(radius=0.4, m=64),
-                     FlowConfig(t_end=0.01, record_stride=20))
     out = tmp_path / "run"
-    written = write_run_dir(trace, out)
+    trace, _, written = run_to_dir(make_circle(radius=0.4, m=64),
+                                   FlowConfig(t_end=0.01, record_stride=20), out)
     assert (out / "manifest.json").is_file()
     assert (out / "timeseries.csv").is_file()
     assert (out / "events.ndjson").is_file()
@@ -917,6 +924,9 @@ def test_run_dir_layout_and_manifest(tmp_path):
     for rel, digest in inv.items():
         assert sha256_file(out / rel) == digest
     assert written == {**inv, "manifest.json": sha256_file(out / "manifest.json")}
+    snapshots = sorted(rel for rel in inv if rel.startswith("snapshots/"))
+    assert snapshots == [f"snapshots/{i:04d}.json" for i in range(len(trace.records))]
+    assert manifest["snapshot_count"] == len(trace.records) > 2
 
 
 def test_margins_join_on_record_index(tmp_path):
@@ -930,15 +940,15 @@ def test_margins_join_on_record_index(tmp_path):
         return MonitorReport(monitor_id="m", t=state.t, value=0.0,
                              bound=next(margins))
 
-    trace = run_flow(patch, FlowConfig(t_end=3e-5 + 1e-13, dt=1e-5, record_stride=1),
-                     monitors=[monitor])
-    times = [s.t for s in trace.snapshots]
-    assert [s.step for s in trace.snapshots] == [0, 1, 2, 3, 4]
+    out = tmp_path / "run"
+    trace, states, _ = run_to_dir(
+        patch, FlowConfig(t_end=3e-5 + 1e-13, dt=1e-5, record_stride=1), out,
+        monitors=[monitor])
+    times = [s.t for s in states]
+    assert [s.step for s in states] == [0, 1, 2, 3, 4]
     assert round(times[3] * 1e12) == round(times[4] * 1e12)
     assert trace.report_records == [0, 1, 2, 3, 4]
 
-    out = tmp_path / "run"
-    write_run_dir(trace, out)
     lines = (out / "timeseries.csv").read_text().splitlines()
     header = lines[0].split(",")
     col = header.index("margin:m")
@@ -949,16 +959,21 @@ def test_margins_join_on_record_index(tmp_path):
 
 @pytest.mark.parametrize("kind", ["open", "graph"])
 def test_non_finite_snapshot_raises_at_its_path(tmp_path, kind):
-    """A non-finite snapshot stops the write at its field, before the manifest."""
+    """A non-finite snapshot stops the streamed write at its field: the
+    states before it are written, it and the manifest are not."""
     dt = 1e-5
-    trace = run_flow(_flow_initial(kind), FlowConfig(t_end=3 * dt, dt=dt))
-    bad = trace.snapshots[1].surface
     field = "values" if kind == "graph" else "vertices"
-    getattr(bad, field)[2, ...] = np.nan
+    run_dir = flow.RunDirSink(tmp_path / "run")
+
+    def spoiling(state):
+        if state.step == 1:
+            getattr(state.surface, field)[2, ...] = np.nan
+        run_dir(state)
+
     with pytest.raises(ValidationError) as exc:
-        write_run_dir(trace, tmp_path / "run")
+        run_flow(_flow_initial(kind), FlowConfig(t_end=3 * dt, dt=dt), sink=spoiling)
     assert exc.value.path == f"$.{field}"
-    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert sorted(p.name for p in (tmp_path / "run").rglob("*") if p.is_file()) == ["0000.json"]
 
 
 def test_timeseries_and_snapshots_agree_on_the_time(tmp_path):
@@ -967,8 +982,7 @@ def test_timeseries_and_snapshots_agree_on_the_time(tmp_path):
     row and its snapshot carry the same t, from row 0 on."""
     state = FlowState(make_circle(radius=1.0, m=64), 0)
     moved = dataclasses.replace(state, surface=make_circle(radius=1.0, m=64, time=0.5))
-    trace = run_flow(moved, FlowConfig(t_end=0.02, record_stride=4))
-    write_run_dir(trace, tmp_path)
+    run_to_dir(moved, FlowConfig(t_end=0.02, record_stride=4), tmp_path)
     rows = [line.split(",") for line in (tmp_path / "timeseries.csv").read_text().splitlines()]
     assert rows[0][0] == "t" and len(rows) > 3
     for i, row in enumerate(rows[1:]):
@@ -1027,16 +1041,16 @@ def test_restart_from_a_snapshot_continues_bitwise(run, stride, data):
     restart's horizon t_k + (T - t_k) need not round to T, so its last step
     may differ by rounding."""
     kind, surface, t_end = run
-    trace = run_flow(surface, FlowConfig(t_end=t_end, record_stride=stride))
-    k = data.draw(st.integers(0, len(trace.snapshots) - 2), label="k")
-    start = trace.snapshots[k]
-    restart = run_flow(
+    trace, states = run_states(surface, FlowConfig(t_end=t_end, record_stride=stride))
+    k = data.draw(st.integers(0, len(states) - 2), label="k")
+    start = states[k]
+    restart, restarted = run_states(
         FlowState(geometry.loads_surface(geometry.dumps_surface(start.surface)), start.step),
         FlowConfig(t_end=t_end - start.t, record_stride=stride),
     )
-    assert len(restart.snapshots) == len(trace.snapshots) - k
+    assert len(restarted) == len(states) - k
     assert restart.final.step == trace.final.step
-    for got, want in zip(restart.snapshots[:-1], trace.snapshots[k:-1]):
+    for got, want in zip(restarted[:-1], states[k:-1]):
         assert got.step == want.step
         assert geometry.dumps_surface(got.surface) == geometry.dumps_surface(want.surface)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcflab._util import ConfigError
-from mcflab.flow import FlowState
+from mcflab.flow import FlowConfig, run_flow
 from mcflab.geometry import (
     ClosedCurve,
     Cylinder,
@@ -24,6 +23,7 @@ from mcflab.graphicality import (
     first_nongraphical_time,
     is_graphical,
     native_resolution,
+    record_probe,
     vertical_crossings,
 )
 
@@ -219,21 +219,28 @@ def test_probe_rejects_2d_patch():
 
 
 def _fake_probes(flags, cyl):
-    """A probe list, [(state, report)], graphical where the flag is set; each
-    state is a copy of a probed curve at its own time, with an empty cache."""
+    """A probe list, [(t, report)], graphical where the flag is set, at
+    times 0, 0.1, 0.2, ..."""
     good = make_circle(radius=2.0, m=256, center=(0.0, 2.0))
     bad = make_circle(radius=0.5, m=256)
     good_rep, bad_rep = is_graphical(good, cyl), is_graphical(bad, cyl)
     assert good_rep.graphical and not bad_rep.graphical
-    return [
-        (FlowState(surface=dataclasses.replace(good if f else bad, time=0.1 * i), step=i),
-         good_rep if f else bad_rep)
-        for i, f in enumerate(flags)
-    ]
+    return [(0.1 * i, good_rep if f else bad_rep) for i, f in enumerate(flags)]
 
 
-def _no_cache(probes):
-    return all(not state.surface._cache for state, _ in probes)
+def test_record_probe_keeps_times_not_states():
+    """A probe list holds each record's time and report, and no state, so it
+    keeps no surface of the flow alive; until_lost stops it after the first
+    non-graphical report."""
+    cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
+    probes, held = [], []
+    trace = run_flow(make_circle(radius=0.5, m=64), FlowConfig(t_end=0.01, record_stride=5),
+                     monitors=[record_probe(cyl, probes),
+                               record_probe(cyl, held, until_lost=True)])
+    assert len(trace.records) > 2
+    assert [t for t, _ in probes] == [t for t, _ in trace.records]
+    assert all(type(t) is float and not rep.graphical for t, rep in probes)
+    assert held == probes[:1]
 
 
 def test_first_nongraphical_time():
@@ -242,8 +249,6 @@ def test_first_nongraphical_time():
     assert first_nongraphical_time(probes) == pytest.approx(0.2)
     always = _fake_probes([True, True], cyl)
     assert first_nongraphical_time(always) is None
-    # the times read the reports: no state is probed again
-    assert _no_cache(probes) and _no_cache(always)
 
 
 def test_first_graphical_time_hold_semantics():
@@ -256,4 +261,3 @@ def test_first_graphical_time_hold_semantics():
     assert first_graphical_time(tail) == pytest.approx(0.1)
     never = _fake_probes([False, False], cyl)
     assert first_graphical_time(never) is None
-    assert _no_cache(probes) and _no_cache(tail) and _no_cache(never)

@@ -32,7 +32,7 @@ from mcflab.monitors import (
     windowed_monitor,
 )
 
-from conftest import make_circle
+from conftest import make_circle, run_states
 
 
 def constant_field(c=1.0):
@@ -225,12 +225,12 @@ def test_height_bound_precondition():
 # ---------------------------------------------------------------------------
 
 
-def _cosine_trace(amp=0.3, t_end=0.05, m=129):
+def _cosine_trace(amp=0.3, t_end=0.05, m=129, sink=None):
     patch = GraphPatch.from_function(
         lambda p: amp * np.cos(0.5 * math.pi * p[..., 0]),
         center=(0.0,), radius=1.0, nodes_per_axis=m,
     )
-    return run_flow(patch, FlowConfig(t_end=t_end, record_stride=50))
+    return run_flow(patch, FlowConfig(t_end=t_end, record_stride=50), sink=sink)
 
 
 def test_gradient_bound_eh_on_decaying_graph():
@@ -254,14 +254,16 @@ def test_gradient_bound_eh_detects_steepening():
 
 
 def test_curvature_bound_eh():
-    trace = _cosine_trace()
-    ok = check_curvature_bound_EH(trace.snapshots, x0=(0.0, 0.0), rho=0.5,
+    states = []
+    _cosine_trace(sink=states.append)
+    assert len(states) > 2
+    ok = check_curvature_bound_EH(states, x0=(0.0, 0.0), rho=0.5,
                                   c_hat=100.0)
     assert ok.passed
-    bad = check_curvature_bound_EH(trace.snapshots, x0=(0.0, 0.0), rho=0.5,
+    bad = check_curvature_bound_EH(states, x0=(0.0, 0.0), rho=0.5,
                                    c_hat=1e-9)
     assert not bad.passed
-    short = check_curvature_bound_EH(trace.snapshots[:1], x0=(0.0, 0.0),
+    short = check_curvature_bound_EH(states[:1], x0=(0.0, 0.0),
                                      rho=0.5, c_hat=1.0)
     assert short.skipped
 
@@ -411,8 +413,7 @@ def test_monitored_reports_match_fresh_checks(kind):
     checks = _oracle_checks()
     monitors = [windowed_monitor(check, start, *args, **kwargs)
                 for check, start, args, kwargs in checks]
-    trace = run_flow(surface, config, monitors=monitors)
-    snaps = trace.snapshots
+    trace, snaps = run_states(surface, config, monitors=monitors)
     assert len(snaps) >= 5
     assert len(trace.reports) == len(checks) * (len(snaps) - 1)
     by_record = {}
@@ -481,7 +482,7 @@ def test_test_function_evaluated_once_per_recorded_state(kind, monkeypatch):
         windowed_monitor(check_gradient_bound_EH, 0, y0, 1.0),
     ])
     assert all(not r.skipped for r in trace.reports if r.monitor_id != "gradient_bound_eh")
-    times = [s.t for s in trace.snapshots]
+    times = [t for t, _ in trace.records]
     for name in ("value", "dt", "grad"):
         assert {t: counts.get((name, t), 0) for t in times} == {t: 1 for t in times}
     assert not any(name == "hess" for name, _ in counts)

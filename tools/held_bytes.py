@@ -8,10 +8,10 @@ directory as `mcflab run` would.  Then, for each trace the scenario keeps in
 `ScenarioResult.traces`, it prints the MiB held by the snapshot arrays
 (`vertices` or `values`) and by each cache entry of the recorded surfaces
 (`edges`, `quantities[1]`, `sample.weights`, ...), and how many of its
-recorded states still hold a cache.  `run_flow` releases a state's cache
-once the next state is recorded, except the first state's, so a trace that
-nothing read after its run holds two; an auxiliary trace that keeps only
-its final state holds one.
+recorded states still hold a cache.  `run_flow` keeps only the states a
+monitor window reads and hands every recorded state to its sink (the main
+flow's streams to run/), so a returned trace holds its first and its last
+state, each with its cache.
 
 An array counts with the buffer that owns its memory, and each buffer counts
 once, under the first place it is met: the snapshot arrays first, then the
@@ -23,7 +23,11 @@ the cached curvature (a graph context's mean curvature is its own array).
 A patch grid is no cache entry (`patch_grid` shares one set of arrays among
 the patches on a grid); a grid array that an entry holds, such as the
 monitor context's boundary rows, counts once, with it.
-The last line is the process's peak resident set size.
+The last lines are the process's peak resident set size and the peak of
+the memory that Python allocated while the scenario ran (`tracemalloc`):
+the resident size also counts heap the allocator keeps but no object holds,
+so the two can move apart.  Both see this process only; pin it to one CPU
+(`taskset -c 0`) to run the scenario's pool tasks in it too.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import json
 import resource
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +113,13 @@ def main(argv=None) -> int:
     from mcflab.scenarios import run_scenario
 
     doc = json.loads(Path(args.spec).read_text())
-    with tempfile.TemporaryDirectory() as tmp:
-        result = run_scenario(doc, out_dir=tmp)
+    tracemalloc.start()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            result = run_scenario(doc, out_dir=tmp)
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     total = 0
     for tag, trace in result.traces.items():
         counts = held_bytes(trace)
@@ -126,6 +136,7 @@ def main(argv=None) -> int:
         print(f"  {'caches':<32}{caches / MIB:10.2f} MiB")
     print(f"all traces: {total / MIB:.1f} MiB")
     print(f"ru_maxrss: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB")
+    print(f"tracemalloc peak: {traced_peak / MIB:.1f} MiB")
     return 0
 
 
