@@ -34,9 +34,9 @@ which records the area.
 
 `run_flow` keeps only the states a monitor window reads: the first, and
 while a state is recorded the previous one and the current one; a returned
-trace holds its first and its last state and the bookkeeping of every
-record.  Each state's `timeseries.csv` row is computed when it is recorded,
-after the monitors ran, and the sink receives it then.  A state's
+trace holds its first and its last state and one row per record: its
+`timeseries.csv` row, computed when it is recorded, after the monitors ran,
+and its reports; the sink receives the state then.  A state's
 derived-array cache is released when the next state is recorded: the
 monitor windows start at the previous record or at the first, whose cache
 stays.  A monitor that returns None only observes, as the scenarios' probes
@@ -85,9 +85,10 @@ class FlowConfig:
 
     def __post_init__(self):
         for name in ("t_end", "dt", "remesh_spacing"):
-            if isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be a number, not a bool")
-        if not np.isfinite(self.t_end) or self.t_end < 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (numbers.Real, type(None))):
+                raise ConfigError(f"{name} must be a number, not {value!r}")
+        if self.t_end is None or not np.isfinite(self.t_end) or self.t_end < 0:
             raise ConfigError("t_end must be finite and >= 0")
         for name in ("dt", "remesh_spacing"):
             value = getattr(self, name)
@@ -121,22 +122,23 @@ class FlowTrace:
     """The bookkeeping of one flow run and the states its monitor windows
     read.  snapshots holds the first recorded state and, once there are
     two, the last (the previous and the current one while a state is
-    recorded); run_flow's sink receives every state.  records[i] is the
-    (t, step) of record i and stats[i] its (measure, max|Df|, max|A|), taken
-    when it was recorded; report_records[i] is the record at which
-    reports[i] was made."""
+    recorded); run_flow's sink receives every state.  records[i] is record
+    i's timeseries.csv row (t, step, measure, max|Df|, max|A|), taken when
+    it was recorded, followed by the list of its reports, sorted by monitor
+    id; `reports` is every report, record by record."""
 
     config: FlowConfig
     snapshots: list = field(default_factory=list)
     records: list = field(default_factory=list)
-    reports: list = field(default_factory=list)
     events: list = field(default_factory=list)
-    report_records: list = field(default_factory=list)
-    stats: list = field(default_factory=list)
 
     @property
     def final(self) -> FlowState:
         return self.snapshots[-1]
+
+    @property
+    def reports(self) -> list:
+        return [r for *_, reports in self.records for r in reports]
 
     def events_of(self, kind: str) -> list[dict]:
         return [e for e in self.events if e["event"] == kind]
@@ -171,8 +173,7 @@ class _GraphKernel:
         self.df = geometry.gradient_raw(values, spacing)
 
     def cfl_limit(self) -> float:
-        df = self.df
-        gmax = float(np.max(np.sum(df * df, axis=-1)))
+        gmax = float(np.max(geometry.sum_squares(self.df)))
         return CFL * self.spacing**2 / (1.0 + gmax)
 
     def advance(self, dt: float) -> np.ndarray:
@@ -291,7 +292,7 @@ def run_flow(
     Monitors are callables (trace_so_far, state) -> report | list | None,
     invoked at each recorded step; trace_so_far.snapshots[0] is the first
     state and [-2] the previous one.  The sink, if given, receives each
-    recorded state once its monitors ran and its stats row was taken.  Step
+    recorded state once its monitors ran and its row was taken.  Step
     errors become trace events: blow_up and step_rejected terminate; remesh,
     non_simple, extinction, horizon are recorded as they occur (extinction
     also terminates).
@@ -317,14 +318,11 @@ def run_flow(
                 continue
             new_reports.extend(rep if isinstance(rep, (list, tuple)) else [rep])
         new_reports.sort(key=lambda r: r.monitor_id)
-        trace.reports.extend(new_reports)
-        trace.report_records.extend([len(trace.records)] * len(new_reports))
         for r in new_reports:
             if not r.passed and not r.skipped:
                 event("monitor_failure", state.step, state.t, monitor_id=r.monitor_id,
                       value=r.value, bound=r.bound, margin=r.margin)
-        trace.stats.append(_state_stats(state))
-        trace.records.append((state.t, state.step))
+        trace.records.append((state.t, state.step, *_state_stats(state), new_reports))
         if sink is not None:
             sink(state)
         if len(window) > 2:
@@ -457,19 +455,13 @@ def write_run_dir(trace: FlowTrace, sink: RunDirSink) -> dict[str, str]:
     written, snapshots and manifest.json included."""
     out, files = sink.out, dict(sink.files)
     monitor_ids = sorted({r.monitor_id for r in trace.reports})
-    margins: dict[tuple[int, str], float] = {}
-    for r, record in zip(trace.reports, trace.report_records):
-        if not r.skipped:
-            margins[(record, r.monitor_id)] = r.margin
     header = ["t", "step", "measure", "max_gradient", "max_a"] + [
         f"margin:{mid}" for mid in monitor_ids
     ]
     rows = []
-    for record, (t, step) in enumerate(trace.records):
-        row = [t, step, *trace.stats[record]]
-        for mid in monitor_ids:
-            row.append(margins.get((record, mid)))
-        rows.append(row)
+    for *row, reports in trace.records:
+        margins = {r.monitor_id: r.margin for r in reports if not r.skipped}
+        rows.append(row + [margins.get(mid) for mid in monitor_ids])
     files["timeseries.csv"] = write_csv(out / "timeseries.csv", header, rows)
 
     files["events.ndjson"] = write_text_sha256(

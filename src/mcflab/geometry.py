@@ -214,7 +214,7 @@ def patch_grid(center: tuple, radius: float, spacing: float, shape: tuple) -> Gr
     n = len(center)
     axes = tuple(center[i] - radius + spacing * np.arange(shape[i]) for i in range(n))
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    active = np.linalg.norm(nodes - np.asarray(center), axis=-1) <= radius * (1 + 1e-12)
+    active = np.sqrt(sum_squares(nodes, center)) <= radius * (1 + 1e-12)
     padded = np.pad(active, 1, constant_values=False)
     interior = active.copy()
     for axis in range(n):

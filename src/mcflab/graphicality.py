@@ -87,7 +87,7 @@ def _report_from_grid(
         sheet_count=m0,
         sup_height=float(np.max(np.abs(values - float(cyl.height_center[0])))),
         sup_grad=float(np.max(np.sqrt(sum_squares(df)))),
-        sup_hess=float(np.max(np.sqrt(np.sum(d2f * d2f, axis=(-2, -1))))),
+        sup_hess=float(np.max(np.sqrt(sum_squares(d2f.reshape(len(d2f), -1))))),
     )
 
 

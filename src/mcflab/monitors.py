@@ -16,7 +16,7 @@ the two forms agree as integrals.  Pointwise their integrands differ by
 Delta_M phi, so their discrete residuals differ only by how well the
 quadrature integrates Delta_M phi to zero.
 
-The checks read each surface through one private context, kept in the
+The checks read a state only through its one private context, kept in the
 surface's cache: the sample and the signed mean curvature, computed when the
 context is built, the graph Jacobian and h^n (so a graph integral keeps its
 sum(vals * jac) * h^n arithmetic), and the rows on the computational
@@ -24,11 +24,10 @@ boundary, whose mask comes from the grid; never the surface itself, so the
 two form no cycle.  Its memo, keyed by parameters alone (a state's time is
 its surface's), holds |x - c|^2 per centre and phi_rho per (rho, t0, x0),
 shared by the checks that read them, and the scalar results of each test
-function: the integral and support-exits flag of a monotonicity check, the
-Brakke side, part and mass, and the gradient bound's sup at its window
-start.  A monitored run therefore evaluates each test function once per
-recorded state, though every window uses the state twice.  The monotone
-quantities' windows start at t = 0.
+function and ball measure.  A monitored run therefore evaluates each once
+per recorded state, though every window uses the state twice; what a window
+reads of its first state (the gradient sup, the slab precondition, the ball
+measure) is computed once per flow.  The monotone windows start at t = 0.
 """
 
 from __future__ import annotations
@@ -196,6 +195,12 @@ class _Context:
         return self.once(("phi_rho", rho, t0, *x0.tolist()), lambda ctx: phi_rho(
             rho, t0, x0, ctx.t, ctx.points, d2=ctx.dist2(x0)))
 
+    def ball_measure(self, center, radius: float) -> float:
+        """The measure of the surface inside B(center, radius), on dist2."""
+        center = np.asarray(center, dtype=float)
+        return self.once(("ball_measure", radius, *center.tolist()), lambda ctx: float(
+            np.sum(ctx.sample.weights[np.sqrt(ctx.dist2(center)) <= radius])))
+
 
 def _context(state) -> _Context:
     """The state's context, built on first use and kept in its cache."""
@@ -203,12 +208,6 @@ def _context(state) -> _Context:
     if "monitor_context" not in cache:
         cache["monitor_context"] = _Context(state.surface)
     return cache["monitor_context"]
-
-
-def _ball_measure(state, center, radius: float) -> float:
-    sample = sample_surface(state.surface)
-    inside = np.sqrt(sum_squares(sample.points, center)) <= radius
-    return float(np.sum(sample.weights[inside]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +289,16 @@ def check_measure_bound(
     mid = "measure_bound"
     if rho <= 0:
         raise ConfigError("rho must be > 0")
-    n = sample_surface(state_t.surface).points.shape[1] - 1
+    ctx_t = _context(state_t)
+    n = ctx_t.points.shape[1] - 1
     dt = state_t.t - state_s1.t
     if dt < 0:
         return _skipped(mid, state_t.t, "window ends before it starts")
     window = rho**2 / (8.0 * n)
     if dt >= window:
         return _skipped(mid, state_t.t, f"t - s1 = {dt:.3e} outside window {window:.3e}")
-    value = _ball_measure(state_t, y0, rho / 2.0)
-    bound = 8.0 * _ball_measure(state_s1, y0, rho)
+    value = ctx_t.ball_measure(y0, rho / 2.0)
+    bound = 8.0 * _context(state_s1).ball_measure(y0, rho)
     return MonitorReport(monitor_id=mid, t=state_t.t, value=value, bound=bound)
 
 
@@ -318,18 +318,21 @@ def check_height_bound(
     if R <= 0 or r0 < 0 or c_hat < 0:
         raise ConfigError("need R > 0, r0 >= 0, c_hat >= 0")
     x0 = np.asarray(x0, dtype=float)
-    sample_1 = sample_surface(state_t1.surface)
-    dist_1 = np.sqrt(sum_squares(sample_1.points, x0))
-    heights_1 = np.abs(sample_1.points[:, -1] - x0[-1])
-    near = dist_1 <= 2.0 * R
-    if np.any(heights_1[near] > r0 * (1 + 1e-12) + 1e-15):
-        worst = float(np.max(heights_1[near]))
+
+    def slab_excess(ctx):
+        """The max height within 2R of x0 if it leaves the slab, else None."""
+        near = np.sqrt(ctx.dist2(x0)) <= 2.0 * R
+        heights = np.abs(ctx.points[near, -1] - x0[-1])
+        return float(np.max(heights)) if np.any(heights > r0 * (1 + 1e-12) + 1e-15) else None
+
+    worst = _context(state_t1).once(("slab", *x0.tolist(), R, r0), slab_excess)
+    if worst is not None:
         raise ConfigError(
             f"initial state not inside C(x0, 2R, r0): max height {worst:.6g} > r0 = {r0}"
         )
-    sample_t = sample_surface(state_t.surface)
-    base = np.sqrt(sum_squares(sample_t.points[:, :-1], x0[:-1]))
-    heights = np.abs(sample_t.points[:, -1] - x0[-1])
+    points = _context(state_t).points
+    base = np.sqrt(sum_squares(points[:, :-1], x0[:-1]))
+    heights = np.abs(points[:, -1] - x0[-1])
     inside = (base <= R) & (heights <= R)
     value = float(np.max(heights[inside])) if np.any(inside) else 0.0
     bound = r0 + c_hat * (state_t.t - state_t1.t) / R
@@ -428,10 +431,10 @@ class CurvatureWindowEH:
             self.reason = "patch does not cover B(x0, 2 rho)"
             return
         act = surf.active
-        base = np.linalg.norm(surf.nodes[act] - self.x0[:-1], axis=1)
+        base = np.sqrt(sum_squares(surf.nodes[act], self.x0[:-1]))
         df = gradient_raw(surf.values, surf.spacing)[act]  # builds no cache
         sel = base <= 2 * self.rho
-        w = 1.0 + np.sum(df[sel] ** 2, axis=-1)
+        w = 1.0 + sum_squares(df[sel])
         self.sup_df = max(self.sup_df, float(np.max(w**2)))
 
     def report(self) -> MonitorReport:
@@ -445,8 +448,7 @@ class CurvatureWindowEH:
             return _skipped(mid, s, self.reason)
         final = self.last.surface
         act = final.active
-        base = np.linalg.norm(final.nodes[act] - self.x0[:-1], axis=1)
-        sel = base <= self.rho
+        sel = np.sqrt(sum_squares(final.nodes[act], self.x0[:-1])) <= self.rho
         df = gradient_field(final)[act][sel]
         d2f = hessian_field(final)[act][sel]
         value = float(np.max(second_fundamental_norm(df, d2f) ** 2))

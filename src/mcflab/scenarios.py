@@ -778,9 +778,9 @@ def scenario_bounded_curvature(
     sigma_end = first_nongraphical_time(probes)
     tilt_max = 0.0
     a_sqrt_t = 0.0
-    # each record's (measure, max|Df| = g, max|A|); the max tilt is g^2/(1+g^2)
+    # each row is (t, step, measure, max|Df| = g, max|A|, reports); tilt is g^2/(1+g^2)
     graphical = probes if sigma_end is None else probes[:-1]  # until_lost: only the last fails
-    for (t, _), (_, g, a_now) in zip(graphical, trace.stats):
+    for (t, _), (_, _, _, g, a_now, _) in zip(graphical, trace.records):
         tilt_max = max(tilt_max, g * g / (1.0 + g * g))
         if t > 0:
             a_sqrt_t = max(a_sqrt_t, a_now * math.sqrt(t))

@@ -447,7 +447,7 @@ def test_criterion_08_fold_traces_hold_bounded_memory(fold_result, out_root):
         assert [s.step for s in trace.snapshots] == [0, trace.records[-1][1]]
     for tag in ("cal_mid", "cal_fine", "doubled"):
         trace = res.traces[tag]
-        records = trace.report_records
+        records = [i for i, (*_, reps) in enumerate(trace.records) for _ in reps]
         assert len(records) == len(trace.reports) > 0
         assert set(records) == set(range(1, records[-1] + 1))
         failing = [r for r in trace.reports if not r.passed and not r.skipped]

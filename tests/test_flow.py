@@ -530,9 +530,10 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
 def test_monitored_trace_pickles_without_caches(kind):
     """A trace whose states the monitors touched pickles, its caches left
-    out.  The loaded snapshots (the first and the last state), records,
-    reports, events and stats equal the originals; every loaded state starts
-    with an empty cache and recomputes the stats recorded for it."""
+    out.  The loaded snapshots (the first and the last state), records (each
+    a timeseries.csv row and its reports), reports and events equal the
+    originals; every loaded state starts with an empty cache and recomputes
+    the row recorded for it."""
     from mcflab.flow import _state_stats
     from mcflab.geometry import dumps_surface
     from mcflab.scenarios import monitor_battery
@@ -544,15 +545,13 @@ def test_monitored_trace_pickles_without_caches(kind):
     assert loaded.config == trace.config
     assert loaded.records == trace.records and len(loaded.records) > 2
     assert loaded.reports == trace.reports and loaded.reports
-    assert loaded.report_records == trace.report_records
     assert loaded.events == trace.events
-    assert loaded.stats == trace.stats
     assert len(loaded.snapshots) == len(trace.snapshots) == 2
     for got, want in zip(loaded.snapshots, trace.snapshots):
         assert (got.step, got.t) == (want.step, want.t)
         assert dumps_surface(got.surface) == dumps_surface(want.surface)
         assert got.surface._cache == {}
-    assert _state_stats(loaded.final) == trace.stats[-1]
+    assert _state_stats(loaded.final) == trace.records[-1][2:5]
 
 
 @pytest.mark.parametrize("kind", ["closed", "open"])
@@ -677,8 +676,8 @@ def test_cache_release_is_invisible(kind, tmp_path):
 
 def test_trace_memory_grows_with_snapshots_only():
     """What a monitored run without a sink holds does not grow with its
-    states: four times the records costs per-record bookkeeping (six
-    reports, a stats row and a (t, step) pair, about 2 KiB) plus a constant
+    states: four times the records costs per-record bookkeeping (a
+    timeseries.csv row and its six reports, about 2 KiB) plus a constant
     over the shorter run's peak, and no vertex bytes per extra record.  A
     state kept past its window would add its 2m floats (62.5 KiB here) and
     a kept cache about 5m floats more."""
@@ -766,7 +765,8 @@ def test_flow_state_starts_at_the_surface_time():
     assert times[0] == 0.3 and len(times) > 2
     assert times == [s.t for s in surface_states]
     assert times == [s.surface.time for s in states]
-    assert via_state.records == [(s.t, s.step) for s in states] == via_surface.records
+    assert [row[:2] for row in via_state.records] == [(s.t, s.step) for s in states]
+    assert via_state.records == via_surface.records
 
 
 def test_stall_event_when_dt_underflows():
@@ -854,6 +854,10 @@ def test_monitor_wiring_and_failure_events():
         pytest.param({"t_end": True}, id="kwargs12"),
         pytest.param({"t_end": 1.0, "dt": True}, id="kwargs13"),
         pytest.param({"t_end": 1.0, "remesh_spacing": True}, id="kwargs14"),
+        pytest.param({"t_end": "x"}, id="kwargs15"),
+        pytest.param({"t_end": None}, id="kwargs16"),
+        pytest.param({"t_end": 1.0, "dt": "x"}, id="kwargs17"),
+        pytest.param({"t_end": 1.0, "remesh_spacing": [1.0]}, id="kwargs18"),
     ],
 )
 def test_flow_config_validation(kwargs):
@@ -880,6 +884,42 @@ def test_flow_state_is_its_surface_and_step():
         state.t = 0.5
     moved = dataclasses.replace(state, surface=dataclasses.replace(curve, time=0.5))
     assert (moved.step, moved.t) == (3, 0.5)
+
+
+def test_flow_trace_keeps_one_row_per_record(tmp_path):
+    """records[i] is record i's timeseries.csv row followed by its reports,
+    sorted by monitor id; `reports` flattens them, record by record."""
+    from mcflab.flow import _state_stats
+
+    assert [f.name for f in dataclasses.fields(flow.FlowTrace)] == [
+        "config", "snapshots", "records", "events"]
+
+    def late(trace, state):
+        return MonitorReport(monitor_id="z", t=state.t, value=float(state.step), bound=1.0)
+
+    def early(trace, state):
+        if state.step % 2:
+            return None
+        return [MonitorReport(monitor_id="a", t=state.t, value=0.0, bound=2.0, skipped=True),
+                MonitorReport(monitor_id="b", t=state.t, value=0.0, bound=3.0)]
+
+    patch = GraphPatch.from_function(lambda p: 0.2 * np.cos(2.0 * p[..., 0]),
+                                     center=(0.0,), radius=1.0, nodes_per_axis=33)
+    out = tmp_path / "run"
+    trace, states, _ = run_to_dir(patch, FlowConfig(t_end=5e-3, record_stride=1), out,
+                                  monitors=[late, early])
+    assert len(trace.records) == len(states) >= 5
+    lines = (out / "timeseries.csv").read_text().splitlines()
+    assert lines[0].split(",")[-3:] == ["margin:a", "margin:b", "margin:z"]
+    for (*row, reports), state, line in zip(trace.records, states, lines[1:]):
+        fresh = FlowState(dataclasses.replace(state.surface), state.step)
+        assert tuple(row) == (state.t, state.step, *_state_stats(fresh))
+        assert [r.monitor_id for r in reports] == (["z"] if state.step % 2 else ["a", "b", "z"])
+        assert all(r.t == state.t for r in reports)
+        cells = line.split(",")
+        assert [float(c) for c in cells[:5]] == row
+        assert cells[5:] == ["", "" if state.step % 2 else "3.0", repr(1.0 - state.step)]
+    assert trace.reports == [r for *_, reports in trace.records for r in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +987,8 @@ def test_margins_join_on_record_index(tmp_path):
     times = [s.t for s in states]
     assert [s.step for s in states] == [0, 1, 2, 3, 4]
     assert round(times[3] * 1e12) == round(times[4] * 1e12)
-    assert trace.report_records == [0, 1, 2, 3, 4]
+    assert [[r.margin for r in reps] for *_, reps in trace.records] == [
+        [99.0], [98.0], [97.0], [96.0], [95.0]]
 
     lines = (out / "timeseries.csv").read_text().splitlines()
     header = lines[0].split(",")

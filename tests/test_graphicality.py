@@ -173,6 +173,23 @@ def test_patch_probe_recovers_amplitude_and_slope():
     assert rep.sup_grad == pytest.approx(0.6, rel=1e-2)
 
 
+@pytest.mark.parametrize("nodes", [
+    pytest.param(128, id="128"),
+    pytest.param(129, id="129", marks=pytest.mark.xfail(strict=True, reason=(
+        "the probe takes second differences of linearly interpolated column "
+        "heights at half the native spacing, so the kinks between nodes count: "
+        "sup_hess reads 1.9993 for |f''| <= 1"))),
+])
+def test_probe_sup_hess_is_the_graph_second_derivative(nodes):
+    """f = sin^2(x) / 2 on [-2, 2] has |f''| = |cos 2x| <= 1, reached at x = 0,
+    so in C(0, 1, 1) sup_hess should read 1 up to the grid error."""
+    patch = GraphPatch.from_function(lambda p: 0.5 * np.sin(p[..., 0]) ** 2,
+                                     center=(0.0,), radius=2.0, nodes_per_axis=nodes)
+    rep = is_graphical(patch, Cylinder((0.0, 0.0), 1.0, 1.0))
+    assert rep.graphical
+    assert rep.sup_hess == pytest.approx(1.0, abs=1e-2)
+
+
 def test_patch_probe_gap_outside_coverage():
     patch = _sine_patch(radius=1.0, m=257)
     rep = is_graphical(patch, Cylinder((0.0, 0.0), 1.5, 1.0))
@@ -238,7 +255,7 @@ def test_record_probe_keeps_times_not_states():
                      monitors=[record_probe(cyl, probes),
                                record_probe(cyl, held, until_lost=True)])
     assert len(trace.records) > 2
-    assert [t for t, _ in probes] == [t for t, _ in trace.records]
+    assert [t for t, _ in probes] == [row[0] for row in trace.records]
     assert all(type(t) is float and not rep.graphical for t, rep in probes)
     assert held == probes[:1]
 

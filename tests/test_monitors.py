@@ -416,11 +416,9 @@ def test_monitored_reports_match_fresh_checks(kind):
     trace, snaps = run_states(surface, config, monitors=monitors)
     assert len(snaps) >= 5
     assert len(trace.reports) == len(checks) * (len(snaps) - 1)
-    by_record = {}
-    for rep, record in zip(trace.reports, trace.report_records):
-        by_record.setdefault(record, []).append(rep)
+    assert trace.records[0][-1] == []
     evaluated = 0
-    for record, reps in sorted(by_record.items()):
+    for record, (*_, reps) in enumerate(trace.records[1:], start=1):
         fresh = []
         for check, start, args, kwargs in checks:
             window = snaps[:record + 1][start]
@@ -482,7 +480,7 @@ def test_test_function_evaluated_once_per_recorded_state(kind, monkeypatch):
         windowed_monitor(check_gradient_bound_EH, 0, y0, 1.0),
     ])
     assert all(not r.skipped for r in trace.reports if r.monitor_id != "gradient_bound_eh")
-    times = [t for t, _ in trace.records]
+    times = [row[0] for row in trace.records]
     for name in ("value", "dt", "grad"):
         assert {t: counts.get((name, t), 0) for t in times} == {t: 1 for t in times}
     assert not any(name == "hess" for name, _ in counts)
@@ -491,6 +489,40 @@ def test_test_function_evaluated_once_per_recorded_state(kind, monkeypatch):
     # base-ball distance at the first state is one column narrower)
     full = [c for width, c in squares if width == 2]
     assert sorted(full) == sorted([y0, y1] * len(times))
+
+
+@pytest.mark.parametrize("kind", ["graph", "closed", "open"])
+def test_window_start_quantities_computed_once_per_flow(kind, monkeypatch):
+    """What the height and measure bounds read of their window's first state,
+    the slab precondition and the ball measure, is computed once per flow,
+    however many records read it; every later state's ball measure once."""
+    from mcflab import monitors
+
+    evaluated = []
+    once = monitors._Context.once
+
+    def counted_once(ctx, key, compute):
+        def counted(c):
+            evaluated.append((c.t, key))
+            return compute(c)
+
+        return once(ctx, key, counted)
+
+    monkeypatch.setattr(monitors._Context, "once", counted_once)
+    surface, config = _oracle_flows()[kind]
+    y0 = (0.0, 0.0)
+    trace = run_flow(surface, config, monitors=[
+        windowed_monitor(check_measure_bound, 0, y0, 1.0),
+        windowed_monitor(check_height_bound, 0, y0, R=1.0, r0=1.0, c_hat=1.0),
+    ])
+    times = [row[0] for row in trace.records]
+    assert len(times) >= 5 and len(set(times)) == len(times)
+    assert len(trace.reports) == 2 * (len(times) - 1)
+    assert not any(r.skipped for r in trace.reports)
+    slab = [t for t, key in evaluated if key[0] == "slab"]
+    assert slab == [times[0]]
+    balls = sorted((t, key[1]) for t, key in evaluated if key[0] == "ball_measure")
+    assert balls == sorted([(times[0], 1.0)] + [(t, 0.5) for t in times[1:]])
 
 
 def _phi_rho_reference(rho, t0, x0, t, x, d2=None):
