@@ -3,34 +3,39 @@ shortening flow.
 
 Forward Euler with a parabolic CFL restriction: dt <= CFL * h^2/(1+max|Df|^2)
 for graphs, dt <= CFL * (min edge)^2 for curves, with the one CFL number
-`CFL = 0.2`.  Graph boundary nodes stay frozen.  The graph step kernel is
-`_GraphKernel` (Df once per step, shared by the CFL limit, the Hessian and
-g^{-1}); the curve step `_advance_curve` applies vertex += dt * kappa * N with
-the Menger kappa and N of `geometry.CurveKernel`, the one polyline kernel,
-which also gives the edge statistics the driver needs.  The single steppers
-`step_graph_mcf` / `step_csf` and the driver `run_flow` both call them, and
-build each next state with `_successor`, which revalidates the surface.  A
-state is its surface and its step: its time is the surface's, so a recorded
-state is exactly its snapshot plus the step in its `timeseries.csv` row.
-`run_flow` advances until the horizon, extinction, or a terminal event,
-recording a state every `record_stride` steps and handing it to its sink.
-`RunDirSink` is the sink that streams a run directory: it writes each
-recorded state as snapshots/NNNN.json as it arrives, and `write_run_dir`
-ends the directory with the timeseries, the events and, last, the manifest,
-and returns the SHA-256 of each file written, hashed from the bytes as they
-are written; a snapshot is `geometry.dumps_surface`'s schema-2 document, its
-array an exact base64 payload.
+`CFL = 0.2`.  Graph boundary nodes stay frozen.  Each surface type has one
+stepper: `_GraphStepper` computes Df once per step, for the CFL limit, the
+Hessian and g^{-1}; `_CurveStepper` applies vertex += dt * kappa * N with the
+Menger kappa and N of `geometry.CurveKernel`, the one polyline kernel.  A
+stepper's `prepare(event)` loads the current array and raises the step's
+remesh or extinction through `event` (False after an extinction), `limit()`
+gives the CFL limit and `advance(dt)` returns the next array, kept as `raw`.
+The single steppers `step_graph_mcf` / `step_csf` call only `limit` and
+`advance`, so a single step never remeshes or stops; `run_flow` picks its
+stepper once, from the surface type.  Both build each next state with
+`_successor`, which revalidates the surface.  A state is its surface and its
+step: its time is the surface's, so a recorded state is exactly its snapshot
+plus the step in its `timeseries.csv` row.  `run_flow` advances until the
+horizon, extinction, or a terminal event, recording a state every
+`record_stride` steps and handing it to its sink.  `RunDirSink` is the sink
+that streams a run directory: it writes each recorded state as
+snapshots/NNNN.json as it arrives, and `write_run_dir` ends the directory with
+the timeseries, the events and, last, the manifest, and returns the SHA-256 of
+each file written, hashed from the bytes as they are written; a snapshot is
+`geometry.dumps_surface`'s schema-2 document, its array an exact base64
+payload.
 
 A curve run `load`s each step's vertices into one `CurveKernel` per vertex
-count (a remesh builds a new one), but each step returns a fresh array.  The
-extinction test `area < EXTINCTION_AREA_FACTOR * area0` takes the shoelace
-only when a running lower bound on |A| cannot rule it out.  For P' = P + u
-with every |u_i| <= delta, A(P') - A(P) = 1/2 sum u_i x (p_{i+1} - p_{i-1})
-+ 1/2 sum u_i x u_{i+1}, so |A(P') - A(P)| <= delta L + m delta^2 / 2,
-simple or not; the Menger |kappa| <= 2 / lc gives delta <= dt * 2 / lc_min.
-The shoelace runs when the bound is at most twice the threshold, after a
-remesh or a guarded-path step (some lc = 0), and for the extinction event,
-which records the area.
+count (a remesh resamples through it and builds a new one), but each step
+returns a fresh array.  The extinction tests read the initial curve's minimum
+edge and area; the test `area < EXTINCTION_AREA_FACTOR * area0` takes the
+shoelace only when a running lower bound on |A| cannot rule it out.  For
+P' = P + u with every |u_i| <= delta,
+A(P') - A(P) = 1/2 sum u_i x (p_{i+1} - p_{i-1}) + 1/2 sum u_i x u_{i+1}, so
+|A(P') - A(P)| <= delta L + m delta^2 / 2, simple or not; the Menger
+|kappa| <= 2 / lc gives delta <= dt * 2 / lc_min.  The shoelace runs when the
+bound is at most twice the threshold, after a remesh or a guarded-path step
+(some lc = 0), and for the extinction event, which records the area.
 
 `run_flow` keeps only the states a monitor window reads: the first, and
 while a state is recorded the previous one and the current one; a returned
@@ -150,7 +155,7 @@ class FlowTrace:
 
 
 # ---------------------------------------------------------------------------
-# Step kernels: the one implementation of each explicit update
+# Steppers: the one implementation of each explicit update
 # ---------------------------------------------------------------------------
 
 
@@ -160,53 +165,115 @@ def _check_cfl(dt: float, limit: float, context: str, *args) -> None:
         raise StepRejected(f"dt={dt:.3e} exceeds CFL limit {limit:.3e} {context.format(*args)}")
 
 
-class _GraphKernel:
-    """Forward-Euler step of dt f = g^{ij} D_iD_jf on raw node values.
-
-    Df is computed once, on construction; the CFL limit, the Hessian and
-    g^{-1} all read it.  Boundary nodes are frozen.
-    """
+class _GraphStepper:
+    """Forward-Euler step of dt f = g^{ij} D_iD_jf on raw node values,
+    boundary nodes frozen; Df is computed when the values are loaded."""
 
     def __init__(self, values: np.ndarray, spacing: float):
-        self.values = values
-        self.spacing = spacing
-        self.df = geometry.gradient_raw(values, spacing)
+        self.raw, self.spacing, self.df = values, spacing, geometry.gradient_raw(values, spacing)
 
-    def cfl_limit(self) -> float:
+    def prepare(self, event) -> bool:
+        if self.df is None:
+            self.df = geometry.gradient_raw(self.raw, self.spacing)
+        return True
+
+    def limit(self) -> float:
         gmax = float(np.max(geometry.sum_squares(self.df)))
         return CFL * self.spacing**2 / (1.0 + gmax)
 
     def advance(self, dt: float) -> np.ndarray:
-        values = self.values
-        d2f = geometry.hessian_raw(values, self.df, self.spacing)
+        d2f = geometry.hessian_raw(self.raw, self.df, self.spacing)
         ginv, _ = geometry.metric_inverse(self.df)
-        out = values + dt * np.einsum("...ij,...ij->...", ginv, d2f)
-        for axis in range(values.ndim):
-            for end in (0, -1):
-                face = (slice(None),) * axis + (end,)
-                out[face] = values[face]
+        interior = (slice(1, -1),) * self.raw.ndim
+        out = self.raw.copy()
+        out[interior] += (dt * np.einsum("...ij,...ij->...", ginv, d2f))[interior]
         if not np.isfinite(out).all():
             raise BlowUp(f"non-finite graph values after step of dt={dt}")
+        self.raw, self.df = out, None
         return out
 
 
-def _curve_cfl_limit(kernel: geometry.CurveKernel) -> float:
-    return CFL * kernel.e_min**2
+_EPS = float(np.finfo(float).eps)
 
 
-def _advance_curve(kernel: geometry.CurveKernel, dt: float) -> np.ndarray:
-    """Forward-Euler curve-shortening step vertex += dt * kappa * N, with the
-    kernel's Menger kappa and N, into a fresh array; open endpoints stay
-    fixed.  The kernel's normal becomes dt * kappa * N in place (the
-    products and the sum commute, so the bytes do not depend on the order)."""
-    kap, vel = kernel.menger()
-    vel[:, 0] *= kap
-    vel[:, 1] *= kap
-    vel *= dt
-    out = vel + kernel.vertices
-    if not np.isfinite(out).all():
-        raise BlowUp(f"non-finite vertices after step of dt={dt}")
-    return out
+def _shoelace_error_coef(m: int) -> float:
+    """c with |CurveKernel.area() - |A|| <= c R^2 when every |coordinate| <= R."""
+    return 2.0 * (m + 4) ** 2 * _EPS
+
+
+def _area_bound_after_step(kernel, dt: float, area_lb: float, reach: float) -> tuple:
+    """(area_lb, reach) after a curve step moved the kernel's polygon by dt:
+    area_lb bounds |A| - c R^2 (c of `_shoelace_error_coef`), so the shoelace,
+    from below, and reach bounds every |coordinate| R.  delta <= dt 2 / lc_min
+    (module docstring) is widened for the rounding of kappa and of the add; a
+    guarded-path step gives no bound."""
+    if not kernel.lc_min > 0:
+        return -np.inf, reach
+    m = kernel.vertices.shape[0]
+    delta = dt * 2.0 / kernel.lc_min * (1.0 + 1e-12)
+    delta += 2.0 * _EPS * (reach + delta)
+    drop = delta * kernel.length * (1.0 + (m + 8) * _EPS) + 0.5 * m * delta * delta
+    drop += _shoelace_error_coef(m) * delta * (2.0 * reach + delta)  # R grows by delta
+    return area_lb - drop - 2.0 * _EPS * abs(area_lb), reach + delta
+
+
+class _CurveStepper:
+    """Forward-Euler curve-shortening step on raw vertices, with the remesh
+    and extinction tests of the module docstring."""
+
+    def __init__(self, vertices: np.ndarray, closed: bool, remesh_spacing: float | None = None):
+        self.raw, self.closed, self.remesh_spacing = vertices, closed, remesh_spacing
+        self.kernel = kernel = geometry.CurveKernel(vertices, closed)
+        self.min_edge0 = kernel.e_min
+        self.area_floor = EXTINCTION_AREA_FACTOR * kernel.area() if self.closed else None
+        self.area_lb, self.reach = -np.inf, 0.0  # no area bound until the first shoelace
+
+    def prepare(self, event) -> bool:
+        kernel, raw = self.kernel, self.raw
+        if kernel.vertices is not raw:
+            kernel.load(raw)
+        e_min, e_max = kernel.e_min, kernel.e_max
+        if e_min < EDGE_COLLAPSE or e_max / e_min > EDGE_RATIO_LIMIT:
+            spacing = self.remesh_spacing
+            count = max(8, int(round(kernel.length / spacing))) if spacing else raw.shape[0]
+            self.raw = raw = kernel.resample(count)
+            event("remesh", min_edge=e_min,
+                  edge_ratio=e_max / e_min if e_min > 0 else float("inf"),
+                  vertex_count=int(raw.shape[0]))
+            self.kernel = kernel = geometry.CurveKernel(raw, self.closed)
+            self.area_lb = -np.inf
+        short = kernel.length < EXTINCTION_LENGTH_FACTOR * self.min_edge0
+        area = None
+        if self.closed and (short or self.area_lb <= 2.0 * self.area_floor):
+            # the event records the area, or the bound cannot rule the test out
+            area = kernel.area()
+            reach = self.reach = float(np.abs(raw).max())
+            self.area_lb = area - 2.0 * _shoelace_error_coef(raw.shape[0]) * reach * reach
+        if short or (area is not None and area < self.area_floor):
+            event("extinction", length=kernel.length, area=area)
+            return False
+        return True
+
+    def limit(self) -> float:
+        return CFL * self.kernel.e_min**2
+
+    def advance(self, dt: float) -> np.ndarray:
+        """vertex += dt * kappa * N into a fresh array; open endpoints stay
+        fixed.  The kernel's normal becomes dt * kappa * N in place (the
+        products and the sum commute, so the bytes do not depend on the
+        order)."""
+        kernel = self.kernel
+        kap, vel = kernel.menger()
+        vel[:, 0] *= kap
+        vel[:, 1] *= kap
+        vel *= dt
+        out = vel + kernel.vertices
+        if not np.isfinite(out).all():
+            raise BlowUp(f"non-finite vertices after step of dt={dt}")
+        if self.closed:
+            self.area_lb, self.reach = _area_bound_after_step(kernel, dt, self.area_lb, self.reach)
+        self.raw = out
+        return out
 
 
 def _successor(state: FlowState, raw: np.ndarray, step: int, t: float) -> FlowState:
@@ -231,9 +298,9 @@ def step_graph_mcf(state: FlowState, dt: float) -> FlowState:
     patch = state.surface
     if not isinstance(patch, GraphPatch):
         raise ConfigError("step_graph_mcf requires a GraphPatch state")
-    kernel = _GraphKernel(patch.values, patch.spacing)
-    _check_cfl(dt, kernel.cfl_limit(), "(cfl={}, h={:.3e})", CFL, patch.spacing)
-    return _successor(state, kernel.advance(dt), state.step + 1, state.t + dt)
+    stepper = _GraphStepper(patch.values, patch.spacing)
+    _check_cfl(dt, stepper.limit(), "(cfl={}, h={:.3e})", CFL, patch.spacing)
+    return _successor(state, stepper.advance(dt), state.step + 1, state.t + dt)
 
 
 def step_csf(state: FlowState, dt: float) -> FlowState:
@@ -241,44 +308,14 @@ def step_csf(state: FlowState, dt: float) -> FlowState:
     curve = state.surface
     if not isinstance(curve, ClosedCurve):
         raise ConfigError("step_csf requires a ClosedCurve state")
-    kernel = geometry.CurveKernel(curve.vertices, curve.closed)
-    _check_cfl(dt, _curve_cfl_limit(kernel), "(cfl={}, min edge={:.3e})", CFL, kernel.e_min)
-    return _successor(state, _advance_curve(kernel, dt), state.step + 1, state.t + dt)
+    stepper = _CurveStepper(curve.vertices, curve.closed)
+    _check_cfl(dt, stepper.limit(), "(cfl={}, min edge={:.3e})", CFL, stepper.kernel.e_min)
+    return _successor(state, stepper.advance(dt), state.step + 1, state.t + dt)
 
 
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-
-
-_EPS = float(np.finfo(float).eps)
-
-
-def _shoelace_error_coef(m: int) -> float:
-    """c with |CurveKernel.area() - |A|| <= c R^2 when every |coordinate| <= R."""
-    return 2.0 * (m + 4) ** 2 * _EPS
-
-
-def _area_bound_after_step(kernel, dt: float, area_lb: float, reach: float) -> tuple:
-    """(area_lb, reach) after _advance_curve moved the kernel's polygon by dt:
-    area_lb bounds |A| - c R^2 (c of `_shoelace_error_coef`), so the shoelace,
-    from below, and reach bounds every |coordinate| R.  delta <= dt 2 / lc_min
-    (module docstring) is widened for the rounding of kappa and of the add; a
-    guarded-path step gives no bound."""
-    if not kernel.lc_min > 0:
-        return -np.inf, reach
-    m = kernel.vertices.shape[0]
-    delta = dt * 2.0 / kernel.lc_min * (1.0 + 1e-12)
-    delta += 2.0 * _EPS * (reach + delta)
-    drop = delta * kernel.length * (1.0 + (m + 8) * _EPS) + 0.5 * m * delta * delta
-    drop += _shoelace_error_coef(m) * delta * (2.0 * reach + delta)  # R grows by delta
-    return area_lb - drop - 2.0 * _EPS * abs(area_lb), reach + delta
-
-
-def _remesh_count(length: float, current: int, spacing: float | None) -> int:
-    if spacing is None:
-        return current
-    return max(8, int(round(length / spacing)))
 
 
 def run_flow(
@@ -301,16 +338,17 @@ def run_flow(
         initial = FlowState(initial)
     trace = FlowTrace(config=config)
     window = trace.snapshots
-    is_curve = isinstance(initial.surface, ClosedCurve)
-    closed = is_curve and initial.surface.closed
+    surface = initial.surface
+    closed = isinstance(surface, ClosedCurve) and surface.closed
 
-    def event(kind: str, step: int, t: float, **fields):
+    def event(kind: str, **fields):
+        # an event, like a recorded state, is at the loop's current step and time
         trace.events.append({"event": kind, "step": step, "t": t, **fields})
 
     def record(state: FlowState):
         window.append(state)
         if closed and not geometry.is_simple(state.surface):
-            event("non_simple", state.step, state.t)
+            event("non_simple")
         new_reports = []
         for monitor in monitors:
             rep = monitor(trace, state)
@@ -320,8 +358,8 @@ def run_flow(
         new_reports.sort(key=lambda r: r.monitor_id)
         for r in new_reports:
             if not r.passed and not r.skipped:
-                event("monitor_failure", state.step, state.t, monitor_id=r.monitor_id,
-                      value=r.value, bound=r.bound, margin=r.margin)
+                event("monitor_failure", monitor_id=r.monitor_id, value=r.value,
+                      bound=r.bound, margin=r.margin)
         trace.records.append((state.t, state.step, *_state_stats(state), new_reports))
         if sink is not None:
             sink(state)
@@ -329,79 +367,45 @@ def run_flow(
             # the previous state leaves the last window that reads it
             window.pop(-2).surface._cache.clear()
 
-    record(initial)
     t = initial.t
     step = initial.step
     t_end = initial.t + config.t_end
+    record(initial)
 
-    # a state records raw itself, not a copy: no step writes into its input
-    # (both step kernels and resample_curve_raw return new arrays)
-    if is_curve:
-        raw = initial.surface.vertices
-        kernel = geometry.CurveKernel(raw, closed)
-        min_edge0 = kernel.e_min
-        area_floor = EXTINCTION_AREA_FACTOR * kernel.area() if closed else None
-        area_lb, reach = -np.inf, 0.0  # no area bound until the first shoelace
+    # a state records the stepper's raw itself, not a copy: no step writes
+    # into its input (both steppers and the resample return new arrays)
+    if isinstance(surface, ClosedCurve):
+        stepper = _CurveStepper(surface.vertices, surface.closed, config.remesh_spacing)
     else:
-        raw = initial.surface.values
-        spacing = initial.surface.spacing
-
-    advance = _advance_curve if is_curve else _GraphKernel.advance
-    recorded_at = step
+        stepper = _GraphStepper(surface.values, surface.spacing)
     while t < t_end:
         try:
-            if is_curve:
-                if kernel.vertices is not raw:
-                    kernel.load(raw)
-                e_min, e_max = kernel.e_min, kernel.e_max
-                if e_min < EDGE_COLLAPSE or e_max / e_min > EDGE_RATIO_LIMIT:
-                    count = _remesh_count(kernel.length, raw.shape[0], config.remesh_spacing)
-                    raw = geometry.resample_curve_raw(raw, closed, count)
-                    event("remesh", step, t, min_edge=e_min,
-                          edge_ratio=e_max / e_min if e_min > 0 else float("inf"),
-                          vertex_count=int(raw.shape[0]))
-                    kernel = geometry.CurveKernel(raw, closed)
-                    area_lb = -np.inf
-                short = kernel.length < EXTINCTION_LENGTH_FACTOR * min_edge0
-                area = None
-                if closed and (short or area_lb <= 2.0 * area_floor):
-                    # the event records the area, or the bound cannot rule the test out
-                    area = kernel.area()
-                    reach = float(np.abs(raw).max())
-                    area_lb = area - 2.0 * _shoelace_error_coef(raw.shape[0]) * reach * reach
-                if short or (area is not None and area < area_floor):
-                    event("extinction", step, t, length=kernel.length, area=area)
-                    break
-                limit = _curve_cfl_limit(kernel)
-            else:
-                kernel = _GraphKernel(raw, spacing)
-                limit = kernel.cfl_limit()
+            if not stepper.prepare(event):
+                break
+            limit = stepper.limit()
             dt = config.dt if config.dt is not None else limit
             _check_cfl(dt, limit, "at step {}", step)
             t_next = t_end if dt >= t_end - t else t + dt
             if t_next == t:
-                event("stall", step, t, detail="dt underflow")
+                event("stall", detail="dt underflow")
                 break
-            raw = advance(kernel, t_next - t)
-            if closed:
-                area_lb, reach = _area_bound_after_step(kernel, t_next - t, area_lb, reach)
+            stepper.advance(t_next - t)
         except StepRejected as exc:
-            event("step_rejected", step, t, detail=str(exc))
+            event("step_rejected", detail=str(exc))
             break
         except (BlowUp, GeometryError) as exc:
-            event("blow_up", step, t, detail=str(exc))
+            event("blow_up", detail=str(exc))
             break
         step += 1
         t = t_next
         if (step - initial.step) % config.record_stride == 0:
-            record(_successor(initial, raw, step, t))
-            recorded_at = step
+            record(_successor(initial, stepper.raw, step, t))
     else:
         if config.t_end > 0:
-            event("horizon", step, t)
+            event("horizon")
 
-    if recorded_at != step:
-        record(_successor(initial, raw, step, t))
+    if window[-1].step != step:
+        record(_successor(initial, stepper.raw, step, t))
     return trace
 
 

@@ -6,9 +6,9 @@ derivative quantities use second-order stencils: central in the interior,
 one-sided at the grid boundary.  Every surface has codimension 1: a graph
 is one height over its base, a curve lies in the plane.  Integrals use the
 graph Jacobian sqrt(1 + |Df|^2) on active nodes only.  `CurveKernel` is the
-one polyline kernel: edge lengths, length, shoelace area and the Menger
-curvature and normal; the curve-shortening step in `flow` and the cached
-curve quantities here both read it.  `load` refills a kernel's arrays, so
+one polyline kernel: edge lengths, length, shoelace area, the Menger
+curvature and normal, and the arclength resample; the curve stepper in
+`flow` and the cached curve quantities here both read it.  `load` refills a kernel's arrays, so
 the step reuses one kernel per vertex count; a curve's cached edges, normals
 and kappa come from one fresh kernel.  Construction checks edges without one.
 
@@ -457,6 +457,22 @@ class CurveKernel:
         nxt = self.ext[2:]
         return abs(float(np.sum(x * nxt[:, 1] - nxt[:, 0] * y))) / 2.0
 
+    def resample(self, count: int) -> np.ndarray:
+        """Uniform-arclength linear resample of the loaded polyline to count
+        vertices, into a fresh array; vertex 0 (and open endpoints) kept."""
+        loop = self.ext[1:] if self.closed else self.ext
+        s = np.concatenate([[0.0], np.cumsum(self.edges)])
+        total = s[-1]
+        if total <= 0:
+            raise GeometryError("cannot resample a zero-length curve")
+        if self.closed:
+            targets = total * np.arange(count) / count
+        else:
+            targets = np.linspace(0.0, total, count)
+        x = np.interp(targets, s, loop[:, 0])
+        y = np.interp(targets, s, loop[:, 1])
+        return np.stack([x, y], axis=-1)
+
     def menger(self) -> tuple[np.ndarray, np.ndarray]:
         """(kappa, left unit normal) per vertex from the circumscribed circle
         of each stencil; a degenerate chord (lc = 0) gives kappa = 0, and
@@ -610,25 +626,6 @@ def is_simple(curve: ClosedCurve) -> bool:
         if bool(np.any((t > 0) & (t < 1) & (u > 0) & (u < 1))):
             return False
     return True
-
-
-def resample_curve_raw(
-    vertices: np.ndarray, closed: bool, count: int
-) -> np.ndarray:
-    """Uniform-arclength linear resample; vertex 0 (and open endpoints) kept."""
-    kernel = CurveKernel(np.asarray(vertices, dtype=float), closed)
-    loop = kernel.ext[1:] if closed else kernel.ext
-    s = np.concatenate([[0.0], np.cumsum(kernel.edges)])
-    total = s[-1]
-    if total <= 0:
-        raise GeometryError("cannot resample a zero-length curve")
-    if closed:
-        targets = total * np.arange(count) / count
-    else:
-        targets = np.linspace(0.0, total, count)
-    x = np.interp(targets, s, loop[:, 0])
-    y = np.interp(targets, s, loop[:, 1])
-    return np.stack([x, y], axis=-1)
 
 
 def curve_point_distance(curve: ClosedCurve, point) -> float:

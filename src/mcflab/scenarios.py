@@ -54,7 +54,6 @@ from .geometry import (
     enclosed_area,
     gradient_field,
     hessian_field,
-    resample_curve_raw,
     second_fundamental_norm,
     sum_squares,
     tilt,
@@ -248,7 +247,7 @@ def _rounded_square_vertices(epsilon: float, count: int) -> np.ndarray:
             ang = np.linspace(a0, a1, m, endpoint=False)
             dense.append(a + rc * np.stack([np.cos(ang), np.sin(ang)], axis=1))
     dense = np.concatenate(dense, axis=0)
-    return resample_curve_raw(dense, True, count)
+    return CurveKernel(dense, True).resample(count)
 
 
 def _fold_vertices(L: float, gamma: float, spacing: float):
@@ -294,8 +293,8 @@ def _fold_vertices(L: float, gamma: float, spacing: float):
     )
     dense = np.concatenate(dense, axis=0)
 
-    count = max(8, int(round(CurveKernel(dense, False).length / spacing)))
-    verts = resample_curve_raw(dense, False, count)
+    kernel = CurveKernel(dense, False)
+    verts = kernel.resample(max(8, int(round(kernel.length / spacing))))
 
     mids = 0.5 * (verts[:-1, 0] + verts[1:, 0])
     seg_len = CurveKernel(verts, False).edges

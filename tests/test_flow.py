@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mcflab import flow, geometry
@@ -15,7 +15,7 @@ from mcflab.flow import (
     FlowConfig,
     FlowState,
     StepRejected,
-    _GraphKernel,
+    _GraphStepper,
     run_flow,
     step_csf,
     step_graph_mcf,
@@ -36,10 +36,6 @@ from mcflab.monitors import MonitorReport
 from conftest import count_kernels, curves_intersect, make_circle, run_states, run_to_dir
 
 
-def graph_cfl_limit(values, spacing):
-    return _GraphKernel(values, spacing).cfl_limit()
-
-
 # ---------------------------------------------------------------------------
 # Graph stepper
 # ---------------------------------------------------------------------------
@@ -56,7 +52,7 @@ def _linear_patch(m=33):
 
 def test_plane_is_stationary():
     state = FlowState(surface=_linear_patch())
-    dt = graph_cfl_limit(state.surface.values, state.surface.spacing)
+    dt = _GraphStepper(state.surface.values, state.surface.spacing).limit()
     out = step_graph_mcf(state, dt)
     assert np.array_equal(out.surface.values, state.surface.values)
     assert out.t == dt and out.step == 1
@@ -79,7 +75,7 @@ def test_small_amplitude_mode_decays_like_heat():
 
 def test_graph_step_rejects_beyond_cfl():
     state = FlowState(surface=_linear_patch())
-    limit = graph_cfl_limit(state.surface.values, state.surface.spacing)
+    limit = _GraphStepper(state.surface.values, state.surface.spacing).limit()
     with pytest.raises(StepRejected) as err:
         step_graph_mcf(state, 3.0 * limit)
     h = state.surface.spacing
@@ -97,7 +93,7 @@ def test_dirichlet_boundary_frozen():
         center=(0.0, 0.0), radius=1.0, nodes_per_axis=25,
     )
     state = FlowState(surface=patch)
-    dt = graph_cfl_limit(patch.values, patch.spacing)
+    dt = _GraphStepper(patch.values, patch.spacing).limit()
     out = step_graph_mcf(state, dt).surface
     assert np.array_equal(out.values[0, :], patch.values[0, :])
     assert np.array_equal(out.values[-1, :], patch.values[-1, :])
@@ -121,7 +117,7 @@ def test_graph_step_matches_field_oracle(n):
         _GRAPH_PROFILES[n], center=(0.0,) * n, radius=1.0,
         nodes_per_axis=40 if n == 1 else 24,
     )
-    dt = 0.5 * graph_cfl_limit(patch.values, patch.spacing)
+    dt = 0.5 * _GraphStepper(patch.values, patch.spacing).limit()
     out = step_graph_mcf(FlowState(surface=patch), dt).surface.values
 
     ginv, _ = metric_inverse(gradient_field(patch))
@@ -225,7 +221,8 @@ def test_hairpin_takes_the_guarded_path(closed):
     smooth = np.stack([np.cos(th), np.sin(th)], axis=1)
     hairpin = smooth.copy()
     hairpin[7] = hairpin[5]
-    kernel = geometry.CurveKernel(smooth, closed)
+    stepper = flow._CurveStepper(smooth, closed)
+    kernel = stepper.kernel
     for v in (smooth, hairpin, smooth, hairpin):
         kernel.load(v)
         kappa, normals, _ = _menger_oracle(v.tolist(), closed)
@@ -237,7 +234,7 @@ def test_hairpin_takes_the_guarded_path(closed):
     assert kappa[6] == 0.0
     dt = 1e-3
     velocity = np.where(np.isnan(normals), 0.0, kappa[:, None] * normals)
-    assert np.array_equal(flow._advance_curve(kernel, dt), hairpin + dt * velocity)
+    assert np.array_equal(stepper.advance(dt), hairpin + dt * velocity)
 
 
 def _exact_abs_area(v) -> Fraction:
@@ -265,13 +262,14 @@ def test_area_bound_after_step_holds(m, seed, size, star):
         v = size * np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
     else:
         v = size * rng.normal(size=(m, 2))
-    kernel = geometry.CurveKernel(v, True)
+    stepper = flow._CurveStepper(v, True)
+    kernel = stepper.kernel
     coef = flow._shoelace_error_coef(m)
     reach = float(np.abs(v).max())
     area = _exact_abs_area(v)
     assert abs(Fraction(kernel.area()) - area) <= coef * reach * reach
-    dt = flow._curve_cfl_limit(kernel)
-    out = flow._advance_curve(kernel, dt)
+    dt = stepper.limit()
+    out = stepper.advance(dt)
     # as run_flow starts it: |A| - c R^2 >= shoelace - 2 c R^2
     area_lb, reach_after = flow._area_bound_after_step(
         kernel, dt, kernel.area() - 2.0 * coef * reach * reach, reach)
@@ -290,10 +288,11 @@ def test_area_bound_after_step_on_regular_polygons(m):
     a bound any tighter in delta would fail here."""
     th = 2.0 * np.pi * np.arange(m) / m + 0.3
     v = np.stack([np.cos(th), np.sin(th)], axis=1)
-    kernel = geometry.CurveKernel(v, True)
+    stepper = flow._CurveStepper(v, True)
+    kernel = stepper.kernel
     area = _exact_abs_area(v)
-    dt = 1e-4 * flow._curve_cfl_limit(kernel)  # first order dominates
-    out = flow._advance_curve(kernel, dt)
+    dt = 1e-4 * stepper.limit()  # first order dominates
+    out = stepper.advance(dt)
     area_lb, _ = flow._area_bound_after_step(
         kernel, dt, float(area) - 2.0 * flow._shoelace_error_coef(m), 1.0)
     after = _exact_abs_area(out)
@@ -554,20 +553,23 @@ def test_monitored_trace_pickles_without_caches(kind):
     assert _state_stats(loaded.final) == trace.records[-1][2:5]
 
 
-@pytest.mark.parametrize("kind", ["closed", "open"])
+@pytest.mark.parametrize("kind", ["closed", "open", "remeshing"])
 def test_monitored_curve_run_builds_one_kernel_per_record(kind, monkeypatch):
-    """A monitored curve run without a remesh builds one CurveKernel for its
-    steps and one per recorded state, which gives that state's edge lengths,
-    normals and kappa to the monitors, the probes and the stats alike."""
+    """A monitored curve run builds one CurveKernel for its steps, one per
+    remesh (the resample reads the kernel that holds the curve, and the
+    resampled curve gets its own), and one per recorded state, which gives
+    that state's edge lengths, normals and kappa to the monitors, the probes
+    and the stats alike."""
     from mcflab.scenarios import monitor_battery
 
-    initial = _flow_initial(kind)
+    initial = _clustered_circle() if kind == "remeshing" else _flow_initial(kind)
     built = count_kernels(monkeypatch)
     trace = run_flow(initial, FlowConfig(t_end=0.01, record_stride=4),
                      monitors=monitor_battery())
-    assert trace.events_of("remesh") == []
+    remeshes = trace.events_of("remesh")
+    assert bool(remeshes) == (kind == "remeshing")
     assert len(trace.records) > 2
-    assert len(built) == 1 + len(trace.records)
+    assert len(built) == 1 + len(trace.records) + len(remeshes)
 
 
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
@@ -712,11 +714,16 @@ def test_trace_memory_grows_with_snapshots_only():
 # ---------------------------------------------------------------------------
 
 
-def test_remesh_event_restores_edge_ratio():
+def _clustered_circle() -> ClosedCurve:
+    """The unit circle with 64 vertices whose edge lengths vary by about
+    e^2, past EDGE_RATIO_LIMIT."""
     th = 2.0 * np.pi * np.arange(64) / 64
-    # cluster parameterization: edge lengths vary by ~e^2 > ratio limit
     s = th + 0.9 * np.sin(th)
-    curve = ClosedCurve(np.stack([np.cos(s), np.sin(s)], axis=1))
+    return ClosedCurve(np.stack([np.cos(s), np.sin(s)], axis=1))
+
+
+def test_remesh_event_restores_edge_ratio():
+    curve = _clustered_circle()
     trace = run_flow(curve, FlowConfig(t_end=1e-5, record_stride=1))
     events = trace.events_of("remesh")
     assert events and events[0]["edge_ratio"] > 4.0
@@ -728,14 +735,50 @@ def test_remesh_event_restores_edge_ratio():
 
 
 def test_remesh_spacing_controls_vertex_count():
-    th = 2.0 * np.pi * np.arange(64) / 64
-    s = th + 0.9 * np.sin(th)
-    curve = ClosedCurve(np.stack([np.cos(s), np.sin(s)], axis=1))
+    curve = _clustered_circle()
     spacing = 2.0 * math.pi / 200.0
     trace = run_flow(curve, FlowConfig(t_end=1e-5, record_stride=1,
                                        remesh_spacing=spacing))
     counts = {e["vertex_count"] for e in trace.events_of("remesh")}
     assert counts and all(abs(c - 200) <= 2 for c in counts)
+
+
+def test_single_step_never_remeshes():
+    """step_csf steps a curve past EDGE_RATIO_LIMIT on its own vertices,
+    while run_flow from the same curve remeshes it at step 0: only
+    run_flow's loop remeshes."""
+    curve = _clustered_circle()
+    kernel = geometry.CurveKernel(curve.vertices, True)
+    assert kernel.e_max / kernel.e_min > flow.EDGE_RATIO_LIMIT
+    dt = 0.1 * flow.CFL * kernel.e_min**2
+    normals, kappa = curve_quantities_all(curve)
+    out = step_csf(FlowState(curve), dt).surface.vertices
+    assert np.array_equal(out, curve.vertices + dt * (kappa[:, None] * normals))
+    trace = run_flow(curve, FlowConfig(t_end=dt, remesh_spacing=2.0 * math.pi / 100.0))
+    (remesh,) = trace.events_of("remesh")
+    assert remesh["step"] == 0 and remesh["vertex_count"] == 100
+    assert trace.final.surface.m == 100
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_graph_run_computes_df_once_per_step(n, monkeypatch):
+    """An unmonitored graph run computes Df once per step, for the CFL
+    limit, the Hessian and g^{-1} alike, and once per recorded state, for
+    its timeseries row."""
+    patch = GraphPatch.from_function(
+        lambda p: 0.2 * np.cos(0.5 * math.pi * p[..., 0]) + 0.1 * p[..., -1] ** 2,
+        center=(0.0,) * n, radius=1.0, nodes_per_axis=17)
+    calls = []
+    gradient_raw = geometry.gradient_raw
+
+    def counted(values, h):
+        calls.append(None)
+        return gradient_raw(values, h)
+
+    monkeypatch.setattr(geometry, "gradient_raw", counted)
+    trace = run_flow(patch, FlowConfig(t_end=0.05, record_stride=5))
+    assert trace.final.step > 10
+    assert len(calls) == trace.final.step + len(trace.records)
 
 
 def test_horizon_event_when_no_extinction():
@@ -1041,12 +1084,12 @@ def _square(m: int) -> ClosedCurve:
 
 
 @st.composite
-def _restart_runs(draw):
+def _restart_runs(draw, kinds=("closed", "open", "square", "graph", "patch")):
     """(kind, initial surface, t_end): a star-shaped closed curve, an open
     curve, a square that remeshes before t_end, a 1-D graph or a 2-D patch,
     each run far from extinction (the extinction tests read the initial
-    state)."""
-    kind = draw(st.sampled_from(["closed", "open", "square", "graph", "patch"]))
+    state); kind is one of `kinds`."""
+    kind = draw(st.sampled_from(kinds))
     a, b = (draw(st.floats(-0.2, 0.2)) for _ in range(2))
     if kind == "square":
         return kind, _square(draw(st.integers(40, 56))), 0.3
@@ -1101,3 +1144,107 @@ def test_restart_from_a_snapshot_continues_bitwise(run, stride, data):
     assert between(restart.events) == between(trace.events)
     assert not trace.events_of("extinction") and not restart.events_of("extinction")
     assert bool(trace.events_of("remesh")) == (kind == "square")
+
+
+# ---------------------------------------------------------------------------
+# Exact symmetries: a map that is exact on the float grid commutes with
+# run_flow bit for bit, so it is an oracle for every step path
+# ---------------------------------------------------------------------------
+
+
+def _scaled(surface):
+    """x -> 2x at t -> 4t: lengths double and times quadruple, exactly."""
+    if isinstance(surface, ClosedCurve):
+        return dataclasses.replace(surface, vertices=2.0 * surface.vertices,
+                                   time=4.0 * surface.time)
+    return dataclasses.replace(surface, center=2.0 * surface.center, radius=2.0 * surface.radius,
+                               spacing=2.0 * surface.spacing, values=2.0 * surface.values,
+                               time=4.0 * surface.time)
+
+
+def _turned(curve):
+    """The quarter turn (x, y) -> (-y, x)."""
+    x, y = curve.vertices[:, 0], curve.vertices[:, 1]
+    return dataclasses.replace(curve, vertices=np.stack([-y, x], axis=1))
+
+
+def _negated(patch):
+    return dataclasses.replace(patch, values=-patch.values)
+
+
+def _mirrored(patch):
+    """x_0 -> -x_0 about the patch's centre, which is 0 here."""
+    return dataclasses.replace(patch, values=np.flip(patch.values, axis=0).copy())
+
+
+def _reflected(curve):
+    """(x, y) -> (-x, y) with the vertex order reversed, which keeps the
+    orientation."""
+    v = curve.vertices[::-1]
+    return dataclasses.replace(curve, vertices=np.stack([-v[:, 0], v[:, 1]], axis=1))
+
+
+# name: (map, the run kinds it applies to, its length factor, its time factor)
+_SYMMETRIES = {
+    "scale": (_scaled, ("closed", "open", "square", "graph", "patch"), 2.0, 4.0),
+    "turn": (_turned, ("closed", "open", "square"), 1.0, 1.0),
+    "negate": (_negated, ("graph", "patch"), 1.0, 1.0),
+    "mirror": (_mirrored, ("graph",), 1.0, 1.0),
+    "reflect": (_reflected, ("square",), 1.0, 1.0),
+}
+
+
+def _snapshot(surface) -> str:
+    """surface's snapshot with -0.0 read as 0.0: f -> -f and the turn map a
+    zero to -0.0, which the flow's sums turn back into 0.0."""
+    name = "vertices" if isinstance(surface, ClosedCurve) else "values"
+    return geometry.dumps_surface(
+        dataclasses.replace(surface, **{name: getattr(surface, name) + 0.0}))
+
+
+def _mapped_event(event, length, time):
+    factors = {"t": time, "min_edge": length, "length": length, "area": length * length}
+    return {k: v * factors[k] if k in factors and v is not None else v
+            for k, v in event.items()}
+
+
+@pytest.mark.parametrize("name", [
+    "scale",
+    "turn",
+    "negate",
+    pytest.param("mirror", marks=pytest.mark.xfail(strict=True, reason=(
+        "geometry._d2 evaluates (f[i+1] - 2f[i]) + f[i-1], which rounds "
+        "differently when the nodes are reversed"))),
+    pytest.param("reflect", marks=pytest.mark.xfail(strict=True, reason=(
+        "a remesh resamples from vertex 0, and the reversed order starts "
+        "at the other end"))),
+])
+# no shrink phase: each xfail fails on its first example, and shrinking
+# that example costs seconds
+@settings(max_examples=12, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_exact_symmetries_commute_with_run_flow(name, data):
+    """A map that is exact in binary floating point commutes with run_flow
+    bitwise, but for the sign of zero: the run from the mapped surface
+    records, step for step, the map of each state the original run records,
+    and the same events, their times, lengths and areas scaled by the map.
+    The maps: x -> 2x with t -> 4t and the remesh spacing doubled, on curves
+    and graphs; the quarter turn of a curve, through its remeshes; f -> -f
+    on 1-D and 2-D graphs.  Two maps that do not hold are strict xfails,
+    each with its reason: the graph mirror x -> -x, and a curve reflection
+    with reversed vertex order on the square, which remeshes."""
+    mapping, kinds, length, time = _SYMMETRIES[name]
+    kind, surface, t_end = data.draw(_restart_runs(kinds), label="run")
+    stride = data.draw(st.integers(1, 12), label="stride")
+    spacing = None
+    if isinstance(surface, ClosedCurve):
+        spacing = data.draw(st.sampled_from([None, 0.25]), label="remesh_spacing")
+    trace, states = run_states(
+        surface, FlowConfig(t_end=t_end, record_stride=stride, remesh_spacing=spacing))
+    image, image_states = run_states(mapping(surface), FlowConfig(
+        t_end=time * t_end, record_stride=stride,
+        remesh_spacing=None if spacing is None else length * spacing))
+    assert [s.step for s in image_states] == [s.step for s in states]
+    for got, want in zip(image_states, states):
+        assert _snapshot(got.surface) == _snapshot(mapping(want.surface))
+    assert image.events == [_mapped_event(e, length, time) for e in trace.events]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mcflab import geometry
 from mcflab._util import ValidationError, canonical_dumps
-from mcflab.flow import _advance_curve
+from mcflab.flow import _CurveStepper
 from mcflab.geometry import (
     SIMPLE_PAIR_CHUNK,
     ClosedCurve,
@@ -36,7 +36,6 @@ from mcflab.geometry import (
     is_simple,
     loads_surface,
     mean_curvature_graph,
-    resample_curve_raw,
     sample_surface,
     second_fundamental_norm,
     sum_squares,
@@ -218,35 +217,38 @@ def test_regular_polygon_length_and_area(m):
     assert edge_lengths(curve).shape == (m,)
 
 
-def _kernel_bytes(kernel):
-    """Everything a kernel gives, as bytes and floats, then one step."""
+def _kernel_bytes(stepper):
+    """Everything a curve stepper's kernel gives, as bytes and floats, then
+    a resample of it and one step."""
+    kernel = stepper.kernel
     kap, nor = kernel.menger()
     out = [kernel.edges.tobytes(), kernel.e_min, kernel.e_max, kernel.length,
            kap.tobytes(), nor.tobytes(), kernel.lc_min]
     if kernel.closed:
         out.append(kernel.area())
-    out.append(_advance_curve(kernel, 1e-3).tobytes())
+    out.append(kernel.resample(31).tobytes())
+    out.append(stepper.advance(1e-3).tobytes())
     return out
 
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
 def test_curve_kernel_load_matches_fresh_kernel(closed):
     """A kernel refilled by load gives, bit for bit, what a fresh kernel
-    gives, across loads and with one kernel per vertex count as run_flow
-    keeps them; a vertex array of another count does not load."""
+    gives, across loads and with one stepper per vertex count as run_flow
+    keeps its kernel; a vertex array of another count does not load."""
     rng = np.random.default_rng(11)
-    kernels = {}
+    steppers = {}
     for m in (24, 24, 40, 24, 40, 40, 24):
         th = np.sort(rng.uniform(0.0, 2.0 * np.pi, m)) if closed else np.linspace(0.0, np.pi, m)
         r = rng.uniform(0.5, 1.5, m)
         v = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        if m in kernels:
-            kernels[m].load(v)
+        if m in steppers:
+            steppers[m].kernel.load(v)
         else:
-            kernels[m] = CurveKernel(v, closed)
-        assert _kernel_bytes(kernels[m]) == _kernel_bytes(CurveKernel(v.copy(), closed))
+            steppers[m] = _CurveStepper(v, closed)
+        assert _kernel_bytes(steppers[m]) == _kernel_bytes(_CurveStepper(v.copy(), closed))
     with pytest.raises(ValueError):
-        kernels[40].load(v)  # v has 24 vertices
+        steppers[40].kernel.load(v)  # v has 24 vertices
 
 
 def _exact_signed_area(v) -> Fraction:
@@ -529,7 +531,7 @@ def test_curve_point_distance_circle():
 
 def test_resample_preserves_shape():
     curve = make_circle(radius=1.0, m=100)
-    out = resample_curve_raw(curve.vertices, True, 140)
+    out = CurveKernel(curve.vertices, True).resample(140)
     assert out.shape == (140, 2)
     re = ClosedCurve(out)
     assert math.isclose(total_length(re), total_length(curve), rel_tol=1e-3)
