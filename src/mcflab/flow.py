@@ -9,13 +9,16 @@ Hessian and g^{-1}; `_CurveStepper` applies vertex += dt * kappa * N with the
 Menger kappa and N of `geometry.CurveKernel`, the one polyline kernel.  A
 stepper's `prepare(event)` loads the current array and raises the step's
 remesh or extinction through `event` (False after an extinction), `limit()`
-gives the CFL limit and `advance(dt)` returns the next array, kept as `raw`.
-The single steppers `step_graph_mcf` / `step_csf` call only `limit` and
-`advance`, so a single step never remeshes or stops; `run_flow` picks its
-stepper once, from the surface type.  Both build each next state with
-`_successor`, which revalidates the surface.  A state is its surface and its
-step: its time is the surface's, so a recorded state is exactly its snapshot
-plus the step in its `timeseries.csv` row.  `run_flow` advances until the
+gives the CFL limit and `advance(dt)` returns the next array, kept as `raw`;
+`recorded(surface)` hands it each recorded state of that array, whose cached
+Df the graph stepper adopts, so a graph run computes Df once per step and
+once for its final state.  The single steppers `step_graph_mcf` / `step_csf`
+call only `limit` and `advance`, so a single step never remeshes or stops;
+`run_flow` picks its stepper once, from the surface type, before it records
+the initial state.  Both build each next state with `_successor`, which
+revalidates the surface.  A state is its surface and its step: its time is
+the surface's, so a recorded state is exactly its snapshot plus the step in
+its `timeseries.csv` row.  `run_flow` advances until the
 horizon, extinction, or a terminal event, recording a state every
 `record_stride` steps and handing it to its sink.  `RunDirSink` is the sink
 that streams a run directory: it writes each recorded state as
@@ -40,14 +43,14 @@ bound is at most twice the threshold, after a remesh or a guarded-path step
 `run_flow` keeps only the states a monitor window reads: the first, and
 while a state is recorded the previous one and the current one; a returned
 trace holds its first and its last state and one row per record: its
-`timeseries.csv` row, computed when it is recorded, after the monitors ran,
-and its reports; the sink receives the state then.  A state's
-derived-array cache is released when the next state is recorded: the
-monitor windows start at the previous record or at the first, whose cache
-stays.  A monitor that returns None only observes, as the scenarios' probes
-do.  A cache is a pure function of the snapshot's values, so a sink that
-keeps a released state recomputes bit-identical values; it pays in time,
-and the cache it rebuilds stays.
+`timeseries.csv` row, read from the state's context (`geometry._context`,
+which the monitors read too) after the monitors ran, and its reports; the
+sink receives the state then.  A state's derived-array cache is released
+when the next state is recorded: the monitor windows start at the previous
+record or at the first, whose cache stays.  A monitor that returns None only
+observes, as the scenarios' probes do.  A cache is a pure function of the
+snapshot's values, so a sink that keeps a released state recomputes
+bit-identical values; it pays in time, and the cache it rebuilds stays.
 """
 
 from __future__ import annotations
@@ -167,17 +170,22 @@ def _check_cfl(dt: float, limit: float, context: str, *args) -> None:
 
 class _GraphStepper:
     """Forward-Euler step of dt f = g^{ij} D_iD_jf on raw node values,
-    boundary nodes frozen; Df is computed when the values are loaded."""
+    boundary nodes frozen; Df is computed once per step, by `limit`, unless
+    the step's state was recorded, whose cached Df `recorded` adopts."""
 
     def __init__(self, values: np.ndarray, spacing: float):
-        self.raw, self.spacing, self.df = values, spacing, geometry.gradient_raw(values, spacing)
+        self.raw, self.spacing, self.df = values, spacing, None
 
     def prepare(self, event) -> bool:
-        if self.df is None:
-            self.df = geometry.gradient_raw(self.raw, self.spacing)
         return True
 
+    def recorded(self, surface: GraphPatch) -> None:
+        """Adopt the Df of `surface`, the recorded state of the current values."""
+        self.df = geometry.gradient_field(surface)
+
     def limit(self) -> float:
+        if self.df is None:
+            self.df = geometry.gradient_raw(self.raw, self.spacing)
         gmax = float(np.max(geometry.sum_squares(self.df)))
         return CFL * self.spacing**2 / (1.0 + gmax)
 
@@ -253,6 +261,9 @@ class _CurveStepper:
             event("extinction", length=kernel.length, area=area)
             return False
         return True
+
+    def recorded(self, surface: ClosedCurve) -> None:
+        """A recorded state gives a curve step nothing."""
 
     def limit(self) -> float:
         return CFL * self.kernel.e_min**2
@@ -360,17 +371,14 @@ def run_flow(
             if not r.passed and not r.skipped:
                 event("monitor_failure", monitor_id=r.monitor_id, value=r.value,
                       bound=r.bound, margin=r.margin)
-        trace.records.append((state.t, state.step, *_state_stats(state), new_reports))
+        row = geometry._context(state.surface).row
+        trace.records.append((state.t, state.step, *row, new_reports))
+        stepper.recorded(state.surface)
         if sink is not None:
             sink(state)
         if len(window) > 2:
             # the previous state leaves the last window that reads it
             window.pop(-2).surface._cache.clear()
-
-    t = initial.t
-    step = initial.step
-    t_end = initial.t + config.t_end
-    record(initial)
 
     # a state records the stepper's raw itself, not a copy: no step writes
     # into its input (both steppers and the resample return new arrays)
@@ -378,6 +386,11 @@ def run_flow(
         stepper = _CurveStepper(surface.vertices, surface.closed, config.remesh_spacing)
     else:
         stepper = _GraphStepper(surface.values, surface.spacing)
+    t = initial.t
+    step = initial.step
+    t_end = initial.t + config.t_end
+    record(initial)
+
     while t < t_end:
         try:
             if not stepper.prepare(event):
@@ -412,22 +425,6 @@ def run_flow(
 # ---------------------------------------------------------------------------
 # Run-directory persistence
 # ---------------------------------------------------------------------------
-
-
-def _state_stats(state: FlowState) -> tuple[float, float | None, float]:
-    """(measure, max|Df| or None, max|A|) of a snapshot; at record time it
-    reads the fields the monitors cached."""
-    surf = state.surface
-    if isinstance(surf, ClosedCurve):
-        _, kap = geometry.curve_quantities_all(surf)
-        return geometry.total_length(surf), None, float(np.max(np.abs(kap)))
-    act = surf.active
-    df = geometry.gradient_field(surf)[act]
-    d2f = geometry.hessian_field(surf)[act]
-    measure = geometry.integrate_over_graph(surf, lambda t, pts: 1.0)
-    max_grad = float(np.max(np.sqrt(geometry.sum_squares(df))))
-    max_a = float(np.max(geometry.second_fundamental_norm(df, d2f)))
-    return measure, max_grad, max_a
 
 
 class RunDirSink:

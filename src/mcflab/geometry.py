@@ -20,6 +20,10 @@ where it is read.  Each surface owns its `_cache`: no constructor takes one,
 and every surface built, by `dataclasses.replace` too, starts with an empty
 dict of its own, so a cache always describes the values and the time of the
 surface that holds it.
+
+A recorded state's derived arrays have one reader, its private context
+(`_context`, cached under "context"): `flow.run_flow`'s timeseries row, the
+monitor checks and the curvature window read the state only through it.
 """
 
 from __future__ import annotations
@@ -700,6 +704,77 @@ def sample_surface(surface) -> SurfaceSample:
         )
     surface._cache["sample"] = sample
     return sample
+
+
+# ---------------------------------------------------------------------------
+# The one context of a recorded state
+# ---------------------------------------------------------------------------
+
+
+class _Context:
+    """A surface as its record-time readers see it.  It holds arrays, never
+    the surface, so the two form no cycle, and only arrays some reader
+    reads: the sample, the signed mean curvature H (the curvature vector is
+    H times the normal), a graph's cached Df and D^2f (`grad`, `hess`) and
+    grid mask (`active`) for the curvature window, the boundary rows
+    (`edge`, from the grid's mask), the timeseries row (measure, max|Df| or
+    None, max|A|; a curve's |A| is |kappa|), and a test function's
+    quadrature sum(vals * jac) * scale, with scale = h^n for a graph and 1
+    for a curve, whose jac holds the vertex weights.  Its memo, keyed by
+    parameters alone (a state's time is its surface's), holds |x - c|^2 per
+    centre, each ball measure, and what a reader computes through `once`."""
+
+    def __init__(self, surface):
+        self.t = surface.time
+        self.memo = {}
+        self.sample = sample_surface(surface)
+        if isinstance(surface, GraphPatch):
+            self.grad, self.hess = gradient_field(surface), hessian_field(surface)
+            act = self.active = surface.active
+            df, d2f = self.grad[act], self.hess[act]
+            self.mean_curvature = mean_curvature_graph(df, d2f)
+            self.points, self.jac = graph_lift_and_jacobian(surface)
+            self.scale = surface.spacing**surface.n
+            self.edge = surface.grid.boundary
+            self.row = (float(np.sum(self.jac) * self.scale),
+                        float(np.max(np.sqrt(sum_squares(df)))),
+                        float(np.max(second_fundamental_norm(df, d2f))))
+        else:
+            self.mean_curvature = curve_quantities_all(surface)[1]
+            self.points = surface.vertices
+            self.jac = self.sample.weights
+            self.scale = 1.0
+            self.edge = [] if surface.closed else [0, -1]
+            self.row = total_length(surface), None, float(np.max(np.abs(self.mean_curvature)))
+
+    def exits(self, vals: np.ndarray) -> bool:
+        """Whether a test function's support reaches the boundary."""
+        return bool(np.any(vals[self.edge] > 0.0))
+
+    def once(self, key, compute):
+        """compute(self), once per key."""
+        if key not in self.memo:
+            self.memo[key] = compute(self)
+        return self.memo[key]
+
+    def dist2(self, center) -> np.ndarray:
+        """|x - center|^2 at every point."""
+        center = np.asarray(center, dtype=float)
+        return self.once(("dist2", *center.tolist()),
+                         lambda ctx: sum_squares(ctx.points, center))
+
+    def ball_measure(self, center, radius: float) -> float:
+        """The measure of the surface inside B(center, radius), on dist2."""
+        center = np.asarray(center, dtype=float)
+        return self.once(("ball_measure", radius, *center.tolist()), lambda ctx: float(
+            np.sum(ctx.sample.weights[np.sqrt(ctx.dist2(center)) <= radius])))
+
+
+def _context(surface) -> _Context:
+    """The surface's context, built on first use and kept in its cache."""
+    if "context" not in surface._cache:
+        surface._cache["context"] = _Context(surface)
+    return surface._cache["context"]
 
 
 # ---------------------------------------------------------------------------

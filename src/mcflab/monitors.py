@@ -16,18 +16,17 @@ the two forms agree as integrals.  Pointwise their integrands differ by
 Delta_M phi, so their discrete residuals differ only by how well the
 quadrature integrates Delta_M phi to zero.
 
-The checks read a state only through its one private context, kept in the
-surface's cache: the sample and the signed mean curvature, computed when the
-context is built, the graph Jacobian and h^n (so a graph integral keeps its
-sum(vals * jac) * h^n arithmetic), and the rows on the computational
-boundary, whose mask comes from the grid; never the surface itself, so the
-two form no cycle.  Its memo, keyed by parameters alone (a state's time is
-its surface's), holds |x - c|^2 per centre and phi_rho per (rho, t0, x0),
-shared by the checks that read them, and the scalar results of each test
-function and ball measure.  A monitored run therefore evaluates each once
-per recorded state, though every window uses the state twice; what a window
-reads of its first state (the gradient sup, the slab precondition, the ball
-measure) is computed once per flow.  The monotone windows start at t = 0.
+The checks read a state only through its one context, `geometry._context`,
+kept in the surface's cache (`geometry._Context` says what it holds); the
+curvature window reads its Df and D^2f there too, and the timeseries row
+its measure, max|Df| and max|A|.  Its memo, keyed by
+parameters alone, holds |x - c|^2 per centre and phi_rho per (rho, t0, x0)
+(`_phi_rho_at`), shared by the checks that read them, and the scalar results
+of each test function and ball measure.  A monitored run therefore
+evaluates each once per recorded state, though every window uses the state
+twice; what a window reads of its first state (the gradient sup, the slab
+precondition, the ball measure) is computed once per flow.  The monotone
+windows start at t = 0.
 """
 
 from __future__ import annotations
@@ -38,19 +37,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import geometry
 from ._util import ConfigError
-from .geometry import (
-    GraphPatch,
-    curve_quantities_all,
-    gradient_field,
-    gradient_raw,
-    graph_lift_and_jacobian,
-    hessian_field,
-    mean_curvature_graph,
-    sample_surface,
-    second_fundamental_norm,
-    sum_squares,
-)
+from .geometry import GraphPatch, second_fundamental_norm, sum_squares
 
 MONO_TOL_REL_DEFAULT = 1e-6
 IDENTITY_TOL_REL_DEFAULT = 0.02
@@ -101,6 +90,14 @@ def phi_rho(rho: float, t0: float, x0, t: float, x, d2=None):
     return np.maximum(1.0 - (d2 + 2.0 * n * (t - t0)) / rho**2, 0.0)
 
 
+def _phi_rho_at(ctx, rho: float, t0: float, x0) -> np.ndarray:
+    """phi_rho(rho, t0, x0) at a state's context's points, on its dist2(x0),
+    once per state."""
+    x0 = np.asarray(x0, dtype=float)
+    return ctx.once(("phi_rho", rho, t0, *x0.tolist()), lambda c: phi_rho(
+        rho, t0, x0, c.t, c.points, d2=c.dist2(x0)))
+
+
 def upsilon(
     form: str,
     t: float,
@@ -145,72 +142,6 @@ def upsilon(
 
 
 # ---------------------------------------------------------------------------
-# Per-state geometric context shared by the checks
-# ---------------------------------------------------------------------------
-
-
-class _Context:
-    """One surface as the checks see it (module docstring); H is signed, the
-    curvature vector is H times the normal.  A test function's quadrature is
-    sum(vals * jac) * scale, with scale = h^n for a graph and 1 for a curve,
-    whose jac holds the vertex weights."""
-
-    def __init__(self, surface):
-        self.t = surface.time
-        self.memo = {}
-        self.sample = sample_surface(surface)
-        if isinstance(surface, GraphPatch):
-            act = surface.active
-            df, d2f = gradient_field(surface)[act], hessian_field(surface)[act]
-            self.mean_curvature = mean_curvature_graph(df, d2f)
-            self.points, self.jac = graph_lift_and_jacobian(surface)
-            self.scale = surface.spacing**surface.n
-            self.edge = surface.grid.boundary
-        else:
-            self.mean_curvature = curve_quantities_all(surface)[1]
-            self.points = surface.vertices
-            self.jac = self.sample.weights
-            self.scale = 1.0
-            self.edge = [] if surface.closed else [0, -1]
-
-    def exits(self, vals: np.ndarray) -> bool:
-        """Whether a test function's support reaches the boundary."""
-        return bool(np.any(vals[self.edge] > 0.0))
-
-    def once(self, key, compute):
-        """compute(self), once per key."""
-        if key not in self.memo:
-            self.memo[key] = compute(self)
-        return self.memo[key]
-
-    def dist2(self, center) -> np.ndarray:
-        """|x - center|^2 at every point."""
-        center = np.asarray(center, dtype=float)
-        return self.once(("dist2", *center.tolist()),
-                         lambda ctx: sum_squares(ctx.points, center))
-
-    def phi_rho(self, rho: float, t0: float, x0) -> np.ndarray:
-        """phi_rho(rho, t0, x0) at every point, on dist2(x0)."""
-        x0 = np.asarray(x0, dtype=float)
-        return self.once(("phi_rho", rho, t0, *x0.tolist()), lambda ctx: phi_rho(
-            rho, t0, x0, ctx.t, ctx.points, d2=ctx.dist2(x0)))
-
-    def ball_measure(self, center, radius: float) -> float:
-        """The measure of the surface inside B(center, radius), on dist2."""
-        center = np.asarray(center, dtype=float)
-        return self.once(("ball_measure", radius, *center.tolist()), lambda ctx: float(
-            np.sum(ctx.sample.weights[np.sqrt(ctx.dist2(center)) <= radius])))
-
-
-def _context(state) -> _Context:
-    """The state's context, built on first use and kept in its cache."""
-    cache = state.surface._cache
-    if "monitor_context" not in cache:
-        cache["monitor_context"] = _Context(state.surface)
-    return cache["monitor_context"]
-
-
-# ---------------------------------------------------------------------------
 # Monotonicity checks
 # ---------------------------------------------------------------------------
 
@@ -224,8 +155,8 @@ def _monotonicity_report(monitor_id: str, state_a, state_b, key, fn) -> MonitorR
         vals = np.asarray(fn(ctx), dtype=float)
         return ctx.exits(vals), float(np.sum(vals * ctx.jac) * ctx.scale)
 
-    exits_a, i_a = _context(state_a).once(key, quadrature)
-    exits_b, i_b = _context(state_b).once(key, quadrature)
+    exits_a, i_a = geometry._context(state_a.surface).once(key, quadrature)
+    exits_b, i_b = geometry._context(state_b.surface).once(key, quadrature)
     if exits_a or exits_b:
         return _skipped(monitor_id, state_b.t, "support leaves computational domain")
     return MonitorReport(
@@ -249,7 +180,7 @@ def check_phi_monotonicity(
     key = ("phi", rho, tuple(np.asarray(x0, dtype=float).tolist()))
 
     def fn(ctx):
-        return ctx.phi_rho(rho, 0.0, x0) ** 3
+        return _phi_rho_at(ctx, rho, 0.0, x0) ** 3
 
     return _monotonicity_report("phi_monotonicity", state_a, state_b, key, fn)
 
@@ -289,7 +220,7 @@ def check_measure_bound(
     mid = "measure_bound"
     if rho <= 0:
         raise ConfigError("rho must be > 0")
-    ctx_t = _context(state_t)
+    ctx_t = geometry._context(state_t.surface)
     n = ctx_t.points.shape[1] - 1
     dt = state_t.t - state_s1.t
     if dt < 0:
@@ -298,7 +229,7 @@ def check_measure_bound(
     if dt >= window:
         return _skipped(mid, state_t.t, f"t - s1 = {dt:.3e} outside window {window:.3e}")
     value = ctx_t.ball_measure(y0, rho / 2.0)
-    bound = 8.0 * _context(state_s1).ball_measure(y0, rho)
+    bound = 8.0 * geometry._context(state_s1.surface).ball_measure(y0, rho)
     return MonitorReport(monitor_id=mid, t=state_t.t, value=value, bound=bound)
 
 
@@ -325,12 +256,12 @@ def check_height_bound(
         heights = np.abs(ctx.points[near, -1] - x0[-1])
         return float(np.max(heights)) if np.any(heights > r0 * (1 + 1e-12) + 1e-15) else None
 
-    worst = _context(state_t1).once(("slab", *x0.tolist(), R, r0), slab_excess)
+    worst = geometry._context(state_t1.surface).once(("slab", *x0.tolist(), R, r0), slab_excess)
     if worst is not None:
         raise ConfigError(
             f"initial state not inside C(x0, 2R, r0): max height {worst:.6g} > r0 = {r0}"
         )
-    points = _context(state_t).points
+    points = geometry._context(state_t.surface).points
     base = np.sqrt(sum_squares(points[:, :-1], x0[:-1]))
     heights = np.abs(points[:, -1] - x0[-1])
     inside = (base <= R) & (heights <= R)
@@ -356,7 +287,7 @@ def check_gradient_bound_EH(
     if rho <= 0:
         raise ConfigError("rho must be > 0")
     x0 = np.asarray(x0, dtype=float)
-    ctx_t = _context(state_t)
+    ctx_t = geometry._context(state_t.surface)
     n = ctx_t.points.shape[1] - 1
     tau = state_t.t - state_t1.t
     if tau < 0:
@@ -377,7 +308,7 @@ def check_gradient_bound_EH(
         return float(np.max(1.0 / ne)), ""
 
     key = ("gradient_sup", tuple(x0.tolist()), rho)
-    bound, reason = _context(state_t1).once(key, initial_sup)
+    bound, reason = geometry._context(state_t1.surface).once(key, initial_sup)
     if bound is None:
         return _skipped(mid, state_t.t, reason)
 
@@ -430,11 +361,9 @@ class CurvatureWindowEH:
         if np.linalg.norm(surf.center - self.x0[:-1]) + 2 * self.rho > surf.radius + surf.spacing:
             self.reason = "patch does not cover B(x0, 2 rho)"
             return
-        act = surf.active
-        base = np.sqrt(sum_squares(surf.nodes[act], self.x0[:-1]))
-        df = gradient_raw(surf.values, surf.spacing)[act]  # builds no cache
-        sel = base <= 2 * self.rho
-        w = 1.0 + sum_squares(df[sel])
+        ctx = geometry._context(surf)
+        base = np.sqrt(sum_squares(ctx.points[:, :-1], self.x0[:-1]))
+        w = 1.0 + sum_squares(ctx.grad[ctx.active][base <= 2 * self.rho])
         self.sup_df = max(self.sup_df, float(np.max(w**2)))
 
     def report(self) -> MonitorReport:
@@ -446,11 +375,9 @@ class CurvatureWindowEH:
             return _skipped(mid, s, "window has zero duration")
         if self.reason is not None:
             return _skipped(mid, s, self.reason)
-        final = self.last.surface
-        act = final.active
-        sel = np.sqrt(sum_squares(final.nodes[act], self.x0[:-1])) <= self.rho
-        df = gradient_field(final)[act][sel]
-        d2f = hessian_field(final)[act][sel]
+        ctx = geometry._context(self.last.surface)
+        sel = np.sqrt(sum_squares(ctx.points[:, :-1], self.x0[:-1])) <= self.rho
+        df, d2f = ctx.grad[ctx.active][sel], ctx.hess[ctx.active][sel]
         value = float(np.max(second_fundamental_norm(df, d2f) ** 2))
         bound = self.c_hat * (1.0 / (s - self.s1) + 1.0 / self.rho**2) * self.sup_df
         return MonitorReport(monitor_id=mid, t=s, value=value, bound=bound)
@@ -551,7 +478,7 @@ def check_brakke_identity(
 
     def terms(ctx):
         """None if phi's support exits, else the integrals (side, part, mass)."""
-        base = () if test_field.base is None else (ctx.phi_rho(*test_field.base),)
+        base = () if test_field.base is None else (_phi_rho_at(ctx, *test_field.base),)
         args = (ctx.t, ctx.points, *base)
         phi = np.asarray(test_field.value(*args), dtype=float)
         if ctx.exits(phi):
@@ -574,8 +501,8 @@ def check_brakke_identity(
         )
 
     key = ("brakke", test_field, form)
-    a = _context(state_a).once(key, terms)
-    b = None if a is None else _context(state_b).once(key, terms)
+    a = geometry._context(state_a.surface).once(key, terms)
+    b = None if a is None else geometry._context(state_b.surface).once(key, terms)
     if b is None:
         return _skipped(mid, state_b.t, "support leaves computational domain")
     lhs = b[2] - a[2]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcflab import geometry
 from mcflab.flow import RunDirSink, run_flow, write_run_dir
 from mcflab.geometry import ClosedCurve, CurveKernel, curve_segments
 
@@ -33,6 +34,22 @@ def run_to_dir(initial, config, out, monitors=()):
     run_dir = RunDirSink(out)
     trace, states = run_states(initial, config, monitors, sink=run_dir)
     return trace, states, write_run_dir(trace, run_dir)
+
+
+def state_stats(state) -> tuple:
+    """(measure, max|Df| or None, max|A|) of a state, from the surface's own
+    cached fields: the reference for its timeseries.csv row."""
+    surf = state.surface
+    if isinstance(surf, ClosedCurve):
+        _, kap = geometry.curve_quantities_all(surf)
+        return geometry.total_length(surf), None, float(np.max(np.abs(kap)))
+    act = surf.active
+    df = geometry.gradient_field(surf)[act]
+    d2f = geometry.hessian_field(surf)[act]
+    measure = geometry.integrate_over_graph(surf, lambda t, pts: 1.0)
+    max_grad = float(np.max(np.sqrt(geometry.sum_squares(df))))
+    max_a = float(np.max(geometry.second_fundamental_norm(df, d2f)))
+    return measure, max_grad, max_a
 
 
 def count_kernels(monkeypatch) -> list:

@@ -451,20 +451,31 @@ def test_test_function_evaluated_once_per_recorded_state(kind, monkeypatch):
     """Each recorded state evaluates the test field once, and computes
     |x - c|^2 once per centre and phi_rho once, for every check that reads
     them: the phi check and Brakke's value, dt and grad share one phi_rho,
-    and the upsilon forms and the gradient bound one |x - y0|^2."""
-    from mcflab import monitors
+    and the upsilon forms and the gradient bound one |x - y0|^2, the
+    context's dist2; the checks compute no full-width distance of their
+    own."""
+    from mcflab import geometry, monitors
 
     squares, phis = [], {}
+    once = geometry._Context.once
 
     def count_squares(v, c=None):
         squares.append((v.shape[-1], None if c is None else tuple(np.asarray(c).tolist())))
         return sum_squares(v, c)
+
+    def count_dist2(ctx, key, compute):
+        def counted(c):
+            squares.append((c.points.shape[-1], key[1:]))
+            return compute(c)
+
+        return once(ctx, key, counted if key[0] == "dist2" else compute)
 
     def count_phi(rho, t0, x0, t, x, d2=None):
         phis[t] = phis.get(t, 0) + 1
         return phi_rho(rho, t0, x0, t, x, d2=d2)
 
     monkeypatch.setattr(monitors, "sum_squares", count_squares)
+    monkeypatch.setattr(geometry._Context, "once", count_dist2)
     monkeypatch.setattr(monitors, "phi_rho", count_phi)
     surface, config = _oracle_flows()[kind]
     y0, y1 = (0.0, 0.0), (0.1, 0.0)
@@ -485,8 +496,9 @@ def test_test_function_evaluated_once_per_recorded_state(kind, monkeypatch):
         assert {t: counts.get((name, t), 0) for t in times} == {t: 1 for t in times}
     assert not any(name == "hess" for name, _ in counts)
     assert phis == {t: 1 for t in times}
-    # full-width distances: one per state and centre (the gradient bound's
-    # base-ball distance at the first state is one column narrower)
+    # full-width distances, the context's and any a check computes: one per
+    # state and centre (the gradient bound's base-ball distance at the first
+    # state is one column narrower)
     full = [c for width, c in squares if width == 2]
     assert sorted(full) == sorted([y0, y1] * len(times))
 
@@ -496,10 +508,10 @@ def test_window_start_quantities_computed_once_per_flow(kind, monkeypatch):
     """What the height and measure bounds read of their window's first state,
     the slab precondition and the ball measure, is computed once per flow,
     however many records read it; every later state's ball measure once."""
-    from mcflab import monitors
+    from mcflab import geometry
 
     evaluated = []
-    once = monitors._Context.once
+    once = geometry._Context.once
 
     def counted_once(ctx, key, compute):
         def counted(c):
@@ -508,7 +520,7 @@ def test_window_start_quantities_computed_once_per_flow(kind, monkeypatch):
 
         return once(ctx, key, counted)
 
-    monkeypatch.setattr(monitors._Context, "once", counted_once)
+    monkeypatch.setattr(geometry._Context, "once", counted_once)
     surface, config = _oracle_flows()[kind]
     y0 = (0.0, 0.0)
     trace = run_flow(surface, config, monitors=[
@@ -578,9 +590,9 @@ def _phi_rho_cubed_reference(rho, t0, x0):
 def test_battery_margins_equal_the_numpy_reduce_reference(kind, monkeypatch):
     """Every report of the monitor battery equals, bit for bit, the battery
     run on the reference arithmetic: phi_rho, upsilon and |x - c|^2 as numpy
-    reduces, and a Brakke field that computes its own phi_rho in each
-    callable and broadcasts its gradient."""
-    from mcflab import monitors
+    reduces (the context's dist2 too), and a Brakke field that computes its
+    own phi_rho in each callable and broadcasts its gradient."""
+    from mcflab import geometry, monitors
     from mcflab.scenarios import monitor_battery
 
     surface, config = _oracle_flows()[kind]
@@ -588,6 +600,7 @@ def test_battery_margins_equal_the_numpy_reduce_reference(kind, monkeypatch):
     monkeypatch.setattr(monitors, "phi_rho", _phi_rho_reference)
     monkeypatch.setattr(monitors, "upsilon", _upsilon_reference)
     monkeypatch.setattr(monitors, "sum_squares", _sum_squares_reference)
+    monkeypatch.setattr(geometry, "sum_squares", _sum_squares_reference)
     battery = monitor_battery()[:-1] + [windowed_monitor(
         check_brakke_identity, -2, _phi_rho_cubed_reference(1.0, 0.0, (0.0, 0.0)),
         form="transport")]
@@ -600,7 +613,7 @@ def test_battery_margins_equal_the_numpy_reduce_reference(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["graph", "closed", "open"])
 def test_checked_surface_is_freed_by_reference_counting(kind):
-    """The monitor context a check caches on a surface holds arrays, not the
+    """The context a check caches on a surface holds arrays, not the
     surface, so the two form no cycle: with the cyclic collector off, the
     last reference to the state going frees its surface."""
     surface, _ = _oracle_flows()[kind]
@@ -608,7 +621,7 @@ def test_checked_surface_is_freed_by_reference_counting(kind):
     b = FlowState(dataclasses.replace(surface, time=1e-4), 1)
     for check, _, args, kwargs in _oracle_checks():
         check(a, b, *args, **kwargs)
-    assert "monitor_context" in b.surface._cache
+    assert "context" in b.surface._cache
     freed = weakref.ref(b.surface)
     gc.disable()
     try:

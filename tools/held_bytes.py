@@ -15,14 +15,15 @@ state, each with its cache.
 
 An array counts with the buffer that owns its memory, and each buffer counts
 once, under the first place it is met: the snapshot arrays first, then the
-cache entries in name order, the monitor context last.  So an array shared
+cache entries in name order, the state's context last.  So an array shared
 by two entries counts once, with the entry that computed it: a curve
 sample's points are its vertices, its normals the cached `quantities`
-normals, and the monitor context holds the cached sample and, for a curve,
-the cached curvature (a graph context's mean curvature is its own array).
-A patch grid is no cache entry (`patch_grid` shares one set of arrays among
-the patches on a grid); a grid array that an entry holds, such as the
-monitor context's boundary rows, counts once, with it.
+normals, and the context holds the cached sample and, for a curve, the
+cached curvature, for a graph the cached Df and D^2f (a graph context's
+mean curvature is its own array).  A patch grid is no cache entry
+(`patch_grid` shares one set of arrays among the patches on a grid); a grid
+array that an entry holds, such as the context's boundary rows, counts
+once, with it.
 The last lines are the process's peak resident set size and the peak of
 the memory that Python allocated while the scenario ran (`tracemalloc`):
 the resident size also counts heap the allocator keeps but no object holds,
@@ -96,9 +97,9 @@ def held_bytes(trace) -> dict:
     for surf in surfaces:
         add("snapshots", surf.vertices if hasattr(surf, "vertices") else surf.values)
     for surf in surfaces:
-        # the monitor context last: it only views arrays of other entries
+        # the context last: it mostly holds arrays of other entries
         entries = {_key_name(k): v for k, v in surf._cache.items()}
-        for name, value in sorted(entries.items(), key=lambda e: (e[0] == "monitor_context", e[0])):
+        for name, value in sorted(entries.items(), key=lambda e: (e[0] == "context", e[0])):
             for path, arr in _arrays(value, name):
                 add(path, arr)
     return out
