@@ -12,14 +12,14 @@ curvature and normal, and the arclength resample; the curve stepper in
 the step reuses one kernel per vertex count; a curve's cached edges, normals
 and kappa come from one fresh kernel.  Construction checks edges without one.
 
-A surface caches only what some reader reads: a curve its edge lengths,
-its normals and kappa, and a sample (its vertices, those normals and the
-vertex weights); a graph its Df, D^2f, lift and sample.  Neither caches
-tangents or |A|: a curve's unit tangent is (N_1, -N_0), and |A| is computed
-where it is read.  Each surface owns its `_cache`: no constructor takes one,
-and every surface built, by `dataclasses.replace` too, starts with an empty
-dict of its own, so a cache always describes the values and the time of the
-surface that holds it.
+A surface caches only what some reader reads: a curve its edge lengths, its
+normals and kappa; a graph its Df, D^2f and lift; either a sample (its
+points, unit normals and quadrature weights), which a context builds
+(below).  Neither caches tangents or |A|: a curve's unit tangent is
+(N_1, -N_0), and |A| is computed where it is read.  Each surface owns its
+`_cache`: no constructor takes one, and every surface built, by
+`dataclasses.replace` too, starts with an empty dict of its own, so a cache
+always describes the values and the time of the surface that holds it.
 
 A recorded state's derived arrays have one reader, its private context
 (`_context`, cached under "context"): `flow.run_flow`'s timeseries row, the
@@ -674,36 +674,14 @@ def integrate_over_graph(patch: GraphPatch, phi) -> float:
 def sample_surface(surface) -> SurfaceSample:
     """Lift a patch or curve to ambient points with unit normals and weights.
 
-    Cached on the surface; treat the sample arrays as read-only.
+    Cached on the surface, from a context of its own, which is not kept.
+    Treat the sample arrays as read-only.
     """
     if not isinstance(surface, (GraphPatch, ClosedCurve)):
         raise GeometryError(f"cannot sample {type(surface).__name__}")
-    if "sample" in surface._cache:
-        return surface._cache["sample"]
-    if isinstance(surface, GraphPatch):
-        pts, jac = graph_lift_and_jacobian(surface)
-        sample = SurfaceSample(
-            points=pts,
-            normals=graph_normal(gradient_field(surface)[surface.active]),
-            weights=jac * surface.spacing**surface.n,
-        )
-    elif isinstance(surface, ClosedCurve):
-        el = edge_lengths(surface)
-        m = surface.m
-        if surface.closed:
-            w = (el + np.roll(el, 1)) / 2.0
-        else:
-            w = np.empty(m)
-            w[0] = el[0] / 2.0
-            w[-1] = el[-1] / 2.0
-            w[1:-1] = (el[:-1] + el[1:]) / 2.0
-        sample = SurfaceSample(
-            points=surface.vertices,
-            normals=curve_quantities_all(surface)[0],
-            weights=w,
-        )
-    surface._cache["sample"] = sample
-    return sample
+    if "sample" not in surface._cache:
+        surface._cache["sample"] = _Context(surface).sample
+    return surface._cache["sample"]
 
 
 # ---------------------------------------------------------------------------
@@ -714,38 +692,60 @@ def sample_surface(surface) -> SurfaceSample:
 class _Context:
     """A surface as its record-time readers see it.  It holds arrays, never
     the surface, so the two form no cycle, and only arrays some reader
-    reads: the sample, the signed mean curvature H (the curvature vector is
-    H times the normal), a graph's cached Df and D^2f (`grad`, `hess`) and
-    grid mask (`active`) for the curvature window, the boundary rows
-    (`edge`, from the grid's mask), the timeseries row (measure, max|Df| or
-    None, max|A|; a curve's |A| is |kappa|), and a test function's
-    quadrature sum(vals * jac) * scale, with scale = h^n for a graph and 1
-    for a curve, whose jac holds the vertex weights.  Its memo, keyed by
-    parameters alone (a state's time is its surface's), holds |x - c|^2 per
-    centre, each ball measure, and what a reader computes through `once`."""
+    reads: the timeseries row (measure, max|Df| or None, max|A|; a curve's
+    |A| is |kappa|); the signed mean curvature H (H nu is the curvature
+    vector); the sample, built on first read from a curve's cached normals
+    and edge `lengths` or a graph's lift and Df, as a graph's H is, so a
+    context that only the row reads holds neither; a graph's cached Df,
+    D^2f and grid mask (`grad`, `hess`, `active`) for the curvature window;
+    the boundary rows (`edge`); and a test function's quadrature
+    sum(vals * jac) * scale, with scale = h^n for a graph and 1 for a curve,
+    whose jac holds the vertex weights.  Its memo, keyed by parameters alone
+    (a state's time is its surface's), holds |x - c|^2 per centre, each ball
+    measure, and what a reader computes through `once`."""
 
     def __init__(self, surface):
         self.t = surface.time
         self.memo = {}
-        self.sample = sample_surface(surface)
         if isinstance(surface, GraphPatch):
             self.grad, self.hess = gradient_field(surface), hessian_field(surface)
             act = self.active = surface.active
             df, d2f = self.grad[act], self.hess[act]
-            self.mean_curvature = mean_curvature_graph(df, d2f)
             self.points, self.jac = graph_lift_and_jacobian(surface)
             self.scale = surface.spacing**surface.n
             self.edge = surface.grid.boundary
-            self.row = (float(np.sum(self.jac) * self.scale),
+            self.lengths = None
+            self.row = (integrate_over_graph(surface, lambda t, pts: 1.0),
                         float(np.max(np.sqrt(sum_squares(df)))),
                         float(np.max(second_fundamental_norm(df, d2f))))
         else:
-            self.mean_curvature = curve_quantities_all(surface)[1]
+            self.normals, self.mean_curvature = curve_quantities_all(surface)
+            self.lengths, self.closed = edge_lengths(surface), surface.closed
             self.points = surface.vertices
-            self.jac = self.sample.weights
             self.scale = 1.0
             self.edge = [] if surface.closed else [0, -1]
             self.row = total_length(surface), None, float(np.max(np.abs(self.mean_curvature)))
+
+    @functools.cached_property
+    def sample(self) -> SurfaceSample:
+        """The sample, built on first read."""
+        if self.lengths is None:
+            normals = graph_normal(self.grad[self.active])
+            return SurfaceSample(self.points, normals, self.jac * self.scale)
+        # half of each edge a vertex ends; a closed curve's first vertex ends its last
+        el = self.lengths
+        ends = np.concatenate([el[-1:], el] if self.closed else [[0.0], el, [0.0]])
+        return SurfaceSample(self.points, self.normals, (ends[:-1] + ends[1:]) / 2.0)
+
+    @functools.cached_property
+    def jac(self) -> np.ndarray:
+        """A curve's vertex weights, built on first read (a graph's is its lift's)."""
+        return self.sample.weights
+
+    @functools.cached_property
+    def mean_curvature(self) -> np.ndarray:
+        """A graph's H, built on first read."""
+        return mean_curvature_graph(self.grad[self.active], self.hess[self.active])
 
     def exits(self, vals: np.ndarray) -> bool:
         """Whether a test function's support reaches the boundary."""

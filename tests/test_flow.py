@@ -513,7 +513,7 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
         assert state.surface._cache == {}
     for state in (trace.snapshots[0], trace.final):
         surf = state.surface
-        sample = surf._cache["sample"]
+        sample = surf._cache["context"].sample
         assert not hasattr(sample, "a_norm")
         if kind == "graph":
             continue
@@ -531,6 +531,23 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
                        for a in owners.values())
         held = sum(a.nbytes for a in owners.values())
         assert held <= (5 * surf.m + 1) * 8
+
+
+@pytest.mark.parametrize("kind", ["closed", "open", "graph"])
+def test_row_only_context_builds_no_sample(kind):
+    """An unmonitored run reads a recorded state only for its timeseries
+    row, so the state's context builds no sample, no vertex weights and no
+    graph H: every array it holds is one the surface or its grid already
+    holds."""
+    trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=4))
+    surf = trace.final.surface
+    ctx = surf._cache["context"]
+    assert not {"sample", "jac" if kind != "graph" else "mean_curvature"} & vars(ctx).keys()
+    assert ctx.memo == {}
+    held = [v for k, v in surf._cache.items() if k != "context"]
+    held += [vars(surf), *([surf.grid] if kind == "graph" else [])]
+    owners = {id(_owner(a)) for a in _cached_arrays(held)}
+    assert all(id(_owner(a)) in owners for a in _cached_arrays(ctx))
 
 
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
@@ -1199,11 +1216,15 @@ def _reflected(curve):
     return dataclasses.replace(curve, vertices=np.stack([-v[:, 0], v[:, 1]], axis=1))
 
 
-# The least nonzero shape coefficient of a mapped run.  x -> 2x is exact only
-# on normal floats: a coefficient near 1e-313 gives subnormal values, whose
-# differences and quotients round on a fixed absolute grid, so no scaling
-# commutes with them.
-_NORMAL = 1e-3
+# The least nonzero shape coefficient of a scaled run.  x -> 2x is exact only
+# on normal floats, and a step multiplies a coefficient by itself: an open
+# curve's middle vertex moves by dt kappa N_x, quadratic in it, and a 2-D
+# patch's g^{-1} D^2 f is cubic.  A subnormal product rounds on a fixed
+# absolute grid: on these runs, coefficients from 1e-154 to 1e-161, and from
+# 1e-300 down, break the scaling.  At the fourth root of the least normal
+# float, 1.2e-77, the products stay normal.
+# The other maps only move, swap or negate values, which is exact at any size.
+_NORMAL = float(np.finfo(float).tiny) ** 0.25
 
 # name: (map, the run kinds it applies to, its length factor, its time factor)
 _SYMMETRIES = {
@@ -1255,7 +1276,8 @@ def test_exact_symmetries_commute_with_run_flow(name, data):
     each with its reason: the graph mirror x -> -x, and a curve reflection
     with reversed vertex order on the square, which remeshes."""
     mapping, kinds, length, time = _SYMMETRIES[name]
-    kind, surface, t_end = data.draw(_restart_runs(kinds, least=_NORMAL), label="run")
+    least = _NORMAL if name == "scale" else 0.0
+    kind, surface, t_end = data.draw(_restart_runs(kinds, least), label="run")
     stride = data.draw(st.integers(1, 12), label="stride")
     spacing = None
     if isinstance(surface, ClosedCurve):
@@ -1313,10 +1335,12 @@ def test_monitor_battery_scales_with_the_flow(monitor_id, data):
     factor = 2.0 ** _MONITOR_SCALING.get(monitor_id, 1)
     assert len(image.records) == len(trace.records) > 1
     assert any(r.monitor_id == monitor_id for r in trace.reports)
-    for got, want in zip(image.reports, trace.reports):
-        assert (got.monitor_id, got.skipped, got.reason) == (
-            want.monitor_id, want.skipped, want.reason)
-        assert got.t == 4.0 * want.t
-        if got.monitor_id == monitor_id:
-            assert (got.value, got.bound, got.tol) == (
-                factor * want.value, factor * want.bound, factor * want.tol)
+    for image_record, record in zip(image.records, trace.records):
+        assert len(image_record[-1]) == len(record[-1])
+        for got, want in zip(image_record[-1], record[-1]):
+            assert (got.monitor_id, got.skipped, got.reason) == (
+                want.monitor_id, want.skipped, want.reason)
+            assert got.t == 4.0 * want.t
+            if got.monitor_id == monitor_id:
+                assert (got.value, got.bound, got.tol) == (
+                    factor * want.value, factor * want.bound, factor * want.tol)

@@ -7,7 +7,7 @@ Runs the scenario spec SPEC in this process, with the sources under SRC_DIR
 directory as `mcflab run` would.  Then, for each trace the scenario keeps in
 `ScenarioResult.traces`, it prints the MiB held by the snapshot arrays
 (`vertices` or `values`) and by each cache entry of the recorded surfaces
-(`edges`, `quantities[1]`, `sample.weights`, ...), and how many of its
+(`edges`, `quantities[1]`, `context.jac`, ...), and how many of its
 recorded states still hold a cache.  `run_flow` keeps only the states a
 monitor window reads and hands every recorded state to its sink (the main
 flow's streams to run/), so a returned trace holds its first and its last
@@ -18,9 +18,9 @@ once, under the first place it is met: the snapshot arrays first, then the
 cache entries in name order, the state's context last.  So an array shared
 by two entries counts once, with the entry that computed it: a curve
 sample's points are its vertices, its normals the cached `quantities`
-normals, and the context holds the cached sample and, for a curve, the
-cached curvature, for a graph the cached Df and D^2f (a graph context's
-mean curvature is its own array).  A patch grid is no cache entry
+normals, and the context holds the sample it built (a curve's weights are
+its `jac`) and, for a curve, the cached curvature, for a graph the cached
+Df and D^2f (a graph context's mean curvature is its own array).  A patch grid is no cache entry
 (`patch_grid` shares one set of arrays among the patches on a grid); a grid
 array that an entry holds, such as the context's boundary rows, counts
 once, with it.
