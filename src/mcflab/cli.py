@@ -131,9 +131,9 @@ def _emit_snapshots(base: Path, out: Path) -> None:
     rows = []
     header = None
     inventory = json.loads((base / "manifest.json").read_text())["files"]
-    for rel in sorted(rel for rel in inventory if rel.startswith("snapshots/")):
+    snapshots = [(int(Path(rel).stem), rel) for rel in inventory if rel.startswith("snapshots/")]
+    for idx, rel in sorted(snapshots):
         surface = loads_surface((base / rel).read_text())
-        idx = int(Path(rel).stem)
         if isinstance(surface, ClosedCurve):
             header = header or ["snapshot", "t", "i", "x", "y"]
             for i, (x, y) in enumerate(surface.vertices):

@@ -11,17 +11,17 @@ stepper's `prepare(event)` loads the current array and raises the step's
 remesh or extinction through `event` (False after an extinction), `limit()`
 gives the CFL limit and `advance(dt)` returns the next array, kept as `raw`;
 `recorded(surface)` hands it each recorded state of that array, whose cached
-Df the graph stepper adopts, so a graph run computes Df once per step and
-once for its final state.  The single steppers `step_graph_mcf` / `step_csf`
-call only `limit` and `advance`, so a single step never remeshes or stops;
-`run_flow` picks its stepper once, from the surface type, before it records
-the initial state.  Both build each next state with `_successor`, which
-revalidates the surface.  A state is its surface and its step: its time is
-the surface's, so a recorded state is exactly its snapshot plus the step in
-its `timeseries.csv` row.  `run_flow` advances until the
-horizon, extinction, or a terminal event, recording a state every
-`record_stride` steps and handing it to its sink.  `RunDirSink` is the sink
-that streams a run directory: it writes each recorded state as
+Df and D^2f the graph stepper adopts (its timeseries row computed both), so a
+graph run computes each once per step and once for its final state.  The
+single steppers `step_graph_mcf` / `step_csf` call only `limit` and `advance`,
+so a single step never remeshes or stops; `run_flow` picks its stepper once,
+from the surface type, before it records the initial state.  Both build each
+next state with `_successor`, which revalidates the surface.  A state is its
+surface and its step: its time is the surface's, so a recorded state is
+exactly its snapshot plus the step in its `timeseries.csv` row.  `run_flow`
+advances until the horizon, extinction, or a terminal event, recording a state
+every `record_stride` steps and handing it to its sink.  `RunDirSink` is the
+sink that streams a run directory: it writes each recorded state as
 snapshots/NNNN.json as it arrives, and `write_run_dir` ends the directory with
 the timeseries, the events and, last, the manifest, and returns the SHA-256 of
 each file written, hashed from the bytes as they are written; a snapshot is
@@ -44,12 +44,12 @@ bound is at most twice the threshold, after a remesh or a guarded-path step
 while a state is recorded the previous one and the current one; a returned
 trace holds its first and its last state and one row per record: its
 `timeseries.csv` row, read from the state's context (`geometry._context`,
-which the monitors read too) after the monitors ran, and its reports; the
-sink receives the state then.  A state's derived-array cache is released
-when the next state is recorded: the monitor windows start at the previous
-record or at the first, whose cache stays.  A monitor that returns None only
-observes, as the scenarios' probes do.  A cache is a pure function of the
-snapshot's values, so a sink that keeps a released state recomputes
+its one cache entry, which the monitors read too) before the monitors run,
+and its reports; the sink receives the state then.  A state's cache is
+released when the next state is recorded: the monitor windows start at the
+previous record or at the first, whose cache stays.  A monitor that returns
+None only observes, as the scenarios' probes do.  A cache is a pure function
+of the snapshot's values, so a sink that keeps a released state recomputes
 bit-identical values; it pays in time, and the cache it rebuilds stays.
 """
 
@@ -170,18 +170,18 @@ def _check_cfl(dt: float, limit: float, context: str, *args) -> None:
 
 class _GraphStepper:
     """Forward-Euler step of dt f = g^{ij} D_iD_jf on raw node values,
-    boundary nodes frozen; Df is computed once per step, by `limit`, unless
-    the step's state was recorded, whose cached Df `recorded` adopts."""
+    boundary nodes frozen; Df (by `limit`) and D^2f are computed once per
+    step, unless `recorded` adopted those of the step's recorded state."""
 
     def __init__(self, values: np.ndarray, spacing: float):
-        self.raw, self.spacing, self.df = values, spacing, None
+        self.raw, self.spacing, self.df, self.d2f = values, spacing, None, None
 
     def prepare(self, event) -> bool:
         return True
 
     def recorded(self, surface: GraphPatch) -> None:
-        """Adopt the Df of `surface`, the recorded state of the current values."""
-        self.df = geometry.gradient_field(surface)
+        """Adopt the Df and D^2f of `surface`, the current values' recorded state."""
+        self.df, self.d2f = geometry.gradient_field(surface), geometry.hessian_field(surface)
 
     def limit(self) -> float:
         if self.df is None:
@@ -190,14 +190,15 @@ class _GraphStepper:
         return CFL * self.spacing**2 / (1.0 + gmax)
 
     def advance(self, dt: float) -> np.ndarray:
-        d2f = geometry.hessian_raw(self.raw, self.df, self.spacing)
+        if self.d2f is None:
+            self.d2f = geometry.hessian_raw(self.raw, self.df, self.spacing)
         ginv, _ = geometry.metric_inverse(self.df)
         interior = (slice(1, -1),) * self.raw.ndim
         out = self.raw.copy()
-        out[interior] += (dt * np.einsum("...ij,...ij->...", ginv, d2f))[interior]
+        out[interior] += (dt * np.einsum("...ij,...ij->...", ginv, self.d2f))[interior]
         if not np.isfinite(out).all():
             raise BlowUp(f"non-finite graph values after step of dt={dt}")
-        self.raw, self.df = out, None
+        self.raw, self.df, self.d2f = out, None, None
         return out
 
 
@@ -360,6 +361,8 @@ def run_flow(
         window.append(state)
         if closed and not geometry.is_simple(state.surface):
             event("non_simple")
+        # the row first: a curve's kernel buffers go before the checks' per-point arrays come
+        row = geometry._context(state.surface).row
         new_reports = []
         for monitor in monitors:
             rep = monitor(trace, state)
@@ -371,7 +374,6 @@ def run_flow(
             if not r.passed and not r.skipped:
                 event("monitor_failure", monitor_id=r.monitor_id, value=r.value,
                       bound=r.bound, margin=r.margin)
-        row = geometry._context(state.surface).row
         trace.records.append((state.t, state.step, *row, new_reports))
         stepper.recorded(state.surface)
         if sink is not None:

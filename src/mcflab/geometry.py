@@ -12,18 +12,15 @@ curvature and normal, and the arclength resample; the curve stepper in
 the step reuses one kernel per vertex count; a curve's cached edges, normals
 and kappa come from one fresh kernel.  Construction checks edges without one.
 
-A surface caches only what some reader reads: a curve its edge lengths, its
-normals and kappa; a graph its Df, D^2f and lift; either a sample (its
-points, unit normals and quadrature weights), which a context builds
-(below).  Neither caches tangents or |A|: a curve's unit tangent is
+A surface has one cache entry, its private context (`_Context` says what
+it builds, each array on first read), so a surface holds only what some
+reader read.  Neither caches tangents or |A|: a curve's unit tangent is
 (N_1, -N_0), and |A| is computed where it is read.  Each surface owns its
 `_cache`: no constructor takes one, and every surface built, by
 `dataclasses.replace` too, starts with an empty dict of its own, so a cache
 always describes the values and the time of the surface that holds it.
-
-A recorded state's derived arrays have one reader, its private context
-(`_context`, cached under "context"): `flow.run_flow`'s timeseries row, the
-monitor checks and the curvature window read the state only through it.
+The helpers below read the context, as `flow.run_flow`'s timeseries row,
+the monitor checks and the curvature window do.
 """
 
 from __future__ import annotations
@@ -337,17 +334,13 @@ def hessian_raw(values: np.ndarray, df: np.ndarray, h: float) -> np.ndarray:
 
 
 def gradient_field(patch: GraphPatch) -> np.ndarray:
-    """Df on all nodes, shape grid + (n,)."""
-    if "grad" not in patch._cache:
-        patch._cache["grad"] = gradient_raw(patch.values, patch.spacing)
-    return patch._cache["grad"]
+    """Df on all nodes, shape grid + (n,); the context's."""
+    return _context(patch).grad
 
 
 def hessian_field(patch: GraphPatch) -> np.ndarray:
-    """D^2 f on all nodes, shape grid + (n, n); symmetric by construction."""
-    if "hess" not in patch._cache:
-        patch._cache["hess"] = hessian_raw(patch.values, gradient_field(patch), patch.spacing)
-    return patch._cache["hess"]
+    """D^2 f on all nodes, shape grid + (n, n), symmetric; the context's."""
+    return _context(patch).hess
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +513,9 @@ class CurveKernel:
 def edge_lengths(curve: ClosedCurve) -> np.ndarray:
     """Edge lengths; m edges if closed (wrapping), m-1 if open.
 
-    Cached by curve_quantities_all, from its kernel; treat as read-only.
+    The context's, from its kernel; treat as read-only.
     """
-    if "edges" not in curve._cache:
-        curve_quantities_all(curve)
-    return curve._cache["edges"]
+    return _context(curve).curve[0]
 
 
 def total_length(curve: ClosedCurve) -> float:
@@ -547,20 +538,10 @@ def curve_quantities_all(curve: ClosedCurve):
     the left normal of their one-sided tangent and kappa = 0 (the flow holds
     them fixed).  The unit tangent is (N_1, -N_0).
 
-    Cached on the curve with its edge lengths; treat as read-only.
+    The context's, from the kernel of its edge lengths; treat as read-only.
     """
-    if "quantities" in curve._cache:
-        return curve._cache["quantities"]
-    kernel = CurveKernel(curve.vertices, curve.closed)
-    curve._cache["edges"] = kernel.edges
-    kap, nor = kernel.menger()
-    if not curve.closed:
-        # one-sided tangents at the fixed endpoints, where menger gives N = 0
-        tan_ends = kernel.d[[0, -1]] / kernel.edges[[0, -1], None]
-        nor[[0, -1], 0] = -tan_ends[:, 1]
-        nor[[0, -1], 1] = tan_ends[:, 0]
-    curve._cache["quantities"] = (nor, kap)
-    return curve._cache["quantities"]
+    _, normals, kappa = _context(curve).curve
+    return normals, kappa
 
 
 def curve_segments(curve: ClosedCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -648,104 +629,120 @@ def curve_point_distance(curve: ClosedCurve, point) -> float:
 # ---------------------------------------------------------------------------
 
 
-def graph_lift_and_jacobian(patch: GraphPatch) -> tuple[np.ndarray, np.ndarray]:
-    """(ambient points, sqrt(1+|Df|^2)) over active nodes, cached."""
-    if "lift" not in patch._cache:
-        act = patch.active
-        pts = np.concatenate(
-            [patch.nodes[act], patch.values[act][:, None]], axis=1
-        )
-        df = gradient_field(patch)[act]
-        jac = np.sqrt(1.0 + sum_squares(df))
-        patch._cache["lift"] = (pts, jac)
-    return patch._cache["lift"]
-
-
 def integrate_over_graph(patch: GraphPatch, phi) -> float:
     """Sum of phi(t, lifted point) * sqrt(1+|Df|^2) * h^n over active nodes.
 
     phi(t, points) must accept a stacked array of ambient points (N, n+1).
     """
-    pts, jac = graph_lift_and_jacobian(patch)
-    vals = np.asarray(phi(patch.time, pts), dtype=float)
-    return float(np.sum(vals * jac) * patch.spacing**patch.n)
+    ctx = _context(patch)
+    return ctx.integrate(np.asarray(phi(patch.time, ctx.points), dtype=float))
 
 
 def sample_surface(surface) -> SurfaceSample:
     """Lift a patch or curve to ambient points with unit normals and weights.
 
-    Cached on the surface, from a context of its own, which is not kept.
-    Treat the sample arrays as read-only.
+    The context's; treat the sample arrays as read-only.
     """
     if not isinstance(surface, (GraphPatch, ClosedCurve)):
         raise GeometryError(f"cannot sample {type(surface).__name__}")
-    if "sample" not in surface._cache:
-        surface._cache["sample"] = _Context(surface).sample
-    return surface._cache["sample"]
+    return _context(surface).sample
 
 
 # ---------------------------------------------------------------------------
-# The one context of a recorded state
+# The one cache of a surface
 # ---------------------------------------------------------------------------
 
 
 class _Context:
-    """A surface as its record-time readers see it.  It holds arrays, never
-    the surface, so the two form no cycle, and only arrays some reader
-    reads: the timeseries row (measure, max|Df| or None, max|A|; a curve's
-    |A| is |kappa|); the signed mean curvature H (H nu is the curvature
-    vector); the sample, built on first read from a curve's cached normals
-    and edge `lengths` or a graph's lift and Df, as a graph's H is, so a
-    context that only the row reads holds neither; a graph's cached Df,
-    D^2f and grid mask (`grad`, `hess`, `active`) for the curvature window;
-    the boundary rows (`edge`); and a test function's quadrature
-    sum(vals * jac) * scale, with scale = h^n for a graph and 1 for a curve,
-    whose jac holds the vertex weights.  Its memo, keyed by parameters alone
-    (a state's time is its surface's), holds |x - c|^2 per centre, each ball
+    """A surface's derived arrays, each built on first read.  It holds the
+    arrays it derives from (a graph's `values`, `spacing` and grid arrays, a
+    curve's `vertices` and `closed`), never the surface, so the two form no
+    cycle.  A graph derives `grad` and `hess` (Df, D^2f), the lift `points`
+    and `jac` = sqrt(1+|Df|^2) on active nodes; a curve derives `curve`
+    (edge lengths, left unit normals, kappa) from one `CurveKernel`, its
+    vertex weights `jac` (half of each edge a vertex ends), and its points
+    are its vertices.  Either derives the signed mean curvature H (H nu is
+    the curvature vector; a curve's H is kappa), the sample, and the
+    timeseries row (measure, max|Df| or None, max|A|), which reads only a
+    graph's `grad`, `hess` and `jac` or a curve's `curve`.  `edge` are the
+    boundary rows; `integrate` is the one quadrature, sum(vals * jac) *
+    scale, with scale h^n or 1.  The memo, keyed by parameters alone (a
+    state's time is its surface's), holds |x - c|^2 per centre, each ball
     measure, and what a reader computes through `once`."""
 
     def __init__(self, surface):
         self.t = surface.time
         self.memo = {}
-        if isinstance(surface, GraphPatch):
-            self.grad, self.hess = gradient_field(surface), hessian_field(surface)
-            act = self.active = surface.active
-            df, d2f = self.grad[act], self.hess[act]
-            self.points, self.jac = graph_lift_and_jacobian(surface)
+        self.graph = isinstance(surface, GraphPatch)
+        if self.graph:
+            grid = surface.grid
+            self.values, self.spacing = surface.values, surface.spacing
+            self.nodes, self.active, self.edge = grid.nodes, grid.active, grid.boundary
             self.scale = surface.spacing**surface.n
-            self.edge = surface.grid.boundary
-            self.lengths = None
-            self.row = (integrate_over_graph(surface, lambda t, pts: 1.0),
-                        float(np.max(np.sqrt(sum_squares(df)))),
-                        float(np.max(second_fundamental_norm(df, d2f))))
         else:
-            self.normals, self.mean_curvature = curve_quantities_all(surface)
-            self.lengths, self.closed = edge_lengths(surface), surface.closed
-            self.points = surface.vertices
+            self.vertices, self.closed = surface.vertices, surface.closed
             self.scale = 1.0
             self.edge = [] if surface.closed else [0, -1]
-            self.row = total_length(surface), None, float(np.max(np.abs(self.mean_curvature)))
 
     @functools.cached_property
-    def sample(self) -> SurfaceSample:
-        """The sample, built on first read."""
-        if self.lengths is None:
-            normals = graph_normal(self.grad[self.active])
-            return SurfaceSample(self.points, normals, self.jac * self.scale)
-        # half of each edge a vertex ends; a closed curve's first vertex ends its last
-        el = self.lengths
-        ends = np.concatenate([el[-1:], el] if self.closed else [[0.0], el, [0.0]])
-        return SurfaceSample(self.points, self.normals, (ends[:-1] + ends[1:]) / 2.0)
+    def grad(self) -> np.ndarray:
+        return gradient_raw(self.values, self.spacing)
+
+    @functools.cached_property
+    def hess(self) -> np.ndarray:
+        return hessian_raw(self.values, self.grad, self.spacing)
+
+    @functools.cached_property
+    def curve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        kernel = CurveKernel(self.vertices, self.closed)
+        kappa, normals = kernel.menger()
+        if not self.closed:
+            # one-sided tangents at the fixed endpoints, where menger gives N = 0
+            tan_ends = kernel.d[[0, -1]] / kernel.edges[[0, -1], None]
+            normals[[0, -1], 0] = -tan_ends[:, 1]
+            normals[[0, -1], 1] = tan_ends[:, 0]
+        return kernel.edges, normals, kappa
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        if not self.graph:
+            return self.vertices
+        return np.concatenate([self.nodes[self.active], self.values[self.active][:, None]], axis=1)
 
     @functools.cached_property
     def jac(self) -> np.ndarray:
-        """A curve's vertex weights, built on first read (a graph's is its lift's)."""
-        return self.sample.weights
+        if self.graph:
+            return np.sqrt(1.0 + sum_squares(self.grad[self.active]))
+        # a closed curve's first vertex ends its last edge
+        el = self.curve[0]
+        ends = np.concatenate([el[-1:], el] if self.closed else [[0.0], el, [0.0]])
+        return (ends[:-1] + ends[1:]) / 2.0
 
     @functools.cached_property
     def mean_curvature(self) -> np.ndarray:
-        """A graph's H, built on first read."""
+        if not self.graph:
+            return self.curve[2]
         return mean_curvature_graph(self.grad[self.active], self.hess[self.active])
+
+    @functools.cached_property
+    def sample(self) -> SurfaceSample:
+        if not self.graph:
+            return SurfaceSample(self.points, self.curve[1], self.jac)
+        normals = graph_normal(self.grad[self.active])
+        return SurfaceSample(self.points, normals, self.jac * self.scale)
+
+    @functools.cached_property
+    def row(self) -> tuple:
+        if not self.graph:
+            edges, _, kappa = self.curve
+            return float(edges.sum()), None, float(np.max(np.abs(kappa)))
+        df = self.grad[self.active]
+        return (self.integrate(1.0), float(np.max(np.sqrt(sum_squares(df)))),
+                float(np.max(second_fundamental_norm(df, self.hess[self.active]))))
+
+    def integrate(self, vals) -> float:
+        """The quadrature of vals, given at every point."""
+        return float(np.sum(vals * self.jac) * self.scale)
 
     def exits(self, vals: np.ndarray) -> bool:
         """Whether a test function's support reaches the boundary."""
@@ -771,7 +768,7 @@ class _Context:
 
 
 def _context(surface) -> _Context:
-    """The surface's context, built on first use and kept in its cache."""
+    """The surface's context, its one cache entry, built on first use."""
     if "context" not in surface._cache:
         surface._cache["context"] = _Context(surface)
     return surface._cache["context"]

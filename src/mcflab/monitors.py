@@ -17,16 +17,16 @@ Delta_M phi, so their discrete residuals differ only by how well the
 quadrature integrates Delta_M phi to zero.
 
 The checks read a state only through its one context, `geometry._context`,
-kept in the surface's cache (`geometry._Context` says what it holds); the
-curvature window reads its Df and D^2f there too, and the timeseries row
-its measure, max|Df| and max|A|.  Its memo, keyed by
+the surface's one cache entry (`geometry._Context` says what it builds on
+first read); the curvature window reads its Df and D^2f there too, and each
+test function's integral is its quadrature `integrate`.  Its memo, keyed by
 parameters alone, holds |x - c|^2 per centre and phi_rho per (rho, t0, x0)
 (`_phi_rho_at`), shared by the checks that read them, and the scalar results
-of each test function and ball measure.  A monitored run therefore
-evaluates each once per recorded state, though every window uses the state
-twice; what a window reads of its first state (the gradient sup, the slab
-precondition, the ball measure) is computed once per flow.  The monotone
-windows start at t = 0.
+of each test function and ball measure.  A monitored run therefore evaluates
+each once per recorded state, though every window uses the state twice; what
+a window reads of its first state (the gradient sup, the slab precondition,
+the ball measure) is computed once per flow.  The monotone windows start at
+t = 0.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _monotonicity_report(monitor_id: str, state_a, state_b, key, fn) -> MonitorR
 
     def quadrature(ctx):
         vals = np.asarray(fn(ctx), dtype=float)
-        return ctx.exits(vals), float(np.sum(vals * ctx.jac) * ctx.scale)
+        return ctx.exits(vals), ctx.integrate(vals)
 
     exits_a, i_a = geometry._context(state_a.surface).once(key, quadrature)
     exits_b, i_b = geometry._context(state_b.surface).once(key, quadrature)

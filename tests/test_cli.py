@@ -315,6 +315,26 @@ def test_plotdata_snapshots_are_the_trace_floats(tmp_path, kind):
         (tmp_path / "want.csv").read_bytes()
 
 
+def test_plotdata_orders_snapshots_by_number(tmp_path):
+    """Snapshot names past 9999 have five digits; plotdata emits them in
+    record order, so snapshots/9999.json comes before snapshots/10000.json
+    (a string sort puts 10000 first)."""
+    from mcflab.geometry import dumps_surface
+
+    run = tmp_path / "run"
+    (run / "snapshots").mkdir(parents=True)
+    files = {}
+    for idx in (9999, 10000):
+        rel = f"snapshots/{idx}.json"
+        (run / rel).write_text(dumps_surface(_initial("open")) + "\n")
+        files[rel] = sha256_file(run / rel)
+    (run / "manifest.json").write_text(json.dumps({"files": files}))
+    assert main(["plotdata", "--run", str(run), "--kind", "snapshots"]) == 0
+    rows = (run / "plots" / "snapshots.csv").read_text().splitlines()[1:]
+    firsts = [row.split(",")[0] for row in rows]
+    assert firsts == ["9999"] * 48 + ["10000"] * 48
+
+
 def test_rerun_leaves_no_stale_snapshots(tmp_path):
     """A short run into the directory of a longer one removes the longer
     run's snapshots, so run/manifest.json, run_manifest.json and plotdata

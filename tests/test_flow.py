@@ -536,17 +536,22 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
 @pytest.mark.parametrize("kind", ["closed", "open", "graph"])
 def test_row_only_context_builds_no_sample(kind):
     """An unmonitored run reads a recorded state only for its timeseries
-    row, so the state's context builds no sample, no vertex weights and no
-    graph H: every array it holds is one the surface or its grid already
-    holds."""
+    row, so the state's one cache entry, its context, builds no sample, no
+    points, no curve vertex weights and no H: besides a graph's Df, D^2f and
+    jac, or a curve's (edges, normals, kappa), every array it holds is one
+    the surface (its cache aside) or its grid owns."""
     trace = run_flow(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=4))
     surf = trace.final.surface
+    assert surf._cache.keys() == {"context"}
     ctx = surf._cache["context"]
-    assert not {"sample", "jac" if kind != "graph" else "mean_curvature"} & vars(ctx).keys()
+    built = vars(ctx)
+    unread = {"sample", "points", "mean_curvature"} | ({"jac"} if kind != "graph" else set())
+    assert not unread & built.keys()
     assert ctx.memo == {}
-    held = [v for k, v in surf._cache.items() if k != "context"]
-    held += [vars(surf), *([surf.grid] if kind == "graph" else [])]
-    owners = {id(_owner(a)) for a in _cached_arrays(held)}
+    derived = ("grad", "hess", "jac") if kind == "graph" else ("curve",)
+    owned = [v for k, v in vars(surf).items() if k != "_cache"]
+    owned += [built[k] for k in derived] + ([surf.grid] if kind == "graph" else [])
+    owners = {id(_owner(a)) for a in _cached_arrays(owned)}
     assert all(id(_owner(a)) in owners for a in _cached_arrays(ctx))
 
 
@@ -660,9 +665,12 @@ def test_cache_release_is_invisible(kind, tmp_path):
     out = tmp_path / "run"
     trace, states, _ = run_to_dir(_flow_initial(kind), FlowConfig(t_end=0.01, record_stride=2),
                                   out, monitors=monitor_battery() + [lagging_monitor()])
-    # the per-point arrays go with the context: only the first and the last
-    # state still hold one (lagging rebuilds a sample, not a context)
-    holding = [i for i, s in enumerate(states) if "context" in s.surface._cache]
+    # the per-point arrays go with the context's memo: only the first and
+    # the last state still hold one (lagging rebuilds a context for its
+    # sample, with an empty memo)
+    assert all(s.surface._cache.keys() <= {"context"} for s in states)
+    holding = [i for i, s in enumerate(states) if s.surface._cache.get("context")
+               and s.surface._cache["context"].memo]
     assert holding == [0, len(states) - 1]
     assert len(states) > 4
 
@@ -790,27 +798,33 @@ def test_single_step_never_remeshes():
 ])
 def test_graph_run_computes_df_once_per_step(n, monitored, monkeypatch):
     """A graph run computes Df once per step, for the CFL limit, the Hessian
-    and g^{-1} alike, and once for the final state: a recorded state's Df,
-    which its timeseries row and its monitors read, is the one its next step
-    reads."""
+    and g^{-1} alike, and D^2f once per step, and each once for the final
+    state: a recorded state's Df and D^2f, which its timeseries row and its
+    monitors read, are the ones its next step reads."""
     from mcflab.scenarios import monitor_battery
 
     patch = GraphPatch.from_function(
         lambda p: 0.2 * np.cos(0.5 * math.pi * p[..., 0]) + 0.1 * p[..., -1] ** 2,
         center=(0.0,) * n, radius=1.0, nodes_per_axis=17)
-    calls = []
-    gradient_raw = geometry.gradient_raw
+    calls = {"gradient_raw": [], "hessian_raw": []}
 
-    def counted(values, h):
-        calls.append(None)
-        return gradient_raw(values, h)
+    def counting(name):
+        raw = getattr(geometry, name)
 
-    monkeypatch.setattr(geometry, "gradient_raw", counted)
+        def counted(*args):
+            calls[name].append(None)
+            return raw(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(geometry, name, counting(name))
     trace = run_flow(patch, FlowConfig(t_end=0.05, record_stride=5),
                      monitors=monitor_battery() if monitored else ())
     assert trace.final.step > 10 and len(trace.records) > 2
     assert not monitored or any(not r.skipped for r in trace.reports)
-    assert len(calls) == trace.final.step + 1
+    assert {k: len(v) for k, v in calls.items()} == {
+        "gradient_raw": trace.final.step + 1, "hessian_raw": trace.final.step + 1}
 
 
 def test_horizon_event_when_no_extinction():

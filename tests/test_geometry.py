@@ -582,6 +582,26 @@ def test_sample_surface_weights():
     assert math.isclose(float(samp.weights.sum()), exact, rel_tol=2e-2)
 
 
+@pytest.mark.parametrize("n, m", [(1, 256), (2, 33)], ids=["256", "33x33"])
+def test_sample_surface_computes_no_hessian(n, m, monkeypatch):
+    """A graph's sample reads its lift and Df: sampling a fresh patch
+    computes no D^2f and leaves no timeseries row in its one cache entry."""
+    hessians = []
+    hessian_raw = geometry.hessian_raw
+
+    def counted(*args):
+        hessians.append(None)
+        return hessian_raw(*args)
+
+    monkeypatch.setattr(geometry, "hessian_raw", counted)
+    patch = GraphPatch.from_function(lambda p: 0.1 * np.sin(p.sum(axis=-1)),
+                                     center=(0.0,) * n, radius=1.0, nodes_per_axis=m)
+    sample_surface(patch)
+    assert hessians == []
+    assert patch._cache.keys() == {"context"}
+    assert not {"hess", "row"} & vars(patch._cache["context"]).keys()
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

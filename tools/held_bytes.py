@@ -6,24 +6,21 @@ Runs the scenario spec SPEC in this process, with the sources under SRC_DIR
 (default: this checkout's `src`), writing its run directory to a temporary
 directory as `mcflab run` would.  Then, for each trace the scenario keeps in
 `ScenarioResult.traces`, it prints the MiB held by the snapshot arrays
-(`vertices` or `values`) and by each cache entry of the recorded surfaces
-(`edges`, `quantities[1]`, `context.jac`, ...), and how many of its
-recorded states still hold a cache.  `run_flow` keeps only the states a
-monitor window reads and hands every recorded state to its sink (the main
-flow's streams to run/), so a returned trace holds its first and its last
-state, each with its cache.
+(`vertices` or `values`) and by each array of the one cache entry of the
+recorded surfaces, their context (`context.curve[0]`, `context.jac`, ...),
+and how many of its recorded states still hold a cache.  `run_flow` keeps
+only the states a monitor window reads and hands every recorded state to its
+sink (the main flow's streams to run/), so a returned trace holds its first
+and its last state, each with its cache.
 
 An array counts with the buffer that owns its memory, and each buffer counts
 once, under the first place it is met: the snapshot arrays first, then the
-cache entries in name order, the state's context last.  So an array shared
-by two entries counts once, with the entry that computed it: a curve
-sample's points are its vertices, its normals the cached `quantities`
-normals, and the context holds the sample it built (a curve's weights are
-its `jac`) and, for a curve, the cached curvature, for a graph the cached
-Df and D^2f (a graph context's mean curvature is its own array).  A patch grid is no cache entry
-(`patch_grid` shares one set of arrays among the patches on a grid); a grid
-array that an entry holds, such as the context's boundary rows, counts
-once, with it.
+context's arrays in name order.  So an array shared by two names counts
+once, with the first: a curve sample's points are its vertices, its
+normals the context's `curve[1]` and its weights the context's `jac`.  A
+patch grid is no cache entry (`patch_grid` shares one set of arrays among
+the patches on a grid); a grid array that a context holds, such as its
+boundary rows, counts once, with it.
 The last lines are the process's peak resident set size and the peak of
 the memory that Python allocated while the scenario ran (`tracemalloc`):
 the resident size also counts heap the allocator keeps but no object holds,
@@ -77,10 +74,6 @@ def _arrays(obj, path: str):
             yield from _arrays(value, f"{path}.{name}")
 
 
-def _key_name(key) -> str:
-    return key[0] if isinstance(key, tuple) else str(key)
-
-
 def held_bytes(trace) -> dict:
     """{"snapshots": bytes, "<cache entry path>": bytes, ...} of one trace,
     each owning buffer counted once."""
@@ -97,9 +90,7 @@ def held_bytes(trace) -> dict:
     for surf in surfaces:
         add("snapshots", surf.vertices if hasattr(surf, "vertices") else surf.values)
     for surf in surfaces:
-        # the context last: it mostly holds arrays of other entries
-        entries = {_key_name(k): v for k, v in surf._cache.items()}
-        for name, value in sorted(entries.items(), key=lambda e: (e[0] == "context", e[0])):
+        for name, value in surf._cache.items():
             for path, arr in _arrays(value, name):
                 add(path, arr)
     return out
