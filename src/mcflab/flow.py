@@ -5,8 +5,10 @@ Forward Euler with a parabolic CFL restriction: dt <= CFL * h^2/(1+max|Df|^2)
 for graphs, dt <= CFL * (min edge)^2 for curves, with the one CFL number
 `CFL = 0.2`.  Graph boundary nodes stay frozen.  Each surface type has one
 stepper: `_GraphStepper` computes Df once per step, for the CFL limit, the
-Hessian and g^{-1}; `_CurveStepper` applies vertex += dt * kappa * N with the
-Menger kappa and N of `geometry.CurveKernel`, the one polyline kernel.  A
+Hessian and g^{-1}, and on a 1-D grid updates with g^{-1} D^2f + 0.0, the
+bytes of the general path's one-term einsum; `_CurveStepper` applies
+vertex += dt * kappa * N with the Menger kappa and N of
+`geometry.CurveKernel`, the one polyline kernel.  A
 stepper's `prepare(event)` loads the current array and raises the step's
 remesh or extinction through `event` (False after an extinction), `limit()`
 gives the CFL limit and `advance(dt)` returns the next array, kept as `raw`;
@@ -193,9 +195,12 @@ class _GraphStepper:
         if self.d2f is None:
             self.d2f = geometry.hessian_raw(self.raw, self.df, self.spacing)
         ginv, _ = geometry.metric_inverse(self.df)
-        interior = (slice(1, -1),) * self.raw.ndim
         out = self.raw.copy()
-        out[interior] += (dt * np.einsum("...ij,...ij->...", ginv, self.d2f))[interior]
+        if out.ndim == 1:  # einsum's one-term sum: 0.0 + product, so -0 becomes +0
+            out[1:-1] += dt * (ginv[1:-1, 0, 0] * self.d2f[1:-1, 0, 0] + 0.0)
+        else:
+            interior = (slice(1, -1),) * out.ndim
+            out[interior] += (dt * np.einsum("...ij,...ij->...", ginv, self.d2f))[interior]
         if not np.isfinite(out).all():
             raise BlowUp(f"non-finite graph values after step of dt={dt}")
         self.raw, self.df, self.d2f = out, None, None

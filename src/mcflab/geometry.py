@@ -3,14 +3,19 @@
 A hypersurface given as graph(f) over a ball is sampled on a uniform tensor
 grid (GraphPatch); a plane curve is a polyline (ClosedCurve).  All graph
 derivative quantities use second-order stencils: central in the interior,
-one-sided at the grid boundary.  Every surface has codimension 1: a graph
-is one height over its base, a curve lies in the plane.  Integrals use the
-graph Jacobian sqrt(1 + |Df|^2) on active nodes only.  `CurveKernel` is the
-one polyline kernel: edge lengths, length, shoelace area, the Menger
-curvature and normal, and the arclength resample; the curve stepper in
-`flow` and the cached curve quantities here both read it.  `load` refills a kernel's arrays, so
-the step reuses one kernel per vertex count; a curve's cached edges, normals
-and kappa come from one fresh kernel.  Construction checks edges without one.
+one-sided at the grid boundary.  On a 1-D grid, which every graph scenario
+and the graphicality probe's column heights use, `gradient_raw`,
+`hessian_raw` and `metric_inverse` take direct slices in the general
+path's order of operations (np.gradient, `_d2`, I - Df Df^T / w), so they
+give its bytes without its per-axis overhead.  Every surface has
+codimension 1: a graph is one height over its base, a curve lies in the
+plane.  Integrals use the graph Jacobian sqrt(1 + |Df|^2) on active nodes
+only.  `CurveKernel` is the one polyline kernel: edge lengths, length,
+shoelace area, the Menger curvature and normal, and the arclength resample;
+the curve stepper in `flow` and the cached curve quantities here both read
+it.  `load` refills a kernel's arrays, so the step reuses one kernel per
+vertex count; a curve's cached edges, normals and kappa come from one fresh
+kernel.  Construction checks edges without one.
 
 A surface has one cache entry, its private context (`_Context` says what
 it builds, each array on first read), so a surface holds only what some
@@ -316,13 +321,27 @@ def _d2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def gradient_raw(values: np.ndarray, h: float) -> np.ndarray:
+    """Df, shape grid + (n,): np.gradient(values, h, edge_order=2) per axis.
+    A 1-D grid takes np.gradient's slices in its order of operations."""
+    if values.ndim == 1:
+        f, out = values, np.empty((values.shape[0], 1))
+        out[1:-1, 0] = (f[2:] - f[:-2]) / (2.0 * h)
+        out[0, 0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+        out[-1, 0] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+        return out
     return np.stack([_d1(values, h, a) for a in range(values.ndim)], axis=-1)
 
 
 def hessian_raw(values: np.ndarray, df: np.ndarray, h: float) -> np.ndarray:
     """D^2 f from f and its gradient df = gradient_raw(values, h); mixed
-    partials difference df."""
+    partials difference df.  A 1-D grid takes `_d2`'s slices in its order."""
     n = values.ndim
+    if n == 1:
+        f, out = values, np.empty((values.shape[0], 1, 1))
+        out[1:-1, 0, 0] = (f[2:] - 2 * f[1:-1] + f[:-2]) / h**2
+        out[0, 0, 0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h**2
+        out[-1, 0, 0] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h**2
+        return out
     out = np.empty(values.shape + (n, n))
     for i in range(n):
         out[..., i, i] = _d2(values, h, i)
@@ -370,10 +389,13 @@ def tilt(df: np.ndarray) -> np.ndarray:
 
 
 def metric_inverse(df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g^{-1}, 1+|Df|^2) for the induced metric g = I + Df Df^T."""
+    """(g^{-1}, 1+|Df|^2) for the induced metric g = I + Df Df^T; for n = 1,
+    g^{-1} = 1 - Df^2/w, the general formula's operations on 1x1 matrices."""
     df = np.asarray(df, dtype=float)
     w = 1.0 + sum_squares(df)
     n = df.shape[-1]
+    if n == 1:
+        return (1.0 - df[..., 0] * df[..., 0] / w)[..., None, None], w
     eye = np.eye(n)
     ginv = eye - df[..., :, None] * df[..., None, :] / w[..., None, None]
     return ginv, w
@@ -529,21 +551,6 @@ def enclosed_area(curve: ClosedCurve) -> float:
     return CurveKernel(curve.vertices, True).area()
 
 
-def curve_quantities_all(curve: ClosedCurve):
-    """(left unit normals, signed Menger curvature) per vertex.
-
-    kappa > 0 where the curve turns left; for a positively oriented convex
-    curve the left normal points inward, so the curvature vector kappa*N is
-    the inward curve-shortening velocity either way.  Open-curve endpoints get
-    the left normal of their one-sided tangent and kappa = 0 (the flow holds
-    them fixed).  The unit tangent is (N_1, -N_0).
-
-    The context's, from the kernel of its edge lengths; treat as read-only.
-    """
-    _, normals, kappa = _context(curve).curve
-    return normals, kappa
-
-
 def curve_segments(curve: ClosedCurve) -> tuple[np.ndarray, np.ndarray]:
     """(starts, ends) of the polyline's segments, both taken from the
     vertices; a closed curve's last segment ends at vertex 0."""
@@ -694,6 +701,9 @@ class _Context:
 
     @functools.cached_property
     def curve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(edge lengths, left unit normals, signed Menger kappa): kappa > 0
+        where the curve turns left, so kappa N is the curve-shortening
+        velocity; open endpoints get kappa = 0 and their edge's left normal."""
         kernel = CurveKernel(self.vertices, self.closed)
         kappa, normals = kernel.menger()
         if not self.closed:

@@ -362,7 +362,7 @@ class CurvatureWindowEH:
             self.reason = "patch does not cover B(x0, 2 rho)"
             return
         ctx = geometry._context(surf)
-        base = np.sqrt(sum_squares(ctx.points[:, :-1], self.x0[:-1]))
+        base = np.sqrt(sum_squares(ctx.nodes[ctx.active], self.x0[:-1]))
         w = 1.0 + sum_squares(ctx.grad[ctx.active][base <= 2 * self.rho])
         self.sup_df = max(self.sup_df, float(np.max(w**2)))
 
@@ -376,7 +376,7 @@ class CurvatureWindowEH:
         if self.reason is not None:
             return _skipped(mid, s, self.reason)
         ctx = geometry._context(self.last.surface)
-        sel = np.sqrt(sum_squares(ctx.points[:, :-1], self.x0[:-1])) <= self.rho
+        sel = np.sqrt(sum_squares(ctx.nodes[ctx.active], self.x0[:-1])) <= self.rho
         df, d2f = ctx.grad[ctx.active][sel], ctx.hess[ctx.active][sel]
         value = float(np.max(second_fundamental_norm(df, d2f) ** 2))
         bound = self.c_hat * (1.0 / (s - self.s1) + 1.0 / self.rho**2) * self.sup_df

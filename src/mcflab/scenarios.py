@@ -26,10 +26,11 @@ fold's calibration and doubled-gamma flows beside its main flow, and the
 stay family's members beside its first.  A task returns only what its caller
 reads.  The main flow streams its states into run/ as it records them
 (`flow.RunDirSink`); the stay family's representative is known only once
-every member has run, so its members keep their small states in a list and
-the representative's go to run/ then.  run/ is ended once every flow is
-done, then the extra CSVs, and `verdict.json` last.  No byte depends on the
-worker count.
+every member has run, so its members keep their small states in a list;
+member 0, the usual representative, streams its states into run/ too, and a
+different representative's replace them then.  run/ is ended once every
+flow is done, then the extra CSVs, and `verdict.json` last.  No byte
+depends on the worker count.
 """
 
 from __future__ import annotations
@@ -368,20 +369,26 @@ def _graph_radius(values: np.ndarray, axis: np.ndarray, spacing: float,
     return max(0.0, float(np.min(np.abs(axis[bad]))) - spacing)
 
 
-def _stay_member(i, values, config, L):
+def _stay_member(i, values, config, L, sink=None):
     """One stay_graphical family member, run and probed in C(0,1,1) (a pool
-    task but for member 0): its failures, its family.csv row and, if it can
-    be the representative, its trace and recorded states.  The representative
-    is the member with the least (kappa candidate, index): the first member,
-    or one that leaves the cylinder before the horizon."""
+    task but for member 0), its recorded states also handed to `sink`: its
+    failures, its family.csv row and, if it can be the representative, its
+    trace and recorded states.  The representative is the member with the
+    least (kappa candidate, index): the first member, or one that leaves the
+    cylinder before the horizon."""
     axis = _patch_axis(2.0, values.shape[0])
     patch = _line_patch(axis, values)
     cyl = Cylinder((0.0, 0.0), 1.0, 1.0)
     probes = []
     states = []
+
+    def keep(state):
+        states.append(state)
+        if sink is not None:
+            sink(state)
+
     trace, mon_fail = _monitored_flow(patch, config,
-                                      record_probe(cyl, probes, until_lost=True),
-                                      sink=states.append)
+                                      record_probe(cyl, probes, until_lost=True), sink=keep)
     failures = [f"flow {i}: {m}" for m in mon_fail]
 
     fnt = first_nongraphical_time(probes)
@@ -417,7 +424,9 @@ def scenario_stay_graphical(
     time (horizon-censored); Lambda_hat fits the shrinking-cylinder radius
     2 - Lambda_hat sqrt(t); sup|Dg| <= 4L is asserted at every record.
     Every profile is drawn first; the pool runs members 1.. while this process
-    runs member 0, the usual representative, whose trace then needs no pickling.
+    runs member 0, the usual representative, whose trace then needs no pickling
+    and whose states stream into run/ as it records them.  A different
+    representative's states are written afresh once every member has run.
     """
     rng = np.random.default_rng(seed)
     axis = _patch_axis(2.0, resolution)
@@ -427,17 +436,19 @@ def scenario_stay_graphical(
 
     profiles = [L * _random_unit_profile(rng, axis) for _ in range(family)]
     member = functools.partial(_stay_member, config=config, L=L)
+    run_dir = _run_dir(out_dir)
     with worker_pool(family) as pool:
         rest = pool.map(member, range(1, family), profiles[1:])
-        members = [member(0, profiles[0]), *rest]
+        members = [member(0, profiles[0], sink=run_dir), *rest]
     failures = [f for mem_failures, _, _ in members for f in mem_failures]
     rows = [row for _, row, _ in members]
     fnts = [row[1] for row in rows]
     candidates = [t_end if fnt is None else fnt for fnt in fnts]
     kappa_hat = min(candidates)
-    rep_trace, rep_states = members[candidates.index(kappa_hat)][2]
-    run_dir = _run_dir(out_dir)
-    if run_dir is not None:
+    rep = candidates.index(kappa_hat)
+    rep_trace, rep_states = members[rep][2]
+    if rep > 0 and run_dir is not None:
+        run_dir = RunDirSink(run_dir.out)  # clears member 0's snapshots
         for state in rep_states:
             run_dir(state)
     censored = all(f is None for f in fnts)

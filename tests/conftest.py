@@ -41,7 +41,7 @@ def state_stats(state) -> tuple:
     cached fields: the reference for its timeseries.csv row."""
     surf = state.surface
     if isinstance(surf, ClosedCurve):
-        _, kap = geometry.curve_quantities_all(surf)
+        _, kap = geometry._context(surf).curve[1:]
         return geometry.total_length(surf), None, float(np.max(np.abs(kap)))
     act = surf.active
     df = geometry.gradient_field(surf)[act]

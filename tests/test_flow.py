@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from mcflab import flow, geometry
 
 from mcflab._util import ConfigError, ValidationError
 from mcflab.flow import (
+    BlowUp,
     FlowConfig,
     FlowState,
     StepRejected,
@@ -23,7 +24,6 @@ from mcflab.flow import (
 from mcflab.geometry import (
     ClosedCurve,
     GraphPatch,
-    curve_quantities_all,
     enclosed_area,
     gradient_field,
     hessian_field,
@@ -138,6 +138,47 @@ def test_graph_step_matches_field_oracle(n):
     assert not np.array_equal(out, patch.values)
 
 
+def _bits(a: np.ndarray) -> tuple:
+    return a.shape, a.view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3) | st.sampled_from([0.0, -0.0]),
+             min_size=4, max_size=300),
+    # a spacing whose square overflows raises in either path (h**2)
+    st.floats(min_value=0.0, max_value=1e150, exclude_min=True),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+# g^{-1} rounds to +0 where d^2f < 0 at f = -0: the product is -0, which
+# einsum's one-term sum turns into +0, so the node stays +0, not -0
+@example([0.0, -2e3, -0.0, 1e3, 0.0], 1e-9, 1.0)
+def test_n1_path_is_bitwise_the_general_path(values, h, dt):
+    """On a 1-D grid gradient_raw, hessian_raw, metric_inverse and one
+    _GraphStepper step take direct slices, bit for bit what the general path
+    gives, signed zeros and overflow included: np.gradient with edge_order
+    2, _d2's slices, eye - Df Df^T / w, and the einsum update."""
+    f = np.array(values)
+    with np.errstate(all="ignore"):
+        df = np.stack([np.gradient(f, h, edge_order=2)], axis=-1)
+        d2f = geometry._d2(f, h, 0)[:, None, None]
+        w = 1.0 + (df * df)[:, 0]
+        ginv = np.eye(1) - df[..., :, None] * df[..., None, :] / w[..., None, None]
+        expected = f.copy()
+        expected[1:-1] += (dt * np.einsum("...ij,...ij->...", ginv, d2f))[1:-1]
+        assert _bits(geometry.gradient_raw(f, h)) == _bits(df)
+        assert _bits(geometry.hessian_raw(f, df, h)) == _bits(d2f)
+        got_ginv, got_w = metric_inverse(df)
+        assert (_bits(got_ginv), _bits(got_w)) == (_bits(ginv), _bits(w))
+        stepper = _GraphStepper(f, h)
+        stepper.limit()
+        if np.isfinite(expected).all():
+            assert _bits(stepper.advance(dt)) == _bits(expected)
+        else:
+            with pytest.raises(BlowUp):
+                stepper.advance(dt)
+
+
 def test_step_requires_matching_surface():
     with pytest.raises(ConfigError):
         step_graph_mcf(FlowState(surface=make_circle()), 1e-4)
@@ -188,7 +229,7 @@ def _menger_oracle(vertices, closed):
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
 def test_curve_step_matches_menger_oracle(closed):
     """One step equals v + dt * (kappa N) with kappa and N from a slow
-    per-vertex oracle, bit for bit; curve_quantities_all gives the same kappa
+    per-vertex oracle, bit for bit; the context's curve gives the same kappa
     and N, whose (N_1, -N_0) is the oracle's chord / lc as the tangent at
     every curved vertex; open endpoints (kappa = 0 there) do not move.
 
@@ -204,7 +245,7 @@ def test_curve_step_matches_menger_oracle(closed):
     out = step_csf(FlowState(surface=curve), dt).surface.vertices
 
     kappa, normals, tangents = _menger_oracle(curve.vertices.tolist(), closed)
-    got_normals, got_kappa = curve_quantities_all(curve)
+    got_normals, got_kappa = geometry._context(curve).curve[1:]
     inner = slice(None) if closed else slice(1, -1)
     assert np.array_equal(got_kappa, kappa)
     assert np.array_equal(got_normals[inner], normals[inner])
@@ -517,7 +558,7 @@ def test_recorded_states_cache_no_tangent_or_a_norm(kind, tmp_path):
         assert not hasattr(sample, "a_norm")
         if kind == "graph":
             continue
-        normals, _ = curve_quantities_all(surf)
+        normals, _ = geometry._context(surf).curve[1:]
         tangents = np.stack([normals[:, 1], -normals[:, 0]], axis=-1)
         memo = surf._cache["context"].memo
         per_point = {key[0]: v for key, v in memo.items() if isinstance(v, np.ndarray)}
@@ -782,7 +823,7 @@ def test_single_step_never_remeshes():
     kernel = geometry.CurveKernel(curve.vertices, True)
     assert kernel.e_max / kernel.e_min > flow.EDGE_RATIO_LIMIT
     dt = 0.1 * flow.CFL * kernel.e_min**2
-    normals, kappa = curve_quantities_all(curve)
+    normals, kappa = geometry._context(curve).curve[1:]
     out = step_csf(FlowState(curve), dt).surface.vertices
     assert np.array_equal(out, curve.vertices + dt * (kappa[:, None] * normals))
     trace = run_flow(curve, FlowConfig(t_end=dt, remesh_spacing=2.0 * math.pi / 100.0))
@@ -1269,8 +1310,8 @@ def _mapped_event(event, length, time):
     "turn",
     "negate",
     pytest.param("mirror", marks=pytest.mark.xfail(strict=True, reason=(
-        "geometry._d2 evaluates (f[i+1] - 2f[i]) + f[i-1], which rounds "
-        "differently when the nodes are reversed"))),
+        "geometry.hessian_raw evaluates (f[i+1] - 2f[i]) + f[i-1], as _d2 "
+        "does, which rounds differently when the nodes are reversed"))),
     pytest.param("reflect", marks=pytest.mark.xfail(strict=True, reason=(
         "a remesh resamples from vertex 0, and the reversed order starts "
         "at the other end"))),

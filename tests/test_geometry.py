@@ -24,7 +24,6 @@ from mcflab.geometry import (
     GeometryError,
     GraphPatch,
     curve_point_distance,
-    curve_quantities_all,
     curve_segments,
     dumps_surface,
     edge_lengths,
@@ -292,7 +291,7 @@ def test_circle_curvature_exact():
     """Circumscribed-circle curvature is exact on co-circular samples."""
     R = 0.8
     curve = make_circle(radius=R, m=48, center=(0.3, -0.5))
-    normals, kappa = curve_quantities_all(curve)
+    normals, kappa = geometry._context(curve).curve[1:]
     for vertex in (0, 11, 47):
         nor, kap = normals[vertex], float(kappa[vertex])
         tan = np.array([nor[1], -nor[0]])
@@ -307,7 +306,7 @@ def test_circle_curvature_exact():
 def test_open_polyline_quantities():
     x = np.linspace(-1.0, 1.0, 33)
     curve = ClosedCurve(np.stack([x, 0.2 * x], axis=1), closed=False)
-    normals, kappa = curve_quantities_all(curve)
+    normals, kappa = geometry._context(curve).curve[1:]
     tan = np.array([normals[16, 1], -normals[16, 0]])
     assert math.isclose(float(kappa[16]), 0.0, abs_tol=1e-14)
     assert math.isclose(float(np.linalg.norm(tan)), 1.0, rel_tol=1e-12)
@@ -892,7 +891,7 @@ def test_curve_queries_build_one_kernel(closed, monkeypatch):
     assert built == []
     sample_surface(curve)
     edge_lengths(curve)
-    geometry.curve_quantities_all(curve)
+    geometry._context(curve).curve
     native_resolution(curve)
     total_length(curve)
     assert len(built) == 1

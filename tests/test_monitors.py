@@ -271,7 +271,8 @@ def test_curvature_bound_eh():
 def test_curvature_window_keeps_d2f_of_the_last_state_only():
     """The window reads each state's Df, and D^2f only of its last state,
     so of the states the caller keeps, only the last holds D^2f or a
-    timeseries row, each in the state's one cache entry."""
+    timeseries row, each in the state's one cache entry; it takes base
+    coordinates from the grid, so no state builds its lift."""
     states = []
     _cosine_trace(sink=states.append)
     fresh = [FlowState(dataclasses.replace(s.surface), s.step) for s in states]
@@ -279,7 +280,8 @@ def test_curvature_window_keeps_d2f_of_the_last_state_only():
     check_curvature_bound_EH(fresh, x0=(0.0, 0.0), rho=0.5, c_hat=100.0)
     for state in fresh:
         assert state.surface._cache.keys() == {"context"}
-    held = [{"hess", "row"} & vars(s.surface._cache["context"]).keys() for s in fresh]
+    held = [{"hess", "row", "points"} & vars(s.surface._cache["context"]).keys()
+            for s in fresh]
     assert held[:-1] == [set()] * (len(fresh) - 1) and held[-1] == {"hess"}
 
 

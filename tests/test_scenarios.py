@@ -2,9 +2,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mcflab._util import ValidationError
+from mcflab import scenarios
+from mcflab._util import ValidationError, sha256_file
+from mcflab.geometry import loads_surface
 from mcflab.scenarios import (
     run_scenario,
     run_sweep,
@@ -209,6 +212,48 @@ def test_stay_graphical_small_family(tmp_path):
     lines = (tmp_path / "family.csv").read_text().strip().splitlines()
     assert lines[0].split(",")[0] == "flow"
     assert len(lines) == 3
+
+
+def test_stay_rewrites_run_for_a_representative_other_than_member_0(tmp_path, monkeypatch):
+    """Member 0 streams its snapshots into run/ as it records them; when
+    another member is the representative, run/ is written afresh and holds
+    exactly that member's snapshots, and the manifest's checksums are the
+    files'.  Member 1 starts flat at height 1.5, above C(0,1,1), so it is not
+    graphical at t = 0, and a flat graph stays put: every one of its
+    snapshots holds 1.5 at every node, and it records fewer states than
+    member 0, so a member-0 file left behind would show."""
+    draw = scenarios._random_unit_profile
+    drawn = []
+
+    def profile(rng, axis):
+        drawn.append(draw(rng, axis))
+        return drawn[-1] if len(drawn) == 1 else np.full_like(axis, 1.5)
+
+    sinks = []
+
+    class Sink(scenarios.RunDirSink):
+        def __init__(self, out_dir):
+            super().__init__(out_dir)
+            sinks.append(self)
+
+    monkeypatch.setattr(scenarios, "_random_unit_profile", profile)
+    monkeypatch.setattr(scenarios, "RunDirSink", Sink)
+    res = scenarios.scenario_stay_graphical(L=1.0, resolution=32, family=2, t_end=0.002,
+                                            out_dir=tmp_path)
+    assert res.measured["kappa_hat"] == 0.0
+    run = tmp_path / "run"
+    snapshots = sorted((run / "snapshots").iterdir())
+    records = len(res.traces["run"].records)
+    assert [p.name for p in snapshots] == [f"{k:04d}.json" for k in range(records)]
+    assert len(sinks) == 2 and len(sinks[0].files) > records
+    for path in snapshots:
+        assert np.all(loads_surface(path.read_text()).values == 1.5)
+    final = loads_surface(snapshots[-1].read_text())
+    assert final.time == res.traces["run"].final.t
+    files = json.loads((run / "manifest.json").read_text())["files"]
+    on_disk = {p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()}
+    assert set(files) == on_disk - {"manifest.json"}
+    assert all(sha256_file(run / rel) == digest for rel, digest in files.items())
 
 
 def test_run_sweep_outputs_and_parallel_determinism(tmp_path):

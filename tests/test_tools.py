@@ -4,26 +4,31 @@ import json
 import re
 from pathlib import Path
 
-from mcflab.scenarios import validate_scenario_spec
+from conftest import make_circle
+from mcflab.flow import FlowConfig, run_flow
+from mcflab.scenarios import monitor_battery, validate_scenario_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 DIGESTS = ROOT / "tools" / "digests.py"
+HELD_BYTES = ROOT / "tools" / "held_bytes.py"
 
 
-def _digest_tool():
-    spec = importlib.util.spec_from_file_location("mcflab_digests", DIGESTS)
+def _load_tool(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
 
 
+def _digest_tool():
+    return _load_tool("mcflab_digests", DIGESTS)
+
+
 def test_tracer_targets_resolve():
     """Every function the benchmark's tracer wraps still exists, so a
     deletion cannot break a traced run unseen."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_tool("perfbench_tracer", TRACER)
     pairs = [(layer, name) for layer, names in tracer.TARGETS.items() for name in names]
     assert pairs
     for layer, name in pairs:
@@ -73,3 +78,13 @@ def test_digests_cover_the_sweep_path(tmp_path):
     assert {"sweep.csv", "runs/run_0000/verdict.json", "runs/run_0001/run/timeseries.csv"} <= files
     inventory = json.loads((tmp_path / "sweep" / "run_manifest.json").read_text())["files"]
     assert set(inventory) == files
+
+
+def test_held_bytes_names_each_memo_entry_by_its_key():
+    """held_bytes prints a memo array under its key's name, so the |x - c|^2
+    and phi_rho arrays of one context count on separate lines."""
+    tool = _load_tool("mcflab_held_bytes", HELD_BYTES)
+    trace = run_flow(make_circle(radius=1.0, m=64), FlowConfig(t_end=0.01, record_stride=5),
+                     monitors=monitor_battery())
+    memo = {name for name in tool.held_bytes(trace) if name.startswith("context.memo")}
+    assert {"context.memo[dist2]", "context.memo[phi_rho]"} <= memo

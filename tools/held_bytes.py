@@ -7,7 +7,8 @@ Runs the scenario spec SPEC in this process, with the sources under SRC_DIR
 directory as `mcflab run` would.  Then, for each trace the scenario keeps in
 `ScenarioResult.traces`, it prints the MiB held by the snapshot arrays
 (`vertices` or `values`) and by each array of the one cache entry of the
-recorded surfaces, their context (`context.curve[0]`, `context.jac`, ...),
+recorded surfaces, their context (`context.curve[0]`, `context.jac`, ...,
+and each memo entry under the name its key starts with, `context.memo[dist2]`),
 and how many of its recorded states still hold a cache.  `run_flow` keeps
 only the states a monitor window reads and hands every recorded state to its
 sink (the main flow's streams to run/), so a returned trace holds its first
@@ -66,9 +67,9 @@ def _arrays(obj, path: str):
     elif isinstance(obj, (tuple, list)):
         for i, item in enumerate(obj):
             yield from _arrays(item, f"{path}[{i}]")
-    elif isinstance(obj, dict):
-        for value in obj.values():
-            yield from _arrays(value, f"{path}.memo")
+    elif isinstance(obj, dict):  # the memo: an entry under its key's name
+        for key, value in obj.items():
+            yield from _arrays(value, f"{path}[{key[0] if isinstance(key, tuple) else key}]")
     elif hasattr(obj, "__dict__"):
         for name, value in sorted(vars(obj).items()):
             yield from _arrays(value, f"{path}.{name}")
